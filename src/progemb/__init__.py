@@ -13,7 +13,6 @@ from .loss import (
     batch_threshold,
     info_nce,
     loss_gradients,
-    negative_scales,
     positive_weights,
     progressive_loss,
     update_momentum,
@@ -31,7 +30,6 @@ __all__ = [
     "info_nce",
     "log_sum_exp",
     "loss_gradients",
-    "negative_scales",
     "positive_weights",
     "progressive_loss",
     "sim_matrix",

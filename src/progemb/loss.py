@@ -16,7 +16,12 @@ behaviour fades as ``t`` grows toward the typical positive similarity.
 
 All coefficients (sigma, w, a, t) are computed from the current batch
 before a parameter update and are held fixed for that step: no gradient
-flows through them.
+flows through them. InfoNCE is the same weighted log-sum-exp with every
+weight and scale set to 1.
+
+One kernel gives the embedding gradients of both losses, in matmul form
+over a shared candidate pool whose first B slots are the positives; the
+per-query ``loss_gradients`` lays its negatives out as such a pool.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ __all__ = [
     "info_nce",
     "batch_threshold",
     "positive_weights",
-    "negative_scales",
     "progressive_loss",
     "update_momentum",
     "loss_gradients",
@@ -49,8 +53,8 @@ class HyperParams:
     tau: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.tau <= 0.0:
@@ -127,6 +131,12 @@ def _reduce(per_query: np.ndarray, reduction: str) -> float:
     raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
 
 
+def _logits(pos, neg, neg_mask, scales, tau: float) -> np.ndarray:
+    """Negative logits shifted by the positive one, (a * neg - pos) / tau;
+    masked entries are -inf."""
+    return np.where(neg_mask, (scales * neg - pos[:, None]) / tau, -np.inf)
+
+
 def _row_lse_over_zero(shifted: np.ndarray) -> np.ndarray:
     """Row-wise log(1 + sum(exp(row))) via log-sum-exp over [0, row...].
 
@@ -141,12 +151,18 @@ def _row_lse_over_zero(shifted: np.ndarray) -> np.ndarray:
     return (m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1)))
 
 
+def _weighted_loss(p, n, m, weights, scales, tau: float, reduction: str) -> float:
+    """The reduced per-query ``w * log(1 + sum(exp(logits)))``."""
+    return _reduce(weights * _row_lse_over_zero(_logits(p, n, m, scales, tau)), reduction)
+
+
 def info_nce(pos, neg, tau: float, neg_mask=None, reduction: str = "sum") -> float:
     """Temperature-scaled softmax contrastive loss over a batch.
 
     Per query q the loss is -log of exp(pos_q/tau) divided by the sum of
     exp(pos_q/tau) and every exp(neg_qn/tau). The result is >= 0 and is
-    exactly 0 only when there are no negatives.
+    exactly 0 only when there are no negatives. This is the progressive
+    loss with every weight and scale equal to 1.
 
     Args:
         pos: (B,) positive similarities.
@@ -156,9 +172,7 @@ def info_nce(pos, neg, tau: float, neg_mask=None, reduction: str = "sum") -> flo
         reduction: 'sum' (default) or 'mean' over queries.
     """
     p, n, m = _check_inputs(pos, neg, tau, neg_mask)
-    shifted = (n - p[:, None]) / tau
-    shifted = np.where(m, shifted, -np.inf)
-    return _reduce(_row_lse_over_zero(shifted), reduction)
+    return _weighted_loss(p, n, m, 1.0, 1.0, tau, reduction)
 
 
 def batch_threshold(pos, beta: float) -> float:
@@ -191,23 +205,10 @@ def positive_weights(pos, sigma: float) -> np.ndarray:
     return np.where(p >= sigma, 1.0, np.clip(p / sigma, 0.0, 1.0))
 
 
-def negative_scales(pos_q: float, neg_q, sigma: float, t: float) -> np.ndarray:
-    """Scales for one query's negatives.
-
-    A negative is left at scale 1 while the query's positive sits below the
-    batch threshold, or while the negative is less similar than the
-    positive (an easy negative). Otherwise it is a hard negative and its
-    similarity gets multiplied by ``t + pos_q`` inside the loss.
-    """
-    n = np.asarray(neg_q, dtype=np.float64)
-    if n.ndim != 1:
-        raise ValueError(f"neg_q must be a vector, got shape {n.shape}")
-    if pos_q < sigma:
-        return np.ones_like(n)
-    return np.where(n < pos_q, 1.0, t + pos_q)
-
-
 def _scale_matrix(pos: np.ndarray, neg: np.ndarray, sigma: float, t: float) -> np.ndarray:
+    """Negative scales: 1 while the query's positive sits below the batch
+    threshold or for an easy negative (less similar than the positive);
+    ``t + pos`` for a hard negative."""
     easy = (pos[:, None] < sigma) | (neg < pos[:, None])
     return np.where(easy, 1.0, t + pos[:, None])
 
@@ -235,10 +236,7 @@ def progressive_loss(
     p, n, m = _check_inputs(pos, neg, tau, neg_mask)
     w = positive_weights(p, sigma)
     a = _scale_matrix(p, n, sigma, t)
-    shifted = (a * n - p[:, None]) / tau
-    shifted = np.where(m, shifted, -np.inf)
-    per_query = w * _row_lse_over_zero(shifted)
-    value = _reduce(per_query, reduction)
+    value = _weighted_loss(p, n, m, w, a, tau, reduction)
     record = BatchSimilarities(
         pos=p.copy(), neg=n.copy(), sigma=float(sigma), weights=w, scales=a, neg_mask=m
     )
@@ -259,17 +257,18 @@ def update_momentum(state: MomentumState, pos, alpha: float) -> MomentumState:
     return MomentumState(t=new_t, step=state.step + 1)
 
 
-def _unit_rows(x: np.ndarray, name: str, mask: np.ndarray | None = None):
-    norms = np.linalg.norm(x, axis=-1)
-    if mask is None:
-        bad = norms == 0.0
-    else:
-        bad = (norms == 0.0) & mask
-    if np.any(bad):
-        idx = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise ValueError(f"zero-norm embedding: {name} at index {idx}")
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return x / safe[..., None], safe
+def _unit_rows(x: np.ndarray, used, name: str):
+    """Rows scaled to unit norm, and the norms they were divided by.
+
+    A zero row is an error where ``used`` is set; elsewhere it stays zero
+    and reads norm 1, so it gets zero gradient.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero((norms == 0.0) & used)
+    if bad.size:
+        raise ValueError(f"zero-norm embedding: {name} at index {int(bad[0])}")
+    norms[norms == 0.0] = 1.0
+    return x / norms[:, None], norms
 
 
 def loss_gradients(
@@ -284,9 +283,10 @@ def loss_gradients(
 ) -> EmbeddingGradients:
     """Analytic gradients of the progressive loss w.r.t. all embeddings.
 
-    Similarities are cosine; the gradient of cos(a, b) in a is
-    b/(|a||b|) - cos(a, b) * a/|a|^2, so unit-norm inputs are not required.
-    The coefficients sigma, w, a, and t are treated as constants.
+    Runs the shared-pool kernel on the pool ``[p; z.reshape(B * N, d)]`` in
+    which query i sees only its own N slots, so a zero-norm error names
+    slot ``B + i * N + n`` for negative (i, n). The coefficients w and a
+    are derived from the cosines and then treated as constants.
 
     Args:
         query_embs: (B, d).
@@ -306,69 +306,62 @@ def loss_gradients(
         raise ValueError(
             f"neg_embs must be (B, N, d) matching queries, got {z.shape}"
         )
-    return _gradients_with_coefficients(
-        q, p, z, None, None, hyper.tau, sigma=sigma, t=t,
-        neg_mask=neg_mask, reduction=reduction,
+    b, n, d = z.shape
+    m = np.ones((b, n), dtype=bool) if neg_mask is None else np.asarray(neg_mask, dtype=bool)
+    if m.shape != (b, n):
+        raise ValueError(f"neg_mask shape {m.shape} does not match neg_embs {(b, n)}")
+    pool = np.concatenate([p, z.reshape(b * n, d)])
+    mask = np.zeros((b, b + b * n), dtype=bool)
+    mask[:, b:] = (np.eye(b, dtype=bool)[:, :, None] & m[:, None, :]).reshape(b, b * n)
+    # the kernel applies the zero-norm rule; here a zero row reads cosine 0
+    cos = _unit_rows(q, False, "query")[0] @ _unit_rows(pool, False, "candidate")[0].T
+    np.clip(cos, -1.0, 1.0, out=cos)
+    pos = cos[:, :b].diagonal()
+    neg = cos[:, b:].reshape(b, b, n)[np.arange(b), np.arange(b)]
+    # off-block scales sit in masked slots, so tiling the blocks is enough
+    scales = np.concatenate(
+        [np.ones((b, b)), np.tile(_scale_matrix(pos, neg, sigma, t), b)], axis=1
+    )
+    grad_q, grad_c = _pool_gradients(
+        q, pool, mask, positive_weights(pos, sigma), scales, hyper.tau, reduction
+    )
+    return EmbeddingGradients(
+        query=grad_q, positive=grad_c[:b], negative=grad_c[b:].reshape(b, n, d)
     )
 
 
-def _gradients_with_coefficients(
-    query_embs,
-    pos_embs,
-    neg_embs,
-    weights,
-    scales,
-    tau: float,
-    sigma: float = 0.0,
-    t: float = 0.0,
-    neg_mask=None,
-    reduction: str = "sum",
-) -> EmbeddingGradients:
-    """Gradient core with frozen coefficients.
+def _pool_gradients(query_embs, cand_embs, neg_mask, weights, scales, tau, reduction):
+    """Embedding gradients ``(grad_query, grad_cand)`` of the weighted loss
+    over a shared candidate pool.
 
-    ``weights``/``scales`` of None means "derive them from the cosines and
-    the given sigma and t" (the progressive mode); the trainer passes
-    explicit ones to drive the plain InfoNCE mode through the same path.
+    Slot i is query i's positive; slot j is one of its negatives where
+    ``neg_mask[i, j]``. With w (B,) and a (B, M) frozen, the loss moves the
+    cosines S = Uq Uc^T through one (B, M) coefficient matrix D: w pi a / tau
+    on each negative (pi is the query's softmax) plus w (pi_0 - 1) / tau on
+    the positive slot. Through the cosine, grad_q = (D Uc - rowsum(D*S) Uq)
+    / |q| and grad_c = (D^T Uq - colsum(D*S) Uc) / |c|, so no (B, M, d)
+    array is built. A zero-norm row is an error only if a query uses it.
     """
-    q = np.asarray(query_embs, dtype=np.float64)
-    p = np.asarray(pos_embs, dtype=np.float64)
-    z = np.asarray(neg_embs, dtype=np.float64)
-    b_count, n_count = z.shape[0], z.shape[1]
-    if neg_mask is None:
-        mask = np.ones((b_count, n_count), dtype=bool)
-    else:
-        mask = np.asarray(neg_mask, dtype=bool)
-        if mask.shape != (b_count, n_count):
-            raise ValueError(
-                f"neg_mask shape {mask.shape} does not match neg_embs {z.shape[:2]}"
-            )
-    uq, nq = _unit_rows(q, "query_embs")
-    up, npos = _unit_rows(p, "pos_embs")
-    uz, nz = _unit_rows(z, "neg_embs", mask)
-    s_p = np.clip(np.sum(uq * up, axis=1), -1.0, 1.0)
-    s_n = np.clip(np.einsum("bd,bnd->bn", uq, uz), -1.0, 1.0)
-    w = positive_weights(s_p, sigma) if weights is None else np.asarray(weights)
-    a = _scale_matrix(s_p, s_n, sigma, t) if scales is None else np.asarray(scales)
-
-    shifted = np.where(mask, (a * s_n - s_p[:, None]) / tau, -np.inf)
-    zlog = np.concatenate([np.zeros((b_count, 1)), shifted], axis=1)
-    m = np.max(zlog, axis=1, keepdims=True)
-    e = np.exp(zlog - m)
-    pi = e / np.sum(e, axis=1, keepdims=True)
-
-    d_sp = w * (pi[:, 0] - 1.0) / tau                       # (B,)
-    d_sn = np.where(mask, w[:, None] * pi[:, 1:] * a / tau, 0.0)  # (B, N)
+    b = query_embs.shape[0]
+    used = neg_mask.any(axis=0)
+    used[:b] = True
+    uq, nq = _unit_rows(query_embs, True, "query")
+    uc, nc = _unit_rows(cand_embs, used, "candidate")
+    s = uq @ uc.T
+    np.clip(s, -1.0, 1.0, out=s)
+    rows = np.arange(b)
+    shifted = _logits(s[rows, rows], s, neg_mask, scales, tau)
+    lse = _row_lse_over_zero(shifted)
+    pi = np.exp(shifted - lse[:, None])  # the negatives' softmax shares
+    coef = weights[:, None] * pi * scales / tau
+    # pi_0 - 1 is minus the negatives' total share, which keeps its digits
+    # when the positive dominates
+    coef[rows, rows] -= weights * pi.sum(axis=1) / tau
     if reduction == "mean":
-        d_sp = d_sp / b_count
-        d_sn = d_sn / b_count
+        coef /= b
     elif reduction != "sum":
         raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
-
-    # chain rule through cosine: d cos(a,b)/da = b/(|a||b|) - cos(a,b) a/|a|^2
-    grad_q = d_sp[:, None] * (up - s_p[:, None] * uq) / nq[:, None]
-    grad_q += np.einsum(
-        "bn,bnd->bd", d_sn, (uz - s_n[..., None] * uq[:, None, :]) / nq[:, None, None]
-    )
-    grad_p = d_sp[:, None] * (uq - s_p[:, None] * up) / npos[:, None]
-    grad_n = d_sn[..., None] * (uq[:, None, :] - s_n[..., None] * uz) / nz[..., None]
-    return EmbeddingGradients(query=grad_q, positive=grad_p, negative=grad_n)
+    ds = coef * s
+    grad_q = (coef @ uc - ds.sum(axis=1)[:, None] * uq) / nq[:, None]
+    grad_c = (coef.T @ uq - ds.sum(axis=0)[:, None] * uc) / nc[:, None]
+    return grad_q, grad_c

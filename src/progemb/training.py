@@ -26,7 +26,7 @@ from .encoder import (
 from .loss import (
     HyperParams,
     MomentumState,
-    _gradients_with_coefficients,
+    _pool_gradients,
     batch_threshold,
     info_nce,
     progressive_loss,
@@ -149,20 +149,22 @@ def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
     sims = sim_matrix(query_embs, cand_embs)
 
     b_count = len(examples)
-    mask = np.ones(sims.shape, dtype=bool)
+    diag = np.arange(b_count)
+    # ids as exact integer codes; slots [:B] hold the positives' ids
+    codes: dict[str, int] = {}
+    cand_codes = np.array([codes.setdefault(cid, len(codes)) for cid in cand_ids])
+    mask = cand_codes[:b_count, None] != cand_codes[None, :]
+    duplicate = ~mask
+    duplicate[diag, diag] = False
     excluded: list[tuple[str, str]] = []
-    for i, ex in enumerate(examples):
-        for j, cid in enumerate(cand_ids):
-            if cid == ex.positive_id:
-                mask[i, j] = False
-                if j != i:
-                    excluded.append((ex.query_id, cid))
-                    logger.debug(
-                        "batch exclusion: candidate %s duplicates positive of %s",
-                        cid,
-                        ex.query_id,
-                    )
-    pos = sims[np.arange(b_count), np.arange(b_count)].copy()
+    for i, j in zip(*np.nonzero(duplicate)):
+        excluded.append((examples[i].query_id, cand_ids[j]))
+        logger.debug(
+            "batch exclusion: candidate %s duplicates positive of %s",
+            cand_ids[j],
+            examples[i].query_id,
+        )
+    pos = sims[diag, diag].copy()
     return ContrastiveBatch(
         query_ids=[ex.query_id for ex in examples],
         cand_ids=cand_ids,
@@ -332,9 +334,8 @@ def _step_loss_and_gradients(
     reduction: str,
 ):
     """One batch's loss value, mean positive weight, and parameter gradients."""
-    b_count = batch.size
-    sigma = batch_threshold(batch.pos, hyper.beta)
     if loss_mode == "progressive":
+        sigma = batch_threshold(batch.pos, hyper.beta)
         value, record = progressive_loss(
             batch.pos,
             batch.neg,
@@ -345,39 +346,29 @@ def _step_loss_and_gradients(
             reduction=reduction,
         )
         weights, scales = record.weights, record.scales
-        mean_w = float(np.mean(record.weights))
     else:
         value = info_nce(
             batch.pos, batch.neg, hyper.tau, neg_mask=batch.neg_mask, reduction=reduction
         )
-        weights = np.ones(b_count)
-        scales = np.ones(batch.neg.shape)
-        mean_w = 1.0
-
-    pool = np.broadcast_to(
-        batch.cand_embs[None, :, :], (b_count,) + batch.cand_embs.shape
-    )
-    grads_e = _gradients_with_coefficients(
+        weights, scales = np.ones(batch.size), np.ones(batch.neg.shape)
+    # slot i of the pool is query i's positive and may also be a negative
+    # for other queries; its gradient row carries both roles
+    query_grad, cand_grad = _pool_gradients(
         batch.query_embs,
-        batch.cand_embs[:b_count],
-        pool,
+        batch.cand_embs,
+        batch.neg_mask,
         weights,
         scales,
         hyper.tau,
-        neg_mask=batch.neg_mask,
-        reduction=reduction,
+        reduction,
     )
-    # one physical slot can be both a positive (for its own query) and a
-    # shared negative (for others); sum both roles before backprop
-    cand_grad = grads_e.negative.sum(axis=0)
-    cand_grad[:b_count] += grads_e.positive
 
     enc_grads = {
         "token_table": np.zeros_like(enc.token_table),
         "projection": np.zeros_like(enc.projection),
     }
-    for fwd, d_emb in zip(batch.query_forward, grads_e.query):
+    for fwd, d_emb in zip(batch.query_forward, query_grad):
         _encode_backward(enc, fwd.seq, fwd.pooled, fwd.u_norm, fwd.emb, d_emb, enc_grads)
     for fwd, d_emb in zip(batch.cand_forward, cand_grad):
         _encode_backward(enc, fwd.seq, fwd.pooled, fwd.u_norm, fwd.emb, d_emb, enc_grads)
-    return value, mean_w, enc_grads
+    return value, float(np.mean(weights)), enc_grads

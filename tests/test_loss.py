@@ -17,7 +17,6 @@ from progemb.loss import (
     batch_threshold,
     info_nce,
     loss_gradients,
-    negative_scales,
     positive_weights,
     progressive_loss,
     update_momentum,
@@ -58,6 +57,12 @@ def scalar_infonce(pos, neg, tau, reduction="sum"):
     ]
     total = math.fsum(per_query)
     return total if reduction == "sum" else total / b
+
+
+def negative_scales(pos_q, neg_q, sigma, t):
+    """Scalar oracle for one query's negative scales: 1 while the positive
+    sits below the threshold or for an easy negative, else t + pos_q."""
+    return np.array([1.0 if (pos_q < sigma or s < pos_q) else t + pos_q for s in neg_q])
 
 
 def random_instance(rng, max_b=8, max_n=8):
@@ -110,23 +115,52 @@ class TestPositiveWeights:
         assert 0.0 <= w[0] <= 1.0
 
 
+class TestHyperParams:
+    def test_zero_alpha_rejected(self):
+        """alpha = 0 would freeze the bias; update_momentum rejects it too."""
+        with pytest.raises(ValueError, match="alpha"):
+            HyperParams(alpha=0.0)
+
+    def test_alpha_one_allowed(self):
+        assert HyperParams(alpha=1.0).alpha == 1.0
+
+
 class TestNegativeScales:
+    """Each row of the scales in progressive_loss's record against the
+    scalar oracle."""
+
+    @staticmethod
+    def check(pos, neg, sigma, t):
+        pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+        _, record = progressive_loss(pos, neg, sigma, t, 1.0)
+        for row, (p, n) in enumerate(zip(pos, neg)):
+            np.testing.assert_array_equal(
+                record.scales[row], negative_scales(p, n, sigma, t)
+            )
+        return record.scales
+
     def test_easy_negative_keeps_unit_scale(self):
-        a = negative_scales(0.8, np.array([0.5, 0.79]), 0.6, 0.3)
-        np.testing.assert_allclose(a, [1.0, 1.0])
+        a = self.check([0.8], [[0.5, 0.79]], 0.6, 0.3)
+        np.testing.assert_allclose(a[0], [1.0, 1.0])
 
     def test_hard_negative_scaled_by_bias_plus_positive(self):
-        a = negative_scales(0.8, np.array([0.85, 0.9]), 0.6, 0.3)
-        np.testing.assert_allclose(a, [1.1, 1.1], atol=1e-15)
+        a = self.check([0.8], [[0.85, 0.9]], 0.6, 0.3)
+        np.testing.assert_allclose(a[0], [1.1, 1.1], atol=1e-15)
 
     def test_sub_threshold_query_disables_scaling(self):
-        a = negative_scales(0.5, np.array([0.9]), 0.6, 0.3)
-        np.testing.assert_allclose(a, [1.0])
+        a = self.check([0.5], [[0.9]], 0.6, 0.3)
+        np.testing.assert_allclose(a[0], [1.0])
 
     def test_early_training_scale_can_damp(self):
         """With a cold bias the hard-negative scale sits below 1."""
-        a = negative_scales(0.2, np.array([0.6]), 0.1, 0.0)
-        np.testing.assert_allclose(a, [0.2], atol=1e-15)
+        a = self.check([0.2], [[0.6]], 0.1, 0.0)
+        np.testing.assert_allclose(a[0], [0.2], atol=1e-15)
+
+    def test_random_batches_match_oracle_row_by_row(self):
+        rng = np.random.default_rng(105)
+        for _ in range(100):
+            pos, neg, sigma, t, _ = random_instance(rng)
+            self.check(pos, neg, sigma, t)
 
 
 class TestProgressiveLossValue:
@@ -440,3 +474,43 @@ class TestLossGradients:
                 0.0,
                 HyperParams(),
             )
+
+
+class TestZeroNormRule:
+    """A zero embedding is an error only where some query uses it."""
+
+    def instance(self):
+        rng = np.random.default_rng(134)
+        q = rng.normal(size=(2, 4))
+        p = rng.normal(size=(2, 4))
+        z = rng.normal(size=(2, 3, 4))
+        mask = np.array([[True, False, True], [True, True, True]])
+        return q, p, z, mask
+
+    def test_zero_vector_in_masked_slot_accepted(self):
+        q, p, z, mask = self.instance()
+        before = loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+        z[0, 1] = 0.0
+        g = loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+        assert np.all(g.negative[0, 1] == 0.0)
+        np.testing.assert_allclose(g.query, before.query, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g.positive, before.positive, rtol=1e-14, atol=0)
+
+    def test_zero_vector_in_used_slot_rejected(self):
+        q, p, z, mask = self.instance()
+        z[1, 2] = 0.0
+        # negative (i, n) sits at pool slot B + i * N + n = 2 + 3 + 2
+        with pytest.raises(ValueError, match="candidate at index 7"):
+            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+
+    def test_zero_positive_rejected(self):
+        q, p, z, mask = self.instance()
+        p[1] = 0.0
+        with pytest.raises(ValueError, match="candidate at index 1"):
+            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+
+    def test_zero_query_rejected(self):
+        q, p, z, mask = self.instance()
+        q[0] = 0.0
+        with pytest.raises(ValueError, match="query at index 0"):
+            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)

@@ -98,6 +98,33 @@ class TestBuildBatch:
         assert batch.neg_mask[1, 2]
         assert ("q0", "pA") in batch.excluded
 
+    def test_mask_and_exclusions_match_pairwise_loop(self):
+        """The id comparison gives the mask and the exclusion order of a
+        plain loop over (query, slot) pairs, on batches with repeated ids."""
+        _, enc, seqs = make_fixture()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            examples = []
+            for i in range(int(rng.integers(1, 6))):
+                pid = int(rng.integers(0, 6))
+                others = [k for k in range(6) if k != pid]
+                nids = rng.choice(others, size=int(rng.integers(0, 4)), replace=False)
+                examples.append(TrainingExample(
+                    f"q{i}", seqs[i], f"p{pid}", seqs[pid],
+                    tuple(f"p{k}" for k in nids), tuple(seqs[k] for k in nids),
+                ))
+            batch = build_batch(examples, enc)
+            mask = np.ones(batch.neg.shape, dtype=bool)
+            excluded = []
+            for i, ex in enumerate(examples):
+                for j, cid in enumerate(batch.cand_ids):
+                    if cid == ex.positive_id:
+                        mask[i, j] = False
+                        if j != i:
+                            excluded.append((ex.query_id, cid))
+            np.testing.assert_array_equal(batch.neg_mask, mask)
+            assert batch.excluded == excluded
+
     def test_shared_id_encoded_once(self):
         _, enc, seqs = make_fixture()
         examples = [
@@ -192,6 +219,40 @@ class TestStepGradients:
         )
         assert v1 == v2
         assert w1 == w2 == 1.0
+
+
+class TestStepZeroNormRule:
+    """The step's kernel rejects a zero candidate only if a query uses it."""
+
+    def batch(self):
+        _, enc, seqs = make_fixture(dim=4, seed=14)
+        examples = [
+            TrainingExample("q0", seqs[0], "p0", seqs[1], ("n0",), (seqs[2],)),
+            TrainingExample("q1", seqs[3], "p1", seqs[4], ("n1",), (seqs[5],)),
+        ]
+        return enc, build_batch(examples, enc)
+
+    def step(self, enc, batch):
+        return _step_loss_and_gradients(
+            batch, enc, MomentumState(t=0.3, step=1), HyperParams(tau=0.2),
+            "progressive", "sum",
+        )
+
+    def test_zero_vector_in_masked_slot_accepted(self):
+        enc, batch = self.batch()
+        batch.neg_mask[:, 3] = False
+        value, _, before = self.step(enc, batch)
+        batch.cand_embs[3] = 0.0
+        again, _, grads = self.step(enc, batch)
+        assert again == value
+        for name in ("token_table", "projection"):
+            np.testing.assert_allclose(grads[name], before[name], rtol=1e-14, atol=0)
+
+    def test_zero_vector_in_used_slot_rejected(self):
+        enc, batch = self.batch()
+        batch.cand_embs[3] = 0.0
+        with pytest.raises(ValueError, match="candidate at index 3"):
+            self.step(enc, batch)
 
 
 class TestPretrain:
