@@ -24,6 +24,7 @@ from .encoder import (
     Tokenizer,
     ToyEncoder,
     encode,
+    encode_batch,
     load_checkpoint,
     save_checkpoint,
 )
@@ -44,6 +45,9 @@ from .synthetic import make_clustered_corpus
 from .training import TrainingExample, finetune, pretrain
 
 __all__ = ["main"]
+
+# passages tokenized and encoded per kernel call; bounds the flat token block
+EMBED_BLOCK = 128
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,16 +116,22 @@ def _query_text(cfg: RunConfig, text: str) -> str:
     return f"{cfg.query_prefix} {text}" if cfg.query_prefix else text
 
 
+def _query_tokens(tok: Tokenizer, cfg: RunConfig, text: str):
+    return tok.encode_text(_query_text(cfg, text), cfg.max_query_len)
+
+
 def _encode_query(enc, tok: Tokenizer, cfg: RunConfig, text: str) -> np.ndarray:
-    return encode(enc, tok.encode_text(_query_text(cfg, text), cfg.max_query_len))
+    return encode(enc, _query_tokens(tok, cfg, text))
 
 
 def _embed_passages(enc, tok: Tokenizer, cfg: RunConfig, passages):
-    ids = [p.passage_id for p in passages]
-    rows = [
-        encode(enc, tok.encode_text(p.text, cfg.max_passage_len)) for p in passages
-    ]
-    return ids, np.stack(rows)
+    """Passage ids and embeddings, one kernel call per EMBED_BLOCK passages."""
+    embs = np.empty((len(passages), enc.dim))
+    for start in range(0, len(passages), EMBED_BLOCK):
+        block = passages[start : start + EMBED_BLOCK]
+        seqs = [tok.encode_text(p.text, cfg.max_passage_len) for p in block]
+        embs[start : start + len(block)] = encode_batch(enc, seqs).embs
+    return [p.passage_id for p in passages], embs
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
@@ -160,27 +170,24 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 
 
 class _SimilarityJudge:
-    """Marks a candidate relevant when its embedding is too close to the query."""
+    """Marks a candidate relevant when its embedding is too close to the query.
 
-    def __init__(self, enc, tok: Tokenizer, cfg: RunConfig):
-        self._enc = enc
-        self._tok = tok
-        self._cfg = cfg
+    Encodes nothing: looks up by text the embeddings `mine` already computed.
+    """
+
+    def __init__(self, query_embs: dict, passage_embs: dict, threshold: float):
+        self._queries, self._passages, self._threshold = query_embs, passage_embs, threshold
 
     def judge(self, query: str, candidate: str) -> bool:
-        q = _encode_query(self._enc, self._tok, self._cfg, query)
-        c = encode(
-            self._enc, self._tok.encode_text(candidate, self._cfg.max_passage_len)
-        )
-        return cosine(q, c) > self._cfg.judge_threshold
+        return cosine(self._queries[query], self._passages[candidate]) > self._threshold
 
 
-def _make_judge(cfg: RunConfig, enc, tok: Tokenizer):
+def _make_judge(cfg: RunConfig, query_embs: dict, passage_embs: dict):
     if cfg.judge == "always_irrelevant":
         return AlwaysIrrelevantJudge()
     if cfg.judge == "always_relevant":
         return AlwaysRelevantJudge()
-    return _SimilarityJudge(enc, tok, cfg)
+    return _SimilarityJudge(query_embs, passage_embs, cfg.judge_threshold)
 
 
 def cmd_mine(cfg: RunConfig) -> None:
@@ -206,12 +213,16 @@ def cmd_mine(cfg: RunConfig) -> None:
             queries.append((qid, q))
             positives[qid] = p.passage_id
 
-    judge = _make_judge(cfg, enc, tok)
+    query_embs = encode_batch(enc, [_query_tokens(tok, cfg, q) for _, q in queries]).embs
+    judge = _make_judge(
+        cfg,
+        {qtext: q_emb for (_, qtext), q_emb in zip(queries, query_embs)},
+        {p.text: p_emb for p, p_emb in zip(passages, embs)},
+    )
     mined: dict[str, list] = {}
     dropped: dict[str, int] = {}
     audit_rows: list[dict] = []
-    for qid, qtext in queries:
-        q_emb = _encode_query(enc, tok, cfg, qtext)
+    for (qid, qtext), q_emb in zip(queries, query_embs):
         candidates = mine_hard_negatives(
             q_emb, ids, embs, {positives[qid]}, k=cfg.mining_k
         )
@@ -253,7 +264,7 @@ def _examples_from_rows(rows, texts, tok: Tokenizer, cfg: RunConfig):
         examples.append(
             TrainingExample(
                 query_id=row.query_id,
-                query=tok.encode_text(_query_text(cfg, row.query), cfg.max_query_len),
+                query=_query_tokens(tok, cfg, row.query),
                 positive_id=row.positive_id,
                 positive=tok.encode_text(texts[row.positive_id], cfg.max_passage_len),
                 negative_ids=tuple(row.negative_ids),
@@ -307,6 +318,8 @@ def _print_report(report: MetricReport) -> None:
 def cmd_evaluate(cfg: RunConfig) -> None:
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
     gallery = dataio.read_corpus(_require(cfg.gallery_path, "gallery_path"))
+    if not gallery:
+        raise ValueError(f"{cfg.gallery_path}: gallery has no records")
     query_rows = dataio.read_queries(_require(cfg.queries_path, "queries_path"))
     qrels = dataio.read_qrels(_require(cfg.qrels_path, "qrels_path"))
     gallery_ids, gallery_embs = _embed_passages(ckpt.encoder, ckpt.tokenizer, cfg, gallery)
@@ -336,7 +349,7 @@ def _bench_examples(data, tok: Tokenizer, cfg: RunConfig):
     return [
         TrainingExample(
             query_id=q.query_id,
-            query=tok.encode_text(_query_text(cfg, q.text), cfg.max_query_len),
+            query=_query_tokens(tok, cfg, q.text),
             positive_id=q.positive_id,
             positive=tok.encode_text(texts[q.positive_id], cfg.max_passage_len),
         )

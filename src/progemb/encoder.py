@@ -5,6 +5,11 @@ geometry nontrivial while keeping every gradient hand-derivable: token
 embeddings are mean-pooled, passed through one linear projection, and
 L2-normalized. The decoder reconstructs each clean token from the corrupted
 text's embedding plus a learned position row.
+
+The one encoder path is batched: `encode_batch` pools a flat id array by
+segment sums, then projects and normalizes all rows at once;
+`_encode_backward` turns the batch's (N, d) embedding gradients into one
+projection matmul and one token-table scatter-add. `encode` is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ __all__ = [
     "Tokenizer",
     "ToyEncoder",
     "MaeDecoder",
+    "EncodedBatch",
     "encode",
+    "encode_batch",
     "corrupt",
     "mae_loss",
     "save_checkpoint",
@@ -192,53 +199,54 @@ class MaeDecoder:
         self.output = params["output"]
 
 
-def _check_ids(enc: ToyEncoder, seq: TokenSequence):
-    for t in seq.tokens:
-        if t >= enc.vocab_size:
-            raise ValueError(
-                f"token id {t} out of vocabulary (size {enc.vocab_size})"
-            )
+@dataclass(frozen=True)
+class EncodedBatch:
+    """Embeddings of N sequences plus what the backward pass needs."""
+
+    embs: np.ndarray      # (N, d) unit rows
+    pooled: np.ndarray    # (N, d) token means
+    norms: np.ndarray     # (N,) norms of the projected means
+    ids: np.ndarray       # (T,) token ids, sequence after sequence
+    lengths: np.ndarray   # (N,)
 
 
-def _encode_parts(enc: ToyEncoder, seq: TokenSequence):
-    """Forward pass keeping the intermediates needed for backprop.
+def _flat_ids(enc: ToyEncoder, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids as one flat array plus per-sequence lengths, vocab-checked."""
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    ids = np.array([t for s in seqs for t in s.tokens], dtype=np.intp)
+    bad = np.flatnonzero(ids >= enc.vocab_size)
+    if bad.size:
+        raise ValueError(
+            f"token id {ids[bad[0]]} out of vocabulary (size {enc.vocab_size})"
+        )
+    return ids, lengths
 
-    Returns (embedding, pooled, u_norm) where pooled is the token mean and
-    u_norm the norm of the projected vector.
-    """
-    _check_ids(enc, seq)
-    rows = enc.token_table[list(seq.tokens)]
-    pooled = rows.mean(axis=0)
+
+def encode_batch(enc: ToyEncoder, seqs) -> EncodedBatch:
+    """Embed N token sequences at once: segment mean, projection, normalize."""
+    ids, lengths = _flat_ids(enc, seqs)
+    starts = np.cumsum(lengths) - lengths
+    pooled = np.add.reduceat(enc.token_table[ids], starts, axis=0) / lengths[:, None]
     u = pooled @ enc.projection
-    u_norm = float(np.linalg.norm(u))
-    if u_norm == 0.0:
+    norms = np.linalg.norm(u, axis=1)
+    if (norms == 0.0).any():
         raise ValueError("encoder produced a zero-norm embedding")
-    return u / u_norm, pooled, u_norm
+    return EncodedBatch(u / norms[:, None], pooled, norms, ids, lengths)
 
 
 def encode(enc: ToyEncoder, seq: TokenSequence) -> np.ndarray:
     """Embed a token sequence; the result is L2-normalized and deterministic."""
-    e, _, _ = _encode_parts(enc, seq)
-    return e
+    return encode_batch(enc, [seq]).embs[0]
 
 
-def _encode_backward(
-    enc: ToyEncoder,
-    seq: TokenSequence,
-    pooled: np.ndarray,
-    u_norm: float,
-    emb: np.ndarray,
-    d_emb: np.ndarray,
-    grads: dict[str, np.ndarray],
-):
-    """Accumulate d(loss)/d(encoder params) given d(loss)/d(embedding)."""
-    # through normalization: du = (I - ee^T) de / |u|
-    du = (d_emb - np.dot(d_emb, emb) * emb) / u_norm
-    grads["projection"] += np.outer(pooled, du)
-    d_pooled = enc.projection @ du
-    contribution = d_pooled / len(seq)
-    for t in seq.tokens:
-        grads["token_table"][t] += contribution
+def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
+    """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
+    e = fwd.embs
+    # through normalization: du = (I - ee^T) de / |u|, row by row
+    du = (d_embs - (d_embs * e).sum(axis=1, keepdims=True) * e) / fwd.norms[:, None]
+    grads["projection"] += fwd.pooled.T @ du
+    d_pooled = (du @ enc.projection.T) / fwd.lengths[:, None]
+    np.add.at(grads["token_table"], fwd.ids, np.repeat(d_pooled, fwd.lengths, axis=0))
 
 
 def corrupt(seq: TokenSequence, mask_ratio: float, seed) -> TokenSequence:
@@ -274,48 +282,47 @@ def mae_loss(
     The corrupted sequence is embedded once; each position's logits are the
     output matrix applied to (embedding + position row).
     """
-    loss, _ = _mae_forward(enc, dec, clean, corrupted)
-    return loss
+    losses, _ = _mae_forward_backward(enc, dec, [clean], [corrupted])
+    return losses[0]
 
 
-def _mae_forward(enc, dec, clean, corrupted):
-    if len(clean) != len(corrupted):
-        raise ValueError(
-            f"clean and corrupted lengths differ: {len(clean)} vs {len(corrupted)}"
-        )
-    length = len(clean)
-    if length > dec.max_positions:
-        raise ValueError(
-            f"sequence length {length} exceeds decoder positions {dec.max_positions}"
-        )
-    _check_ids(enc, clean)
-    emb, pooled, u_norm = _encode_parts(enc, corrupted)
-    z = emb[None, :] + dec.position_table[:length]       # (L, d)
-    logits = z @ dec.output                              # (L, V)
-    logp = _log_softmax_rows(logits)
-    targets = list(clean.tokens)
-    loss = -float(logp[np.arange(length), targets].sum())
-    return loss, (emb, pooled, u_norm, z, logp, targets, length)
+def _mae_forward_backward(enc, dec, cleans, corrupteds):
+    """Per-sequence losses plus the gradients of their sum for all four matrices.
 
-
-def _mae_forward_backward(enc, dec, clean, corrupted):
-    """Loss plus gradients for all four parameter matrices."""
-    loss, (emb, pooled, u_norm, z, logp, targets, length) = _mae_forward(
-        enc, dec, clean, corrupted
-    )
-    grads = {
-        "token_table": np.zeros_like(enc.token_table),
-        "projection": np.zeros_like(enc.projection),
-        "position_table": np.zeros_like(dec.position_table),
-        "output": np.zeros_like(dec.output),
-    }
-    d_logits = np.exp(logp)
-    d_logits[np.arange(length), targets] -= 1.0          # softmax - onehot
-    grads["output"] += z.T @ d_logits
-    dz = d_logits @ dec.output.T                         # (L, d)
-    grads["position_table"][:length] += dz
-    _encode_backward(enc, corrupted, pooled, u_norm, emb, dz.sum(axis=0), grads)
-    return loss, grads
+    The corrupted sequences are embedded in one call and backpropagated in
+    one call; each sequence builds only its own (L, V) logits.
+    """
+    for clean, corrupted in zip(cleans, corrupteds, strict=True):
+        if len(clean) != len(corrupted):
+            raise ValueError(
+                f"clean and corrupted lengths differ: {len(clean)} vs {len(corrupted)}"
+            )
+        if len(clean) > dec.max_positions:
+            raise ValueError(
+                f"sequence length {len(clean)} exceeds decoder positions "
+                f"{dec.max_positions}"
+            )
+    targets, _ = _flat_ids(enc, cleans)
+    fwd = encode_batch(enc, corrupteds)
+    grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
+    d_embs = np.empty_like(fwd.embs)
+    product = np.empty_like(dec.output)   # one (d, V) scratch for the whole batch
+    losses = []
+    start = 0
+    for i, length in enumerate(fwd.lengths):
+        rows, tgt = np.arange(length), targets[start : start + length]
+        start += length
+        z = fwd.embs[i] + dec.position_table[:length]       # (L, d)
+        logp = _log_softmax_rows(z @ dec.output)             # (L, V)
+        losses.append(-float(logp[rows, tgt].sum()))
+        d_logits = np.exp(logp)
+        d_logits[rows, tgt] -= 1.0                           # softmax - onehot
+        grads["output"] += np.matmul(z.T, d_logits, out=product)
+        dz = d_logits @ dec.output.T                         # (L, d)
+        grads["position_table"][:length] += dz
+        d_embs[i] = dz.sum(axis=0)
+    _encode_backward(enc, fwd, d_embs, grads)
+    return losses, grads
 
 
 @dataclass

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import (
+    EncodedBatch,
     MaeDecoder,
     TokenSequence,
     ToyEncoder,
     _encode_backward,
-    _encode_parts,
     _mae_forward_backward,
     corrupt,
+    encode_batch,
 )
 from .loss import (
     HyperParams,
@@ -79,14 +80,6 @@ class TrainingExample:
 
 
 @dataclass
-class _Forward:
-    seq: TokenSequence
-    emb: np.ndarray
-    pooled: np.ndarray
-    u_norm: float
-
-
-@dataclass
 class ContrastiveBatch:
     """Similarities plus the bookkeeping needed for gradients and audits."""
 
@@ -97,25 +90,26 @@ class ContrastiveBatch:
     neg_mask: np.ndarray       # (B, M); False where a slot is not a negative
     query_embs: np.ndarray     # (B, d)
     cand_embs: np.ndarray      # (M, d); slots [:B] are the positives
+    forward: EncodedBatch      # each distinct query, then each distinct candidate
+    rows: np.ndarray           # (B + M,) forward row of each query, then each slot
     excluded: list[tuple[str, str]] = field(default_factory=list)
-    query_forward: list[_Forward] = field(default_factory=list)
-    cand_forward: list[_Forward] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         return len(self.query_ids)
 
 
-def _encode_cached(enc, cache: dict, key: str, seq: TokenSequence) -> _Forward:
-    hit = cache.get(key)
-    if hit is not None:
-        if hit.seq.tokens != seq.tokens:
+def _distinct(ids, seqs):
+    """Exact integer code of each id, by first appearance, and each code's sequence."""
+    codes: dict[str, int] = {}
+    distinct: list[TokenSequence] = []
+    for key, seq in zip(ids, seqs):
+        code = codes.setdefault(key, len(codes))
+        if code == len(distinct):
+            distinct.append(seq)
+        elif distinct[code].tokens != seq.tokens:
             raise ValueError(f"id {key!r} maps to two different token sequences")
-        return hit
-    emb, pooled, u_norm = _encode_parts(enc, seq)
-    fwd = _Forward(seq=seq, emb=emb, pooled=pooled, u_norm=u_norm)
-    cache[key] = fwd
-    return fwd
+    return np.array([codes[key] for key in ids]), distinct
 
 
 def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
@@ -125,34 +119,28 @@ def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
     example order. Slot j is masked out of query i's negatives when the
     slot's id equals query i's positive id; the diagonal slot is the query's
     own positive, and any further match is a duplicate, which gets logged.
+    Each distinct query id and candidate id is encoded once, in one call.
     """
     examples = list(examples)
     if not examples:
         raise ValueError("build_batch needs a nonempty batch")
-    query_cache: dict[str, _Forward] = {}
-    cand_cache: dict[str, _Forward] = {}
-    query_forward = [
-        _encode_cached(enc, query_cache, ex.query_id, ex.query) for ex in examples
-    ]
-    cand_ids: list[str] = []
-    cand_forward: list[_Forward] = []
+    cand_ids = [ex.positive_id for ex in examples]
+    cand_seqs = [ex.positive for ex in examples]
     for ex in examples:
-        cand_ids.append(ex.positive_id)
-        cand_forward.append(_encode_cached(enc, cand_cache, ex.positive_id, ex.positive))
-    for ex in examples:
-        for nid, seq in zip(ex.negative_ids, ex.hard_negatives):
-            cand_ids.append(nid)
-            cand_forward.append(_encode_cached(enc, cand_cache, nid, seq))
-
-    query_embs = np.stack([f.emb for f in query_forward])
-    cand_embs = np.stack([f.emb for f in cand_forward])
+        cand_ids.extend(ex.negative_ids)
+        cand_seqs.extend(ex.hard_negatives)
+    query_codes, queries = _distinct(
+        [ex.query_id for ex in examples], [ex.query for ex in examples]
+    )
+    # slots [:B] hold the positives' ids
+    cand_codes, cands = _distinct(cand_ids, cand_seqs)
+    forward = encode_batch(enc, queries + cands)
+    rows = np.concatenate([query_codes, len(queries) + cand_codes])
+    b_count = len(examples)
+    query_embs, cand_embs = forward.embs[rows[:b_count]], forward.embs[rows[b_count:]]
     sims = sim_matrix(query_embs, cand_embs)
 
-    b_count = len(examples)
     diag = np.arange(b_count)
-    # ids as exact integer codes; slots [:B] hold the positives' ids
-    codes: dict[str, int] = {}
-    cand_codes = np.array([codes.setdefault(cid, len(codes)) for cid in cand_ids])
     mask = cand_codes[:b_count, None] != cand_codes[None, :]
     duplicate = ~mask
     duplicate[diag, diag] = False
@@ -173,9 +161,9 @@ def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
         neg_mask=mask,
         query_embs=query_embs,
         cand_embs=cand_embs,
+        forward=forward,
+        rows=rows,
         excluded=excluded,
-        query_forward=query_forward,
-        cand_forward=cand_forward,
     )
 
 
@@ -217,23 +205,14 @@ def pretrain(
         order = rng.permutation(len(sequences))
         losses = []
         for start in range(0, len(order), batch_size):
-            chunk = order[start : start + batch_size]
-            grads = {
-                "token_table": np.zeros_like(enc.token_table),
-                "projection": np.zeros_like(enc.projection),
-                "position_table": np.zeros_like(dec.position_table),
-                "output": np.zeros_like(dec.output),
-            }
-            for idx in chunk:
-                seq = sequences[int(idx)]
-                corrupted_seed = int(rng.integers(0, 2**63 - 1))
-                corrupted = corrupt(seq, mask_ratio, corrupted_seed)
-                loss, g = _mae_forward_backward(enc, dec, seq, corrupted)
-                losses.append(loss)
-                for name in grads:
-                    grads[name] += g[name]
+            clean = [sequences[int(idx)] for idx in order[start : start + batch_size]]
+            corrupted = [
+                corrupt(seq, mask_ratio, int(rng.integers(0, 2**63 - 1))) for seq in clean
+            ]
+            chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+            losses.extend(chunk_losses)
             for name in grads:
-                grads[name] /= len(chunk)
+                grads[name] /= len(clean)
             params = {**enc.params(), **dec.params()}
             new = opt.step(params, grads)
             enc.set_params(new)
@@ -363,12 +342,9 @@ def _step_loss_and_gradients(
         reduction,
     )
 
-    enc_grads = {
-        "token_table": np.zeros_like(enc.token_table),
-        "projection": np.zeros_like(enc.projection),
-    }
-    for fwd, d_emb in zip(batch.query_forward, query_grad):
-        _encode_backward(enc, fwd.seq, fwd.pooled, fwd.u_norm, fwd.emb, d_emb, enc_grads)
-    for fwd, d_emb in zip(batch.cand_forward, cand_grad):
-        _encode_backward(enc, fwd.seq, fwd.pooled, fwd.u_norm, fwd.emb, d_emb, enc_grads)
+    # sum the slot gradients per distinct sequence, then one backward
+    d_embs = np.zeros_like(batch.forward.embs)
+    np.add.at(d_embs, batch.rows, np.concatenate([query_grad, cand_grad]))
+    enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+    _encode_backward(enc, batch.forward, d_embs, enc_grads)
     return value, float(np.mean(weights)), enc_grads

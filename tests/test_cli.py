@@ -5,14 +5,24 @@ inspects exit codes and the files written under the output directory.
 """
 
 import math
+import os
 import sys
 import subprocess
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import progemb
 from progemb import dataio
 from progemb.cli import main
-from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, save_checkpoint
+from progemb.encoder import (
+    MaeDecoder,
+    Tokenizer,
+    ToyEncoder,
+    load_checkpoint,
+    save_checkpoint,
+)
 from progemb.mining import Passage
 
 
@@ -66,10 +76,14 @@ class TestArgumentParsing:
             main(["finetune", "--config", cfg, "--loss-mode", "triplet"])
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same progemb as this process, installed or not
+        src = str(Path(progemb.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "progemb", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert "pretrain" in out.stdout
@@ -218,6 +232,50 @@ class TestMine:
             sims = row.provenance["similarities"]
             assert len(sims) == len(row.negative_ids)
             assert sims == sorted(sims, reverse=True)
+
+    def test_similarity_judge_removes_exactly_what_an_oracle_scores_above(
+        self, tmp_path
+    ):
+        """Every mined candidate, removed or kept, re-encoded one sequence at
+        a time from the checkpoint: the judge removes exactly those whose
+        cosine with the prefixed query exceeds judge_threshold."""
+        threshold = 0.75
+        passages = corpus_passages(20)
+        corpus = tmp_path / "corpus.jsonl"
+        dataio.write_corpus(corpus, passages)
+        ckpt = tmp_path / "ckpt.bin"
+        make_checkpoint(ckpt, [p.text for p in passages] + ["find:"])
+        cfg = write_cfg(
+            tmp_path / "run.cfg", corpus_path=str(corpus), checkpoint_path=str(ckpt),
+            out_dir=str(tmp_path / "out"), embed_dim=8, max_passage_len=16,
+            query_prefix="find:", judge="similarity", judge_threshold=threshold,
+        )
+        assert main(["mine", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        rows = dataio.read_dataset(out / "dataset.jsonl")
+        texts = {p.passage_id: p.text for p in dataio.read_corpus(out / "passages.jsonl")}
+        query_of = {r.query_id: r.query for r in rows}
+        removed = {(a["query_id"], a["candidate_id"])
+                   for a in dataio.read_mining_audit(out / "mining_audit.jsonl")}
+        kept = {(r.query_id, n) for r in rows for n in r.negative_ids}
+
+        model = load_checkpoint(ckpt)
+
+        def oracle(text, max_len):
+            seq = model.tokenizer.encode_text(text, max_len)
+            pooled = model.encoder.token_table[list(seq.tokens)].mean(axis=0)
+            u = pooled @ model.encoder.projection
+            return u / np.linalg.norm(u)
+
+        scores = {
+            (qid, cid): float(np.dot(oracle("find: " + query_of[qid], 64),
+                                     oracle(texts[cid], 16)))
+            for qid, cid in removed | kept
+        }
+        assert min(abs(s - threshold) for s in scores.values()) > 1e-6
+        assert removed == {pair for pair, s in scores.items() if s > threshold}
+        # the cut runs through distinct texts, not only verbatim copies
+        assert kept and any(s < 0.999 for pair, s in scores.items() if pair in removed)
 
     def test_long_doc_splits_into_multiple_passages(self, tmp_path):
         long_doc = Passage(
@@ -391,6 +449,15 @@ class TestEvaluate:
         report = dataio.read_metrics_report(out / "metrics.jsonl")
         assert "q-oov" in report.errors
         assert "q-oov" not in report.per_query
+
+    def test_gallery_without_records_is_validation_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty_gallery.jsonl"
+        dataio.write_corpus(empty, [])
+        cfg, out = self.setup_inputs(tmp_path, gallery_path=str(empty))
+        assert main(["evaluate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{empty}: gallery has no records" in err
+        assert not (out / "metrics.jsonl").exists()
 
     def test_unjudged_query_lands_in_exclusions(self, tmp_path):
         cfg, out = self.setup_inputs(tmp_path)

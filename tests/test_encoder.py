@@ -14,13 +14,37 @@ from progemb.encoder import (
     ToyEncoder,
     corrupt,
     encode,
+    encode_batch,
     load_checkpoint,
     mae_loss,
     save_checkpoint,
     _encode_backward,
-    _encode_parts,
     _mae_forward_backward,
 )
+
+
+def oracle_encode(enc, seq):
+    """Per-sequence reference: row mean, projection, normalization."""
+    pooled = enc.token_table[list(seq.tokens)].mean(axis=0)
+    u = pooled @ enc.projection
+    return u / np.linalg.norm(u)
+
+
+def oracle_backward(enc, seq, d_emb, grads):
+    """Per-sequence reference backward of d_emb . encode(seq)."""
+    pooled = enc.token_table[list(seq.tokens)].mean(axis=0)
+    u = pooled @ enc.projection
+    norm = np.linalg.norm(u)
+    emb = u / norm
+    du = (d_emb - np.dot(d_emb, emb) * emb) / norm
+    grads["projection"] += np.outer(pooled, du)
+    contribution = enc.projection @ du / len(seq)
+    for t in seq.tokens:
+        grads["token_table"][t] += contribution
+
+
+def zero_grads(enc):
+    return {name: np.zeros_like(p) for name, p in enc.params().items()}
 
 
 class TestTokenSequence:
@@ -117,12 +141,8 @@ class TestToyEncoder:
         rng = np.random.default_rng(1)
         c = rng.normal(size=4)
 
-        emb, pooled, u_norm = _encode_parts(enc, seq)
-        grads = {
-            "token_table": np.zeros_like(enc.token_table),
-            "projection": np.zeros_like(enc.projection),
-        }
-        _encode_backward(enc, seq, pooled, u_norm, emb, c, grads)
+        grads = zero_grads(enc)
+        _encode_backward(enc, encode_batch(enc, [seq]), c[None, :], grads)
 
         h = 1e-6
         for name in ("token_table", "projection"):
@@ -138,6 +158,62 @@ class TestToyEncoder:
                 flat[idx] = orig
                 fd_flat[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(grads[name], fd, atol=1e-7)
+
+
+RAGGED = [(2, 3, 3, 7), (7,), (5, 2, 9, 9, 9, 2), (3, 7), (11, 4, 2)]
+
+
+class TestBatchedKernel:
+    """The batched forward/backward against the per-sequence oracle."""
+
+    def test_forward_matches_oracle_on_ragged_batch(self):
+        enc = small_encoder(seed=21)
+        seqs = [TokenSequence(t) for t in RAGGED]
+        fwd = encode_batch(enc, seqs)
+        assert fwd.embs.shape == (len(seqs), enc.dim)
+        for row, seq in zip(fwd.embs, seqs):
+            np.testing.assert_allclose(row, oracle_encode(enc, seq), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(encode(enc, seq), row, rtol=0, atol=1e-14)
+
+    def test_backward_matches_oracle_on_ragged_batch(self):
+        """Repeated ids within and across sequences, and a sequence given
+        twice, all sum into the same token-table rows."""
+        enc = small_encoder(seed=22)
+        seqs = [TokenSequence(t) for t in RAGGED] + [TokenSequence(RAGGED[0])]
+        d_embs = np.random.default_rng(5).normal(size=(len(seqs), enc.dim))
+        grads, expected = zero_grads(enc), zero_grads(enc)
+        _encode_backward(enc, encode_batch(enc, seqs), d_embs, grads)
+        for seq, d_emb in zip(seqs, d_embs):
+            oracle_backward(enc, seq, d_emb, expected)
+        for name in expected:
+            np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-14)
+
+    def test_embed_passages_across_blocks_matches_oracle(self):
+        """The CLI gallery path, on more passages than one kernel call takes,
+        with truncation and lengths from 1 to 7 tokens."""
+        from progemb.cli import EMBED_BLOCK, _embed_passages
+        from progemb.config import RunConfig
+        from progemb.mining import Passage
+
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(30)]
+        passages = [
+            Passage(f"p{i}", " ".join(rng.choice(words, size=int(rng.integers(1, 8)))), "s")
+            for i in range(2 * EMBED_BLOCK + 5)
+        ]
+        tok = Tokenizer.from_texts(p.text for p in passages)
+        enc = ToyEncoder.create(tok.vocab_size, 6, seed=4)
+        cfg = RunConfig(max_passage_len=5)
+        ids, embs = _embed_passages(enc, tok, cfg, passages)
+        assert ids == [p.passage_id for p in passages]
+        expected = [oracle_encode(enc, tok.encode_text(p.text, 5)) for p in passages]
+        np.testing.assert_allclose(embs, np.stack(expected), rtol=0, atol=1e-14)
+
+    def test_out_of_vocabulary_error_names_first_bad_id(self):
+        enc = small_encoder(vocab=6)
+        seqs = [TokenSequence((2, 3)), TokenSequence((4, 8, 6)), TokenSequence((7,))]
+        with pytest.raises(ValueError, match=r"token id 8 out of vocabulary \(size 6\)"):
+            encode_batch(enc, seqs)
 
 
 class TestCorrupt:
@@ -200,7 +276,7 @@ class TestMaeLoss:
         clean = TokenSequence((2, 6, 3, 5))
         corrupted = corrupt(clean, 0.4, seed=1)
 
-        _, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+        _, grads = _mae_forward_backward(enc, dec, [clean], [corrupted])
         h = 1e-6
         owners = {"token_table": enc, "projection": enc,
                   "position_table": dec, "output": dec}
@@ -219,13 +295,49 @@ class TestMaeLoss:
             np.testing.assert_allclose(grads[name], fd, atol=1e-6,
                                        err_msg=f"gradient mismatch for {name}")
 
+    def test_batch_gradients_match_finite_differences(self):
+        """A ragged batch whose sequences share token ids: the gradient of
+        the summed loss, through one forward and one backward."""
+        vocab, dim, positions = 8, 3, 5
+        enc = ToyEncoder.create(vocab, dim, seed=6)
+        dec = MaeDecoder.create(positions, dim, vocab, seed=6)
+        rng = np.random.default_rng(9)
+        dec.output = rng.normal(0, 0.3, size=dec.output.shape)
+        cleans = [TokenSequence((2, 6, 3, 5)), TokenSequence((3, 7)),
+                  TokenSequence((5, 3, 3, 4, 6))]
+        corrupteds = [corrupt(c, 0.4, seed=i) for i, c in enumerate(cleans)]
+        assert set(corrupteds[0].tokens) & set(corrupteds[2].tokens) - {MASK_ID}
+
+        def total():
+            return sum(mae_loss(enc, dec, c, k) for c, k in zip(cleans, corrupteds))
+
+        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        np.testing.assert_allclose(sum(losses), total(), rtol=1e-12)
+        h = 1e-6
+        owners = {"token_table": enc, "projection": enc,
+                  "position_table": dec, "output": dec}
+        for name, owner in owners.items():
+            arr = getattr(owner, name)
+            fd = np.zeros_like(arr)
+            flat, fd_flat = arr.reshape(-1), fd.reshape(-1)
+            for idx in range(flat.size):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                up = total()
+                flat[idx] = orig - h
+                down = total()
+                flat[idx] = orig
+                fd_flat[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(grads[name], fd, atol=1e-6,
+                                       err_msg=f"gradient mismatch for {name}")
+
     def test_gradient_step_reduces_loss(self):
         vocab, dim = 10, 4
         enc = ToyEncoder.create(vocab, dim, seed=5)
         dec = MaeDecoder.create(6, dim, vocab, seed=5)
         clean = TokenSequence((2, 7, 4, 9))
         corrupted = corrupt(clean, 0.4, seed=2)
-        before, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+        (before,), grads = _mae_forward_backward(enc, dec, [clean], [corrupted])
         for name, owner in (("token_table", enc), ("projection", enc),
                             ("position_table", dec), ("output", dec)):
             setattr(owner, name, getattr(owner, name) - 0.05 * grads[name])
