@@ -40,7 +40,8 @@ from .mining import (
     mine_hard_negatives,
     split_passages,
 )
-from .similarity import cosine
+# cosine is not called here; benchmarks/tracer.py still wraps it in this module
+from .similarity import cosine  # noqa: F401
 from .synthetic import make_clustered_corpus
 from .training import TrainingExample, finetune, pretrain
 
@@ -170,24 +171,21 @@ def cmd_pretrain(cfg: RunConfig) -> None:
 
 
 class _SimilarityJudge:
-    """Marks a candidate relevant when its embedding is too close to the query.
+    """Marks a candidate relevant when its mined similarity exceeds the threshold."""
 
-    Encodes nothing: looks up by text the embeddings `mine` already computed.
-    """
+    def __init__(self, threshold: float):
+        self._threshold = threshold
 
-    def __init__(self, query_embs: dict, passage_embs: dict, threshold: float):
-        self._queries, self._passages, self._threshold = query_embs, passage_embs, threshold
-
-    def judge(self, query: str, candidate: str) -> bool:
-        return cosine(self._queries[query], self._passages[candidate]) > self._threshold
+    def judge(self, query: str, candidate: str, similarity: float) -> bool:
+        return similarity > self._threshold
 
 
-def _make_judge(cfg: RunConfig, query_embs: dict, passage_embs: dict):
+def _make_judge(cfg: RunConfig):
     if cfg.judge == "always_irrelevant":
         return AlwaysIrrelevantJudge()
     if cfg.judge == "always_relevant":
         return AlwaysRelevantJudge()
-    return _SimilarityJudge(query_embs, passage_embs, cfg.judge_threshold)
+    return _SimilarityJudge(cfg.judge_threshold)
 
 
 def cmd_mine(cfg: RunConfig) -> None:
@@ -214,18 +212,14 @@ def cmd_mine(cfg: RunConfig) -> None:
             positives[qid] = p.passage_id
 
     query_embs = encode_batch(enc, [_query_tokens(tok, cfg, q) for _, q in queries]).embs
-    judge = _make_judge(
-        cfg,
-        {qtext: q_emb for (_, qtext), q_emb in zip(queries, query_embs)},
-        {p.text: p_emb for p, p_emb in zip(passages, embs)},
-    )
+    judge = _make_judge(cfg)
     mined: dict[str, list] = {}
     dropped: dict[str, int] = {}
     audit_rows: list[dict] = []
-    for (qid, qtext), q_emb in zip(queries, query_embs):
-        candidates = mine_hard_negatives(
-            q_emb, ids, embs, {positives[qid]}, k=cfg.mining_k
-        )
+    all_candidates = mine_hard_negatives(
+        query_embs, ids, embs, [{positives[qid]} for qid, _ in queries], k=cfg.mining_k
+    )
+    for (qid, qtext), candidates in zip(queries, all_candidates):
         kept, events = filter_false_negatives(qtext, candidates, judge, texts)
         mined[qid] = kept
         dropped[qid] = sum(1 for e in events if e.removed)

@@ -5,7 +5,7 @@ and an ideal DCG over all judged docs, so 1.0 needs a perfect ranking. MAP
 divides by the total relevant count, not just the retrieved ones. Queries
 with no relevant docs are excluded from macro averages by default and listed
 in the report; include_zero_relevant=True scores them 0 for NDCG and MRR
-only.
+only. A run ranks all its queries in one call into `similarity.top_k`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .similarity import sim_matrix
+# sim_matrix is not called here; benchmarks/tracer.py still wraps it in this module
+from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
     "Qrels",
@@ -70,30 +71,15 @@ def _relevant_ids(rels: Mapping[str, int]) -> set[str]:
 
 
 def rank_gallery(
-    query_id: str,
-    query_emb: np.ndarray,
+    query_ids: Sequence[str],
+    query_embs: np.ndarray,
     gallery_ids: Sequence[str],
     gallery_embs: np.ndarray,
     depth: int,
-) -> RankedList:
-    """Exact top-`depth` cosine retrieval, ties broken by ascending doc id."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if len(gallery_ids) == 0:
-        raise ValueError("gallery is empty")
-    if len(gallery_ids) != gallery_embs.shape[0]:
-        raise ValueError(
-            f"{len(gallery_ids)} gallery ids but {gallery_embs.shape[0]} rows"
-        )
-    query_emb = np.asarray(query_emb, dtype=np.float64)
-    sims = sim_matrix(query_emb[None, :], gallery_embs)[0]
-    order = sorted(range(len(gallery_ids)), key=lambda i: (-sims[i], gallery_ids[i]))
-    top = order[:depth]
-    return RankedList(
-        query_id=query_id,
-        doc_ids=tuple(gallery_ids[i] for i in top),
-        scores=tuple(float(sims[i]) for i in top),
-    )
+) -> list[RankedList]:
+    """Exact top-`depth` retrieval per query row, ties by ascending doc id."""
+    hits = top_k(query_embs, gallery_embs, gallery_ids, depth)
+    return [RankedList(qid, *hit) for qid, hit in zip(query_ids, hits, strict=True)]
 
 
 def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int = 10) -> float:
@@ -171,25 +157,31 @@ def evaluate_run(
 ) -> MetricReport:
     """Rank every query and report per-query plus macro metrics.
 
-    queries is (query_id, embedding-or-None) pairs; a None embedding becomes
-    a per-query error entry and the run continues. Cutoffs larger than depth
-    are effectively capped by the ranked list length. Rows are ordered by
-    query id.
+    queries is (query_id, embedding-or-None) pairs; a None, zero-norm or
+    wrongly sized embedding becomes a per-query error entry and the run
+    continues. Cutoffs larger than depth are effectively capped by the
+    ranked list length. Rows are ordered by query id.
     """
     if len(gallery_ids) == 0:
         raise ValueError("cannot evaluate against an empty gallery")
     per_query: dict[str, dict[str, float]] = {}
     errors: dict[str, str] = {}
     excluded: list[str] = []
+    dim, valid = np.shape(gallery_embs)[1], {}
     for query_id, emb in sorted(queries, key=lambda item: item[0]):
         if emb is None:
             errors[query_id] = "missing embedding"
             continue
-        try:
-            ranked = rank_gallery(query_id, emb, gallery_ids, gallery_embs, depth)
-        except ValueError as exc:
-            errors[query_id] = str(exc)
-            continue
+        emb = np.asarray(emb, dtype=np.float64)
+        if emb.shape != (dim,):
+            errors[query_id] = f"query embedding has shape {emb.shape}, gallery d={dim}"
+        elif not np.linalg.norm(emb):
+            errors[query_id] = "zero-norm query embedding"
+        else:
+            valid[query_id] = emb
+    rows = np.reshape(list(valid.values()), (len(valid), dim))
+    for ranked in rank_gallery(list(valid), rows, gallery_ids, gallery_embs, depth):
+        query_id = ranked.query_id
         has_relevant = bool(_relevant_ids(qrels.get(query_id, {})))
         if not has_relevant:
             excluded.append(query_id)

@@ -1,9 +1,10 @@
 """Offline mining pipeline: split, generate, mine, filter, assemble.
 
 The pluggable pieces are the query generator (callable on a Passage) and the
-relevance judge (callable on query/candidate text). Judges that raise are
-treated fail-open: the candidate stays in the pool and the failure is logged,
-so a broken judge can never silently shrink the training data.
+relevance judge (called on query text, candidate text and mined similarity).
+Judges that raise are treated fail-open: the candidate stays in the pool and
+the failure is logged, so a broken judge can never silently shrink the
+training data.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Collection, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .similarity import sim_matrix
+# sim_matrix is not called here; benchmarks/tracer.py still wraps it in this module
+from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
     "Passage",
@@ -71,18 +73,18 @@ class MinedCandidate:
 
 
 class RelevanceJudge(Protocol):
-    def judge(self, query: str, candidate: str) -> bool:
-        """True means the candidate answers the query (a false negative)."""
+    def judge(self, query: str, candidate: str, similarity: float) -> bool:
+        """True means the candidate, at its mined similarity, answers the query."""
         ...
 
 
 class AlwaysIrrelevantJudge:
-    def judge(self, query: str, candidate: str) -> bool:
+    def judge(self, query: str, candidate: str, similarity: float) -> bool:
         return False
 
 
 class AlwaysRelevantJudge:
-    def judge(self, query: str, candidate: str) -> bool:
+    def judge(self, query: str, candidate: str, similarity: float) -> bool:
         return True
 
 
@@ -166,31 +168,20 @@ def generate_queries(
 
 
 def mine_hard_negatives(
-    query_emb: np.ndarray,
+    query_embs: np.ndarray,
     passage_ids: Sequence[str],
     passage_embs: np.ndarray,
-    positive_ids,
+    positive_ids: Sequence[Collection[str]],
     k: int = MAX_MINED_NEGATIVES,
-) -> list[MinedCandidate]:
-    """Exact brute-force top-k cosine retrieval, positives excluded.
+) -> list[list[MinedCandidate]]:
+    """Exact top-k cosine retrieval (`similarity.top_k`) of each query row.
 
-    Returns fewer than k candidates when the corpus is small. Order is
-    similarity descending with ties broken by ascending passage id.
+    positive_ids holds the ids to exclude, one collection per query. A list
+    is shorter than k when the corpus is small. Order is similarity
+    descending with ties broken by ascending passage id.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if len(passage_ids) != passage_embs.shape[0]:
-        raise ValueError(
-            f"{len(passage_ids)} ids but {passage_embs.shape[0]} embedding rows"
-        )
-    query_emb = np.asarray(query_emb, dtype=np.float64)
-    sims = sim_matrix(query_emb[None, :], passage_embs)[0]
-    excluded = set(positive_ids)
-    pool = [
-        (pid, float(s)) for pid, s in zip(passage_ids, sims) if pid not in excluded
-    ]
-    pool.sort(key=lambda item: (-item[1], item[0]))
-    return [MinedCandidate(pid, s) for pid, s in pool[:k]]
+    hits = top_k(query_embs, passage_embs, passage_ids, k, exclude=positive_ids)
+    return [[MinedCandidate(pid, s) for pid, s in zip(*hit)] for hit in hits]
 
 
 @dataclass(frozen=True)
@@ -220,7 +211,7 @@ def filter_false_negatives(
         if text is None:
             raise ValueError(f"no text for mined candidate {cand.passage_id}")
         try:
-            relevant = bool(judge.judge(query, text))
+            relevant = bool(judge.judge(query, text, cand.similarity))
         except Exception as exc:
             logger.warning(
                 "judge failed on candidate %s: %s (kept)", cand.passage_id, exc

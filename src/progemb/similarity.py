@@ -1,15 +1,17 @@
-"""Embedding-space primitives shared by the loss, mining, and evaluation stages.
-
-All arithmetic is double precision: with a temperature of 0.01 the losses
-scale similarities by 100 before exponentiation, and float32 loses gradient
-fidelity at that magnification.
+"""Embedding-space primitives: the loss's similarity matrix and `top_k`, the one
+retrieval kernel of mining and evaluation. All arithmetic is double precision:
+with a temperature of 0.01 the losses scale similarities by 100 before
+exponentiation, and float32 loses gradient fidelity at that magnification.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cosine", "sim_matrix", "log_sum_exp"]
+__all__ = ["cosine", "sim_matrix", "top_k", "log_sum_exp"]
+
+# scores per top-k query block (512 KB of float64); bounds the block's memory
+TOPK_BLOCK = 1 << 16
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -46,6 +48,15 @@ def cosine(a, b) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def _unit_rows(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    norms = np.linalg.norm(arr, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm vector: {name} row {int(zero[0])}")
+    return arr / norms[:, None]
+
+
 def sim_matrix(queries, candidates) -> np.ndarray:
     """Pairwise cosine similarities between two stacks of vectors.
 
@@ -72,15 +83,41 @@ def sim_matrix(queries, candidates) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: queries have d={q.shape[1]}, candidates d={c.shape[1]}"
         )
-    qn = np.linalg.norm(q, axis=1)
-    cn = np.linalg.norm(c, axis=1)
-    for name, norms in (("queries", qn), ("candidates", cn)):
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ValueError(f"zero-norm vector: {name} row {int(zero[0])}")
-    s = (q / qn[:, None]) @ (c / cn[:, None]).T
+    s = _unit_rows(q, "queries") @ _unit_rows(c, "candidates").T
     np.clip(s, -1.0, 1.0, out=s)
     return s
+
+
+def top_k(queries, gallery, ids, k: int, exclude=None) -> list[tuple]:
+    """Exact top-k cosine retrieval: one (ids, scores) pair of tuples per query.
+
+    queries is (Q, d); gallery is (M, d), M >= 1, one row per distinct id;
+    k >= 1; exclude holds, per query, ids it must not return. Scores descend,
+    exact ties go by ascending id. Queries are scored in blocks of at most
+    TOPK_BLOCK scores; np.partition finds each row's kth score and the
+    columns at or above it are ordered by (-score, id rank). einsum, unlike a
+    BLAS matmul, gives byte-identical rows the same score at any position.
+    """
+    q, g = _unit_rows(queries, "queries"), _unit_rows(gallery, "gallery")
+    m, kk = len(g), min(k, len(g))
+    if q.shape[1] != g.shape[1] or len(ids) != m or kk < 1:
+        raise ValueError(f"bad top-k input: queries {q.shape}, gallery {g.shape}, "
+                         f"{len(ids)} ids, k={k}")
+    rank = np.empty(m, dtype=np.intp)
+    rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
+    column = {pid: j for j, pid in enumerate(ids)} if exclude else {}
+    out, step = [], max(1, TOPK_BLOCK // m)
+    for start in range(0, len(q), step):
+        s = np.einsum("qd,md->qm", q[start : start + step], g)
+        np.clip(s, -1.0, 1.0, out=s)
+        for i, skip in enumerate(exclude[start : start + step] if exclude else ()):
+            s[i, [column[p] for p in skip if p in column]] = -np.inf
+        for row in s:
+            top = np.flatnonzero(row >= np.partition(row, m - kk)[m - kk])
+            top = top[np.lexsort((rank[top], -row[top]))][:kk]
+            top = top[row[top] > -np.inf]
+            out.append((tuple(ids[j] for j in top.tolist()), tuple(row[top].tolist())))
+    return out
 
 
 def log_sum_exp(values) -> float:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracles import oracle_topk
 
 from progemb import dataio
 from progemb.cli import main
@@ -272,24 +273,21 @@ def test_mining_matches_exhaustive_oracle():
         d = int(rng.integers(4, 17))
         embs = rng.normal(size=(m, d))
         ids = [f"p{i:04d}" for i in range(m)]
-        positives = {ids[int(i)] for i in rng.integers(0, m, size=int(rng.integers(1, 4)))}
-        q = rng.normal(size=d)
-        mined = mine_hard_negatives(q, ids, embs, positives, k=5)
-
-        qn = np.linalg.norm(q)
-        pool = []
-        for pid, row in zip(ids, embs):
-            if pid in positives:
-                continue
-            s = float(np.dot(q, row) / (qn * np.linalg.norm(row)))
-            pool.append((pid, min(1.0, max(-1.0, s))))
-        pool.sort(key=lambda item: (-item[1], item[0]))
-        want = pool[:5]
-        ok = ok and [c.passage_id for c in mined] == [pid for pid, _ in want]
-        ok = ok and all(
-            abs(c.similarity - s) <= 1e-12 for c, (_, s) in zip(mined, want)
-        )
-    _report(7, ok, "top-5 ids and similarities match on 50 corpora of 100-1000 passages")
+        queries = rng.normal(size=(8, d))
+        positives = [
+            {ids[int(i)] for i in rng.integers(0, m, size=int(rng.integers(1, 4)))}
+            for _ in queries
+        ]
+        all_mined = mine_hard_negatives(queries, ids, embs, positives, k=5)
+        ok = ok and len(all_mined) == len(queries)
+        for q, pos, mined in zip(queries, positives, all_mined):
+            want = oracle_topk(q, ids, embs, pos, 5)
+            ok = ok and [c.passage_id for c in mined] == [pid for pid, _ in want]
+            ok = ok and all(
+                abs(c.similarity - s) <= 1e-12 for c, (_, s) in zip(mined, want)
+            )
+    _report(7, ok, "top-5 ids and similarities of 8 queries match on 50 corpora "
+                   "of 100-1000 passages")
 
 
 # --- criteria 8 and 9: end-to-end synthetic retrieval ---------------------

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import oracle_topk
 
+from progemb import evaluation
 from progemb.evaluation import (
     METRICS,
     MetricReport,
@@ -51,14 +53,15 @@ class TestRankGallery:
         rng = np.random.default_rng(0)
         embs = rng.normal(size=(10, 6))
         ids = [f"d{i}" for i in range(10)]
-        out = rank_gallery("q", embs[3].copy(), ids, embs, depth=5)
+        [out] = rank_gallery(["q"], embs[3:4].copy(), ids, embs, depth=5)
+        assert out.query_id == "q"
         assert out.doc_ids[0] == "d3"
         np.testing.assert_allclose(out.scores[0], 1.0, atol=1e-12)
 
     def test_depth_larger_than_gallery_returns_all(self):
         rng = np.random.default_rng(1)
         embs = rng.normal(size=(4, 3))
-        out = rank_gallery("q", rng.normal(size=3), list("abcd"), embs, depth=50)
+        [out] = rank_gallery(["q"], rng.normal(size=(1, 3)), list("abcd"), embs, depth=50)
         assert len(out.doc_ids) == 4
 
     def test_matches_full_sort_oracle(self):
@@ -66,32 +69,30 @@ class TestRankGallery:
         m = 200
         embs = rng.normal(size=(m, 8))
         ids = [f"d{i:03d}" for i in range(m)]
-        q = rng.normal(size=8)
-        out = rank_gallery("q", q, ids, embs, depth=m)
-
-        qn = np.linalg.norm(q)
-        sims = [
-            float(np.dot(q, row) / (qn * np.linalg.norm(row))) for row in embs
-        ]
-        order = sorted(range(m), key=lambda i: (-sims[i], ids[i]))
-        assert list(out.doc_ids) == [ids[i] for i in order]
-        np.testing.assert_allclose(
-            out.scores, [sims[i] for i in order], atol=1e-12
-        )
+        queries = rng.normal(size=(30, 8))
+        qids = [f"q{i}" for i in range(len(queries))]
+        ranked = rank_gallery(qids, queries, ids, embs, depth=m)
+        assert [r.query_id for r in ranked] == qids
+        for q, out in zip(queries, ranked):
+            expected = oracle_topk(q, ids, embs, set(), m)
+            assert list(out.doc_ids) == [pid for pid, _ in expected]
+            np.testing.assert_allclose(
+                out.scores, [s for _, s in expected], atol=1e-12
+            )
 
     def test_ties_break_by_ascending_doc_id(self):
         base = np.array([0.0, 1.0])
         embs = np.stack([base * 3.0, base, base * 2.0])
-        out = rank_gallery("q", base, ["c", "a", "b"], embs, depth=3)
+        [out] = rank_gallery(["q"], base[None], ["c", "a", "b"], embs, depth=3)
         assert out.doc_ids == ("a", "b", "c")
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError):
-            rank_gallery("q", np.ones(3), [], np.zeros((0, 3)), depth=5)
+            rank_gallery(["q"], np.ones((1, 3)), [], np.zeros((0, 3)), depth=5)
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
-            rank_gallery("q", np.ones(3), ["a"], np.ones((1, 3)), depth=0)
+            rank_gallery(["q"], np.ones((1, 3)), ["a"], np.ones((1, 3)), depth=0)
 
 
 class TestNdcg:
@@ -275,6 +276,34 @@ class TestEvaluateRun:
         assert "q2" in report.errors
         assert "q2" not in report.per_query
         assert len(report.per_query) == 4
+
+    def test_bad_queries_are_per_query_errors_in_a_mixed_batch(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        embs = rng.normal(size=(40, 6))
+        ids = [f"d{i:02d}" for i in range(40)]
+        good = {f"q{i}": rng.normal(size=6) for i in range(6)}
+        bad = {"q-none": None, "q-zero": np.zeros(6), "q-wide": np.ones(7)}
+        queries = list(good.items()) + list(bad.items())
+        queries = [queries[i] for i in rng.permutation(len(queries))]
+        qrels = {qid: {ids[i]: 1} for i, qid in enumerate(good)}
+        batched = []
+
+        def spy(*args):
+            out = rank_gallery(*args)
+            batched.extend(out)
+            return out
+
+        monkeypatch.setattr(evaluation, "rank_gallery", spy)
+        report = evaluate_run(queries, ids, embs, qrels, depth=10)
+        assert set(report.errors) == set(bad)
+        assert report.errors["q-none"] == "missing embedding"
+        assert "zero-norm" in report.errors["q-zero"]
+        assert "(7,)" in report.errors["q-wide"]
+        assert set(report.per_query) == set(good)
+        assert [r.query_id for r in batched] == sorted(good)
+        for ranked in batched:
+            alone = rank_gallery([ranked.query_id], good[ranked.query_id][None], ids, embs, 10)
+            assert alone == [ranked]
 
     def test_zero_relevant_query_excluded_from_macro(self):
         queries, ids, embs, qrels = identity_fixture()

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import oracle_topk
 
 from progemb.dataio import read_dataset
 from progemb.mining import (
@@ -154,30 +155,20 @@ class TestGenerateQueries:
         assert all(len(q) == 1 for q in queries)
 
 
-def oracle_topk(query_emb, ids, embs, positives, k):
-    """Exhaustive scalar sort: similarity descending, then ascending id."""
-    sims = []
-    qn = np.linalg.norm(query_emb)
-    for pid, row in zip(ids, embs):
-        s = float(np.dot(query_emb, row) / (qn * np.linalg.norm(row)))
-        sims.append((pid, min(1.0, max(-1.0, s))))
-    pool = [(pid, s) for pid, s in sims if pid not in positives]
-    pool.sort(key=lambda item: (-item[1], item[0]))
-    return pool[:k]
-
-
 class TestMineHardNegatives:
     def test_small_corpus_exhausts_after_exclusion(self):
         rng = np.random.default_rng(1)
         embs = rng.normal(size=(3, 4))
-        out = mine_hard_negatives(rng.normal(size=4), ["a", "b", "c"], embs, {"b"}, k=5)
+        [out] = mine_hard_negatives(
+            rng.normal(size=(1, 4)), ["a", "b", "c"], embs, [{"b"}], k=5
+        )
         assert len(out) == 2
         assert {c.passage_id for c in out} == {"a", "c"}
 
     def test_identical_embedding_ranks_first(self):
         rng = np.random.default_rng(2)
         embs = rng.normal(size=(4, 5))
-        out = mine_hard_negatives(embs[2].copy(), list("abcd"), embs, {"a"}, k=2)
+        [out] = mine_hard_negatives(embs[2:3].copy(), list("abcd"), embs, [{"a"}], k=2)
         assert out[0].passage_id == "c"
         np.testing.assert_allclose(out[0].similarity, 1.0, atol=1e-12)
 
@@ -187,19 +178,23 @@ class TestMineHardNegatives:
             m = int(rng.integers(50, 150))
             embs = rng.normal(size=(m, 8))
             ids = [f"p{i:04d}" for i in range(m)]
-            positives = {ids[int(i)] for i in rng.integers(0, m, size=3)}
-            q = rng.normal(size=8)
-            mined = mine_hard_negatives(q, ids, embs, positives, k=5)
-            expected = oracle_topk(q, ids, embs, positives, 5)
-            assert [c.passage_id for c in mined] == [pid for pid, _ in expected]
-            np.testing.assert_allclose(
-                [c.similarity for c in mined], [s for _, s in expected], atol=1e-12
-            )
+            queries = rng.normal(size=(20, 8))
+            positives = [
+                {ids[int(i)] for i in rng.integers(0, m, size=3)} for _ in queries
+            ]
+            all_mined = mine_hard_negatives(queries, ids, embs, positives, k=5)
+            assert len(all_mined) == len(queries)
+            for q, pos, mined in zip(queries, positives, all_mined):
+                expected = oracle_topk(q, ids, embs, pos, 5)
+                assert [c.passage_id for c in mined] == [pid for pid, _ in expected]
+                np.testing.assert_allclose(
+                    [c.similarity for c in mined], [s for _, s in expected], atol=1e-12
+                )
 
     def test_ties_break_by_ascending_id(self):
         base = np.array([1.0, 0.0, 0.0])
         embs = np.stack([base, base * 2.0, base * 0.5, -base])
-        out = mine_hard_negatives(base, ["z", "m", "a", "q"], embs, set(), k=3)
+        [out] = mine_hard_negatives(base[None], ["z", "m", "a", "q"], embs, [set()], k=3)
         # three identical similarities of 1.0; ids decide the order
         assert [c.passage_id for c in out] == ["a", "m", "z"]
 
@@ -207,17 +202,17 @@ class TestMineHardNegatives:
         rng = np.random.default_rng(4)
         embs = rng.normal(size=(30, 6))
         ids = [f"p{i}" for i in range(30)]
-        for qi in range(5):
-            out = mine_hard_negatives(embs[qi], ids, embs, {ids[qi]}, k=10)
+        mined = mine_hard_negatives(embs[:5], ids, embs, [{p} for p in ids[:5]], k=10)
+        for qi, out in enumerate(mined):
             assert ids[qi] not in {c.passage_id for c in out}
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mine_hard_negatives(np.ones(3), ["a"], np.ones((1, 4)), set())
+            mine_hard_negatives(np.ones((1, 3)), ["a"], np.ones((1, 4)), [set()])
 
     def test_id_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mine_hard_negatives(np.ones(3), ["a", "b"], np.ones((1, 3)), set())
+            mine_hard_negatives(np.ones((1, 3)), ["a", "b"], np.ones((1, 3)), [set()])
 
 
 def candidates_fixture():
@@ -228,18 +223,19 @@ def candidates_fixture():
 
 
 class _ThresholdJudge:
-    """Relevant iff the candidate's mined similarity exceeds 0.95, looked
-    up through the candidate text."""
+    """Relevant iff the mined similarity it is passed exceeds 0.95; that
+    similarity must be the candidate's, looked up through its text."""
 
     def __init__(self, texts, sims):
         self._sim_by_text = {texts[c.passage_id]: c.similarity for c in sims}
 
-    def judge(self, query, candidate):
-        return self._sim_by_text[candidate] > 0.95
+    def judge(self, query, candidate, similarity):
+        assert similarity == self._sim_by_text[candidate]
+        return similarity > 0.95
 
 
 class _ExplodingJudge:
-    def judge(self, query, candidate):
+    def judge(self, query, candidate, similarity):
         raise ConnectionError("judge backend unreachable")
 
 
@@ -277,7 +273,7 @@ class TestFilterFalseNegatives:
         cands, texts = candidates_fixture()
 
         class DropMiddle:
-            def judge(self, query, candidate):
+            def judge(self, query, candidate, similarity):
                 return candidate == "text 2"
 
         kept, _ = filter_false_negatives("q", cands, DropMiddle(), texts)

@@ -1,11 +1,14 @@
-"""Tests for cosine similarity, similarity matrices, and log-sum-exp."""
+"""Tests for cosine similarity, similarity matrices, top-k, and log-sum-exp."""
 
 import math
 
 import numpy as np
 import pytest
 
-from progemb.similarity import cosine, log_sum_exp, sim_matrix
+from progemb import similarity
+from progemb.evaluation import rank_gallery
+from progemb.mining import mine_hard_negatives
+from progemb.similarity import cosine, log_sum_exp, sim_matrix, top_k
 
 
 class TestCosine:
@@ -86,6 +89,57 @@ class TestSimMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sim_matrix(np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestTopK:
+    def test_verbatim_copies_score_equal_and_list_by_id(self):
+        """Byte-identical rows, some in the gallery's tail, score exactly
+        alike, so ascending id orders them, also across the k-boundary."""
+        rng = np.random.default_rng(29)
+        m, d, source = 1055, 32, 177
+        embs = rng.normal(size=(m, d))
+        copies = [source, 400, 641, 1040, 1052, 1053, 1054]
+        embs[copies] = embs[source]
+        ids = [f"p{i:04d}" for i in rng.permutation(m)]
+        copy_ids = sorted(ids[i] for i in copies)
+        queries = embs[source] + 0.3 * rng.normal(size=(300, d))
+        others = [{ids[int(j)]} for j in rng.integers(0, source, size=len(queries))]
+        mined = mine_hard_negatives(queries, ids, embs, others, k=5)
+        ranked = rank_gallery([str(i) for i in range(len(queries))], queries, ids, embs, 10)
+        for cands, hits in zip(mined, ranked):
+            assert [c.passage_id for c in cands] == copy_ids[:5]
+            assert len({c.similarity for c in cands}) == 1
+            assert hits.doc_ids[:7] == tuple(copy_ids)
+            assert len(set(hits.scores[:7])) == 1
+            assert hits.scores[:5] == tuple(c.similarity for c in cands)
+
+    def test_output_is_byte_identical_at_any_block_size(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        m = 3000
+        embs = rng.normal(size=(m, 16))
+        embs[2990:] = embs[5]
+        ids = [f"p{i:04d}" for i in rng.permutation(m)]
+        queries = np.concatenate(
+            [rng.normal(size=(125, 16)), embs[5] + 0.5 * rng.normal(size=(125, 16))]
+        )
+        exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
+        assert len(queries) * m > 2 * similarity.TOPK_BLOCK
+        default = top_k(queries, embs, ids, 8, exclude)
+        monkeypatch.setattr(similarity, "TOPK_BLOCK", 1)
+        assert top_k(queries, embs, ids, 8, exclude) == default
+
+    def test_exclusions_leave_a_short_list(self):
+        embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+        ids = ["a", "b", "c"]
+        [(got, scores)] = top_k(embs[:1], embs, ids, 5, [{"a", "c", "x"}])
+        assert got == ("b",) and len(scores) == 1
+
+    def test_bad_input_rejected(self):
+        embs = np.ones((2, 3))
+        for args in [(embs, ["a", "b"], 0), (embs[:0], [], 1), (embs, ["a"], 1),
+                     (np.ones((2, 4)), ["a", "b"], 1)]:
+            with pytest.raises(ValueError):
+                top_k(embs[:1], *args)
 
 
 class TestLogSumExp:
