@@ -17,7 +17,7 @@ from .loss import (
     progressive_loss,
     update_momentum,
 )
-from .similarity import cosine, log_sum_exp, sim_matrix
+from .similarity import cosine, sim_matrix
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "batch_threshold",
     "cosine",
     "info_nce",
-    "log_sum_exp",
     "loss_gradients",
     "positive_weights",
     "progressive_loss",

@@ -48,7 +48,8 @@ FORMAT_VERSION = 1
 
 
 def _dump(row: Mapping) -> str:
-    return json.dumps(row, sort_keys=True)
+    # bare NaN / Infinity is not JSON; refuse it rather than write it
+    return json.dumps(row, sort_keys=True, allow_nan=False)
 
 
 def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header=None) -> None:

@@ -10,6 +10,9 @@ The one encoder path is batched: `encode_batch` pools a flat id array by
 segment sums, then projects and normalizes all rows at once;
 `_encode_backward` turns the batch's (N, d) embedding gradients into one
 projection matmul and one token-table scatter-add. `encode` is a batch of one.
+The decoder is batched too: `_mae_forward_backward` scores all token
+positions of a chunk in row blocks of at most MAE_BLOCK logits, with one
+exp per logit, and `mae_loss` is a batch of one.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ __all__ = [
 PAD_ID = 0
 MASK_ID = 1
 _RESERVED = ("<pad>", "<mask>")
+
+# logits per decoder row block (4 MB of float64); bounds the block's memory
+MAE_BLOCK = 1 << 19
 
 CHECKPOINT_MAGIC = "checkpoint"
 CHECKPOINT_VERSION = 1
@@ -268,12 +274,6 @@ def corrupt(seq: TokenSequence, mask_ratio: float, seed) -> TokenSequence:
     return TokenSequence(tokens=tuple(tokens))
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def mae_loss(
     enc: ToyEncoder, dec: MaeDecoder, clean: TokenSequence, corrupted: TokenSequence
 ) -> float:
@@ -289,8 +289,9 @@ def mae_loss(
 def _mae_forward_backward(enc, dec, cleans, corrupteds):
     """Per-sequence losses plus the gradients of their sum for all four matrices.
 
-    The corrupted sequences are embedded in one call and backpropagated in
-    one call; each sequence builds only its own (L, V) logits.
+    One encoder forward and backward per batch. The decoder takes all T token
+    rows as one (T, d) input; per row block, 1/sum is folded into the (rows, d)
+    operands of both gradient products, and the one-hot part comes after.
     """
     for clean, corrupted in zip(cleans, corrupteds, strict=True):
         if len(clean) != len(corrupted):
@@ -305,24 +306,30 @@ def _mae_forward_backward(enc, dec, cleans, corrupteds):
     targets, _ = _flat_ids(enc, cleans)
     fwd = encode_batch(enc, corrupteds)
     grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
-    d_embs = np.empty_like(fwd.embs)
-    product = np.empty_like(dec.output)   # one (d, V) scratch for the whole batch
-    losses = []
-    start = 0
-    for i, length in enumerate(fwd.lengths):
-        rows, tgt = np.arange(length), targets[start : start + length]
-        start += length
-        z = fwd.embs[i] + dec.position_table[:length]       # (L, d)
-        logp = _log_softmax_rows(z @ dec.output)             # (L, V)
-        losses.append(-float(logp[rows, tgt].sum()))
-        d_logits = np.exp(logp)
-        d_logits[rows, tgt] -= 1.0                           # softmax - onehot
-        grads["output"] += np.matmul(z.T, d_logits, out=product)
-        dz = d_logits @ dec.output.T                         # (L, d)
-        grads["position_table"][:length] += dz
-        d_embs[i] = dz.sum(axis=0)
-    _encode_backward(enc, fwd, d_embs, grads)
-    return losses, grads
+    starts = np.cumsum(fwd.lengths) - fwd.lengths
+    positions = np.arange(len(targets)) - np.repeat(starts, fwd.lengths)
+    z = np.repeat(fwd.embs, fwd.lengths, axis=0) + dec.position_table[positions]
+    w = dec.output
+    step = max(1, MAE_BLOCK // w.shape[1])
+    block = np.empty((min(step, len(z)), w.shape[1]))
+    row_losses, dz = np.empty(len(z)), np.empty_like(z)
+    for lo in range(0, len(z), step):
+        hi = min(lo + step, len(z))
+        zb, e = z[lo:hi], block[: hi - lo]
+        np.matmul(zb, w, out=e)
+        e -= e.max(axis=1, keepdims=True)
+        picked = e[np.arange(hi - lo), targets[lo:hi]]
+        np.exp(e, out=e)
+        s = e.sum(axis=1)
+        row_losses[lo:hi] = np.log(s) - picked
+        grads["output"] += (zb / s[:, None]).T @ e
+        dz[lo:hi] = (e @ w.T) / s[:, None]
+    # the one-hot part of softmax - onehot, once for the whole batch
+    np.subtract.at(grads["output"].T, targets, z)
+    dz -= w.T[targets]
+    np.add.at(grads["position_table"], positions, dz)
+    _encode_backward(enc, fwd, np.add.reduceat(dz, starts, axis=0), grads)
+    return np.add.reduceat(row_losses, starts).tolist(), grads
 
 
 @dataclass

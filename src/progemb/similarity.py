@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cosine", "sim_matrix", "top_k", "log_sum_exp"]
+__all__ = ["cosine", "sim_matrix", "top_k"]
 
 # scores per top-k query block (512 KB of float64); bounds the block's memory
 TOPK_BLOCK = 1 << 16
@@ -119,21 +119,3 @@ def top_k(queries, gallery, ids, k: int, exclude=None) -> list[tuple]:
             out.append((tuple(ids[j] for j in top.tolist()), tuple(row[top].tolist())))
     return out
 
-
-def log_sum_exp(values) -> float:
-    """Numerically stable log(sum(exp(values))) for a nonempty vector.
-
-    Uses the max-subtraction form so the result is finite whenever the
-    inputs are finite. -inf entries contribute zero weight, which lets
-    callers mask out candidates.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"log_sum_exp expects a 1-d vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector is undefined")
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        # all -inf (empty sum) or a +inf entry; either way the limit is m
-        return m
-    return m + float(np.log(np.sum(np.exp(v - m))))

@@ -191,7 +191,8 @@ def pretrain(
 
     Per batch the objective is the mean over sequences of the reconstruction
     loss on a freshly corrupted copy. The returned curve holds each epoch's
-    mean per-sequence loss. Deterministic for a given seed.
+    mean per-sequence loss. Deterministic for a given seed. A non-finite
+    loss or updated parameter stops the run with a step-located ValueError.
     """
     sequences = list(corpus)
     if not sequences:
@@ -201,7 +202,8 @@ def pretrain(
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
     epoch_losses: list[float] = []
-    for _ in range(epochs):
+    step = 0
+    for epoch in range(epochs):
         order = rng.permutation(len(sequences))
         losses = []
         for start in range(0, len(order), batch_size):
@@ -209,14 +211,22 @@ def pretrain(
             corrupted = [
                 corrupt(seq, mask_ratio, int(rng.integers(0, 2**63 - 1))) for seq in clean
             ]
-            chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+            try:
+                chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+                if not np.isfinite(chunk_losses).all():
+                    raise ValueError("non-finite reconstruction loss")
+                for name in grads:
+                    grads[name] /= len(clean)
+                new = opt.step({**enc.params(), **dec.params()}, grads)
+                for name, value in new.items():
+                    if not np.isfinite(value).all():
+                        raise ValueError(f"non-finite {name} after the update")
+            except ValueError as exc:
+                raise ValueError(f"pretrain step {step} (epoch {epoch}): {exc}") from exc
             losses.extend(chunk_losses)
-            for name in grads:
-                grads[name] /= len(clean)
-            params = {**enc.params(), **dec.params()}
-            new = opt.step(params, grads)
             enc.set_params(new)
             dec.set_params(new)
+            step += 1
         epoch_losses.append(float(np.mean(losses)))
     return PretrainResult(encoder=enc, decoder=dec, epoch_losses=epoch_losses)
 

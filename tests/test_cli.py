@@ -125,10 +125,11 @@ class TestExitCodes:
 
 
 class TestPretrain:
-    def run(self, tmp_path, *extra, epochs=2, name="run.cfg", out="out"):
+    def run(self, tmp_path, *extra, epochs=2, name="run.cfg", out="out", n_docs=6,
+            optimizer="sgd", **options):
         corpus = tmp_path / "corpus.jsonl"
         if not corpus.exists():
-            dataio.write_corpus(corpus, corpus_passages())
+            dataio.write_corpus(corpus, corpus_passages(n_docs))
         cfg = write_cfg(
             tmp_path / name,
             corpus_path=str(corpus),
@@ -137,7 +138,8 @@ class TestPretrain:
             max_passage_len=16,
             pretrain_epochs=epochs,
             pretrain_batch_size=4,
-            optimizer="sgd",
+            optimizer=optimizer,
+            **options,
         )
         return main(["pretrain", "--config", cfg, *extra]), tmp_path / out
 
@@ -172,6 +174,17 @@ class TestPretrain:
         rc, _ = self.run(tmp_path, "--out", str(tmp_path / "elsewhere"))
         assert rc == 0
         assert (tmp_path / "elsewhere" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    def test_huge_learning_rate_fails_at_its_step_and_writes_nothing(
+        self, tmp_path, capsys, optimizer
+    ):
+        with np.errstate(all="ignore"):
+            rc, out = self.run(tmp_path, n_docs=49, pretrain_lr="1e200",
+                               optimizer=optimizer)
+        assert rc == 1
+        assert "error: pretrain step " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMine:

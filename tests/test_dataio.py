@@ -220,6 +220,14 @@ class TestAuditLogs:
         with pytest.raises(ValueError, match="out of order"):
             read_loss_curve(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_loss_is_not_written(self, tmp_path, bad):
+        path = tmp_path / "curve.jsonl"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_loss_curve(path, [2.5, bad])
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
 
 class TestReports:
     def test_metrics_report_round_trip(self, tmp_path):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import oracle_mae
 
+from progemb import encoder
 from progemb.encoder import (
     MASK_ID,
     PAD_ID,
@@ -343,6 +345,52 @@ class TestMaeLoss:
             setattr(owner, name, getattr(owner, name) - 0.05 * grads[name])
         after = mae_loss(enc, dec, clean, corrupted)
         assert after < before
+
+
+def mae_batch(vocab, dim, positions, seed):
+    """A ragged batch with repeated tokens, a repeated sequence and a clean
+    target equal to MASK_ID, plus an encoder and a decoder with a random
+    output matrix."""
+    enc = ToyEncoder.create(vocab, dim, seed=seed)
+    dec = MaeDecoder.create(positions, dim, vocab, seed=seed)
+    rng = np.random.default_rng(seed)
+    dec.output = rng.normal(0, 0.5, size=dec.output.shape)
+    cleans = [TokenSequence((2, 6, 3, 5)), TokenSequence((3, 7)),
+              TokenSequence((5, 3, 3, 4, 6, MASK_ID)), TokenSequence((3, 7)),
+              TokenSequence((vocab - 1,)), TokenSequence((4, 4, 2, 9, 9, 8, 2))]
+    corrupteds = [corrupt(c, 0.4, seed=i) for i, c in enumerate(cleans)]
+    return enc, dec, cleans, corrupteds
+
+
+class TestMaeKernel:
+    """The row-blocked decoder kernel against the per-sequence oracle."""
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+    def test_matches_oracle(self, monkeypatch, rows_per_block):
+        """At the default block, one row per block, and three rows per
+        block, so that blocks split sequences."""
+        vocab = 40
+        if rows_per_block is not None:
+            monkeypatch.setattr(encoder, "MAE_BLOCK", rows_per_block * vocab)
+        enc, dec, cleans, corrupteds = mae_batch(vocab, 5, 8, seed=3)
+        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12,
+                                       err_msg=f"gradient mismatch for {name}")
+
+    def test_rerun_is_byte_identical(self):
+        """At the default block and a vocabulary large enough for several
+        blocks per batch."""
+        enc, dec, cleans, corrupteds = mae_batch(60_000, 4, 8, seed=5)
+        assert sum(map(len, cleans)) > encoder.MAE_BLOCK // 60_000
+        first = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        second = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        assert first[0] == second[0]
+        for name, grad in first[1].items():
+            assert grad.tobytes() == second[1][name].tobytes(), name
 
 
 class TestCheckpoint:

@@ -287,6 +287,27 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain([], enc, dec, 1)
 
+    def test_injected_nan_names_its_step(self):
+        """A NaN in the output matrix gives a NaN loss; the run stops at that
+        step and leaves the parameters as they were."""
+        tok, enc, seqs = make_fixture(seed=3)
+        dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=3)
+        dec.output[0, 5] = np.nan
+        before = enc.token_table.copy()
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"pretrain step 0 \(epoch 0\): non-finite reconstruction loss"
+        ):
+            pretrain(seqs, enc, dec, 2, batch_size=3, seed=0)
+        np.testing.assert_array_equal(enc.token_table, before)
+
+    def test_non_finite_update_names_its_step(self):
+        tok, enc, seqs = make_fixture(seed=3)
+        dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=3)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"pretrain step \d+ \(epoch 0\): non-finite \w+ after the update"
+        ):
+            pretrain(seqs, enc, dec, 2, batch_size=3, lr=1e308, optimizer="sgd", seed=0)
+
 
 def tiny_dataset(seqs):
     return [
