@@ -12,7 +12,6 @@ from .loss import (
     MomentumState,
     batch_threshold,
     info_nce,
-    loss_gradients,
     positive_weights,
     progressive_loss,
     update_momentum,
@@ -28,7 +27,6 @@ __all__ = [
     "batch_threshold",
     "cosine",
     "info_nce",
-    "loss_gradients",
     "positive_weights",
     "progressive_loss",
     "sim_matrix",

@@ -27,7 +27,6 @@ from .encoder import (
 from .loss import (
     HyperParams,
     MomentumState,
-    _pool_gradients,
     batch_threshold,
     info_nce,
     progressive_loss,
@@ -270,7 +269,8 @@ def finetune(
     Each step: build the batch, derive sigma / weights / scales from its
     similarities, take one optimizer step on the frozen-coefficient loss,
     then fold the batch's mean positive similarity into the momentum bias.
-    Deterministic for a given seed.
+    Deterministic for a given seed. A non-finite loss or updated parameter
+    stops the run with a step-located ValueError.
     """
     examples = list(dataset)
     if not examples:
@@ -294,7 +294,12 @@ def finetune(
                 value, mean_w, step_grads = _step_loss_and_gradients(
                     batch, enc, state, hyper, loss_mode, reduction
                 )
+                if not np.isfinite(value):
+                    raise ValueError("non-finite contrastive loss")
                 new = opt.step(enc.params(), step_grads)
+                for name, param in new.items():
+                    if not np.isfinite(param).all():
+                        raise ValueError(f"non-finite {name} after the update")
                 enc.set_params(new)
             except ValueError as exc:
                 raise ValueError(f"fine-tune step {step} (epoch {epoch}): {exc}") from exc
@@ -322,7 +327,15 @@ def _step_loss_and_gradients(
     loss_mode: str,
     reduction: str,
 ):
-    """One batch's loss value, mean positive weight, and parameter gradients."""
+    """One batch's loss value, mean positive weight, and parameter gradients.
+
+    The loss kernel gives dL/dS for the batch's cosines S = Uq Uc^T, with
+    the positive of query i at slot i. Through the product that is
+    dL/dS Uc for the queries and dL/dS^T Uq for the slots; a slot that is
+    one query's positive and another's negative carries both roles. The
+    encoder's backward projects onto the unit sphere, which is the rest of
+    the cosine's chain rule.
+    """
     if loss_mode == "progressive":
         sigma = batch_threshold(batch.pos, hyper.beta)
         value, record = progressive_loss(
@@ -334,27 +347,22 @@ def _step_loss_and_gradients(
             neg_mask=batch.neg_mask,
             reduction=reduction,
         )
-        weights, scales = record.weights, record.scales
     else:
-        value = info_nce(
+        value, record = info_nce(
             batch.pos, batch.neg, hyper.tau, neg_mask=batch.neg_mask, reduction=reduction
         )
-        weights, scales = np.ones(batch.size), np.ones(batch.neg.shape)
-    # slot i of the pool is query i's positive and may also be a negative
-    # for other queries; its gradient row carries both roles
-    query_grad, cand_grad = _pool_gradients(
-        batch.query_embs,
-        batch.cand_embs,
-        batch.neg_mask,
-        weights,
-        scales,
-        hyper.tau,
-        reduction,
-    )
+    # pos[i] is S[i, i]: its derivative adds onto that entry, in place
+    d_sims = record.grad_neg
+    diag = np.arange(batch.size)
+    d_sims[diag, diag] += record.grad_pos
 
     # sum the slot gradients per distinct sequence, then one backward
     d_embs = np.zeros_like(batch.forward.embs)
-    np.add.at(d_embs, batch.rows, np.concatenate([query_grad, cand_grad]))
+    np.add.at(
+        d_embs,
+        batch.rows,
+        np.concatenate([d_sims @ batch.cand_embs, d_sims.T @ batch.query_embs]),
+    )
     enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
     _encode_backward(enc, batch.forward, d_embs, enc_grads)
-    return value, float(np.mean(weights)), enc_grads
+    return value, float(np.mean(record.weights)), enc_grads

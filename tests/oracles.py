@@ -1,8 +1,11 @@
 """Scalar reference implementations that the tests check the kernels against."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from progemb.encoder import _encode_backward, encode_batch
+from progemb.loss import HyperParams, _reduce, _scale_matrix, positive_weights
 
 
 def oracle_topk(query_emb, ids, embs, exclude, k):
@@ -66,3 +69,165 @@ def oracle_mae(enc, dec, cleans, corrupteds):
         d_embs[i] = dz.sum(axis=0)
     _encode_backward(enc, fwd, d_embs, grads)
     return losses, grads
+
+
+# The progressive loss and its embedding gradients as the package computed
+# them before the loss kernel returned similarity gradients: the value from
+# its own log-sum-exp, the gradients from a second one over renormalised
+# rows, with the cosine's chain rule applied here.
+
+@dataclass
+class EmbeddingGradients:
+    """Loss gradients with respect to query, positive, and negative embeddings."""
+
+    query: np.ndarray      # (B, d)
+    positive: np.ndarray   # (B, d)
+    negative: np.ndarray   # (B, N, d)
+
+
+def _logits(pos, neg, neg_mask, scales, tau: float) -> np.ndarray:
+    """Negative logits shifted by the positive one, (a * neg - pos) / tau;
+    masked entries are -inf."""
+    return np.where(neg_mask, (scales * neg - pos[:, None]) / tau, -np.inf)
+
+
+def _row_lse_over_zero(shifted: np.ndarray) -> np.ndarray:
+    """Row-wise log(1 + sum(exp(row))) via log-sum-exp over [0, row...].
+
+    Shifting by the positive logit before exponentiation avoids the
+    cancellation of computing lse(logits) - pos_logit when the positive
+    dominates. -inf entries (masked candidates) contribute nothing.
+    """
+    z = np.concatenate(
+        [np.zeros((shifted.shape[0], 1)), shifted], axis=1
+    )
+    m = np.max(z, axis=1, keepdims=True)
+    return (m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1)))
+
+
+def _weighted_loss(p, n, m, weights, scales, tau: float, reduction: str) -> float:
+    """The reduced per-query ``w * log(1 + sum(exp(logits)))``."""
+    return _reduce(weights * _row_lse_over_zero(_logits(p, n, m, scales, tau)), reduction)
+
+
+def _unit_rows(x: np.ndarray, used, name: str):
+    """Rows scaled to unit norm, and the norms they were divided by.
+
+    A zero row is an error where ``used`` is set; elsewhere it stays zero
+    and reads norm 1, so it gets zero gradient.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero((norms == 0.0) & used)
+    if bad.size:
+        raise ValueError(f"zero-norm embedding: {name} at index {int(bad[0])}")
+    norms[norms == 0.0] = 1.0
+    return x / norms[:, None], norms
+
+
+def oracle_loss_gradients(
+    query_embs,
+    pos_embs,
+    neg_embs,
+    sigma: float,
+    t: float,
+    hyper: HyperParams,
+    neg_mask=None,
+    reduction: str = "sum",
+) -> EmbeddingGradients:
+    """Analytic gradients of the progressive loss w.r.t. all embeddings.
+
+    Runs the shared-pool kernel on the pool ``[p; z.reshape(B * N, d)]`` in
+    which query i sees only its own N slots, so a zero-norm error names
+    slot ``B + i * N + n`` for negative (i, n). The coefficients w and a
+    are derived from the cosines and then treated as constants.
+
+    Args:
+        query_embs: (B, d).
+        pos_embs: (B, d).
+        neg_embs: (B, N, d); masked slots may hold arbitrary vectors.
+        neg_mask: optional (B, N) bool; False slots get zero gradient.
+        reduction: must match the reduction used for the loss value.
+    """
+    q = np.asarray(query_embs, dtype=np.float64)
+    p = np.asarray(pos_embs, dtype=np.float64)
+    z = np.asarray(neg_embs, dtype=np.float64)
+    if q.ndim != 2 or p.shape != q.shape:
+        raise ValueError(
+            f"query_embs and pos_embs must both be (B, d), got {q.shape} and {p.shape}"
+        )
+    if z.ndim != 3 or z.shape[0] != q.shape[0] or z.shape[2] != q.shape[1]:
+        raise ValueError(
+            f"neg_embs must be (B, N, d) matching queries, got {z.shape}"
+        )
+    b, n, d = z.shape
+    m = np.ones((b, n), dtype=bool) if neg_mask is None else np.asarray(neg_mask, dtype=bool)
+    if m.shape != (b, n):
+        raise ValueError(f"neg_mask shape {m.shape} does not match neg_embs {(b, n)}")
+    pool = np.concatenate([p, z.reshape(b * n, d)])
+    mask = np.zeros((b, b + b * n), dtype=bool)
+    mask[:, b:] = (np.eye(b, dtype=bool)[:, :, None] & m[:, None, :]).reshape(b, b * n)
+    # the kernel applies the zero-norm rule; here a zero row reads cosine 0
+    cos = _unit_rows(q, False, "query")[0] @ _unit_rows(pool, False, "candidate")[0].T
+    np.clip(cos, -1.0, 1.0, out=cos)
+    pos = cos[:, :b].diagonal()
+    neg = cos[:, b:].reshape(b, b, n)[np.arange(b), np.arange(b)]
+    # off-block scales sit in masked slots, so tiling the blocks is enough
+    scales = np.concatenate(
+        [np.ones((b, b)), np.tile(_scale_matrix(pos, neg, sigma, t), b)], axis=1
+    )
+    grad_q, grad_c = _pool_gradients(
+        q, pool, mask, positive_weights(pos, sigma), scales, hyper.tau, reduction
+    )
+    return EmbeddingGradients(
+        query=grad_q, positive=grad_c[:b], negative=grad_c[b:].reshape(b, n, d)
+    )
+
+
+def _pool_gradients(query_embs, cand_embs, neg_mask, weights, scales, tau, reduction):
+    """Embedding gradients ``(grad_query, grad_cand)`` of the weighted loss
+    over a shared candidate pool.
+
+    Slot i is query i's positive; slot j is one of its negatives where
+    ``neg_mask[i, j]``. With w (B,) and a (B, M) frozen, the loss moves the
+    cosines S = Uq Uc^T through one (B, M) coefficient matrix D: w pi a / tau
+    on each negative (pi is the query's softmax) plus w (pi_0 - 1) / tau on
+    the positive slot. Through the cosine, grad_q = (D Uc - rowsum(D*S) Uq)
+    / |q| and grad_c = (D^T Uq - colsum(D*S) Uc) / |c|, so no (B, M, d)
+    array is built. A zero-norm row is an error only if a query uses it.
+    """
+    b = query_embs.shape[0]
+    used = neg_mask.any(axis=0)
+    used[:b] = True
+    uq, nq = _unit_rows(query_embs, True, "query")
+    uc, nc = _unit_rows(cand_embs, used, "candidate")
+    s = uq @ uc.T
+    np.clip(s, -1.0, 1.0, out=s)
+    rows = np.arange(b)
+    shifted = _logits(s[rows, rows], s, neg_mask, scales, tau)
+    lse = _row_lse_over_zero(shifted)
+    pi = np.exp(shifted - lse[:, None])  # the negatives' softmax shares
+    coef = weights[:, None] * pi * scales / tau
+    # pi_0 - 1 is minus the negatives' total share, which keeps its digits
+    # when the positive dominates
+    coef[rows, rows] -= weights * pi.sum(axis=1) / tau
+    if reduction == "mean":
+        coef /= b
+    elif reduction != "sum":
+        raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
+    ds = coef * s
+    grad_q = (coef @ uc - ds.sum(axis=1)[:, None] * uq) / nq[:, None]
+    grad_c = (coef.T @ uq - ds.sum(axis=0)[:, None] * uc) / nc[:, None]
+    return grad_q, grad_c
+
+
+def oracle_step_gradients(batch, enc, weights, scales, tau, reduction):
+    """A fine-tune step's encoder gradients by the pool kernel: per-slot
+    embedding gradients, summed per distinct sequence, then one backward."""
+    query_grad, cand_grad = _pool_gradients(
+        batch.query_embs, batch.cand_embs, batch.neg_mask, weights, scales, tau, reduction
+    )
+    d_embs = np.zeros_like(batch.forward.embs)
+    np.add.at(d_embs, batch.rows, np.concatenate([query_grad, cand_grad]))
+    grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+    _encode_backward(enc, batch.forward, d_embs, grads)
+    return grads

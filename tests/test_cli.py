@@ -417,6 +417,20 @@ class TestFinetune:
         assert "ghost" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+    def test_huge_learning_rate_fails_at_its_step_and_writes_nothing(
+        self, tmp_path, capsys, optimizer
+    ):
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath, finetune_lr="1e200",
+                                 optimizer=optimizer)
+        with np.errstate(all="ignore"):
+            rc = main(["finetune", "--config", cfg])
+        assert rc == 1
+        assert "error: fine-tune step " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def setup_inputs(self, tmp_path, **overrides):
         passages = corpus_passages(6)

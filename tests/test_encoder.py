@@ -217,6 +217,16 @@ class TestBatchedKernel:
         with pytest.raises(ValueError, match=r"token id 8 out of vocabulary \(size 6\)"):
             encode_batch(enc, seqs)
 
+    def test_zero_norm_embedding_rejected(self):
+        """A sequence whose tokens all have zero rows pools to zero; the
+        batch is rejected rather than normalised to NaN."""
+        enc = small_encoder(seed=23)
+        seqs = [TokenSequence((4, 5)), TokenSequence((2, 3, 2)), TokenSequence((6,))]
+        encode_batch(enc, seqs)
+        enc.token_table[[2, 3]] = 0.0
+        with pytest.raises(ValueError, match="encoder produced a zero-norm embedding"):
+            encode_batch(enc, seqs)
+
 
 class TestCorrupt:
     def test_masks_ceil_of_ratio(self):

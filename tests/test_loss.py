@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import _weighted_loss, oracle_loss_gradients
 
 from progemb.loss import (
     HyperParams,
     MomentumState,
     batch_threshold,
     info_nce,
-    loss_gradients,
     positive_weights,
     progressive_loss,
     update_momentum,
@@ -249,7 +249,7 @@ class TestInfoNce:
         for _ in range(200):
             pos, neg, _, _, tau = random_instance(rng)
             np.testing.assert_allclose(
-                info_nce(pos, neg, tau),
+                info_nce(pos, neg, tau)[0],
                 scalar_infonce(pos, neg, tau),
                 rtol=0,
                 atol=1e-10,
@@ -259,16 +259,16 @@ class TestInfoNce:
         """Equal positive and negative similarities: softmax is uniform."""
         pos = np.array([0.5])
         neg = np.full((1, 3), 0.5)
-        np.testing.assert_allclose(info_nce(pos, neg, 0.7), math.log(4.0), atol=1e-12)
+        np.testing.assert_allclose(info_nce(pos, neg, 0.7)[0], math.log(4.0), atol=1e-12)
 
     def test_monotone_in_any_negative(self):
         rng = np.random.default_rng(112)
         pos, neg, _, _, tau = random_instance(rng, max_b=3, max_n=4)
-        base = info_nce(pos, neg, tau)
+        base, _ = info_nce(pos, neg, tau)
         bumped = neg.copy()
         bumped[0, 0] = min(1.0, bumped[0, 0] + 0.05)
         if bumped[0, 0] > neg[0, 0]:
-            assert info_nce(pos, bumped, tau) > base
+            assert info_nce(pos, bumped, tau)[0] > base
 
     def test_agrees_with_progressive_when_coefficients_inactive(self):
         """All positives above threshold, all negatives easy: the losses
@@ -282,9 +282,15 @@ class TestInfoNce:
             sigma = float(pos.min() - 0.05)
             tau = float(rng.uniform(0.05, 1.0))
             t = float(rng.uniform(0.0, 1.0))
-            prog, _ = progressive_loss(pos, neg, sigma, t, tau)
-            plain = info_nce(pos, neg, tau)
+            prog, prog_record = progressive_loss(pos, neg, sigma, t, tau)
+            plain, plain_record = info_nce(pos, neg, tau)
             assert abs(prog - plain) <= 1e-9
+            np.testing.assert_allclose(
+                prog_record.grad_pos, plain_record.grad_pos, rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(
+                prog_record.grad_neg, plain_record.grad_neg, rtol=1e-12, atol=0
+            )
 
 
 class TestNumericalStability:
@@ -302,7 +308,7 @@ class TestNumericalStability:
         rng = np.random.default_rng(122)
         pos = rng.uniform(-1, 1, size=500)
         neg = rng.uniform(-1, 1, size=(500, 500))
-        assert math.isfinite(info_nce(pos, neg, 0.01))
+        assert math.isfinite(info_nce(pos, neg, 0.01)[0])
 
 
 class TestMomentum:
@@ -431,7 +437,7 @@ class TestLossGradients:
             for _ in range(5):
                 q, p, z, sigma, t = gradient_instance(rng)
                 w, a = frozen_coefficients(q, p, z, sigma, t)
-                g = loss_gradients(q, p, z, sigma, t, HyperParams(tau=tau))
+                g = oracle_loss_gradients(q, p, z, sigma, t, HyperParams(tau=tau))
                 fd = finite_difference_gradients(q, p, z, w, a, tau)
                 assert max_relative_error([g.query, g.positive, g.negative], fd) <= 1e-5
 
@@ -441,7 +447,7 @@ class TestLossGradients:
         p = rng.normal(size=(2, 4))
         z = rng.normal(size=(2, 3, 4))
         mask = np.array([[True, False, True], [True, True, False]])
-        g = loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+        g = oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
         assert np.all(g.negative[0, 1] == 0.0)
         assert np.all(g.negative[1, 2] == 0.0)
         assert np.any(g.negative[0, 0] != 0.0)
@@ -451,8 +457,8 @@ class TestLossGradients:
         q = rng.normal(size=(4, 5))
         p = rng.normal(size=(4, 5))
         z = rng.normal(size=(4, 2, 5))
-        g_sum = loss_gradients(q, p, z, 0.2, 0.4, HyperParams(tau=0.2))
-        g_mean = loss_gradients(q, p, z, 0.2, 0.4, HyperParams(tau=0.2), reduction="mean")
+        g_sum = oracle_loss_gradients(q, p, z, 0.2, 0.4, HyperParams(tau=0.2))
+        g_mean = oracle_loss_gradients(q, p, z, 0.2, 0.4, HyperParams(tau=0.2), reduction="mean")
         np.testing.assert_allclose(g_mean.query * 4, g_sum.query, rtol=1e-12)
 
     def test_solved_batch_has_vanishing_gradients(self):
@@ -461,12 +467,12 @@ class TestLossGradients:
         q = np.array([[1.0, 0.0]])
         p = np.array([[1.0, 0.05]])
         z = np.array([[[-1.0, 0.1]]])
-        g = loss_gradients(q, p, z, -0.5, 0.0, HyperParams(tau=0.01))
+        g = oracle_loss_gradients(q, p, z, -0.5, 0.0, HyperParams(tau=0.01))
         assert np.max(np.abs(g.query)) < 1e-8
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            loss_gradients(
+            oracle_loss_gradients(
                 np.ones((2, 3)),
                 np.ones((2, 3)),
                 np.ones((3, 2, 3)),
@@ -474,6 +480,91 @@ class TestLossGradients:
                 0.0,
                 HyperParams(),
             )
+
+
+def frozen_value(pos, neg, w, a, mask, tau, reduction):
+    """The loss as a plain function of the similarities, with the weights
+    and scales held fixed; the finite-difference target."""
+    per_query = [
+        w[i] * math.log1p(math.fsum(
+            math.exp((a[i, j] * neg[i, j] - pos[i]) / tau)
+            for j in range(neg.shape[1]) if mask[i, j]
+        ))
+        for i in range(len(pos))
+    ]
+    total = math.fsum(per_query)
+    return total if reduction == "sum" else total / len(pos)
+
+
+class TestSimilarityGradients:
+    """The record's grad_pos and grad_neg: derivatives of the reduced loss
+    at the similarities, coefficients frozen."""
+
+    @staticmethod
+    def instance(rng, tau):
+        b, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        pos = rng.uniform(-0.5, 0.9, size=b)
+        # negatives within a few tau of their positive keep the softmax
+        # away from saturation, where differences measure only rounding
+        neg = np.clip(pos[:, None] + tau * rng.uniform(-3.0, 2.0, size=(b, n)), -1, 1)
+        mask = rng.uniform(size=(b, n)) < 0.8
+        sigma = batch_threshold(pos, float(rng.uniform(0.0, 0.3)))
+        return pos, neg, mask, sigma, float(rng.uniform(0.0, 1.0))
+
+    def test_match_finite_differences(self):
+        rng = np.random.default_rng(141)
+        h = 1e-6
+        for tau in (1.0, 0.1, 0.01):
+            for reduction in ("sum", "mean"):
+                for _ in range(5):
+                    pos, neg, mask, sigma, t = self.instance(rng, tau)
+                    _, rec = progressive_loss(
+                        pos, neg, sigma, t, tau, neg_mask=mask, reduction=reduction
+                    )
+
+                    def f(p, n):
+                        return frozen_value(p, n, rec.weights, rec.scales, mask, tau, reduction)
+
+                    numeric = []
+                    for arr in (pos, neg):
+                        g = np.zeros_like(arr)
+                        for idx in np.ndindex(arr.shape):
+                            orig = arr[idx]
+                            arr[idx] = orig + h
+                            up = f(pos, neg)
+                            arr[idx] = orig - h
+                            down = f(pos, neg)
+                            arr[idx] = orig
+                            g[idx] = (up - down) / (2.0 * h)
+                        numeric.append(g)
+                    err = max_relative_error([rec.grad_pos, rec.grad_neg], numeric)
+                    assert err <= 1e-5, (tau, reduction, err)
+                    assert np.all(rec.grad_neg[~mask] == 0.0)
+
+    def test_value_is_the_oracle_formula_exactly(self):
+        """One log-sum-exp gives the value and the gradients, and the value
+        keeps every bit of the separate value path."""
+        rng = np.random.default_rng(142)
+        for _ in range(200):
+            pos, neg, sigma, t, tau = random_instance(rng)
+            mask = rng.uniform(size=neg.shape) < 0.7
+            for reduction in ("sum", "mean"):
+                value, rec = progressive_loss(
+                    pos, neg, sigma, t, tau, neg_mask=mask, reduction=reduction
+                )
+                assert value == _weighted_loss(
+                    pos, neg, mask, rec.weights, rec.scales, tau, reduction
+                )
+                plain, _ = info_nce(pos, neg, tau, neg_mask=mask, reduction=reduction)
+                assert plain == _weighted_loss(pos, neg, mask, 1.0, 1.0, tau, reduction)
+
+    def test_saturated_positive_keeps_its_digits(self):
+        """The positive's derivative is minus the negatives' share, not
+        pi_0 - 1, so it stays exact when that share is below 1e-16."""
+        _, rec = info_nce(np.array([0.9]), np.array([[0.1]]), 0.01)
+        share = math.exp(-80.0) / (1.0 + math.exp(-80.0))
+        np.testing.assert_allclose(rec.grad_pos, [-share / 0.01], rtol=1e-12)
+        np.testing.assert_allclose(rec.grad_neg, [[share / 0.01]], rtol=1e-12)
 
 
 class TestZeroNormRule:
@@ -489,9 +580,9 @@ class TestZeroNormRule:
 
     def test_zero_vector_in_masked_slot_accepted(self):
         q, p, z, mask = self.instance()
-        before = loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+        before = oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
         z[0, 1] = 0.0
-        g = loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+        g = oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
         assert np.all(g.negative[0, 1] == 0.0)
         np.testing.assert_allclose(g.query, before.query, rtol=1e-14, atol=0)
         np.testing.assert_allclose(g.positive, before.positive, rtol=1e-14, atol=0)
@@ -501,16 +592,16 @@ class TestZeroNormRule:
         z[1, 2] = 0.0
         # negative (i, n) sits at pool slot B + i * N + n = 2 + 3 + 2
         with pytest.raises(ValueError, match="candidate at index 7"):
-            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+            oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
 
     def test_zero_positive_rejected(self):
         q, p, z, mask = self.instance()
         p[1] = 0.0
         with pytest.raises(ValueError, match="candidate at index 1"):
-            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+            oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
 
     def test_zero_query_rejected(self):
         q, p, z, mask = self.instance()
         q[0] = 0.0
         with pytest.raises(ValueError, match="query at index 0"):
-            loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)
+            oracle_loss_gradients(q, p, z, 0.1, 0.3, HyperParams(tau=0.5), neg_mask=mask)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import oracle_step_gradients
 
 from progemb.encoder import MaeDecoder, TokenSequence, Tokenizer, ToyEncoder, encode
-from progemb.loss import HyperParams, MomentumState
+from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
 from progemb.similarity import cosine
 from progemb.training import (
     TrainingExample,
@@ -165,8 +166,6 @@ class TestStepGradients:
         value, _, grads = _step_loss_and_gradients(
             batch, enc, state, hyper, "progressive", "sum"
         )
-        from progemb.loss import batch_threshold, positive_weights, progressive_loss
-
         sigma = batch_threshold(batch.pos, hyper.beta)
         _, record = progressive_loss(
             batch.pos, batch.neg, sigma, state.t, hyper.tau, neg_mask=batch.neg_mask
@@ -221,8 +220,76 @@ class TestStepGradients:
         assert w1 == w2 == 1.0
 
 
+def random_batch_examples(rng, n_queries, n_passages, n_negatives):
+    """Queries over a shared passage pool: mined negatives that are other
+    queries' positives make shared slots and exclusions."""
+    words = [f"w{i}" for i in range(40)]
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(2, 7)))) for _ in range(n_passages)]
+    queries = [" ".join(rng.choice(words, size=3)) for _ in range(n_queries)]
+    tok = Tokenizer.from_texts(texts + queries)
+    passages = [tok.encode_text(t) for t in texts]
+    examples = []
+    for i, text in enumerate(queries):
+        pid = i % n_passages
+        others = [k for k in range(n_passages) if k != pid]
+        nids = rng.choice(others, size=n_negatives, replace=False)
+        examples.append(TrainingExample(
+            f"q{i}", tok.encode_text(text), f"p{pid}", passages[pid],
+            tuple(f"p{k}" for k in nids), tuple(passages[k] for k in nids),
+        ))
+    return tok, examples
+
+
+class TestStepAgainstPoolKernel:
+    """The step's encoder gradients against the pool kernel's path: cosine
+    chain rule per slot, then the scatter and the encoder backward."""
+
+    @staticmethod
+    def check(batch, enc, hyper, state, loss_mode, reduction):
+        _, _, grads = _step_loss_and_gradients(batch, enc, state, hyper, loss_mode, reduction)
+        if loss_mode == "progressive":
+            sigma = batch_threshold(batch.pos, hyper.beta)
+            _, rec = progressive_loss(
+                batch.pos, batch.neg, sigma, state.t, hyper.tau, neg_mask=batch.neg_mask
+            )
+        else:
+            _, rec = info_nce(batch.pos, batch.neg, hyper.tau, neg_mask=batch.neg_mask)
+        want = oracle_step_gradients(
+            batch, enc, rec.weights, rec.scales, hyper.tau, reduction
+        )
+        for name in want:
+            scale = float(np.max(np.abs(want[name])))
+            assert scale > 0.0
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_shared_slot_and_exclusion(self, loss_mode, reduction):
+        _, enc, seqs = make_fixture(dim=4, seed=3)
+        examples = [
+            TrainingExample("q0", seqs[0], "pA", seqs[1], ("n0",), (seqs[2],)),
+            TrainingExample("q1", seqs[3], "pB", seqs[4], ("pA",), (seqs[1],)),
+        ]
+        batch = build_batch(examples, enc)
+        assert batch.excluded == [("q0", "pA")]
+        self.check(batch, enc, HyperParams(tau=0.1), MomentumState(t=0.4, step=3),
+                   loss_mode, reduction)
+
+    @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_batch_of_64_with_five_negatives(self, loss_mode, reduction):
+        rng = np.random.default_rng(15)
+        tok, examples = random_batch_examples(rng, 64, 90, 5)
+        enc = ToyEncoder.create(tok.vocab_size, 8, seed=15)
+        batch = build_batch(examples, enc)
+        assert batch.neg.shape == (64, 64 * 6) and batch.excluded
+        self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
+                   loss_mode, reduction)
+
+
 class TestStepZeroNormRule:
-    """The step's kernel rejects a zero candidate only if a query uses it."""
+    """A zero embedding matters only where a query uses it, and only the
+    encoder can make one, which it rejects."""
 
     def batch(self):
         _, enc, seqs = make_fixture(dim=4, seed=14)
@@ -248,11 +315,16 @@ class TestStepZeroNormRule:
         for name in ("token_table", "projection"):
             np.testing.assert_allclose(grads[name], before[name], rtol=1e-14, atol=0)
 
-    def test_zero_vector_in_used_slot_rejected(self):
-        enc, batch = self.batch()
-        batch.cand_embs[3] = 0.0
-        with pytest.raises(ValueError, match="candidate at index 3"):
-            self.step(enc, batch)
+    def test_zero_norm_encoding_fails_at_its_step(self):
+        """The encoder rejects a zero embedding before any similarity is
+        formed; fine-tuning reports it with the step that met it."""
+        _, enc, seqs = make_fixture(seed=14)
+        enc.token_table[list(seqs[0].tokens)] = 0.0
+        with pytest.raises(
+            ValueError,
+            match=r"fine-tune step \d+ \(epoch 0\): encoder produced a zero-norm embedding",
+        ):
+            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 1, batch_size=1, seed=0)
 
 
 class TestPretrain:
@@ -385,3 +457,23 @@ class TestFinetune:
         expected = hyper.alpha * (row.sigma + hyper.beta) + (1 - hyper.alpha) * 0.8
         np.testing.assert_allclose(row.t, expected, atol=1e-12)
         assert result.momentum_history[0].step == 101
+
+    def test_injected_nan_names_its_step(self):
+        """A NaN in the projection gives NaN similarities and a NaN loss; the
+        run stops at that step and leaves the parameters as they were."""
+        _, enc, seqs = make_fixture(seed=16)
+        enc.projection[0, 0] = np.nan
+        before = enc.token_table.copy()
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"fine-tune step 0 \(epoch 0\): non-finite contrastive loss"
+        ):
+            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 2, batch_size=2, seed=0)
+        np.testing.assert_array_equal(enc.token_table, before)
+
+    def test_non_finite_update_names_its_step(self):
+        _, enc, seqs = make_fixture(seed=16)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"fine-tune step \d+ \(epoch 0\): non-finite \w+ after the update"
+        ):
+            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 2, batch_size=2,
+                     lr=1e308, optimizer="sgd", seed=0)
