@@ -22,6 +22,7 @@ from .config import RunConfig, load_config
 from .encoder import (
     MaeDecoder,
     Tokenizer,
+    Tokens,
     ToyEncoder,
     encode,
     encode_batch,
@@ -117,12 +118,8 @@ def _query_text(cfg: RunConfig, text: str) -> str:
     return f"{cfg.query_prefix} {text}" if cfg.query_prefix else text
 
 
-def _query_tokens(tok: Tokenizer, cfg: RunConfig, text: str):
-    return tok.encode_text(_query_text(cfg, text), cfg.max_query_len)
-
-
 def _encode_query(enc, tok: Tokenizer, cfg: RunConfig, text: str) -> np.ndarray:
-    return encode(enc, _query_tokens(tok, cfg, text))
+    return encode(enc, tok.encode_text(_query_text(cfg, text), cfg.max_query_len))
 
 
 def _embed_passages(enc, tok: Tokenizer, cfg: RunConfig, passages):
@@ -130,8 +127,8 @@ def _embed_passages(enc, tok: Tokenizer, cfg: RunConfig, passages):
     embs = np.empty((len(passages), enc.dim))
     for start in range(0, len(passages), EMBED_BLOCK):
         block = passages[start : start + EMBED_BLOCK]
-        seqs = [tok.encode_text(p.text, cfg.max_passage_len) for p in block]
-        embs[start : start + len(block)] = encode_batch(enc, seqs).embs
+        tokens = tok.encode_texts([p.text for p in block], cfg.max_passage_len)
+        embs[start : start + len(block)] = encode_batch(enc, tokens).embs
     return [p.passage_id for p in passages], embs
 
 
@@ -147,7 +144,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     dec = MaeDecoder.create(
         cfg.max_passage_len, cfg.embed_dim, len(tok.id_to_token), seed=cfg.seed
     )
-    sequences = [tok.encode_text(p.text, cfg.max_passage_len) for p in corpus]
+    sequences = tok.encode_texts([p.text for p in corpus], cfg.max_passage_len)
     result = pretrain(
         sequences,
         enc,
@@ -211,7 +208,8 @@ def cmd_mine(cfg: RunConfig) -> None:
             queries.append((qid, q))
             positives[qid] = p.passage_id
 
-    query_embs = encode_batch(enc, [_query_tokens(tok, cfg, q) for _, q in queries]).embs
+    query_texts = [_query_text(cfg, q) for _, q in queries]
+    query_embs = encode_batch(enc, tok.encode_texts(query_texts, cfg.max_query_len)).embs
     judge = _make_judge(cfg)
     mined: dict[str, list] = {}
     dropped: dict[str, int] = {}
@@ -245,37 +243,43 @@ def cmd_mine(cfg: RunConfig) -> None:
         print(f"wrote {out / name}")
 
 
-def _examples_from_rows(rows, texts, tok: Tokenizer, cfg: RunConfig):
-    examples = []
+def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
+    """Examples of dataset rows over one token store: each referenced passage
+    is tokenized once, in first-reference order, then each query."""
+    texts = {p.passage_id: p.text for p in passages}
+    row_of: dict[str, int] = {}
     for row in rows:
-        if row.positive_id not in texts:
-            raise ValueError(f"dataset: unknown positive id {row.positive_id!r}")
-        negatives = []
-        for nid in row.negative_ids:
-            if nid not in texts:
-                raise ValueError(f"dataset: unknown negative id {nid!r}")
-            negatives.append(tok.encode_text(texts[nid], cfg.max_passage_len))
-        examples.append(
-            TrainingExample(
-                query_id=row.query_id,
-                query=_query_tokens(tok, cfg, row.query),
-                positive_id=row.positive_id,
-                positive=tok.encode_text(texts[row.positive_id], cfg.max_passage_len),
-                negative_ids=tuple(row.negative_ids),
-                hard_negatives=tuple(negatives),
-            )
+        for key in (row.positive_id, *row.negative_ids):
+            if key not in texts:
+                kind = "positive" if key == row.positive_id else "negative"
+                raise ValueError(f"dataset: unknown {kind} id {key!r}")
+            row_of.setdefault(key, len(row_of))
+    tokens = Tokens.concat([
+        tok.encode_texts([texts[key] for key in row_of], cfg.max_passage_len),
+        tok.encode_texts([_query_text(cfg, r.query) for r in rows], cfg.max_query_len),
+    ])
+    examples = [
+        TrainingExample(
+            query_id=row.query_id,
+            query=len(row_of) + i,
+            positive_id=row.positive_id,
+            positive=row_of[row.positive_id],
+            negative_ids=tuple(row.negative_ids),
+            hard_negatives=tuple(row_of[n] for n in row.negative_ids),
         )
-    return examples
+        for i, row in enumerate(rows)
+    ]
+    return examples, tokens
 
 
 def cmd_finetune(cfg: RunConfig) -> None:
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
     rows = dataio.read_dataset(_require(cfg.dataset_path, "dataset_path"))
     passages = dataio.read_corpus(_require(cfg.passages_path, "passages_path"))
-    texts = {p.passage_id: p.text for p in passages}
-    examples = _examples_from_rows(rows, texts, ckpt.tokenizer, cfg)
+    examples, tokens = _training_set(rows, passages, ckpt.tokenizer, cfg)
     result = finetune(
         examples,
+        tokens,
         ckpt.encoder,
         HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
         cfg.finetune_epochs,
@@ -338,19 +342,6 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     print(f"wrote {out / 'metrics.jsonl'}")
 
 
-def _bench_examples(data, tok: Tokenizer, cfg: RunConfig):
-    texts = {p.passage_id: p.text for p in data.passages}
-    return [
-        TrainingExample(
-            query_id=q.query_id,
-            query=_query_tokens(tok, cfg, q.text),
-            positive_id=q.positive_id,
-            positive=tok.encode_text(texts[q.positive_id], cfg.max_passage_len),
-        )
-        for q in data.train
-    ]
-
-
 def cmd_bench(cfg: RunConfig) -> None:
     run_rows = []
     per_mode: dict[str, list[dict]] = {"progressive": [], "infonce": []}
@@ -368,7 +359,8 @@ def cmd_bench(cfg: RunConfig) -> None:
         tok = Tokenizer.from_texts(
             (p.text for p in data.passages), extra_texts=extra, limit=cfg.vocab_limit
         )
-        examples = _bench_examples(data, tok, cfg)
+        rows = [dataio.DatasetRow(q.query_id, q.text, q.positive_id, (), {}) for q in data.train]
+        examples, tokens = _training_set(rows, data.passages, tok, cfg)
         init = ToyEncoder.create(len(tok.id_to_token), cfg.embed_dim, seed=seed)
         for mode in ("progressive", "infonce"):
             enc = ToyEncoder(
@@ -377,6 +369,7 @@ def cmd_bench(cfg: RunConfig) -> None:
             )
             finetune(
                 examples,
+                tokens,
                 enc,
                 HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
                 cfg.bench_epochs,

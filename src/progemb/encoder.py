@@ -6,13 +6,13 @@ embeddings are mean-pooled, passed through one linear projection, and
 L2-normalized. The decoder reconstructs each clean token from the corrupted
 text's embedding plus a learned position row.
 
-The one encoder path is batched: `encode_batch` pools a flat id array by
-segment sums, then projects and normalizes all rows at once;
-`_encode_backward` turns the batch's (N, d) embedding gradients into one
-projection matmul and one token-table scatter-add. `encode` is a batch of one.
-The decoder is batched too: `_mae_forward_backward` scores all token
-positions of a chunk in row blocks of at most MAE_BLOCK logits, with one
-exp per logit, and `mae_loss` is a batch of one.
+Tokens have one form: a `Tokens` store, N rows as one flat id array plus
+lengths, built by `Tokenizer.encode_texts`. `encode_batch` checks a store's
+ids once, pools by segment sums, then projects and normalizes all rows;
+`_encode_backward` is one projection matmul and one token-table scatter-add.
+`corrupt` masks a whole store, one seed per row. `_mae_forward_backward`
+scores all token positions of a chunk in row blocks of at most MAE_BLOCK
+logits, with one exp per logit. `encode` and `mae_loss` take one-row stores.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 __all__ = [
     "PAD_ID",
     "MASK_ID",
-    "TokenSequence",
+    "Tokens",
     "Tokenizer",
     "ToyEncoder",
     "MaeDecoder",
@@ -54,22 +54,32 @@ CHECKPOINT_MAGIC = "checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Immutable sequence of token ids; never empty."""
+@dataclass(frozen=True, eq=False)
+class Tokens:
+    """N token sequences as one flat id array plus lengths: row i is
+    ids[starts[i] : starts[i] + lengths[i]]. `encode_batch` checks the ids."""
 
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) == 0:
-            raise ValueError("TokenSequence must contain at least one token")
-        if any((not isinstance(t, (int, np.integer))) or t < 0 for t in self.tokens):
-            raise ValueError("token ids must be nonnegative integers")
-        # canonicalize numpy ints so equality and hashing stay value-based
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+    ids: np.ndarray       # (T,) intp, sequence after sequence
+    lengths: np.ndarray   # (N,) intp
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.lengths)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    def take(self, rows) -> "Tokens":
+        """The store of the given rows, in order; rows may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = self.lengths[rows]
+        shift = self.starts[rows] - (np.cumsum(lengths) - lengths)
+        return Tokens(self.ids[np.arange(lengths.sum()) + np.repeat(shift, lengths)], lengths)
+
+    @staticmethod
+    def concat(stores) -> "Tokens":
+        ids, lengths = zip(*((s.ids, s.lengths) for s in stores))
+        return Tokens(np.concatenate(ids), np.concatenate(lengths))
 
 
 @dataclass(frozen=True)
@@ -118,27 +128,33 @@ class Tokenizer:
     def _lookup(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.id_to_token)}
 
-    def encode_text(self, text: str, max_len: int = 0) -> TokenSequence:
-        """Tokenize text into ids, truncating to max_len when positive.
+    def encode_texts(self, texts, max_len: int = 0) -> Tokens:
+        """One store row per text, truncated to max_len when positive.
 
         Raises:
-            ValueError: on an empty text or a token outside the vocabulary.
+            ValueError: on the first empty text or out-of-vocabulary token.
         """
-        words = text.split()
-        if not words:
-            raise ValueError("cannot tokenize empty text")
-        if max_len > 0:
-            words = words[:max_len]
         table = self._lookup
-        ids = []
-        for w in words:
-            if w not in table:
-                raise ValueError(f"token not in vocabulary: {w!r}")
-            ids.append(table[w])
-        return TokenSequence(tokens=tuple(ids))
+        ids, lengths = [], []
+        for text in texts:
+            words = text.split()
+            if not words:
+                raise ValueError("cannot tokenize empty text")
+            if max_len > 0:
+                words = words[:max_len]
+            try:
+                ids.extend([table[w] for w in words])
+            except KeyError as exc:
+                raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
+            lengths.append(len(words))
+        return Tokens(np.array(ids, dtype=np.intp), np.array(lengths, dtype=np.intp))
 
-    def decode(self, seq: TokenSequence) -> str:
-        return " ".join(self.id_to_token[t] for t in seq.tokens)
+    def encode_text(self, text: str, max_len: int = 0) -> Tokens:
+        """A one-row store of text; see encode_texts."""
+        return self.encode_texts([text], max_len)
+
+    def decode(self, tokens: Tokens) -> str:
+        return " ".join(self.id_to_token[t] for t in tokens.ids)
 
 
 @dataclass
@@ -212,103 +228,95 @@ class EncodedBatch:
     embs: np.ndarray      # (N, d) unit rows
     pooled: np.ndarray    # (N, d) token means
     norms: np.ndarray     # (N,) norms of the projected means
-    ids: np.ndarray       # (T,) token ids, sequence after sequence
-    lengths: np.ndarray   # (N,)
+    tokens: Tokens        # the N sequences
 
 
-def _flat_ids(enc: ToyEncoder, seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids as one flat array plus per-sequence lengths, vocab-checked."""
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-    ids = np.array([t for s in seqs for t in s.tokens], dtype=np.intp)
-    bad = np.flatnonzero(ids >= enc.vocab_size)
+def _check_ids(enc: ToyEncoder, tokens: Tokens) -> None:
+    """Reject an empty sequence and any id outside [0, vocab_size)."""
+    if (tokens.lengths < 1).any():
+        raise ValueError("token sequences must contain at least one token")
+    bad = np.flatnonzero((tokens.ids < 0) | (tokens.ids >= enc.vocab_size))
     if bad.size:
         raise ValueError(
-            f"token id {ids[bad[0]]} out of vocabulary (size {enc.vocab_size})"
+            f"token id {tokens.ids[bad[0]]} out of vocabulary (size {enc.vocab_size})"
         )
-    return ids, lengths
 
 
-def encode_batch(enc: ToyEncoder, seqs) -> EncodedBatch:
-    """Embed N token sequences at once: segment mean, projection, normalize."""
-    ids, lengths = _flat_ids(enc, seqs)
-    starts = np.cumsum(lengths) - lengths
-    pooled = np.add.reduceat(enc.token_table[ids], starts, axis=0) / lengths[:, None]
+def encode_batch(enc: ToyEncoder, tokens: Tokens) -> EncodedBatch:
+    """Embed the N rows of a store at once: segment mean, projection, normalize."""
+    _check_ids(enc, tokens)
+    pooled = np.add.reduceat(enc.token_table[tokens.ids], tokens.starts, axis=0)
+    pooled /= tokens.lengths[:, None]
     u = pooled @ enc.projection
     norms = np.linalg.norm(u, axis=1)
     if (norms == 0.0).any():
         raise ValueError("encoder produced a zero-norm embedding")
-    return EncodedBatch(u / norms[:, None], pooled, norms, ids, lengths)
+    # u / inf would read as a zero row; a NaN norm carries on into the loss
+    if np.isinf(norms).any():
+        raise ValueError("encoder produced a non-finite embedding (infinite norm)")
+    return EncodedBatch(u / norms[:, None], pooled, norms, tokens)
 
 
-def encode(enc: ToyEncoder, seq: TokenSequence) -> np.ndarray:
-    """Embed a token sequence; the result is L2-normalized and deterministic."""
-    return encode_batch(enc, [seq]).embs[0]
+def encode(enc: ToyEncoder, tokens: Tokens) -> np.ndarray:
+    """Embed a one-row store; the result is L2-normalized and deterministic."""
+    return encode_batch(enc, tokens).embs[0]
 
 
 def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
     """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
-    e = fwd.embs
+    e, lengths = fwd.embs, fwd.tokens.lengths
     # through normalization: du = (I - ee^T) de / |u|, row by row
     du = (d_embs - (d_embs * e).sum(axis=1, keepdims=True) * e) / fwd.norms[:, None]
     grads["projection"] += fwd.pooled.T @ du
-    d_pooled = (du @ enc.projection.T) / fwd.lengths[:, None]
-    np.add.at(grads["token_table"], fwd.ids, np.repeat(d_pooled, fwd.lengths, axis=0))
+    d_pooled = (du @ enc.projection.T) / lengths[:, None]
+    np.add.at(grads["token_table"], fwd.tokens.ids, np.repeat(d_pooled, lengths, axis=0))
 
 
-def corrupt(seq: TokenSequence, mask_ratio: float, seed) -> TokenSequence:
-    """Replace ceil(mask_ratio * len) positions with the mask token.
+def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:
+    """Replace ceil(mask_ratio * len) positions of each row with the mask token.
 
-    Positions are drawn without replacement from a seeded generator, so the
-    output is deterministic for a given (seq, mask_ratio, seed).
+    Row i's positions are drawn without replacement from a generator seeded
+    with seeds[i], so the output is deterministic for given seeds.
     """
     if not 0.0 <= mask_ratio < 1.0:
         raise ValueError(f"mask_ratio must lie in [0, 1), got {mask_ratio}")
-    n_mask = math.ceil(mask_ratio * len(seq))
-    if n_mask == 0:
-        return seq
-    rng = np.random.default_rng(seed)
-    positions = rng.choice(len(seq), size=n_mask, replace=False)
-    tokens = list(seq.tokens)
-    for pos in positions:
-        tokens[int(pos)] = MASK_ID
-    return TokenSequence(tokens=tuple(tokens))
+    ids, starts, lengths = tokens.ids.copy(), tokens.starts.tolist(), tokens.lengths.tolist()
+    for start, length, seed in zip(starts, lengths, seeds, strict=True):
+        n_mask = math.ceil(mask_ratio * length)
+        if n_mask:
+            rng = np.random.default_rng(seed)
+            ids[start + rng.choice(length, size=n_mask, replace=False)] = MASK_ID
+    return Tokens(ids, tokens.lengths)
 
 
-def mae_loss(
-    enc: ToyEncoder, dec: MaeDecoder, clean: TokenSequence, corrupted: TokenSequence
-) -> float:
-    """Reconstruction loss: sum over positions of -log p(clean token).
+def mae_loss(enc: ToyEncoder, dec: MaeDecoder, clean: Tokens, corrupted: Tokens) -> float:
+    """Reconstruction loss of a one-row store: sum of -log p(clean token).
 
     The corrupted sequence is embedded once; each position's logits are the
     output matrix applied to (embedding + position row).
     """
-    losses, _ = _mae_forward_backward(enc, dec, [clean], [corrupted])
+    losses, _ = _mae_forward_backward(enc, dec, clean, corrupted)
     return losses[0]
 
 
-def _mae_forward_backward(enc, dec, cleans, corrupteds):
-    """Per-sequence losses plus the gradients of their sum for all four matrices.
+def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
+    """Per-row losses plus the gradients of their sum for all four matrices.
 
     One encoder forward and backward per batch. The decoder takes all T token
     rows as one (T, d) input; per row block, 1/sum is folded into the (rows, d)
     operands of both gradient products, and the one-hot part comes after.
     """
-    for clean, corrupted in zip(cleans, corrupteds, strict=True):
-        if len(clean) != len(corrupted):
-            raise ValueError(
-                f"clean and corrupted lengths differ: {len(clean)} vs {len(corrupted)}"
-            )
-        if len(clean) > dec.max_positions:
-            raise ValueError(
-                f"sequence length {len(clean)} exceeds decoder positions "
-                f"{dec.max_positions}"
-            )
-    targets, _ = _flat_ids(enc, cleans)
-    fwd = encode_batch(enc, corrupteds)
+    for n, m in zip(clean.lengths.tolist(), corrupted.lengths.tolist(), strict=True):
+        if n != m:
+            raise ValueError(f"clean and corrupted lengths differ: {n} vs {m}")
+        if n > dec.max_positions:
+            raise ValueError(f"sequence length {n} exceeds decoder positions {dec.max_positions}")
+    _check_ids(enc, clean)
+    targets, lengths, starts = clean.ids, clean.lengths, clean.starts
+    fwd = encode_batch(enc, corrupted)
     grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
-    starts = np.cumsum(fwd.lengths) - fwd.lengths
-    positions = np.arange(len(targets)) - np.repeat(starts, fwd.lengths)
-    z = np.repeat(fwd.embs, fwd.lengths, axis=0) + dec.position_table[positions]
+    positions = np.arange(len(targets)) - np.repeat(starts, lengths)
+    z = np.repeat(fwd.embs, lengths, axis=0) + dec.position_table[positions]
     w = dec.output
     step = max(1, MAE_BLOCK // w.shape[1])
     block = np.empty((min(step, len(z)), w.shape[1]))
@@ -380,12 +388,20 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt checkpoint header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"corrupt checkpoint header in {path}: not a JSON object")
     if header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: {path}")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {header.get('version')!r} in {path}"
         )
+    keys = ["vocab_size", "dim", "vocab", "has_decoder"]
+    if header.get("has_decoder"):
+        keys.append("max_positions")
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"corrupt checkpoint header in {path}: no {key!r}")
     v, d = header["vocab_size"], header["dim"]
     vocab = tuple(header["vocab"])
     if len(vocab) != v:

@@ -1,10 +1,11 @@
 """Batch assembly and the pretraining / fine-tuning loops.
 
-Fine-tuning shares negatives in-batch: each query's negative pool is every
-other query's positive plus every hard negative brought by any query in the
-batch. A candidate whose source id equals the query's own positive id is
-excluded from that query's pool (and logged), which is what the neg_mask on
-the batch encodes.
+Examples and the pretraining corpus are rows of one token store, tokenized
+once by the caller. Fine-tuning shares negatives in-batch: each query's
+negative pool is every other query's positive plus every hard negative
+brought by any query in the batch. A candidate whose source id equals the
+query's own positive id is excluded from that query's pool (and logged),
+which is what the neg_mask on the batch encodes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .encoder import (
     EncodedBatch,
     MaeDecoder,
-    TokenSequence,
+    Tokens,
     ToyEncoder,
     _encode_backward,
     _mae_forward_backward,
@@ -53,14 +54,14 @@ MAX_HARD_NEGATIVES = 5
 
 @dataclass(frozen=True)
 class TrainingExample:
-    """One query with its positive passage and up to five hard negatives."""
+    """A query, its positive and up to five hard negatives, as token-store rows."""
 
     query_id: str
-    query: TokenSequence
+    query: int
     positive_id: str
-    positive: TokenSequence
+    positive: int
     negative_ids: tuple[str, ...] = ()
-    hard_negatives: tuple[TokenSequence, ...] = ()
+    hard_negatives: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.hard_negatives) != len(self.negative_ids):
@@ -98,20 +99,20 @@ class ContrastiveBatch:
         return len(self.query_ids)
 
 
-def _distinct(ids, seqs):
-    """Exact integer code of each id, by first appearance, and each code's sequence."""
+def _distinct(ids, rows):
+    """Exact integer code of each id, by first appearance, and each code's row."""
     codes: dict[str, int] = {}
-    distinct: list[TokenSequence] = []
-    for key, seq in zip(ids, seqs):
+    distinct: list[int] = []
+    for key, row in zip(ids, rows):
         code = codes.setdefault(key, len(codes))
         if code == len(distinct):
-            distinct.append(seq)
-        elif distinct[code].tokens != seq.tokens:
+            distinct.append(row)
+        elif distinct[code] != row:
             raise ValueError(f"id {key!r} maps to two different token sequences")
     return np.array([codes[key] for key in ids]), distinct
 
 
-def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
+def build_batch(examples, tokens: Tokens, enc: ToyEncoder) -> ContrastiveBatch:
     """Encode a batch and assemble the shared-negative similarity structure.
 
     The candidate pool is all positives followed by all hard negatives, in
@@ -124,16 +125,16 @@ def build_batch(examples, enc: ToyEncoder) -> ContrastiveBatch:
     if not examples:
         raise ValueError("build_batch needs a nonempty batch")
     cand_ids = [ex.positive_id for ex in examples]
-    cand_seqs = [ex.positive for ex in examples]
+    cand_rows = [ex.positive for ex in examples]
     for ex in examples:
         cand_ids.extend(ex.negative_ids)
-        cand_seqs.extend(ex.hard_negatives)
+        cand_rows.extend(ex.hard_negatives)
     query_codes, queries = _distinct(
         [ex.query_id for ex in examples], [ex.query for ex in examples]
     )
     # slots [:B] hold the positives' ids
-    cand_codes, cands = _distinct(cand_ids, cand_seqs)
-    forward = encode_batch(enc, queries + cands)
+    cand_codes, cands = _distinct(cand_ids, cand_rows)
+    forward = encode_batch(enc, tokens.take(queries + cands))
     rows = np.concatenate([query_codes, len(queries) + cand_codes])
     b_count = len(examples)
     query_embs, cand_embs = forward.embs[rows[:b_count]], forward.embs[rows[b_count:]]
@@ -174,7 +175,7 @@ class PretrainResult:
 
 
 def pretrain(
-    corpus,
+    corpus: Tokens,
     enc: ToyEncoder,
     dec: MaeDecoder,
     epochs: int,
@@ -188,13 +189,12 @@ def pretrain(
 ) -> PretrainResult:
     """Train encoder and decoder on masked reconstruction.
 
-    Per batch the objective is the mean over sequences of the reconstruction
-    loss on a freshly corrupted copy. The returned curve holds each epoch's
-    mean per-sequence loss. Deterministic for a given seed. A non-finite
-    loss or updated parameter stops the run with a step-located ValueError.
+    Per batch of corpus rows the objective is the mean reconstruction loss
+    on a freshly corrupted copy. The returned curve holds each epoch's mean
+    per-sequence loss. Deterministic for a given seed. A non-finite loss or
+    updated parameter stops the run with a step-located ValueError.
     """
-    sequences = list(corpus)
-    if not sequences:
+    if len(corpus) == 0:
         raise ValueError("pretrain needs a nonempty corpus")
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
@@ -203,13 +203,11 @@ def pretrain(
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(epochs):
-        order = rng.permutation(len(sequences))
+        order = rng.permutation(len(corpus))
         losses = []
         for start in range(0, len(order), batch_size):
-            clean = [sequences[int(idx)] for idx in order[start : start + batch_size]]
-            corrupted = [
-                corrupt(seq, mask_ratio, int(rng.integers(0, 2**63 - 1))) for seq in clean
-            ]
+            clean = corpus.take(order[start : start + batch_size])
+            corrupted = corrupt(clean, mask_ratio, rng.integers(0, 2**63 - 1, size=len(clean)))
             try:
                 chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
                 if not np.isfinite(chunk_losses).all():
@@ -251,6 +249,7 @@ class FinetuneResult:
 
 def finetune(
     dataset,
+    tokens: Tokens,
     enc: ToyEncoder,
     hyper: HyperParams,
     epochs: int,
@@ -290,7 +289,7 @@ def finetune(
         for start in range(0, len(order), batch_size):
             chunk = [examples[int(i)] for i in order[start : start + batch_size]]
             try:
-                batch = build_batch(chunk, enc)
+                batch = build_batch(chunk, tokens, enc)
                 value, mean_w, step_grads = _step_loss_and_gradients(
                     batch, enc, state, hyper, loss_mode, reduction
                 )

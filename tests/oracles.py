@@ -1,10 +1,11 @@
 """Scalar reference implementations that the tests check the kernels against."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from progemb.encoder import _encode_backward, encode_batch
+from progemb.encoder import MASK_ID, Tokens, _encode_backward, encode_batch
 from progemb.loss import HyperParams, _reduce, _scale_matrix, positive_weights
 
 
@@ -47,17 +48,62 @@ def _log_softmax_rows(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def oracle_mae(enc, dec, cleans, corrupteds):
-    """Per-sequence MAE reference: each sequence builds its own (L, V) log
-    softmax. Returns the per-sequence losses and the gradients of their sum
+def store(seqs) -> Tokens:
+    """The token store of the given id sequences, flattened in order."""
+    return Tokens(
+        np.array([t for seq in seqs for t in seq], dtype=np.intp),
+        np.array([len(seq) for seq in seqs], dtype=np.intp),
+    )
+
+
+def rows_of(tokens: Tokens) -> list[tuple[int, ...]]:
+    """Each row of a store as a tuple of ids, by Python slicing."""
+    ids, out, start = tokens.ids.tolist(), [], 0
+    for length in tokens.lengths.tolist():
+        out.append(tuple(ids[start : start + length]))
+        start += length
+    return out
+
+
+def oracle_tokenize(tok, text, max_len=0) -> tuple[int, ...]:
+    """One text at a time: split on whitespace, truncate, look each word up."""
+    words = text.split()
+    if not words:
+        raise ValueError("cannot tokenize empty text")
+    if max_len > 0:
+        words = words[:max_len]
+    ids = []
+    for w in words:
+        if w not in tok.id_to_token:
+            raise ValueError(f"token not in vocabulary: {w!r}")
+        ids.append(tok.id_to_token.index(w))
+    return tuple(ids)
+
+
+def oracle_corrupt(seq, mask_ratio, seed) -> tuple[int, ...]:
+    """One sequence at a time: ceil(mask_ratio * len) positions drawn
+    without replacement from a generator seeded with seed become MASK_ID."""
+    n_mask = math.ceil(mask_ratio * len(seq))
+    if n_mask == 0:
+        return tuple(seq)
+    rng = np.random.default_rng(seed)
+    tokens = list(seq)
+    for pos in rng.choice(len(seq), size=n_mask, replace=False):
+        tokens[int(pos)] = MASK_ID
+    return tuple(tokens)
+
+
+def oracle_mae(enc, dec, clean, corrupted):
+    """Per-sequence MAE reference: each row builds its own (L, V) log
+    softmax. Returns the per-row losses and the gradients of their sum
     for token_table, projection, position_table and output."""
-    fwd = encode_batch(enc, corrupteds)
+    fwd = encode_batch(enc, corrupted)
     grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
     d_embs = np.empty_like(fwd.embs)
     losses = []
-    for i, clean in enumerate(cleans):
-        length = len(clean)
-        rows, tgt = np.arange(length), np.array(clean.tokens)
+    for i, seq in enumerate(rows_of(clean)):
+        length = len(seq)
+        rows, tgt = np.arange(length), np.array(seq)
         z = fwd.embs[i] + dec.position_table[:length]
         logp = _log_softmax_rows(z @ dec.output)
         losses.append(-float(logp[rows, tgt].sum()))

@@ -16,6 +16,7 @@ from progemb.cli import main
 from progemb.encoder import (
     MaeDecoder,
     Tokenizer,
+    Tokens,
     ToyEncoder,
     encode,
     save_checkpoint,
@@ -305,19 +306,25 @@ def _retrieval_recall(seed: int, noise: float, loss_mode: str) -> float:
         seed=seed,
     )
     tok = Tokenizer.from_texts(p.text for p in data.passages)
-    texts = {p.passage_id: p.text for p in data.passages}
+    # passage k is row k of the store, training query i row len(passages) + i
+    row_of = {p.passage_id: k for k, p in enumerate(data.passages)}
+    tokens = Tokens.concat([
+        tok.encode_texts([p.text for p in data.passages], 64),
+        tok.encode_texts([q.text for q in data.train], 16),
+    ])
     examples = [
         TrainingExample(
             query_id=q.query_id,
-            query=tok.encode_text(q.text, 16),
+            query=len(row_of) + i,
             positive_id=q.positive_id,
-            positive=tok.encode_text(texts[q.positive_id], 64),
+            positive=row_of[q.positive_id],
         )
-        for q in data.train
+        for i, q in enumerate(data.train)
     ]
     enc = ToyEncoder.create(len(tok.id_to_token), 16, seed=seed)
     finetune(
         examples,
+        tokens,
         enc,
         HyperParams(alpha=0.5, beta=0.1, tau=0.01),
         epochs=40,
@@ -375,7 +382,7 @@ def _template_corpus(seed=0, n_templates=10, copies=10, n_words=8, vocab=60):
     ]
     texts = [templates[i % n_templates] for i in range(n_templates * copies)]
     tok = Tokenizer.from_texts(texts)
-    return tok, [tok.encode_text(t, 16) for t in texts]
+    return tok, tok.encode_texts(texts, 16)
 
 
 def test_mae_pretraining_sanity():
@@ -392,7 +399,7 @@ def test_mae_pretraining_sanity():
     enc1 = ToyEncoder.create(len(tok.id_to_token), 16, seed=0)
     dec1 = MaeDecoder.create(16, 16, len(tok.id_to_token), seed=0)
     single = pretrain(
-        seqs[:1], enc1, dec1, epochs=200, mask_ratio=0.3, batch_size=1, lr=0.05, seed=0
+        seqs.take([0]), enc1, dec1, epochs=200, mask_ratio=0.3, batch_size=1, lr=0.05, seed=0
     )
     final = single.epoch_losses[-1]
 

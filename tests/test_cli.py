@@ -59,6 +59,14 @@ def make_checkpoint(path, texts, dim=8, seed=0, with_decoder=False):
     return tok
 
 
+def assert_same_files(first, second):
+    """Both output directories hold the same file names with the same bytes."""
+    names = sorted(p.name for p in first.iterdir())
+    assert names and names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 class TestArgumentParsing:
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -276,7 +284,7 @@ class TestMine:
 
         def oracle(text, max_len):
             seq = model.tokenizer.encode_text(text, max_len)
-            pooled = model.encoder.token_table[list(seq.tokens)].mean(axis=0)
+            pooled = model.encoder.token_table[seq.ids].mean(axis=0)
             u = pooled @ model.encoder.projection
             return u / np.linalg.norm(u)
 
@@ -289,6 +297,12 @@ class TestMine:
         assert removed == {pair for pair, s in scores.items() if s > threshold}
         # the cut runs through distinct texts, not only verbatim copies
         assert kept and any(s < 0.999 for pair, s in scores.items() if pair in removed)
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cfg, _ = self.setup_inputs(tmp_path, judge="similarity", judge_threshold=0.9)
+        for out in ("out1", "out2"):
+            assert main(["mine", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert_same_files(tmp_path / "out1", tmp_path / "out2")
 
     def test_long_doc_splits_into_multiple_passages(self, tmp_path):
         long_doc = Passage(
@@ -414,8 +428,23 @@ class TestFinetune:
         dataio.write_dataset(dpath, rows)
         cfg, _ = self.make_cfg(tmp_path, ckpt, ppath, dpath)
         assert main(["finetune", "--config", cfg]) == 1
-        assert "ghost" in capsys.readouterr().err
+        assert "dataset: unknown negative id 'ghost'" in capsys.readouterr().err
 
+    def test_unknown_positive_id_is_validation_error(self, tmp_path, capsys):
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        rows = [
+            {
+                "query_id": "q0",
+                "query": "alpha",
+                "positive_id": "phantom",
+                "negative_ids": ["d1"],
+            }
+        ]
+        dataio.write_dataset(dpath, rows)
+        cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)
+        assert main(["finetune", "--config", cfg]) == 1
+        assert "dataset: unknown positive id 'phantom'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
     def test_huge_learning_rate_fails_at_its_step_and_writes_nothing(
@@ -427,7 +456,21 @@ class TestFinetune:
         with np.errstate(all="ignore"):
             rc = main(["finetune", "--config", cfg])
         assert rc == 1
-        assert "error: fine-tune step " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: fine-tune step " in err
+        assert "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [
+        b'["checkpoint", 1]',
+        b'{"format": "checkpoint", "version": 1, "dim": 8, "vocab": [], "has_decoder": false}',
+    ])
+    def test_malformed_checkpoint_header_is_validation_error(self, tmp_path, capsys, header):
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        ckpt.write_bytes(header + b"\n")
+        cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)
+        assert main(["finetune", "--config", cfg]) == 1
+        assert str(ckpt) in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -486,6 +529,12 @@ class TestEvaluate:
         assert f"{empty}: gallery has no records" in err
         assert not (out / "metrics.jsonl").exists()
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cfg, _ = self.setup_inputs(tmp_path)
+        for out in ("out1", "out2"):
+            assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert_same_files(tmp_path / "out1", tmp_path / "out2")
+
     def test_unjudged_query_lands_in_exclusions(self, tmp_path):
         cfg, out = self.setup_inputs(tmp_path)
         main(["evaluate", "--config", cfg])
@@ -521,6 +570,12 @@ class TestBench:
             assert summary[mode]["recall@1"] == pytest.approx(row["recall@1"])
         assert "delta" in summary
         assert "mean recall@1" in capsys.readouterr().out
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cfg, _ = self.make_cfg(tmp_path, bench_noise_rate=0.2)
+        for out in ("out1", "out2"):
+            assert main(["bench", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert_same_files(tmp_path / "out1", tmp_path / "out2")
 
     def test_two_seeds_average_into_summary(self, tmp_path):
         cfg, out = self.make_cfg(tmp_path, bench_seeds=2)

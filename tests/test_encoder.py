@@ -1,18 +1,20 @@
 """Tests for the tokenizer, toy encoder, reconstruction head, checkpoints."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
-from oracles import oracle_mae
+from oracles import oracle_corrupt, oracle_mae, oracle_tokenize, rows_of, store
 
 from progemb import encoder
 from progemb.encoder import (
     MASK_ID,
     PAD_ID,
     MaeDecoder,
-    TokenSequence,
     Tokenizer,
+    Tokens,
     ToyEncoder,
     corrupt,
     encode,
@@ -27,21 +29,21 @@ from progemb.encoder import (
 
 def oracle_encode(enc, seq):
     """Per-sequence reference: row mean, projection, normalization."""
-    pooled = enc.token_table[list(seq.tokens)].mean(axis=0)
+    pooled = enc.token_table[list(seq)].mean(axis=0)
     u = pooled @ enc.projection
     return u / np.linalg.norm(u)
 
 
 def oracle_backward(enc, seq, d_emb, grads):
     """Per-sequence reference backward of d_emb . encode(seq)."""
-    pooled = enc.token_table[list(seq.tokens)].mean(axis=0)
+    pooled = enc.token_table[list(seq)].mean(axis=0)
     u = pooled @ enc.projection
     norm = np.linalg.norm(u)
     emb = u / norm
     du = (d_emb - np.dot(d_emb, emb) * emb) / norm
     grads["projection"] += np.outer(pooled, du)
     contribution = enc.projection @ du / len(seq)
-    for t in seq.tokens:
+    for t in seq:
         grads["token_table"][t] += contribution
 
 
@@ -49,17 +51,27 @@ def zero_grads(enc):
     return {name: np.zeros_like(p) for name, p in enc.params().items()}
 
 
-class TestTokenSequence:
+RAGGED = [(2, 3, 3, 7), (7,), (5, 2, 9, 9, 9, 2), (3, 7), (11, 4, 2)]
+
+
+class TestTokens:
     def test_length(self):
-        assert len(TokenSequence((2, 3, 4))) == 3
+        tokens = store(RAGGED)
+        assert len(tokens) == 5
+        assert tokens.starts.tolist() == [0, 4, 5, 11, 13]
+        assert tokens.lengths.tolist() == [4, 1, 6, 2, 3]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            TokenSequence(())
+    def test_take_matches_slicing_oracle(self):
+        """Ragged rows, repeated and out of order, and no rows at all."""
+        tokens = store(RAGGED)
+        for rows in ([4, 0, 0, 2, 1, 4, 3], [1], [2, 2, 2], []):
+            taken = tokens.take(rows)
+            assert rows_of(taken) == [RAGGED[r] for r in rows]
+            assert taken.ids.dtype == taken.lengths.dtype == np.intp
 
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            TokenSequence((2, -1))
+    def test_concat_appends_rows(self):
+        joined = Tokens.concat([store(RAGGED[:2]), store(RAGGED[2:])])
+        assert rows_of(joined) == RAGGED
 
 
 class TestTokenizer:
@@ -87,6 +99,24 @@ class TestTokenizer:
         assert {"query:", "z", "a", "b"} <= vocab
         assert "c" not in vocab
 
+    def test_encode_texts_matches_per_text_oracle(self):
+        """A query prefix, truncation, repeated texts and repeated words."""
+        texts = ["the cat sat on the mat", "a dog", "the cat sat on the mat",
+                 "mat mat mat mat mat mat mat", "on"]
+        tok = Tokenizer.from_texts(texts, extra_texts=("query:",))
+        prefixed = [f"query: {t}" for t in texts]
+        for batch, max_len in ((texts, 0), (texts, 4), (prefixed, 3), (prefixed, 0)):
+            tokens = tok.encode_texts(batch, max_len)
+            assert rows_of(tokens) == [oracle_tokenize(tok, t, max_len) for t in batch]
+            assert rows_of(tok.encode_text(batch[0], max_len)) == rows_of(tokens)[:1]
+
+    def test_first_bad_text_and_word_named(self):
+        tok = Tokenizer.from_texts(["hello world"])
+        with pytest.raises(ValueError, match="'galaxy'"):
+            tok.encode_texts(["hello", "hello galaxy nebula", "comet"])
+        with pytest.raises(ValueError, match="cannot tokenize empty text"):
+            tok.encode_texts(["hello", " ", "comet"])
+
     def test_encode_decode_round_trip(self):
         tok = Tokenizer.from_texts(["one two three"])
         seq = tok.encode_text("three one")
@@ -99,7 +129,7 @@ class TestTokenizer:
 
     def test_truncation(self):
         tok = Tokenizer.from_texts(["a b c d e"])
-        assert len(tok.encode_text("a b c d e", max_len=3)) == 3
+        assert tok.encode_text("a b c d e", max_len=3).lengths.tolist() == [3]
 
     def test_empty_text_rejected(self):
         tok = Tokenizer.from_texts(["a"])
@@ -116,35 +146,35 @@ class TestToyEncoder:
         enc = small_encoder()
         rng = np.random.default_rng(0)
         for _ in range(20):
-            seq = TokenSequence(tuple(rng.integers(2, 12, size=rng.integers(1, 9))))
+            seq = store([rng.integers(2, 12, size=rng.integers(1, 9))])
             np.testing.assert_allclose(np.linalg.norm(encode(enc, seq)), 1.0, atol=1e-12)
 
     def test_deterministic(self):
         enc = small_encoder()
-        seq = TokenSequence((2, 5, 7))
+        seq = store([(2, 5, 7)])
         np.testing.assert_array_equal(encode(enc, seq), encode(enc, seq))
 
     def test_token_order_irrelevant_under_mean_pooling(self):
         enc = small_encoder()
-        a = encode(enc, TokenSequence((2, 5, 7)))
-        b = encode(enc, TokenSequence((7, 2, 5)))
+        a = encode(enc, store([(2, 5, 7)]))
+        b = encode(enc, store([(7, 2, 5)]))
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_unknown_token_id_rejected(self):
         enc = small_encoder(vocab=6)
         with pytest.raises(ValueError, match="6"):
-            encode(enc, TokenSequence((2, 6)))
+            encode(enc, store([(2, 6)]))
 
     def test_backward_matches_finite_differences(self):
         """Gradients of c . encode(seq) with respect to both parameter
         matrices, checked by central differences."""
         enc = small_encoder(seed=9, vocab=8, dim=4)
-        seq = TokenSequence((2, 3, 3, 7))
+        seq = store([(2, 3, 3, 7)])
         rng = np.random.default_rng(1)
         c = rng.normal(size=4)
 
         grads = zero_grads(enc)
-        _encode_backward(enc, encode_batch(enc, [seq]), c[None, :], grads)
+        _encode_backward(enc, encode_batch(enc, seq), c[None, :], grads)
 
         h = 1e-6
         for name in ("token_table", "projection"):
@@ -162,29 +192,26 @@ class TestToyEncoder:
             np.testing.assert_allclose(grads[name], fd, atol=1e-7)
 
 
-RAGGED = [(2, 3, 3, 7), (7,), (5, 2, 9, 9, 9, 2), (3, 7), (11, 4, 2)]
-
-
 class TestBatchedKernel:
     """The batched forward/backward against the per-sequence oracle."""
 
     def test_forward_matches_oracle_on_ragged_batch(self):
         enc = small_encoder(seed=21)
-        seqs = [TokenSequence(t) for t in RAGGED]
+        seqs = store(RAGGED)
         fwd = encode_batch(enc, seqs)
         assert fwd.embs.shape == (len(seqs), enc.dim)
-        for row, seq in zip(fwd.embs, seqs):
+        for i, (row, seq) in enumerate(zip(fwd.embs, RAGGED)):
             np.testing.assert_allclose(row, oracle_encode(enc, seq), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(encode(enc, seq), row, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(encode(enc, seqs.take([i])), row, rtol=0, atol=1e-14)
 
     def test_backward_matches_oracle_on_ragged_batch(self):
         """Repeated ids within and across sequences, and a sequence given
         twice, all sum into the same token-table rows."""
         enc = small_encoder(seed=22)
-        seqs = [TokenSequence(t) for t in RAGGED] + [TokenSequence(RAGGED[0])]
+        seqs = RAGGED + [RAGGED[0]]
         d_embs = np.random.default_rng(5).normal(size=(len(seqs), enc.dim))
         grads, expected = zero_grads(enc), zero_grads(enc)
-        _encode_backward(enc, encode_batch(enc, seqs), d_embs, grads)
+        _encode_backward(enc, encode_batch(enc, store(seqs)), d_embs, grads)
         for seq, d_emb in zip(seqs, d_embs):
             oracle_backward(enc, seq, d_emb, expected)
         for name in expected:
@@ -208,50 +235,81 @@ class TestBatchedKernel:
         cfg = RunConfig(max_passage_len=5)
         ids, embs = _embed_passages(enc, tok, cfg, passages)
         assert ids == [p.passage_id for p in passages]
-        expected = [oracle_encode(enc, tok.encode_text(p.text, 5)) for p in passages]
+        expected = [oracle_encode(enc, oracle_tokenize(tok, p.text, 5)) for p in passages]
         np.testing.assert_allclose(embs, np.stack(expected), rtol=0, atol=1e-14)
 
     def test_out_of_vocabulary_error_names_first_bad_id(self):
         enc = small_encoder(vocab=6)
-        seqs = [TokenSequence((2, 3)), TokenSequence((4, 8, 6)), TokenSequence((7,))]
+        seqs = store([(2, 3), (4, 8, 6), (7,)])
         with pytest.raises(ValueError, match=r"token id 8 out of vocabulary \(size 6\)"):
             encode_batch(enc, seqs)
+
+    def test_negative_id_rejected(self):
+        enc = small_encoder(vocab=6)
+        with pytest.raises(ValueError, match=r"token id -1 out of vocabulary"):
+            encode_batch(enc, store([(2, 3), (2, -1)]))
+
+    def test_empty_sequence_rejected(self):
+        enc = small_encoder(vocab=6)
+        with pytest.raises(ValueError, match="at least one token"):
+            encode_batch(enc, store([(2, 3), ()]))
 
     def test_zero_norm_embedding_rejected(self):
         """A sequence whose tokens all have zero rows pools to zero; the
         batch is rejected rather than normalised to NaN."""
         enc = small_encoder(seed=23)
-        seqs = [TokenSequence((4, 5)), TokenSequence((2, 3, 2)), TokenSequence((6,))]
+        seqs = store([(4, 5), (2, 3, 2), (6,)])
         encode_batch(enc, seqs)
         enc.token_table[[2, 3]] = 0.0
         with pytest.raises(ValueError, match="encoder produced a zero-norm embedding"):
             encode_batch(enc, seqs)
 
+    def test_infinite_norm_rejected(self):
+        """Finite but huge token rows overflow the norm; dividing by it would
+        give a zero row, so the batch is rejected as non-finite."""
+        enc = small_encoder(seed=23)
+        seqs = store([(4, 5), (2, 3, 2), (6,)])
+        enc.token_table[[2, 3]] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite embedding"):
+            encode_batch(enc, seqs)
+
 
 class TestCorrupt:
     def test_masks_ceil_of_ratio(self):
-        seq = TokenSequence((2, 3, 4, 5, 6))
-        out = corrupt(seq, 0.3, seed=0)
-        assert sum(1 for t in out.tokens if t == MASK_ID) == math.ceil(0.3 * 5)
+        seq = store([(2, 3, 4, 5, 6)])
+        out = corrupt(seq, 0.3, [0])
+        assert int((out.ids == MASK_ID).sum()) == math.ceil(0.3 * 5)
 
     def test_zero_ratio_is_identity(self):
-        seq = TokenSequence((2, 3, 4))
-        assert corrupt(seq, 0.0, seed=1).tokens == seq.tokens
+        seq = store(RAGGED)
+        out = corrupt(seq, 0.0, range(len(RAGGED)))
+        assert rows_of(out) == RAGGED
 
     def test_deterministic_per_seed(self):
-        seq = TokenSequence(tuple(range(2, 22)))
-        assert corrupt(seq, 0.4, seed=7).tokens == corrupt(seq, 0.4, seed=7).tokens
-        assert corrupt(seq, 0.4, seed=7).tokens != corrupt(seq, 0.4, seed=8).tokens
+        seq = store([tuple(range(2, 22))])
+        assert corrupt(seq, 0.4, [7]).ids.tolist() == corrupt(seq, 0.4, [7]).ids.tolist()
+        assert corrupt(seq, 0.4, [7]).ids.tolist() != corrupt(seq, 0.4, [8]).ids.tolist()
 
     def test_unmasked_positions_unchanged(self):
-        seq = TokenSequence(tuple(range(2, 12)))
-        out = corrupt(seq, 0.5, seed=3)
-        for before, after in zip(seq.tokens, out.tokens):
+        seq = store([tuple(range(2, 12))])
+        out = corrupt(seq, 0.5, [3])
+        for before, after in zip(seq.ids, out.ids):
             assert after in (before, MASK_ID)
+        assert out.lengths is seq.lengths
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
-            corrupt(TokenSequence((2,)), 1.0, seed=0)
+            corrupt(store([(2,)]), 1.0, [0])
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.3, 0.5, 0.9])
+    def test_matches_per_sequence_oracle(self, ratio):
+        """Each row gets exactly the mask its own seed gives it alone, on
+        ragged rows with repeats, whatever its neighbours are."""
+        seqs = RAGGED + [RAGGED[2], tuple(range(2, 40))]
+        seeds = np.random.default_rng(11).integers(0, 2**63 - 1, size=len(seqs))
+        out = corrupt(store(seqs), ratio, seeds)
+        assert rows_of(out) == [oracle_corrupt(q, ratio, s) for q, s in zip(seqs, seeds)]
+        assert rows_of(corrupt(store(seqs[3:]), ratio, seeds[3:])) == rows_of(out)[3:]
 
 
 class TestMaeLoss:
@@ -261,22 +319,22 @@ class TestMaeLoss:
         vocab, dim = 9, 4
         enc = ToyEncoder.create(vocab, dim, seed=2)
         dec = MaeDecoder.create(6, dim, vocab, seed=2)
-        seq = TokenSequence((2, 5, 8))
-        value = mae_loss(enc, dec, seq, corrupt(seq, 0.3, seed=0))
+        seq = store([(2, 5, 8)])
+        value = mae_loss(enc, dec, seq, corrupt(seq, 0.3, [0]))
         np.testing.assert_allclose(value, 3 * math.log(vocab), atol=1e-12)
 
     def test_sequence_longer_than_positions_rejected(self):
         enc = ToyEncoder.create(6, 3, seed=0)
         dec = MaeDecoder.create(2, 3, 6, seed=0)
-        seq = TokenSequence((2, 3, 4))
-        with pytest.raises(ValueError):
+        seq = store([(2, 3, 4)])
+        with pytest.raises(ValueError, match="sequence length 3 exceeds decoder positions 2"):
             mae_loss(enc, dec, seq, seq)
 
     def test_length_mismatch_rejected(self):
         enc = ToyEncoder.create(6, 3, seed=0)
         dec = MaeDecoder.create(8, 3, 6, seed=0)
-        with pytest.raises(ValueError):
-            mae_loss(enc, dec, TokenSequence((2, 3)), TokenSequence((2, 3, 4)))
+        with pytest.raises(ValueError, match="clean and corrupted lengths differ: 2 vs 3"):
+            mae_loss(enc, dec, store([(2, 3)]), store([(2, 3, 4)]))
 
     def test_gradients_match_finite_differences(self):
         vocab, dim, positions = 7, 3, 5
@@ -285,10 +343,10 @@ class TestMaeLoss:
         # give the output matrix some structure so its gradient is nontrivial
         rng = np.random.default_rng(8)
         dec.output = rng.normal(0, 0.3, size=dec.output.shape)
-        clean = TokenSequence((2, 6, 3, 5))
-        corrupted = corrupt(clean, 0.4, seed=1)
+        clean = store([(2, 6, 3, 5)])
+        corrupted = corrupt(clean, 0.4, [1])
 
-        _, grads = _mae_forward_backward(enc, dec, [clean], [corrupted])
+        _, grads = _mae_forward_backward(enc, dec, clean, corrupted)
         h = 1e-6
         owners = {"token_table": enc, "projection": enc,
                   "position_table": dec, "output": dec}
@@ -315,13 +373,14 @@ class TestMaeLoss:
         dec = MaeDecoder.create(positions, dim, vocab, seed=6)
         rng = np.random.default_rng(9)
         dec.output = rng.normal(0, 0.3, size=dec.output.shape)
-        cleans = [TokenSequence((2, 6, 3, 5)), TokenSequence((3, 7)),
-                  TokenSequence((5, 3, 3, 4, 6))]
-        corrupteds = [corrupt(c, 0.4, seed=i) for i, c in enumerate(cleans)]
-        assert set(corrupteds[0].tokens) & set(corrupteds[2].tokens) - {MASK_ID}
+        cleans = store([(2, 6, 3, 5), (3, 7), (5, 3, 3, 4, 6)])
+        corrupteds = corrupt(cleans, 0.4, range(3))
+        first, _, third = rows_of(corrupteds)
+        assert set(first) & set(third) - {MASK_ID}
 
         def total():
-            return sum(mae_loss(enc, dec, c, k) for c, k in zip(cleans, corrupteds))
+            return sum(mae_loss(enc, dec, cleans.take([i]), corrupteds.take([i]))
+                       for i in range(len(cleans)))
 
         losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
         np.testing.assert_allclose(sum(losses), total(), rtol=1e-12)
@@ -347,9 +406,9 @@ class TestMaeLoss:
         vocab, dim = 10, 4
         enc = ToyEncoder.create(vocab, dim, seed=5)
         dec = MaeDecoder.create(6, dim, vocab, seed=5)
-        clean = TokenSequence((2, 7, 4, 9))
-        corrupted = corrupt(clean, 0.4, seed=2)
-        (before,), grads = _mae_forward_backward(enc, dec, [clean], [corrupted])
+        clean = store([(2, 7, 4, 9)])
+        corrupted = corrupt(clean, 0.4, [2])
+        (before,), grads = _mae_forward_backward(enc, dec, clean, corrupted)
         for name, owner in (("token_table", enc), ("projection", enc),
                             ("position_table", dec), ("output", dec)):
             setattr(owner, name, getattr(owner, name) - 0.05 * grads[name])
@@ -365,11 +424,9 @@ def mae_batch(vocab, dim, positions, seed):
     dec = MaeDecoder.create(positions, dim, vocab, seed=seed)
     rng = np.random.default_rng(seed)
     dec.output = rng.normal(0, 0.5, size=dec.output.shape)
-    cleans = [TokenSequence((2, 6, 3, 5)), TokenSequence((3, 7)),
-              TokenSequence((5, 3, 3, 4, 6, MASK_ID)), TokenSequence((3, 7)),
-              TokenSequence((vocab - 1,)), TokenSequence((4, 4, 2, 9, 9, 8, 2))]
-    corrupteds = [corrupt(c, 0.4, seed=i) for i, c in enumerate(cleans)]
-    return enc, dec, cleans, corrupteds
+    cleans = store([(2, 6, 3, 5), (3, 7), (5, 3, 3, 4, 6, MASK_ID), (3, 7),
+                    (vocab - 1,), (4, 4, 2, 9, 9, 8, 2)])
+    return enc, dec, cleans, corrupt(cleans, 0.4, range(len(cleans)))
 
 
 class TestMaeKernel:
@@ -395,7 +452,7 @@ class TestMaeKernel:
         """At the default block and a vocabulary large enough for several
         blocks per batch."""
         enc, dec, cleans, corrupteds = mae_batch(60_000, 4, 8, seed=5)
-        assert sum(map(len, cleans)) > encoder.MAE_BLOCK // 60_000
+        assert len(cleans.ids) > encoder.MAE_BLOCK // 60_000
         first = _mae_forward_backward(enc, dec, cleans, corrupteds)
         second = _mae_forward_backward(enc, dec, cleans, corrupteds)
         assert first[0] == second[0]
@@ -438,6 +495,27 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format": "something-else", "version": 1}\n')
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["vocab_size", "dim", "vocab", "has_decoder",
+                                     "max_positions"])
+    def test_header_without_a_key_rejected(self, tmp_path, key):
+        tok = Tokenizer.from_texts(["m n"])
+        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=1)
+        good = tmp_path / "good.bin"
+        save_checkpoint(good, enc, tok, MaeDecoder.create(4, 3, len(tok.id_to_token)))
+        head, body = good.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        del header[key]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: no '{key}'")):
+            load_checkpoint(bad)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.bin"
+        path.write_bytes(b'["checkpoint", 1]\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON object")):
             load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import oracle_step_gradients
 
-from progemb.encoder import MaeDecoder, TokenSequence, Tokenizer, ToyEncoder, encode
+from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
 from progemb.similarity import cosine
 from progemb.training import (
@@ -28,59 +28,56 @@ TEXTS = [
 
 
 def make_fixture(dim=6, seed=0):
+    """Tokenizer, encoder and the store of TEXTS: row k is TEXTS[k]."""
     tok = Tokenizer.from_texts(TEXTS)
     enc = ToyEncoder.create(len(tok.id_to_token), dim, seed=seed)
-    seqs = [tok.encode_text(t) for t in TEXTS]
-    return tok, enc, seqs
+    return tok, enc, tok.encode_texts(TEXTS)
 
 
 class TestTrainingExample:
     def test_negative_count_must_match_ids(self):
-        _, _, seqs = make_fixture()
         with pytest.raises(ValueError):
-            TrainingExample("q", seqs[0], "p", seqs[1], ("n1",), ())
+            TrainingExample("q", 0, "p", 1, ("n1",), ())
 
     def test_positive_among_negatives_rejected(self):
-        _, _, seqs = make_fixture()
         with pytest.raises(ValueError):
-            TrainingExample("q", seqs[0], "p", seqs[1], ("p",), (seqs[2],))
+            TrainingExample("q", 0, "p", 1, ("p",), (2,))
 
     def test_too_many_negatives_rejected(self):
-        _, _, seqs = make_fixture()
         ids = tuple(f"n{i}" for i in range(6))
         with pytest.raises(ValueError):
-            TrainingExample("q", seqs[0], "p", seqs[1], ids, (seqs[2],) * 6)
+            TrainingExample("q", 0, "p", 1, ids, (2,) * 6)
 
 
 class TestBuildBatch:
     def test_pool_layout_and_similarities(self):
         """Candidates are all positives then all hard negatives, and each
         similarity matches a direct cosine of the encoded texts."""
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         examples = [
-            TrainingExample("q0", seqs[0], "p0", seqs[1], ("n0",), (seqs[2],)),
-            TrainingExample("q1", seqs[3], "p1", seqs[4], ("n1",), (seqs[5],)),
+            TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
+            TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         assert batch.cand_ids == ["p0", "p1", "n0", "n1"]
         assert batch.neg.shape == (2, 4)
         for i, ex in enumerate(examples):
-            q = encode(enc, ex.query)
+            q = encode(enc, tokens.take([ex.query]))
             np.testing.assert_allclose(
-                batch.pos[i], cosine(q, encode(enc, ex.positive)), atol=1e-12
+                batch.pos[i], cosine(q, encode(enc, tokens.take([ex.positive]))), atol=1e-12
             )
         np.testing.assert_allclose(
-            batch.neg[0, 2], cosine(encode(enc, seqs[0]), encode(enc, seqs[2])),
+            batch.neg[0, 2], cosine(encode(enc, tokens.take([0])), encode(enc, tokens.take([2]))),
             atol=1e-12,
         )
 
     def test_own_positive_masked_out(self):
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         examples = [
-            TrainingExample("q0", seqs[0], "p0", seqs[1]),
-            TrainingExample("q1", seqs[2], "p1", seqs[3]),
+            TrainingExample("q0", 0, "p0", 1),
+            TrainingExample("q1", 2, "p1", 3),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         assert not batch.neg_mask[0, 0] and not batch.neg_mask[1, 1]
         assert batch.neg_mask[0, 1] and batch.neg_mask[1, 0]
         assert batch.excluded == []
@@ -88,12 +85,12 @@ class TestBuildBatch:
     def test_duplicate_of_own_positive_excluded_and_logged(self):
         """A mined negative that is another query's positive is masked for
         that query only."""
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         examples = [
-            TrainingExample("q0", seqs[0], "pA", seqs[1]),
-            TrainingExample("q1", seqs[2], "pB", seqs[3], ("pA",), (seqs[1],)),
+            TrainingExample("q0", 0, "pA", 1),
+            TrainingExample("q1", 2, "pB", 3, ("pA",), (1,)),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         # slot 2 is q1's mined negative with id pA == q0's positive id
         assert not batch.neg_mask[0, 2]
         assert batch.neg_mask[1, 2]
@@ -102,7 +99,7 @@ class TestBuildBatch:
     def test_mask_and_exclusions_match_pairwise_loop(self):
         """The id comparison gives the mask and the exclusion order of a
         plain loop over (query, slot) pairs, on batches with repeated ids."""
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         rng = np.random.default_rng(7)
         for _ in range(20):
             examples = []
@@ -111,10 +108,10 @@ class TestBuildBatch:
                 others = [k for k in range(6) if k != pid]
                 nids = rng.choice(others, size=int(rng.integers(0, 4)), replace=False)
                 examples.append(TrainingExample(
-                    f"q{i}", seqs[i], f"p{pid}", seqs[pid],
-                    tuple(f"p{k}" for k in nids), tuple(seqs[k] for k in nids),
+                    f"q{i}", i, f"p{pid}", pid,
+                    tuple(f"p{k}" for k in nids), tuple(int(k) for k in nids),
                 ))
-            batch = build_batch(examples, enc)
+            batch = build_batch(examples, tokens, enc)
             mask = np.ones(batch.neg.shape, dtype=bool)
             excluded = []
             for i, ex in enumerate(examples):
@@ -127,27 +124,27 @@ class TestBuildBatch:
             assert batch.excluded == excluded
 
     def test_shared_id_encoded_once(self):
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         examples = [
-            TrainingExample("q0", seqs[0], "pA", seqs[1]),
-            TrainingExample("q1", seqs[2], "pB", seqs[3], ("pA",), (seqs[1],)),
+            TrainingExample("q0", 0, "pA", 1),
+            TrainingExample("q1", 2, "pB", 3, ("pA",), (1,)),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         np.testing.assert_array_equal(batch.cand_embs[0], batch.cand_embs[2])
 
     def test_conflicting_texts_for_one_id_rejected(self):
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         examples = [
-            TrainingExample("q0", seqs[0], "pA", seqs[1]),
-            TrainingExample("q1", seqs[2], "pA", seqs[3]),
+            TrainingExample("q0", 0, "pA", 1),
+            TrainingExample("q1", 2, "pA", 3),
         ]
         with pytest.raises(ValueError, match="pA"):
-            build_batch(examples, enc)
+            build_batch(examples, tokens, enc)
 
     def test_empty_batch_rejected(self):
-        _, enc, _ = make_fixture()
+        _, enc, tokens = make_fixture()
         with pytest.raises(ValueError):
-            build_batch([], enc)
+            build_batch([], tokens, enc)
 
 
 class TestStepGradients:
@@ -155,14 +152,14 @@ class TestStepGradients:
         """End-to-end gradient of the batch loss with respect to encoder
         parameters, coefficients frozen, including a candidate that serves
         as one query's positive and another query's hard negative."""
-        tok, enc, seqs = make_fixture(dim=4, seed=3)
+        tok, enc, tokens = make_fixture(dim=4, seed=3)
         examples = [
-            TrainingExample("q0", seqs[0], "pA", seqs[1], ("n0",), (seqs[2],)),
-            TrainingExample("q1", seqs[3], "pB", seqs[4], ("pA",), (seqs[1],)),
+            TrainingExample("q0", 0, "pA", 1, ("n0",), (2,)),
+            TrainingExample("q1", 3, "pB", 4, ("pA",), (1,)),
         ]
         hyper = HyperParams(tau=0.1)
         state = MomentumState(t=0.4, step=3)
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         value, _, grads = _step_loss_and_gradients(
             batch, enc, state, hyper, "progressive", "sum"
         )
@@ -173,7 +170,7 @@ class TestStepGradients:
         w, a = record.weights, record.scales
 
         def frozen_loss():
-            b = build_batch(examples, enc)
+            b = build_batch(examples, tokens, enc)
             total = 0.0
             for i in range(b.size):
                 terms = [
@@ -203,12 +200,12 @@ class TestStepGradients:
             )
 
     def test_infonce_mode_ignores_coefficients(self):
-        _, enc, seqs = make_fixture(dim=4, seed=5)
+        _, enc, tokens = make_fixture(dim=4, seed=5)
         examples = [
-            TrainingExample("q0", seqs[0], "p0", seqs[1]),
-            TrainingExample("q1", seqs[2], "p1", seqs[3]),
+            TrainingExample("q0", 0, "p0", 1),
+            TrainingExample("q1", 2, "p1", 3),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         hyper = HyperParams(tau=0.5)
         v1, w1, _ = _step_loss_and_gradients(
             batch, enc, MomentumState(), hyper, "infonce", "sum"
@@ -227,17 +224,18 @@ def random_batch_examples(rng, n_queries, n_passages, n_negatives):
     texts = [" ".join(rng.choice(words, size=int(rng.integers(2, 7)))) for _ in range(n_passages)]
     queries = [" ".join(rng.choice(words, size=3)) for _ in range(n_queries)]
     tok = Tokenizer.from_texts(texts + queries)
-    passages = [tok.encode_text(t) for t in texts]
+    # passage k is row k, query i is row n_passages + i
+    tokens = tok.encode_texts(texts + queries)
     examples = []
-    for i, text in enumerate(queries):
+    for i in range(n_queries):
         pid = i % n_passages
         others = [k for k in range(n_passages) if k != pid]
         nids = rng.choice(others, size=n_negatives, replace=False)
         examples.append(TrainingExample(
-            f"q{i}", tok.encode_text(text), f"p{pid}", passages[pid],
-            tuple(f"p{k}" for k in nids), tuple(passages[k] for k in nids),
+            f"q{i}", n_passages + i, f"p{pid}", pid,
+            tuple(f"p{k}" for k in nids), tuple(int(k) for k in nids),
         ))
-    return tok, examples
+    return tok, examples, tokens
 
 
 class TestStepAgainstPoolKernel:
@@ -265,12 +263,12 @@ class TestStepAgainstPoolKernel:
     @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_shared_slot_and_exclusion(self, loss_mode, reduction):
-        _, enc, seqs = make_fixture(dim=4, seed=3)
+        _, enc, tokens = make_fixture(dim=4, seed=3)
         examples = [
-            TrainingExample("q0", seqs[0], "pA", seqs[1], ("n0",), (seqs[2],)),
-            TrainingExample("q1", seqs[3], "pB", seqs[4], ("pA",), (seqs[1],)),
+            TrainingExample("q0", 0, "pA", 1, ("n0",), (2,)),
+            TrainingExample("q1", 3, "pB", 4, ("pA",), (1,)),
         ]
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         assert batch.excluded == [("q0", "pA")]
         self.check(batch, enc, HyperParams(tau=0.1), MomentumState(t=0.4, step=3),
                    loss_mode, reduction)
@@ -279,9 +277,9 @@ class TestStepAgainstPoolKernel:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_batch_of_64_with_five_negatives(self, loss_mode, reduction):
         rng = np.random.default_rng(15)
-        tok, examples = random_batch_examples(rng, 64, 90, 5)
+        tok, examples, tokens = random_batch_examples(rng, 64, 90, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=15)
-        batch = build_batch(examples, enc)
+        batch = build_batch(examples, tokens, enc)
         assert batch.neg.shape == (64, 64 * 6) and batch.excluded
         self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
                    loss_mode, reduction)
@@ -292,12 +290,12 @@ class TestStepZeroNormRule:
     encoder can make one, which it rejects."""
 
     def batch(self):
-        _, enc, seqs = make_fixture(dim=4, seed=14)
+        _, enc, tokens = make_fixture(dim=4, seed=14)
         examples = [
-            TrainingExample("q0", seqs[0], "p0", seqs[1], ("n0",), (seqs[2],)),
-            TrainingExample("q1", seqs[3], "p1", seqs[4], ("n1",), (seqs[5],)),
+            TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
+            TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
         ]
-        return enc, build_batch(examples, enc)
+        return enc, build_batch(examples, tokens, enc)
 
     def step(self, enc, batch):
         return _step_loss_and_gradients(
@@ -318,81 +316,82 @@ class TestStepZeroNormRule:
     def test_zero_norm_encoding_fails_at_its_step(self):
         """The encoder rejects a zero embedding before any similarity is
         formed; fine-tuning reports it with the step that met it."""
-        _, enc, seqs = make_fixture(seed=14)
-        enc.token_table[list(seqs[0].tokens)] = 0.0
+        _, enc, tokens = make_fixture(seed=14)
+        enc.token_table[tokens.take([0]).ids] = 0.0
         with pytest.raises(
             ValueError,
             match=r"fine-tune step \d+ \(epoch 0\): encoder produced a zero-norm embedding",
         ):
-            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 1, batch_size=1, seed=0)
+            finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 1, batch_size=1, seed=0)
 
 
 class TestPretrain:
     def test_curve_length_and_decrease(self):
-        tok, enc, seqs = make_fixture(seed=1)
+        tok, enc, tokens = make_fixture(seed=1)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=1)
-        result = pretrain(seqs, enc, dec, 12, mask_ratio=0.3, batch_size=3,
+        result = pretrain(tokens, enc, dec, 12, mask_ratio=0.3, batch_size=3,
                           lr=0.05, seed=0)
         assert len(result.epoch_losses) == 12
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
     def test_epoch_zero_is_a_no_op(self):
-        tok, enc, seqs = make_fixture(seed=2)
+        tok, enc, tokens = make_fixture(seed=2)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=2)
         before = enc.token_table.copy()
-        result = pretrain(seqs, enc, dec, 0, seed=0)
+        result = pretrain(tokens, enc, dec, 0, seed=0)
         assert result.epoch_losses == []
         np.testing.assert_array_equal(enc.token_table, before)
 
     def test_deterministic_per_seed(self):
         losses = []
         for _ in range(2):
-            tok, enc, seqs = make_fixture(seed=4)
+            tok, enc, tokens = make_fixture(seed=4)
             dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=4)
-            result = pretrain(seqs, enc, dec, 3, batch_size=2, lr=0.02, seed=9)
+            result = pretrain(tokens, enc, dec, 3, batch_size=2, lr=0.02, seed=9)
             losses.append(result.epoch_losses)
         assert losses[0] == losses[1]
 
     def test_empty_corpus_rejected(self):
-        tok, enc, _ = make_fixture()
+        tok, enc, tokens = make_fixture()
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=0)
         with pytest.raises(ValueError):
-            pretrain([], enc, dec, 1)
+            pretrain(tokens.take([]), enc, dec, 1)
 
     def test_injected_nan_names_its_step(self):
         """A NaN in the output matrix gives a NaN loss; the run stops at that
         step and leaves the parameters as they were."""
-        tok, enc, seqs = make_fixture(seed=3)
+        tok, enc, tokens = make_fixture(seed=3)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=3)
         dec.output[0, 5] = np.nan
         before = enc.token_table.copy()
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=r"pretrain step 0 \(epoch 0\): non-finite reconstruction loss"
         ):
-            pretrain(seqs, enc, dec, 2, batch_size=3, seed=0)
+            pretrain(tokens, enc, dec, 2, batch_size=3, seed=0)
         np.testing.assert_array_equal(enc.token_table, before)
 
     def test_non_finite_update_names_its_step(self):
-        tok, enc, seqs = make_fixture(seed=3)
+        tok, enc, tokens = make_fixture(seed=3)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=3)
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=r"pretrain step \d+ \(epoch 0\): non-finite \w+ after the update"
         ):
-            pretrain(seqs, enc, dec, 2, batch_size=3, lr=1e308, optimizer="sgd", seed=0)
+            pretrain(tokens, enc, dec, 2, batch_size=3, lr=1e308, optimizer="sgd", seed=0)
 
 
-def tiny_dataset(seqs):
+def tiny_dataset():
+    """Three examples over the rows of make_fixture's store."""
     return [
-        TrainingExample("q0", seqs[0], "p0", seqs[1], ("n0",), (seqs[2],)),
-        TrainingExample("q1", seqs[3], "p1", seqs[4], ("n1",), (seqs[5],)),
-        TrainingExample("q2", seqs[2], "p2", seqs[5]),
+        TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
+        TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
+        TrainingExample("q2", 2, "p2", 5),
     ]
 
 
 class TestFinetune:
     def test_audit_row_per_step(self):
-        _, enc, seqs = make_fixture(seed=6)
-        result = finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 4,
+        _, enc, tokens = make_fixture(seed=6)
+        result = finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 4,
                           batch_size=2, lr=0.01, seed=0)
         assert len(result.audit) == 4 * 2
         assert [a.step for a in result.audit] == list(range(8))
@@ -401,8 +400,8 @@ class TestFinetune:
         """t in the audit follows the momentum recursion driven by the
         batch means recovered from the sigma column."""
         hyper = HyperParams(alpha=0.5, beta=0.1, tau=0.1)
-        _, enc, seqs = make_fixture(seed=7)
-        result = finetune(tiny_dataset(seqs), enc, hyper, 5, batch_size=2,
+        _, enc, tokens = make_fixture(seed=7)
+        result = finetune(tiny_dataset(), tokens, enc, hyper, 5, batch_size=2,
                           lr=0.01, seed=1)
         t = 0.0
         for row in result.audit:
@@ -411,47 +410,47 @@ class TestFinetune:
             np.testing.assert_allclose(row.t, t, atol=1e-12)
 
     def test_momentum_history_matches_audit(self):
-        _, enc, seqs = make_fixture(seed=8)
-        result = finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 3,
+        _, enc, tokens = make_fixture(seed=8)
+        result = finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 3,
                           batch_size=3, lr=0.01, seed=2)
         assert [s.t for s in result.momentum_history] == [a.t for a in result.audit]
 
     def test_deterministic_with_fallback_optimizer(self):
         finals = []
         for _ in range(2):
-            _, enc, seqs = make_fixture(seed=10)
-            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 3,
+            _, enc, tokens = make_fixture(seed=10)
+            finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 3,
                      batch_size=2, lr=0.05, optimizer="sgd", seed=3)
             finals.append((enc.token_table.copy(), enc.projection.copy()))
         np.testing.assert_array_equal(finals[0][0], finals[1][0])
         np.testing.assert_array_equal(finals[0][1], finals[1][1])
 
     def test_training_pulls_positives_closer(self):
-        _, enc, seqs = make_fixture(seed=11)
-        examples = tiny_dataset(seqs)
-        before = np.mean(build_batch(examples, enc).pos)
-        finetune(examples, enc, HyperParams(tau=0.1), 30, batch_size=3,
+        _, enc, tokens = make_fixture(seed=11)
+        examples = tiny_dataset()
+        before = np.mean(build_batch(examples, tokens, enc).pos)
+        finetune(examples, tokens, enc, HyperParams(tau=0.1), 30, batch_size=3,
                  lr=0.05, optimizer="sgd", seed=4)
-        after = np.mean(build_batch(examples, enc).pos)
+        after = np.mean(build_batch(examples, tokens, enc).pos)
         assert after > before
 
     def test_epochs_zero_is_a_no_op(self):
-        _, enc, seqs = make_fixture(seed=12)
+        _, enc, tokens = make_fixture(seed=12)
         before = enc.projection.copy()
-        result = finetune(tiny_dataset(seqs), enc, HyperParams(), 0, seed=0)
+        result = finetune(tiny_dataset(), tokens, enc, HyperParams(), 0, seed=0)
         assert result.audit == []
         np.testing.assert_array_equal(enc.projection, before)
 
     def test_unknown_loss_mode_rejected(self):
-        _, enc, seqs = make_fixture()
+        _, enc, tokens = make_fixture()
         with pytest.raises(ValueError, match="loss_mode"):
-            finetune(tiny_dataset(seqs), enc, HyperParams(), 1, loss_mode="triplet")
+            finetune(tiny_dataset(), tokens, enc, HyperParams(), 1, loss_mode="triplet")
 
     def test_initial_momentum_state_respected(self):
         hyper = HyperParams(alpha=0.5, beta=0.1, tau=0.1)
-        _, enc, seqs = make_fixture(seed=13)
+        _, enc, tokens = make_fixture(seed=13)
         start = MomentumState(t=0.8, step=100)
-        result = finetune(tiny_dataset(seqs), enc, hyper, 1, batch_size=3,
+        result = finetune(tiny_dataset(), tokens, enc, hyper, 1, batch_size=3,
                           lr=0.01, seed=5, initial_state=start)
         row = result.audit[0]
         expected = hyper.alpha * (row.sigma + hyper.beta) + (1 - hyper.alpha) * 0.8
@@ -461,19 +460,19 @@ class TestFinetune:
     def test_injected_nan_names_its_step(self):
         """A NaN in the projection gives NaN similarities and a NaN loss; the
         run stops at that step and leaves the parameters as they were."""
-        _, enc, seqs = make_fixture(seed=16)
+        _, enc, tokens = make_fixture(seed=16)
         enc.projection[0, 0] = np.nan
         before = enc.token_table.copy()
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=r"fine-tune step 0 \(epoch 0\): non-finite contrastive loss"
         ):
-            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 2, batch_size=2, seed=0)
+            finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2, seed=0)
         np.testing.assert_array_equal(enc.token_table, before)
 
     def test_non_finite_update_names_its_step(self):
-        _, enc, seqs = make_fixture(seed=16)
+        _, enc, tokens = make_fixture(seed=16)
         with np.errstate(all="ignore"), pytest.raises(
             ValueError, match=r"fine-tune step \d+ \(epoch 0\): non-finite \w+ after the update"
         ):
-            finetune(tiny_dataset(seqs), enc, HyperParams(tau=0.1), 2, batch_size=2,
+            finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2,
                      lr=1e308, optimizer="sgd", seed=0)
