@@ -98,6 +98,14 @@ def _need(path, row: Mapping, *keys: str):
     return [row[k] for k in keys]
 
 
+def _need_strings(path, row: Mapping, *keys: str):
+    values = _need(path, row, *keys)
+    for key, value in zip(keys, values):
+        if not isinstance(value, str):
+            raise ValueError(f"{path}: row key {key!r} must be a string, got {value!r}")
+    return values
+
+
 # --- corpus ---------------------------------------------------------------
 
 def write_corpus(path, passages: Iterable[Passage]) -> None:
@@ -116,7 +124,7 @@ def read_corpus(path) -> list[Passage]:
     out = []
     seen = set()
     for row in rows:
-        pid, text, doc = _need(path, row, "id", "text", "source_doc")
+        pid, text, doc = _need_strings(path, row, "id", "text", "source_doc")
         if pid in seen:
             raise ValueError(f"{path}: duplicate passage id {pid!r}")
         seen.add(pid)
@@ -144,9 +152,12 @@ def read_dataset(path) -> list[DatasetRow]:
     out = []
     seen = set()
     for row in rows:
-        qid, query, pid, negs = _need(
-            path, row, "query_id", "query", "positive_id", "negative_ids"
-        )
+        qid, query, pid = _need_strings(path, row, "query_id", "query", "positive_id")
+        (negs,) = _need(path, row, "negative_ids")
+        if not isinstance(negs, list) or not all(isinstance(n, str) for n in negs):
+            raise ValueError(
+                f"{path}: row key 'negative_ids' must be a list of strings, got {negs!r}"
+            )
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)
@@ -193,7 +204,7 @@ def read_queries(path) -> list[tuple[str, str]]:
     out = []
     seen = set()
     for row in rows:
-        qid, text = _need(path, row, "query_id", "text")
+        qid, text = _need_strings(path, row, "query_id", "text")
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)

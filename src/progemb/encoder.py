@@ -11,8 +11,10 @@ lengths, built by `Tokenizer.encode_texts`. `encode_batch` checks a store's
 ids once, pools by segment sums, then projects and normalizes all rows;
 `_encode_backward` is one projection matmul and one token-table scatter-add.
 `corrupt` masks a whole store, one seed per row. `_mae_forward_backward`
-scores all token positions of a chunk in row blocks of at most MAE_BLOCK
-logits, with one exp per logit. `encode` and `mae_loss` take one-row stores.
+uses that a token's logits are its sequence's row plus its position's row:
+it scores a chunk of N sequences and L positions from (N + L)-row products
+over vocabulary column blocks of at most MAE_BLOCK entries, not from its T
+token rows. `encode` and `mae_loss` take one-row stores.
 """
 
 from __future__ import annotations
@@ -47,11 +49,16 @@ PAD_ID = 0
 MASK_ID = 1
 _RESERVED = ("<pad>", "<mask>")
 
-# logits per decoder row block (4 MB of float64); bounds the block's memory
-MAE_BLOCK = 1 << 19
+# entries per decoder column block, (N + L) rows by cols (256 KB of float64)
+MAE_BLOCK = 1 << 15
+# a factored softmax sum below this may have lost its leading terms to underflow
+_MIN_SUM = 2.0 ** -900
 
 CHECKPOINT_MAGIC = "checkpoint"
 CHECKPOINT_VERSION = 1
+# exact JSON types of the header's shape keys; `type(...) is int` refuses a bool
+_HEADER_TYPES = {"vocab_size": int, "dim": int, "max_positions": int,
+                 "vocab": list, "has_decoder": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +309,20 @@ def mae_loss(enc: ToyEncoder, dec: MaeDecoder, clean: Tokens, corrupted: Tokens)
 def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     """Per-row losses plus the gradients of their sum for all four matrices.
 
-    One encoder forward and backward per batch. The decoder takes all T token
-    rows as one (T, d) input; per row block, 1/sum is folded into the (rows, d)
-    operands of both gradient products, and the one-hot part comes after.
+    One encoder forward and backward per chunk. x stacks the N embeddings
+    over the first L position rows, and token (i, p)'s logits are
+    x[i] W + x[N + p] W. With e = exp(x W - m) for the row maxima m of x W,
+    the split into e_a = e[:N] and e_b = e[N:] gives:
+    - token (i, p)'s softmax sum, S[i, p] = e_a[i] . e_b[p];
+    - its loss, log S[i, p] + m[i] + m[N + p] - its target's logit;
+    - its probabilities summed over positions, e_a * (R @ e_b), and over
+      sequences, e_b * (R^T @ e_a), with R = 1 / S on the chunk's tokens.
+    Stacked as P, these give the output gradient x^T P and the input
+    gradient P W^T, minus the one-hot parts. The vocabulary is walked twice
+    in column blocks of at most MAE_BLOCK (N + L, cols) entries: first to
+    accumulate S, rescaled online as the maxima grow, then to write P's
+    products. A token whose S falls below _MIN_SUM may have lost its
+    leading terms to underflow; it takes its own row softmax instead.
     """
     for n, m in zip(clean.lengths.tolist(), corrupted.lengths.tolist(), strict=True):
         if n != m:
@@ -315,28 +333,61 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     targets, lengths, starts = clean.ids, clean.lengths, clean.starts
     fwd = encode_batch(enc, corrupted)
     grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
+    n, w = len(lengths), dec.output
+    seqs = np.repeat(np.arange(n), lengths)
     positions = np.arange(len(targets)) - np.repeat(starts, lengths)
-    z = np.repeat(fwd.embs, lengths, axis=0) + dec.position_table[positions]
-    w = dec.output
-    step = max(1, MAE_BLOCK // w.shape[1])
-    block = np.empty((min(step, len(z)), w.shape[1]))
-    row_losses, dz = np.empty(len(z)), np.empty_like(z)
-    for lo in range(0, len(z), step):
-        hi = min(lo + step, len(z))
-        zb, e = z[lo:hi], block[: hi - lo]
-        np.matmul(zb, w, out=e)
-        e -= e.max(axis=1, keepdims=True)
-        picked = e[np.arange(hi - lo), targets[lo:hi]]
+    x = np.concatenate([fwd.embs, dec.position_table[: lengths.max()]])
+    cols = max(1, MAE_BLOCK // len(x))
+    blocks = [slice(lo, lo + cols) for lo in range(0, w.shape[1], cols)]
+    m, s = np.full(len(x), -np.inf), np.zeros((n, len(x) - n))
+    for blk in blocks:
+        e = x @ w[:, blk]
+        top = np.maximum(m, e.max(axis=1))
+        shrink, m = np.exp(m - top), top
+        s *= shrink[:n, None] * shrink[None, n:]
+        e -= m[:, None]
         np.exp(e, out=e)
-        s = e.sum(axis=1)
-        row_losses[lo:hi] = np.log(s) - picked
-        grads["output"] += (zb / s[:, None]).T @ e
-        dz[lo:hi] = (e @ w.T) / s[:, None]
-    # the one-hot part of softmax - onehot, once for the whole batch
+        s += e[:n] @ e[n:].T
+    sums = s[seqs, positions]
+    factored = sums >= _MIN_SUM
+    r = np.zeros_like(s)
+    r[seqs[factored], positions[factored]] = 1.0 / sums[factored]
+    dx = np.zeros_like(x)
+    for blk in blocks:
+        e = x @ w[:, blk]
+        e -= m[:, None]
+        np.exp(e, out=e)
+        to_seqs, to_positions = r @ e[n:], r.T @ e[:n]
+        e[:n] *= to_seqs
+        e[n:] *= to_positions
+        grads["output"][:, blk] = x.T @ e
+        dx += e @ w[:, blk].T
+    z = x[seqs] + x[n + positions]
+    w_targets = w.T[targets]
+    picked = np.einsum("td,td->t", z, w_targets)
+    row_losses = np.empty(len(targets))
+    row_losses[factored] = (np.log(sums[factored]) + m[seqs[factored]]
+                            + m[n + positions[factored]] - picked[factored])
+    # each token's input gradient beyond dx: its one-hot part, plus its softmax if direct
+    dz = -w_targets
+    direct = np.flatnonzero(~factored)
+    step = max(1, MAE_BLOCK // w.shape[1])
+    for lo in range(0, len(direct), step):
+        rows = direct[lo : lo + step]
+        e = z[rows] @ w
+        top = e.max(axis=1, keepdims=True)
+        e -= top
+        np.exp(e, out=e)
+        total = e.sum(axis=1, keepdims=True)
+        e /= total
+        row_losses[rows] = np.log(total[:, 0]) + top[:, 0] - picked[rows]
+        grads["output"] += z[rows].T @ e
+        dz[rows] += e @ w.T
+    # the output gradient's one-hot part, once for the whole chunk
     np.subtract.at(grads["output"].T, targets, z)
-    dz -= w.T[targets]
-    np.add.at(grads["position_table"], positions, dz)
-    _encode_backward(enc, fwd, np.add.reduceat(dz, starts, axis=0), grads)
+    np.add.at(dx, n + positions, dz)
+    grads["position_table"][: len(x) - n] += dx[n:]
+    _encode_backward(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0), grads)
     return np.add.reduceat(row_losses, starts).tolist(), grads
 
 
@@ -402,6 +453,12 @@ def load_checkpoint(path) -> Checkpoint:
     for key in keys:
         if key not in header:
             raise ValueError(f"corrupt checkpoint header in {path}: no {key!r}")
+    for key, kind in _HEADER_TYPES.items():
+        if key in header and type(header[key]) is not kind:
+            raise ValueError(f"corrupt checkpoint header in {path}: {key!r} must be "
+                             f"{kind.__name__}, got {type(header[key]).__name__}")
+    if not all(type(t) is str for t in header["vocab"]):
+        raise ValueError(f"corrupt checkpoint header in {path}: 'vocab' holds a non-string")
     v, d = header["vocab_size"], header["dim"]
     vocab = tuple(header["vocab"])
     if len(vocab) != v:

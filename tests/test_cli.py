@@ -4,6 +4,7 @@ Each test drives main(argv) in-process against files in tmp_path, then
 inspects exit codes and the files written under the output directory.
 """
 
+import json
 import math
 import os
 import sys
@@ -192,6 +193,17 @@ class TestPretrain:
                                optimizer=optimizer)
         assert rc == 1
         assert "error: pretrain step " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_text_that_is_not_a_string_is_validation_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        dataio.write_corpus(corpus, corpus_passages(3))
+        lines = corpus.read_text().splitlines()
+        lines[2] = json.dumps({"id": "d1", "source_doc": "src", "text": 123})
+        corpus.write_text("\n".join(lines) + "\n")
+        rc, out = self.run(tmp_path)
+        assert rc == 1
+        assert f"{corpus}: row key 'text' must be a string, got 123" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -528,6 +540,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{empty}: gallery has no records" in err
         assert not (out / "metrics.jsonl").exists()
+
+    def test_checkpoint_header_with_a_mistyped_dim_is_validation_error(self, tmp_path, capsys):
+        cfg, out = self.setup_inputs(tmp_path)
+        ckpt = tmp_path / "ckpt.bin"
+        head, body = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["dim"] = str(header["dim"])
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        assert main(["evaluate", "--config", cfg]) == 1
+        assert f"{ckpt}: 'dim' must be int, got str" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, _ = self.setup_inputs(tmp_path)

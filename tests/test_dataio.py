@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the on-disk formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestCorpus:
         with pytest.raises(ValueError, match="source_doc"):
             read_corpus(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("id", 7), ("text", 123), ("text", None), ("source_doc", ["d"]),
+    ])
+    def test_field_that_is_not_a_string_rejected(self, tmp_path, key, value):
+        row = {"id": "p0", "text": "a", "source_doc": "d", key: value}
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [])
+        with open(path, "a") as fh:
+            fh.write(json.dumps(row) + "\n")
+        message = f"{path}: row key '{key}' must be a string"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_corpus(path)
+
     def test_writes_are_deterministic(self, tmp_path):
         passages = [Passage("p0", "some text", "doc")]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -134,6 +148,20 @@ class TestDataset:
         path = tmp_path / "dataset.jsonl"
         write_dataset(path, rows)
         with pytest.raises(ValueError, match="duplicate query id"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("query_id", 0, "a string"), ("query", 1.5, "a string"),
+        ("positive_id", None, "a string"), ("negative_ids", "n0", "a list of strings"),
+        ("negative_ids", ["n0", 3], "a list of strings"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, tmp_path, key, value, expected):
+        row = {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": ["n0"]}
+        row[key] = value
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(path, [row])
+        message = f"{path}: row key '{key}' must be {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_dataset(path)
 
     def test_provenance_optional(self, tmp_path):
@@ -174,6 +202,16 @@ class TestQrelsAndQueries:
         path = tmp_path / "queries.jsonl"
         write_queries(path, pairs)
         assert read_queries(path) == pairs
+
+    @pytest.mark.parametrize("key, value", [("query_id", 4), ("text", ["a", "b"])])
+    def test_query_field_that_is_not_a_string_rejected(self, tmp_path, key, value):
+        row = {"query_id": "q0", "text": "a", key: value}
+        path = tmp_path / "queries.jsonl"
+        path.write_text(json.dumps({"format": "queries", "version": 1}) + "\n"
+                        + json.dumps(row) + "\n")
+        message = f"{path}: row key '{key}' must be a string"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_queries(path)
 
     def test_duplicate_query_id_rejected(self, tmp_path):
         path = tmp_path / "queries.jsonl"

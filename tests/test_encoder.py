@@ -429,17 +429,32 @@ def mae_batch(vocab, dim, positions, seed):
     return enc, dec, cleans, corrupt(cleans, 0.4, range(len(cleans)))
 
 
-class TestMaeKernel:
-    """The row-blocked decoder kernel against the per-sequence oracle."""
+def factored_log_sums(enc, dec, cleans, corrupteds):
+    """log of each token's softmax sum over its factors exp(a - max a) and
+    exp(b - max b); a token below -900 * log(2), about -624, takes the
+    kernel's direct row softmax."""
+    a = encode_batch(enc, corrupteds).embs @ dec.output
+    b = dec.position_table[: cleans.lengths.max()] @ dec.output
+    seqs = np.repeat(np.arange(len(cleans)), cleans.lengths)
+    positions = np.arange(len(cleans.ids)) - np.repeat(cleans.starts, cleans.lengths)
+    logits = a[seqs] + b[positions]
+    top = logits.max(axis=1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    return lse - a.max(axis=1)[seqs] - b.max(axis=1)[positions]
 
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 3])
-    def test_matches_oracle(self, monkeypatch, rows_per_block):
-        """At the default block, one row per block, and three rows per
-        block, so that blocks split sequences."""
+
+class TestMaeKernel:
+    """The column-blocked decoder kernel against the per-sequence oracle."""
+
+    @pytest.mark.parametrize("cols_per_block", [None, 1, 3])
+    def test_matches_oracle(self, monkeypatch, cols_per_block):
+        """At the default block, one vocabulary column per block, and three
+        columns per block, so that blocks split V."""
         vocab = 40
-        if rows_per_block is not None:
-            monkeypatch.setattr(encoder, "MAE_BLOCK", rows_per_block * vocab)
         enc, dec, cleans, corrupteds = mae_batch(vocab, 5, 8, seed=3)
+        if cols_per_block is not None:
+            rows = len(cleans) + cleans.lengths.max()
+            monkeypatch.setattr(encoder, "MAE_BLOCK", cols_per_block * rows)
         losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
         want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
@@ -448,11 +463,32 @@ class TestMaeKernel:
             np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12,
                                        err_msg=f"gradient mismatch for {name}")
 
+    @pytest.mark.parametrize("scale, direct", [(20_000, "all"), (1_000, "some")])
+    def test_underflowing_tokens_match_oracle(self, scale, direct):
+        """Logits spanning thousands of nats: a token whose factored sum
+        underflows takes its own row softmax. At the larger scale every
+        token does; at the smaller one some tokens of the chunk do and the
+        rest stay factored."""
+        enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
+        dec.output *= scale
+        log_sums = factored_log_sums(enc, dec, cleans, corrupteds)
+        if direct == "all":
+            assert (log_sums < -650).all()
+        else:
+            assert (log_sums < -650).any() and (log_sums > -550).any()
+        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
+        for name in grads:
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=0,
+                                       atol=1e-12 * np.abs(want_grads[name]).max(),
+                                       err_msg=f"gradient mismatch for {name}")
+
     def test_rerun_is_byte_identical(self):
         """At the default block and a vocabulary large enough for several
-        blocks per batch."""
+        column blocks per chunk."""
         enc, dec, cleans, corrupteds = mae_batch(60_000, 4, 8, seed=5)
-        assert len(cleans.ids) > encoder.MAE_BLOCK // 60_000
+        assert (len(cleans) + cleans.lengths.max()) * 60_000 > 4 * encoder.MAE_BLOCK
         first = _mae_forward_backward(enc, dec, cleans, corrupteds)
         second = _mae_forward_backward(enc, dec, cleans, corrupteds)
         assert first[0] == second[0]
@@ -510,6 +546,24 @@ class TestCheckpoint:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(ValueError, match=re.escape(f"{bad}: no '{key}'")):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("vocab_size", 6.0), ("vocab_size", True), ("dim", "3"), ("dim", None),
+        ("max_positions", 4.0), ("vocab", "abcdef"), ("vocab", ["<pad>", 1, "m", "n"]),
+        ("has_decoder", 1),
+    ])
+    def test_header_with_a_mistyped_key_rejected(self, tmp_path, key, value):
+        tok = Tokenizer.from_texts(["m n"])
+        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=1)
+        good = tmp_path / "good.bin"
+        save_checkpoint(good, enc, tok, MaeDecoder.create(4, 3, len(tok.id_to_token)))
+        head, body = good.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header[key] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: '{key}'")):
             load_checkpoint(bad)
 
     def test_header_that_is_not_an_object_rejected(self, tmp_path):
