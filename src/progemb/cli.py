@@ -48,7 +48,7 @@ from .training import TrainingExample, finetune, pretrain
 
 __all__ = ["main"]
 
-# passages tokenized and encoded per kernel call; bounds the flat token block
+# passages encoded per kernel call; bounds the kernel's gathered token block
 EMBED_BLOCK = 128
 
 
@@ -122,13 +122,17 @@ def _encode_query(enc, tok: Tokenizer, cfg: RunConfig, text: str) -> np.ndarray:
     return encode(enc, tok.encode_text(_query_text(cfg, text), cfg.max_query_len))
 
 
-def _embed_passages(enc, tok: Tokenizer, cfg: RunConfig, passages):
-    """Passage ids and embeddings, one kernel call per EMBED_BLOCK passages."""
+def _passage_tokens(tok: Tokenizer, cfg: RunConfig, passages) -> Tokens:
+    return tok.encode_texts([p.text for p in passages], cfg.max_passage_len)
+
+
+def _embed_passages(enc, tokens: Tokens, passages):
+    """Passage ids and embeddings from the passages' token store (row k is
+    passage k), one kernel call per EMBED_BLOCK passages."""
     embs = np.empty((len(passages), enc.dim))
     for start in range(0, len(passages), EMBED_BLOCK):
-        block = passages[start : start + EMBED_BLOCK]
-        tokens = tok.encode_texts([p.text for p in block], cfg.max_passage_len)
-        embs[start : start + len(block)] = encode_batch(enc, tokens).embs
+        rows = np.arange(start, min(start + EMBED_BLOCK, len(passages)))
+        embs[rows] = encode_batch(enc, tokens.take(rows)).embs
     return [p.passage_id for p in passages], embs
 
 
@@ -198,7 +202,7 @@ def cmd_mine(cfg: RunConfig) -> None:
     if not passages:
         raise ValueError(f"{cfg.corpus_path}: no passages after splitting")
     texts = {p.passage_id: p.text for p in passages}
-    ids, embs = _embed_passages(enc, tok, cfg, passages)
+    ids, embs = _embed_passages(enc, _passage_tokens(tok, cfg, passages), passages)
 
     queries: list[tuple[str, str]] = []
     positives: dict[str, str] = {}
@@ -320,7 +324,9 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         raise ValueError(f"{cfg.gallery_path}: gallery has no records")
     query_rows = dataio.read_queries(_require(cfg.queries_path, "queries_path"))
     qrels = dataio.read_qrels(_require(cfg.qrels_path, "qrels_path"))
-    gallery_ids, gallery_embs = _embed_passages(ckpt.encoder, ckpt.tokenizer, cfg, gallery)
+    gallery_ids, gallery_embs = _embed_passages(
+        ckpt.encoder, _passage_tokens(ckpt.tokenizer, cfg, gallery), gallery
+    )
     queries = []
     for qid, text in query_rows:
         try:
@@ -362,6 +368,7 @@ def cmd_bench(cfg: RunConfig) -> None:
         rows = [dataio.DatasetRow(q.query_id, q.text, q.positive_id, (), {}) for q in data.train]
         examples, tokens = _training_set(rows, data.passages, tok, cfg)
         init = ToyEncoder.create(len(tok.id_to_token), cfg.embed_dim, seed=seed)
+        gallery = _passage_tokens(tok, cfg, data.passages)
         for mode in ("progressive", "infonce"):
             enc = ToyEncoder(
                 token_table=init.token_table.copy(),
@@ -380,7 +387,7 @@ def cmd_bench(cfg: RunConfig) -> None:
                 loss_mode=mode,
                 seed=seed,
             )
-            gallery_ids, gallery_embs = _embed_passages(enc, tok, cfg, data.passages)
+            gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)
             queries = [
                 (q.query_id, _encode_query(enc, tok, cfg, q.text)) for q in data.heldout
             ]

@@ -4,7 +4,8 @@ Every text file starts with a header line {"format": ..., "version": 1};
 readers reject a wrong format name or an unknown version outright. Rows are
 serialized with sorted keys so identical runs produce byte-identical files.
 Embeddings live in a binary file with the same JSON header line followed by
-a raw little-endian float64 block.
+a raw little-endian float64 block. Every writer replaces its file
+atomically: a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .encoder import _atomic_open
 from .evaluation import METRICS, MetricReport
 from .mining import Passage
 from .training import StepAudit
@@ -56,7 +58,7 @@ def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header=None) -> N
     header = {"format": fmt, "version": FORMAT_VERSION}
     if extra_header:
         header.update(extra_header)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w") as fh:
         fh.write(_dump(header) + "\n")
         for row in rows:
             fh.write(_dump(row) + "\n")
@@ -371,7 +373,7 @@ def write_embeddings(path, ids: Sequence[str], matrix: np.ndarray) -> None:
         "itemsize": 8,
         "ids": list(ids),
     }
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(_dump(header).encode("utf-8") + b"\n")
         fh.write(matrix.tobytes(order="C"))
 

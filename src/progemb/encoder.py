@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,6 +53,8 @@ _RESERVED = ("<pad>", "<mask>")
 
 # entries per decoder column block, (N + L) rows by cols (256 KB of float64)
 MAE_BLOCK = 1 << 15
+# entries per flat scatter index block (512 KB of intp)
+SCATTER_BLOCK = 1 << 16
 # a factored softmax sum below this may have lost its leading terms to underflow
 _MIN_SUM = 2.0 ** -900
 
@@ -269,6 +273,26 @@ def encode(enc: ToyEncoder, tokens: Tokens) -> np.ndarray:
     return encode_batch(enc, tokens).embs[0]
 
 
+def _scatter(ufunc, table: np.ndarray, index, values: np.ndarray) -> None:
+    """``ufunc.at(table, index, values)`` for a 2-D table, as one flat 1-D
+    ``ufunc.at``: row index[k] of the table takes row k of values.
+
+    The flat updates run in the 2-D call's order, so the result is
+    bit-identical, and they go through the table's strides, so a
+    transposed view is updated in place. The flat index is built for
+    SCATTER_BLOCK entries at a time.
+    """
+    item = table.itemsize
+    row, col = table.strides[0] // item, table.strides[1] // item
+    span = (table.shape[0] - 1) * row + (table.shape[1] - 1) * col + 1
+    flat = np.lib.stride_tricks.as_strided(table, shape=(span,), strides=(item,))
+    index, cols = np.asarray(index), np.arange(table.shape[1]) * col
+    step = max(1, SCATTER_BLOCK // table.shape[1])
+    for lo in range(0, len(index), step):
+        at = index[lo : lo + step, None] * row + cols
+        ufunc.at(flat, at.reshape(-1), values[lo : lo + step].reshape(-1))
+
+
 def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
     """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
     e, lengths = fwd.embs, fwd.tokens.lengths
@@ -276,7 +300,7 @@ def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, gra
     du = (d_embs - (d_embs * e).sum(axis=1, keepdims=True) * e) / fwd.norms[:, None]
     grads["projection"] += fwd.pooled.T @ du
     d_pooled = (du @ enc.projection.T) / lengths[:, None]
-    np.add.at(grads["token_table"], fwd.tokens.ids, np.repeat(d_pooled, lengths, axis=0))
+    _scatter(np.add, grads["token_table"], fwd.tokens.ids, np.repeat(d_pooled, lengths, axis=0))
 
 
 def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:
@@ -384,8 +408,8 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         grads["output"] += z[rows].T @ e
         dz[rows] += e @ w.T
     # the output gradient's one-hot part, once for the whole chunk
-    np.subtract.at(grads["output"].T, targets, z)
-    np.add.at(dx, n + positions, dz)
+    _scatter(np.subtract, grads["output"].T, targets, z)
+    _scatter(np.add, dx, n + positions, dz)
     grads["position_table"][: len(x) - n] += dx[n:]
     _encode_backward(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0), grads)
     return np.add.reduceat(row_losses, starts).tolist(), grads
@@ -398,6 +422,22 @@ class Checkpoint:
     decoder: MaeDecoder | None = None
 
 
+@contextmanager
+def _atomic_open(path, mode: str):
+    """Open a temporary file beside ``path`` for writing. On a clean exit it
+    replaces ``path`` in one ``os.replace``; on an error it is removed, so
+    ``path`` keeps its previous content and no partial file is left."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: MaeDecoder | None = None):
     """Write a versioned checkpoint.
 
@@ -405,7 +445,8 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
     then the parameter matrices as raw little-endian float64 in C order, in
     the fixed order token_table, projection, and, when a decoder is present,
     position_table, output. The encoding is canonical: saving a freshly
-    loaded checkpoint reproduces the file byte for byte.
+    loaded checkpoint reproduces the file byte for byte. The file is
+    replaced atomically: a failed save leaves the previous one.
     """
     if tokenizer.vocab_size != encoder.vocab_size:
         raise ValueError(
@@ -423,7 +464,7 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
     blocks = [encoder.token_table, encoder.projection]
     if decoder is not None:
         blocks += [decoder.position_table, decoder.output]
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for block in blocks:

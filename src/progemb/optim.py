@@ -11,6 +11,9 @@ import numpy as np
 
 __all__ = ["AdamW", "GradientDescent", "make_optimizer"]
 
+# elements per AdamW block (128 KB of float64 per scratch buffer)
+ADAMW_BLOCK = 1 << 14
+
 
 def _check_keys(params: dict, grads: dict):
     if set(params) != set(grads):
@@ -74,26 +77,51 @@ class AdamW:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """Return the updated parameters; the moments are updated in place.
+
+        Each block of ADAMW_BLOCK elements runs the textbook update, operation
+        for operation and operand for operand, through two scratch buffers,
+        so the result is bit-identical to it without its full-size
+        temporaries.
+        """
         _check_keys(params, grads)
         b1, b2 = self.betas
         self.t += 1
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        decay = self.lr * self.weight_decay
+        scratch = np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK)
         out = {}
         for name, p in params.items():
-            g = grads[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p)
-                v = np.zeros_like(p)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * g * g
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            new = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                new = new - self.lr * self.weight_decay * p
+            if name not in self._m:
+                self._m[name] = np.zeros(p.shape)
+                self._v[name] = np.zeros(p.shape)
+            new = np.empty(p.shape)
+            flat = (p.reshape(-1), grads[name].reshape(-1), self._m[name].reshape(-1),
+                    self._v[name].reshape(-1), new.reshape(-1))
+            for lo in range(0, p.size, ADAMW_BLOCK):
+                p_b, g, m, v, new_b = (a[lo : lo + ADAMW_BLOCK] for a in flat)
+                tmp, den = (buf[: len(g)] for buf in scratch)
+                # m = b1 * m + (1 - b1) * g
+                np.multiply(m, b1, out=m)
+                np.multiply(g, 1.0 - b1, out=tmp)
+                m += tmp
+                # v = b2 * v + (1 - b2) * g * g
+                np.multiply(v, b2, out=v)
+                np.multiply(g, 1.0 - b2, out=tmp)
+                tmp *= g
+                v += tmp
+                # new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, c1, out=tmp)
+                tmp *= self.lr
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                tmp /= den
+                np.subtract(p_b, tmp, out=new_b)
+                if self.weight_decay:
+                    # new = new - lr * weight_decay * p
+                    np.multiply(p_b, decay, out=tmp)
+                    new_b -= tmp
             out[name] = new
         return out
 

@@ -5,7 +5,8 @@ once by the caller. Fine-tuning shares negatives in-batch: each query's
 negative pool is every other query's positive plus every hard negative
 brought by any query in the batch. A candidate whose source id equals the
 query's own positive id is excluded from that query's pool (and logged),
-which is what the neg_mask on the batch encodes.
+which the batch's integer candidate codes encode. The step scores the pool
+in blocks of query rows, so no (B, M) array lives longer than one block.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .encoder import (
     ToyEncoder,
     _encode_backward,
     _mae_forward_backward,
+    _scatter,
     corrupt,
     encode_batch,
 )
@@ -50,6 +52,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MAX_HARD_NEGATIVES = 5
+# query rows per step block: the step's (rows, M) arrays stay this many rows
+STEP_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,11 @@ class TrainingExample:
 
 @dataclass
 class ContrastiveBatch:
-    """Similarities plus the bookkeeping needed for gradients and audits."""
+    """A batch's embeddings plus the bookkeeping needed for the step and audits."""
 
     query_ids: list[str]
     cand_ids: list[str]
-    pos: np.ndarray            # (B,)
-    neg: np.ndarray            # (B, M) full similarity matrix vs the pool
-    neg_mask: np.ndarray       # (B, M); False where a slot is not a negative
+    cand_codes: np.ndarray     # (M,) integer code of each slot's id
     query_embs: np.ndarray     # (B, d)
     cand_embs: np.ndarray      # (M, d); slots [:B] are the positives
     forward: EncodedBatch      # each distinct query, then each distinct candidate
@@ -113,13 +115,15 @@ def _distinct(ids, rows):
 
 
 def build_batch(examples, tokens: Tokens, enc: ToyEncoder) -> ContrastiveBatch:
-    """Encode a batch and assemble the shared-negative similarity structure.
+    """Encode a batch and assemble its shared candidate pool.
 
     The candidate pool is all positives followed by all hard negatives, in
-    example order. Slot j is masked out of query i's negatives when the
-    slot's id equals query i's positive id; the diagonal slot is the query's
-    own positive, and any further match is a duplicate, which gets logged.
-    Each distinct query id and candidate id is encoded once, in one call.
+    example order. Slot j is not one of query i's negatives when the slot's
+    id equals query i's positive id, that is, when cand_codes[j] equals
+    cand_codes[i]; the diagonal slot is the query's own positive, and any
+    further match is a duplicate, which gets logged. Each distinct query id
+    and candidate id is encoded once, in one call. No similarity is formed
+    here: the step scores the pool block by block.
     """
     examples = list(examples)
     if not examples:
@@ -137,30 +141,25 @@ def build_batch(examples, tokens: Tokens, enc: ToyEncoder) -> ContrastiveBatch:
     forward = encode_batch(enc, tokens.take(queries + cands))
     rows = np.concatenate([query_codes, len(queries) + cand_codes])
     b_count = len(examples)
-    query_embs, cand_embs = forward.embs[rows[:b_count]], forward.embs[rows[b_count:]]
-    sims = sim_matrix(query_embs, cand_embs)
-
-    diag = np.arange(b_count)
-    mask = cand_codes[:b_count, None] != cand_codes[None, :]
-    duplicate = ~mask
-    duplicate[diag, diag] = False
+    slots: dict[int, list[int]] = {}
+    for j, code in enumerate(cand_codes.tolist()):
+        slots.setdefault(code, []).append(j)
     excluded: list[tuple[str, str]] = []
-    for i, j in zip(*np.nonzero(duplicate)):
-        excluded.append((examples[i].query_id, cand_ids[j]))
-        logger.debug(
-            "batch exclusion: candidate %s duplicates positive of %s",
-            cand_ids[j],
-            examples[i].query_id,
-        )
-    pos = sims[diag, diag].copy()
+    for i, ex in enumerate(examples):
+        for j in slots[int(cand_codes[i])]:
+            if j != i:
+                excluded.append((ex.query_id, cand_ids[j]))
+                logger.debug(
+                    "batch exclusion: candidate %s duplicates positive of %s",
+                    cand_ids[j],
+                    ex.query_id,
+                )
     return ContrastiveBatch(
         query_ids=[ex.query_id for ex in examples],
         cand_ids=cand_ids,
-        pos=pos,
-        neg=sims,
-        neg_mask=mask,
-        query_embs=query_embs,
-        cand_embs=cand_embs,
+        cand_codes=cand_codes,
+        query_embs=forward.embs[rows[:b_count]],
+        cand_embs=forward.embs[rows[b_count:]],
         forward=forward,
         rows=rows,
         excluded=excluded,
@@ -290,7 +289,7 @@ def finetune(
             chunk = [examples[int(i)] for i in order[start : start + batch_size]]
             try:
                 batch = build_batch(chunk, tokens, enc)
-                value, mean_w, step_grads = _step_loss_and_gradients(
+                value, pos, mean_w, step_grads = _step_loss_and_gradients(
                     batch, enc, state, hyper, loss_mode, reduction
                 )
                 if not np.isfinite(value):
@@ -302,13 +301,13 @@ def finetune(
                 enc.set_params(new)
             except ValueError as exc:
                 raise ValueError(f"fine-tune step {step} (epoch {epoch}): {exc}") from exc
-            state = update_momentum(state, batch.pos, hyper.alpha)
+            state = update_momentum(state, pos, hyper.alpha)
             history.append(state)
             audit.append(
                 StepAudit(
                     step=step,
                     epoch=epoch,
-                    sigma=batch_threshold(batch.pos, hyper.beta),
+                    sigma=batch_threshold(pos, hyper.beta),
                     mean_weight=mean_w,
                     t=state.t,
                     loss=value,
@@ -326,42 +325,70 @@ def _step_loss_and_gradients(
     loss_mode: str,
     reduction: str,
 ):
-    """One batch's loss value, mean positive weight, and parameter gradients.
+    """One batch's loss value, positive similarities, mean positive weight,
+    and parameter gradients.
 
-    The loss kernel gives dL/dS for the batch's cosines S = Uq Uc^T, with
-    the positive of query i at slot i. Through the product that is
-    dL/dS Uc for the queries and dL/dS^T Uq for the slots; a slot that is
-    one query's positive and another's negative carries both roles. The
-    encoder's backward projects onto the unit sphere, which is the rest of
-    the cosine's chain rule.
+    Query rows are walked in blocks of STEP_ROWS. A block's cosines
+    S_b = sim_matrix(Uq[b], Uc), with query i's positive at slot i and its
+    negatives where the slot's code differs from its positive's, go through
+    the loss kernel, which gives dL/dS_b. Through the product that is
+    dL/dS_b Uc for the block's queries and dL/dS_b^T Uq[b], summed over
+    blocks, for the slots; a slot that is one query's positive and another's
+    negative carries both roles. The encoder's backward projects onto the
+    unit sphere, which is the rest of the cosine's chain rule.
+
+    pos[i] is the S[i, i] its block feeds the loss, bit for bit: the
+    progressive threshold needs every positive before any block's loss, so
+    on a batch of several blocks a first pass takes them from the same
+    sim_matrix calls. The blocks' losses are sums and the batch's 1/B, for
+    the mean, is applied once; a batch of one block keeps the reduction.
     """
-    if loss_mode == "progressive":
-        sigma = batch_threshold(batch.pos, hyper.beta)
-        value, record = progressive_loss(
-            batch.pos,
-            batch.neg,
-            sigma,
-            state.t,
-            hyper.tau,
-            neg_mask=batch.neg_mask,
-            reduction=reduction,
-        )
-    else:
-        value, record = info_nce(
-            batch.pos, batch.neg, hyper.tau, neg_mask=batch.neg_mask, reduction=reduction
-        )
-    # pos[i] is S[i, i]: its derivative adds onto that entry, in place
-    d_sims = record.grad_neg
-    diag = np.arange(batch.size)
-    d_sims[diag, diag] += record.grad_pos
+    if reduction not in ("sum", "mean"):
+        raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
+    size, uq, uc, codes = batch.size, batch.query_embs, batch.cand_embs, batch.cand_codes
+    blocks = [slice(lo, min(lo + STEP_ROWS, size)) for lo in range(0, size, STEP_ROWS)]
+    diags = [(np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)) for blk in blocks]
+    whole = len(blocks) == 1
+    block_reduction = reduction if whole else "sum"
+    pos = np.empty(size)
+    if loss_mode == "progressive" and not whole:
+        for blk, diag in zip(blocks, diags):
+            pos[blk] = sim_matrix(uq[blk], uc)[diag]
+    slot_grads = np.empty((size + len(uc), uc.shape[1]))
+    values, weights = [], []
+    for blk, diag in zip(blocks, diags):
+        sims = sim_matrix(uq[blk], uc)
+        pos[blk] = sims[diag]
+        mask = codes[blk, None] != codes
+        if loss_mode == "progressive":
+            if blk.start == 0:
+                sigma = batch_threshold(pos, hyper.beta)
+            value, record = progressive_loss(
+                pos[blk], sims, sigma, state.t, hyper.tau,
+                neg_mask=mask, reduction=block_reduction,
+            )
+        else:
+            value, record = info_nce(
+                pos[blk], sims, hyper.tau, neg_mask=mask, reduction=block_reduction
+            )
+        values.append(value)
+        weights.append(record.weights)
+        # pos[i] is S[i, i]: its derivative adds onto that entry, in place
+        d_sims = record.grad_neg
+        d_sims[diag] += record.grad_pos
+        np.matmul(d_sims, uc, out=slot_grads[blk])
+        if blk.start == 0:
+            np.matmul(d_sims.T, uq[blk], out=slot_grads[size:])
+        else:
+            slot_grads[size:] += d_sims.T @ uq[blk]
+    value = sum(values)
+    if reduction == "mean" and not whole:
+        value /= size
+        slot_grads /= size
 
     # sum the slot gradients per distinct sequence, then one backward
     d_embs = np.zeros_like(batch.forward.embs)
-    np.add.at(
-        d_embs,
-        batch.rows,
-        np.concatenate([d_sims @ batch.cand_embs, d_sims.T @ batch.query_embs]),
-    )
+    _scatter(np.add, d_embs, batch.rows, slot_grads)
     enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
     _encode_backward(enc, batch.forward, d_embs, enc_grads)
-    return value, float(np.mean(record.weights)), enc_grads
+    return value, pos, float(np.mean(np.concatenate(weights))), enc_grads

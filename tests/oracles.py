@@ -7,6 +7,7 @@ import numpy as np
 
 from progemb.encoder import MASK_ID, Tokens, _encode_backward, encode_batch
 from progemb.loss import HyperParams, _reduce, _scale_matrix, positive_weights
+from progemb.similarity import sim_matrix
 
 
 def oracle_topk(query_emb, ids, embs, exclude, k):
@@ -266,14 +267,58 @@ def _pool_gradients(query_embs, cand_embs, neg_mask, weights, scales, tau, reduc
     return grad_q, grad_c
 
 
+def batch_similarities(batch):
+    """A batch's (pos, neg, neg_mask) in one piece: the (B, M) cosines of
+    sim_matrix over the whole pool, their diagonal, and the mask that is
+    False where a slot's code equals the query's positive's."""
+    sims = sim_matrix(batch.query_embs, batch.cand_embs)
+    diag = np.arange(batch.size)
+    return sims[diag, diag].copy(), sims, batch.cand_codes[:batch.size, None] != batch.cand_codes
+
+
 def oracle_step_gradients(batch, enc, weights, scales, tau, reduction):
     """A fine-tune step's encoder gradients by the pool kernel: per-slot
     embedding gradients, summed per distinct sequence, then one backward."""
     query_grad, cand_grad = _pool_gradients(
-        batch.query_embs, batch.cand_embs, batch.neg_mask, weights, scales, tau, reduction
+        batch.query_embs, batch.cand_embs, batch_similarities(batch)[2],
+        weights, scales, tau, reduction,
     )
     d_embs = np.zeros_like(batch.forward.embs)
     np.add.at(d_embs, batch.rows, np.concatenate([query_grad, cand_grad]))
     grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
     _encode_backward(enc, batch.forward, d_embs, grads)
     return grads
+
+
+class OracleAdamW:
+    """AdamW as the package computed it before its update was blocked and
+    in place: whole-array expressions, fresh moment arrays every step."""
+
+    def __init__(self, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.lr, self.betas, self.eps, self.weight_decay = lr, betas, eps, weight_decay
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params, grads):
+        b1, b2 = self.betas
+        self.t += 1
+        out = {}
+        for name, p in params.items():
+            g = grads[name]
+            m = self._m.get(name)
+            v = self._v.get(name)
+            if m is None:
+                m = np.zeros_like(p)
+                v = np.zeros_like(p)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            self._m[name] = m
+            self._v[name] = v
+            m_hat = m / (1.0 - b1**self.t)
+            v_hat = v / (1.0 - b2**self.t)
+            new = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if self.weight_decay:
+                new = new - self.lr * self.weight_decay * p
+            out[name] = new
+        return out

@@ -600,6 +600,31 @@ class TestBench:
             assert main(["bench", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         assert_same_files(tmp_path / "out1", tmp_path / "out2")
 
+    def test_gallery_tokenized_once_per_seed(self, tmp_path, monkeypatch):
+        """bench tokenizes each seed's gallery once, before its loss-mode
+        loop, and both modes embed the passages that store was made from."""
+        import progemb.cli as cli
+
+        tokenize, embed = cli._passage_tokens, cli._embed_passages
+        stores, embeds = [], []
+
+        def spy_tokens(tok, cfg, passages):
+            stores.append((tokenize(tok, cfg, passages), list(passages)))
+            return stores[-1][0]
+
+        def spy_embed(enc, tokens, passages):
+            embeds.append((tokens, list(passages)))
+            return embed(enc, tokens, passages)
+
+        monkeypatch.setattr(cli, "_passage_tokens", spy_tokens)
+        monkeypatch.setattr(cli, "_embed_passages", spy_embed)
+        cfg, _ = self.make_cfg(tmp_path, bench_seeds=2)
+        assert main(["bench", "--config", cfg]) == 0
+        assert len(stores) == 2 and len(embeds) == 4
+        for k, (tokens, passages) in enumerate(embeds):
+            store, tokenized = stores[k // 2]
+            assert tokens is store and passages == tokenized
+
     def test_two_seeds_average_into_summary(self, tmp_path):
         cfg, out = self.make_cfg(tmp_path, bench_seeds=2)
         assert main(["bench", "--config", cfg]) == 0

@@ -261,10 +261,13 @@ class TestAuditLogs:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_loss_is_not_written(self, tmp_path, bad):
         path = tmp_path / "curve.jsonl"
+        write_loss_curve(path, [3.0])
+        before = path.read_text()
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_loss_curve(path, [2.5, bad])
         text = path.read_text()
         assert "NaN" not in text and "Infinity" not in text
+        assert text == before
 
 
 class TestReports:
@@ -352,3 +355,86 @@ class TestEmbeddings:
     def test_one_dimensional_matrix_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
             write_embeddings(tmp_path / "e.bin", ["a"], np.ones(3))
+
+
+class _FailingSecondWrite:
+    """A file whose second write raises, after the first reached the disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestAtomicWrites:
+    """A writer that fails midway leaves the previous artifact byte for byte
+    and no temporary file beside it."""
+
+    @staticmethod
+    def assert_untouched(path, before):
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_row_that_fails_to_dump_midway(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        rows = [{"query_id": f"q{i}", "query": "b", "positive_id": "p1",
+                 "negative_ids": [], "score": float("nan") if i == 2 else 0.5}
+                for i in range(4)]
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_dataset(path, rows)
+        assert list(tmp_path.iterdir()) == []
+        write_dataset(path, [{"query_id": "q0", "query": "a", "positive_id": "p0",
+                              "negative_ids": []}])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_dataset(path, rows)
+        self.assert_untouched(path, before)
+
+    @pytest.fixture
+    def failing_write(self, monkeypatch):
+        import progemb.encoder
+
+        def failing_open(*args, **kwargs):
+            return _FailingSecondWrite(open(*args, **kwargs))
+
+        monkeypatch.setattr(progemb.encoder, "open", failing_open, raising=False)
+
+    def test_failing_write_of_rows(self, tmp_path, request):
+        path = tmp_path / "queries.jsonl"
+        write_queries(path, [("q0", "old text")])
+        before = path.read_bytes()
+        request.getfixturevalue("failing_write")
+        with pytest.raises(OSError, match="No space"):
+            write_queries(path, [("q1", "new"), ("q2", "newer")])
+        self.assert_untouched(path, before)
+
+    def test_failing_write_of_embeddings(self, tmp_path, request):
+        path = tmp_path / "embeddings.bin"
+        write_embeddings(path, ["a"], np.ones((1, 3)))
+        before = path.read_bytes()
+        request.getfixturevalue("failing_write")
+        with pytest.raises(OSError, match="No space"):
+            write_embeddings(path, ["b", "c"], np.zeros((2, 3)))
+        self.assert_untouched(path, before)
+
+    def test_failing_write_of_checkpoint(self, tmp_path, request):
+        from progemb.encoder import Tokenizer, ToyEncoder, save_checkpoint
+
+        tok = Tokenizer.from_texts(["a b c"])
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, ToyEncoder.create(tok.vocab_size, 3, seed=0), tok)
+        before = path.read_bytes()
+        request.getfixturevalue("failing_write")
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, ToyEncoder.create(tok.vocab_size, 3, seed=1), tok)
+        self.assert_untouched(path, before)

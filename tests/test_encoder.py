@@ -24,6 +24,7 @@ from progemb.encoder import (
     save_checkpoint,
     _encode_backward,
     _mae_forward_backward,
+    _scatter,
 )
 
 
@@ -192,6 +193,27 @@ class TestToyEncoder:
             np.testing.assert_allclose(grads[name], fd, atol=1e-7)
 
 
+class TestScatter:
+    @pytest.mark.parametrize("ufunc", [np.add, np.subtract])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bit_identical_to_two_dimensional_ufunc_at(self, ufunc, transposed):
+        """Repeated rows, -0.0 in the table and the values, a nonzero start
+        and a transposed view: the flat scatter leaves the same bytes."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+            base = rng.normal(size=(cols, rows) if transposed else (rows, cols))
+            base[rng.random(base.shape) < 0.2] = -0.0
+            index = rng.integers(0, rows, size=int(rng.integers(0, 40)))
+            values = rng.normal(size=(len(index), cols)) * 10.0 ** rng.integers(
+                -8, 8, size=(len(index), 1))
+            values[rng.random(values.shape) < 0.2] = -0.0
+            want, got = base.copy(), base.copy()
+            ufunc.at(want.T if transposed else want, index, values)
+            _scatter(ufunc, got.T if transposed else got, index, values)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBatchedKernel:
     """The batched forward/backward against the per-sequence oracle."""
 
@@ -220,7 +242,7 @@ class TestBatchedKernel:
     def test_embed_passages_across_blocks_matches_oracle(self):
         """The CLI gallery path, on more passages than one kernel call takes,
         with truncation and lengths from 1 to 7 tokens."""
-        from progemb.cli import EMBED_BLOCK, _embed_passages
+        from progemb.cli import EMBED_BLOCK, _embed_passages, _passage_tokens
         from progemb.config import RunConfig
         from progemb.mining import Passage
 
@@ -233,7 +255,7 @@ class TestBatchedKernel:
         tok = Tokenizer.from_texts(p.text for p in passages)
         enc = ToyEncoder.create(tok.vocab_size, 6, seed=4)
         cfg = RunConfig(max_passage_len=5)
-        ids, embs = _embed_passages(enc, tok, cfg, passages)
+        ids, embs = _embed_passages(enc, _passage_tokens(tok, cfg, passages), passages)
         assert ids == [p.passage_id for p in passages]
         expected = [oracle_encode(enc, oracle_tokenize(tok, p.text, 5)) for p in passages]
         np.testing.assert_allclose(embs, np.stack(expected), rtol=0, atol=1e-14)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import OracleAdamW
 
+from progemb import optim
 from progemb.optim import AdamW, GradientDescent, make_optimizer
 
 
@@ -77,6 +79,40 @@ class TestAdamW:
         new = opt.step(p, g1)
         assert new["p0"][0] != 1.0
         assert new["p1"][0] == 1.0
+
+    @pytest.mark.parametrize("block", [optim.ADAMW_BLOCK, 7])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_blocked_update_is_bit_identical_to_oracle(self, monkeypatch, block, weight_decay):
+        """The blocked, in-place update against the whole-array one, over
+        several steps, on tables larger than one block and not a multiple
+        of it, a transposed parameter, zero and -0.0 gradients."""
+        monkeypatch.setattr(optim, "ADAMW_BLOCK", block)
+        rng = np.random.default_rng(21)
+        params = {
+            "table": rng.normal(size=(1201, 17)),
+            "square": rng.normal(size=(9, 9)).T,
+            "one": np.array([0.3]),
+        }
+        opt = AdamW(lr=0.01, weight_decay=weight_decay)
+        ref = OracleAdamW(lr=0.01, weight_decay=weight_decay)
+        got = want = params
+        for step in range(4):
+            grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 4, size=p.shape)
+                     for k, p in params.items()}
+            grads["table"][rng.random(grads["table"].shape) < 0.1] = -0.0
+            grads["one"][:] = 0.0 if step == 1 else grads["one"]
+            got, want = opt.step(got, grads), ref.step(want, grads)
+            for name in params:
+                assert got[name].tobytes() == want[name].tobytes(), (step, name)
+        for name in params:
+            assert opt._m[name].tobytes() == ref._m[name].tobytes()
+            assert opt._v[name].tobytes() == ref._v[name].tobytes()
+
+    def test_inputs_not_mutated(self):
+        p = {"w": np.array([1.0, -2.0])}
+        g = {"w": np.array([0.5, 0.25])}
+        AdamW(lr=0.1, weight_decay=0.1).step(p, g)
+        assert p["w"].tolist() == [1.0, -2.0] and g["w"].tolist() == [0.5, 0.25]
 
     def test_key_mismatch_rejected(self):
         opt = AdamW(lr=0.1)

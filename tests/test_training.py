@@ -1,14 +1,16 @@
 """Tests for batch assembly and the two training loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import oracle_step_gradients
+from oracles import batch_similarities, oracle_step_gradients
 
+from progemb import training
 from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
-from progemb.similarity import cosine
+from progemb.similarity import cosine, sim_matrix
 from progemb.training import (
     TrainingExample,
     _step_loss_and_gradients,
@@ -59,15 +61,16 @@ class TestBuildBatch:
             TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
         ]
         batch = build_batch(examples, tokens, enc)
+        pos, neg, _ = batch_similarities(batch)
         assert batch.cand_ids == ["p0", "p1", "n0", "n1"]
-        assert batch.neg.shape == (2, 4)
+        assert neg.shape == (2, 4)
         for i, ex in enumerate(examples):
             q = encode(enc, tokens.take([ex.query]))
             np.testing.assert_allclose(
-                batch.pos[i], cosine(q, encode(enc, tokens.take([ex.positive]))), atol=1e-12
+                pos[i], cosine(q, encode(enc, tokens.take([ex.positive]))), atol=1e-12
             )
         np.testing.assert_allclose(
-            batch.neg[0, 2], cosine(encode(enc, tokens.take([0])), encode(enc, tokens.take([2]))),
+            neg[0, 2], cosine(encode(enc, tokens.take([0])), encode(enc, tokens.take([2]))),
             atol=1e-12,
         )
 
@@ -78,8 +81,9 @@ class TestBuildBatch:
             TrainingExample("q1", 2, "p1", 3),
         ]
         batch = build_batch(examples, tokens, enc)
-        assert not batch.neg_mask[0, 0] and not batch.neg_mask[1, 1]
-        assert batch.neg_mask[0, 1] and batch.neg_mask[1, 0]
+        neg_mask = batch_similarities(batch)[2]
+        assert not neg_mask[0, 0] and not neg_mask[1, 1]
+        assert neg_mask[0, 1] and neg_mask[1, 0]
         assert batch.excluded == []
 
     def test_duplicate_of_own_positive_excluded_and_logged(self):
@@ -91,9 +95,10 @@ class TestBuildBatch:
             TrainingExample("q1", 2, "pB", 3, ("pA",), (1,)),
         ]
         batch = build_batch(examples, tokens, enc)
+        neg_mask = batch_similarities(batch)[2]
         # slot 2 is q1's mined negative with id pA == q0's positive id
-        assert not batch.neg_mask[0, 2]
-        assert batch.neg_mask[1, 2]
+        assert not neg_mask[0, 2]
+        assert neg_mask[1, 2]
         assert ("q0", "pA") in batch.excluded
 
     def test_mask_and_exclusions_match_pairwise_loop(self):
@@ -112,7 +117,8 @@ class TestBuildBatch:
                     tuple(f"p{k}" for k in nids), tuple(int(k) for k in nids),
                 ))
             batch = build_batch(examples, tokens, enc)
-            mask = np.ones(batch.neg.shape, dtype=bool)
+            _, neg, neg_mask = batch_similarities(batch)
+            mask = np.ones(neg.shape, dtype=bool)
             excluded = []
             for i, ex in enumerate(examples):
                 for j, cid in enumerate(batch.cand_ids):
@@ -120,7 +126,7 @@ class TestBuildBatch:
                         mask[i, j] = False
                         if j != i:
                             excluded.append((ex.query_id, cid))
-            np.testing.assert_array_equal(batch.neg_mask, mask)
+            np.testing.assert_array_equal(neg_mask, mask)
             assert batch.excluded == excluded
 
     def test_shared_id_encoded_once(self):
@@ -160,23 +166,22 @@ class TestStepGradients:
         hyper = HyperParams(tau=0.1)
         state = MomentumState(t=0.4, step=3)
         batch = build_batch(examples, tokens, enc)
-        value, _, grads = _step_loss_and_gradients(
+        value, _, _, grads = _step_loss_and_gradients(
             batch, enc, state, hyper, "progressive", "sum"
         )
-        sigma = batch_threshold(batch.pos, hyper.beta)
-        _, record = progressive_loss(
-            batch.pos, batch.neg, sigma, state.t, hyper.tau, neg_mask=batch.neg_mask
-        )
+        pos, neg, neg_mask = batch_similarities(batch)
+        sigma = batch_threshold(pos, hyper.beta)
+        _, record = progressive_loss(pos, neg, sigma, state.t, hyper.tau, neg_mask=neg_mask)
         w, a = record.weights, record.scales
 
         def frozen_loss():
-            b = build_batch(examples, tokens, enc)
+            b_pos, b_neg, b_mask = batch_similarities(build_batch(examples, tokens, enc))
             total = 0.0
-            for i in range(b.size):
+            for i in range(len(b_pos)):
                 terms = [
-                    math.exp((a[i, j] * b.neg[i, j] - b.pos[i]) / hyper.tau)
-                    for j in range(b.neg.shape[1])
-                    if b.neg_mask[i, j]
+                    math.exp((a[i, j] * b_neg[i, j] - b_pos[i]) / hyper.tau)
+                    for j in range(b_neg.shape[1])
+                    if b_mask[i, j]
                 ]
                 total += w[i] * math.log1p(math.fsum(terms))
             return total
@@ -207,10 +212,10 @@ class TestStepGradients:
         ]
         batch = build_batch(examples, tokens, enc)
         hyper = HyperParams(tau=0.5)
-        v1, w1, _ = _step_loss_and_gradients(
+        v1, _, w1, _ = _step_loss_and_gradients(
             batch, enc, MomentumState(), hyper, "infonce", "sum"
         )
-        v2, w2, _ = _step_loss_and_gradients(
+        v2, _, w2, _ = _step_loss_and_gradients(
             batch, enc, MomentumState(t=0.9, step=9), hyper, "infonce", "sum"
         )
         assert v1 == v2
@@ -244,14 +249,13 @@ class TestStepAgainstPoolKernel:
 
     @staticmethod
     def check(batch, enc, hyper, state, loss_mode, reduction):
-        _, _, grads = _step_loss_and_gradients(batch, enc, state, hyper, loss_mode, reduction)
+        _, _, _, grads = _step_loss_and_gradients(batch, enc, state, hyper, loss_mode, reduction)
+        pos, neg, neg_mask = batch_similarities(batch)
         if loss_mode == "progressive":
-            sigma = batch_threshold(batch.pos, hyper.beta)
-            _, rec = progressive_loss(
-                batch.pos, batch.neg, sigma, state.t, hyper.tau, neg_mask=batch.neg_mask
-            )
+            sigma = batch_threshold(pos, hyper.beta)
+            _, rec = progressive_loss(pos, neg, sigma, state.t, hyper.tau, neg_mask=neg_mask)
         else:
-            _, rec = info_nce(batch.pos, batch.neg, hyper.tau, neg_mask=batch.neg_mask)
+            _, rec = info_nce(pos, neg, hyper.tau, neg_mask=neg_mask)
         want = oracle_step_gradients(
             batch, enc, rec.weights, rec.scales, hyper.tau, reduction
         )
@@ -280,9 +284,126 @@ class TestStepAgainstPoolKernel:
         tok, examples, tokens = random_batch_examples(rng, 64, 90, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=15)
         batch = build_batch(examples, tokens, enc)
-        assert batch.neg.shape == (64, 64 * 6) and batch.excluded
+        assert batch_similarities(batch)[1].shape == (64, 64 * 6) and batch.excluded
         self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
                    loss_mode, reduction)
+
+
+class TestStepRowBlocks:
+    """The step walks query rows in blocks of STEP_ROWS; the block size
+    changes summation order only."""
+
+    HYPER = HyperParams(beta=0.02, tau=0.05)
+    STATE = MomentumState(t=0.6, step=2)
+
+    @staticmethod
+    def batch(n_queries=10, seed=15):
+        rng = np.random.default_rng(seed)
+        tok, examples, tokens = random_batch_examples(rng, n_queries, n_queries + 8, 5)
+        enc = ToyEncoder.create(tok.vocab_size, 8, seed=seed)
+        return enc, build_batch(examples, tokens, enc)
+
+    def step(self, enc, batch, loss_mode, reduction="sum"):
+        return _step_loss_and_gradients(
+            batch, enc, self.STATE, self.HYPER, loss_mode, reduction
+        )
+
+    @staticmethod
+    def record_losses(monkeypatch):
+        """Wrap the loss names the step calls; return the list of their
+        (pos, neg, record) per call."""
+        calls = []
+        for name in ("progressive_loss", "info_nce"):
+            def wrapped(pos, neg, *args, _fn=getattr(training, name), **kwargs):
+                value, record = _fn(pos, neg, *args, **kwargs)
+                calls.append((np.array(pos), np.array(neg), record))
+                return value, record
+            monkeypatch.setattr(training, name, wrapped)
+        return calls
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_block_size_changes_only_rounding(self, monkeypatch, rows, loss_mode, reduction):
+        enc, batch = self.batch()
+        value, pos, mean_w, grads = self.step(enc, batch, loss_mode, reduction)
+        monkeypatch.setattr(training, "STEP_ROWS", rows)
+        b_value, b_pos, b_mean_w, b_grads = self.step(enc, batch, loss_mode, reduction)
+        np.testing.assert_allclose(b_value, value, rtol=1e-12)
+        np.testing.assert_allclose(b_pos, pos, rtol=1e-12)
+        np.testing.assert_allclose(b_mean_w, mean_w, rtol=1e-12)
+        for name in grads:
+            np.testing.assert_allclose(b_grads[name], grads[name], rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(grads[name]))))
+
+    def test_block_records_count_like_one_block(self, monkeypatch):
+        """Summed over the blocks' records, the mechanism's counts (w < 1,
+        amplified negatives, unmasked negatives) are the one-block counts."""
+        enc, batch = self.batch()
+        calls = self.record_losses(monkeypatch)
+
+        def counts():
+            del calls[:]
+            self.step(enc, batch, "progressive")
+            return (
+                len(calls),
+                sum(int((r.weights < 1.0).sum()) for _, _, r in calls),
+                sum(int(((r.scales != 1.0) & r.neg_mask).sum()) for _, _, r in calls),
+                sum(int(r.neg_mask.sum()) for _, _, r in calls),
+            )
+
+        one = counts()
+        assert one[0] == 1 and min(one[1:]) > 0
+        monkeypatch.setattr(training, "STEP_ROWS", 3)
+        assert counts() == (4,) + one[1:]
+
+    def test_pos_is_the_similarity_its_block_feeds_the_loss(self, monkeypatch):
+        """On a batch whose mined negatives include verbatim copies of
+        positives, pos[i] is bit for bit the S[i, i] of query i's block: the
+        diagonal of the whole-pool sim_matrix at the default block, and of
+        each block's own call when the batch spans several."""
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(30)]
+        texts = [" ".join(rng.choice(words, size=5)) for _ in range(12)]
+        texts += texts[:6]  # passage 12 + k is a verbatim copy of passage k
+        queries = [" ".join(rng.choice(words, size=3)) for _ in range(9)]
+        tok = Tokenizer.from_texts(texts + queries)
+        tokens = tok.encode_texts(texts + queries)
+        # query i's first negative copies its own positive (i < 6) or another's
+        examples = [
+            TrainingExample(f"q{i}", 18 + i, f"p{i}", i,
+                            (f"p{12 + i % 6}", f"p{(i + 1) % 12}"),
+                            (12 + i % 6, (i + 1) % 12))
+            for i in range(9)
+        ]
+        enc = ToyEncoder.create(tok.vocab_size, 8, seed=4)
+        batch = build_batch(examples, tokens, enc)
+        assert batch.cand_embs[9].tobytes() == batch.cand_embs[0].tobytes()
+        calls = self.record_losses(monkeypatch)
+        _, pos, _, _ = self.step(enc, batch, "progressive")
+        full = sim_matrix(batch.query_embs, batch.cand_embs)
+        assert pos.tobytes() == full.diagonal().tobytes()
+        monkeypatch.setattr(training, "STEP_ROWS", 4)
+        del calls[:]
+        _, pos, _, _ = self.step(enc, batch, "progressive")
+        assert len(calls) == 3
+        for k, (block_pos, sims, _) in enumerate(calls):
+            rows = np.arange(len(block_pos))
+            assert block_pos.tobytes() == sims[rows, 4 * k + rows].tobytes()
+            assert block_pos.tobytes() == pos[4 * k : 4 * k + len(rows)].tobytes()
+
+    def test_step_memory_stays_far_below_one_pool_matrix(self):
+        """At B = 1,024 and M = 6,144 one (B, M) float64 array is 50 MB;
+        the step's traced peak stays under half of that."""
+        enc, batch = self.batch(n_queries=1024, seed=2)
+        assert len(batch.cand_ids) == 6144
+        tracemalloc.start()
+        try:
+            self.step(enc, batch, "progressive", "mean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 6144 * 8 / 2
 
 
 class TestStepZeroNormRule:
@@ -303,15 +424,14 @@ class TestStepZeroNormRule:
             "progressive", "sum",
         )
 
-    def test_zero_vector_in_masked_slot_accepted(self):
+    def test_zero_vector_in_a_pool_slot_rejected(self):
+        """Every slot is some query's positive or one of its negatives, so
+        the step's similarities reject a zero vector in any slot."""
         enc, batch = self.batch()
-        batch.neg_mask[:, 3] = False
-        value, _, before = self.step(enc, batch)
+        self.step(enc, batch)
         batch.cand_embs[3] = 0.0
-        again, _, grads = self.step(enc, batch)
-        assert again == value
-        for name in ("token_table", "projection"):
-            np.testing.assert_allclose(grads[name], before[name], rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="zero-norm vector: candidates row 3"):
+            self.step(enc, batch)
 
     def test_zero_norm_encoding_fails_at_its_step(self):
         """The encoder rejects a zero embedding before any similarity is
@@ -428,10 +548,10 @@ class TestFinetune:
     def test_training_pulls_positives_closer(self):
         _, enc, tokens = make_fixture(seed=11)
         examples = tiny_dataset()
-        before = np.mean(build_batch(examples, tokens, enc).pos)
+        before = np.mean(batch_similarities(build_batch(examples, tokens, enc))[0])
         finetune(examples, tokens, enc, HyperParams(tau=0.1), 30, batch_size=3,
                  lr=0.05, optimizer="sgd", seed=4)
-        after = np.mean(build_batch(examples, tokens, enc).pos)
+        after = np.mean(batch_similarities(build_batch(examples, tokens, enc))[0])
         assert after > before
 
     def test_epochs_zero_is_a_no_op(self):
