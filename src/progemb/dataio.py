@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "FORMAT_VERSION",
     "DatasetRow",
     "write_corpus",
+    "iter_corpus",
     "read_corpus",
     "write_dataset",
     "read_dataset",
@@ -64,23 +65,34 @@ def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header=None) -> N
             fh.write(_dump(row) + "\n")
 
 
-def _read_rows(path, fmt: str) -> tuple[dict, list[dict]]:
+def _read_rows(path, fmt: str, header: dict | None = None) -> Iterator[tuple[int, dict]]:
+    """Check the header line, then yield (line number, row) for each row.
+
+    The open file is read one line at a time, so neither its text nor its
+    rows are held at once. Iterating a text file splits at newlines only,
+    not at the other separators ``str.splitlines`` knows, which JSON strings
+    may hold raw. ``header``, when given, receives the header's keys. The
+    file is closed when the stream ends, fails or is abandoned.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file, expected a {fmt} header")
-    header = _parse_line(path, 1, lines[0])
-    if header.get("format") != fmt:
-        raise ValueError(
-            f"{path}: expected format {fmt!r}, found {header.get('format')!r}"
-        )
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported {fmt} version {header.get('version')!r}, "
-            f"this reader handles version {FORMAT_VERSION}"
-        )
-    rows = [_parse_line(path, i, line) for i, line in enumerate(lines[1:], start=2)]
-    return header, rows
+        lines = enumerate(fh, start=1)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file, expected a {fmt} header")
+        head = _parse_line(path, 1, first[1].rstrip("\n"))
+        if head.get("format") != fmt:
+            raise ValueError(
+                f"{path}: expected format {fmt!r}, found {head.get('format')!r}"
+            )
+        if head.get("version") != FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: unsupported {fmt} version {head.get('version')!r}, "
+                f"this reader handles version {FORMAT_VERSION}"
+            )
+        if header is not None:
+            header.update(head)
+        for lineno, line in lines:
+            yield lineno, _parse_line(path, lineno, line.rstrip("\n"))
 
 
 def _parse_line(path, lineno: int, line: str) -> dict:
@@ -121,17 +133,20 @@ def write_corpus(path, passages: Iterable[Passage]) -> None:
     )
 
 
-def read_corpus(path) -> list[Passage]:
-    _, rows = _read_rows(path, "corpus")
-    out = []
+def iter_corpus(path) -> Iterator[Passage]:
+    """The corpus file's passages in file order, read one line at a time and
+    checked as they are read: string fields and no repeated id."""
     seen = set()
-    for row in rows:
+    for _, row in _read_rows(path, "corpus"):
         pid, text, doc = _need_strings(path, row, "id", "text", "source_doc")
         if pid in seen:
             raise ValueError(f"{path}: duplicate passage id {pid!r}")
         seen.add(pid)
-        out.append(Passage(passage_id=pid, text=text, source_doc=doc))
-    return out
+        yield Passage(passage_id=pid, text=text, source_doc=doc)
+
+
+def read_corpus(path) -> list[Passage]:
+    return list(iter_corpus(path))
 
 
 # --- training dataset -----------------------------------------------------
@@ -150,10 +165,9 @@ def write_dataset(path, rows: Iterable[Mapping]) -> None:
 
 
 def read_dataset(path) -> list[DatasetRow]:
-    _, rows = _read_rows(path, "dataset")
     out = []
     seen = set()
-    for row in rows:
+    for _, row in _read_rows(path, "dataset"):
         qid, query, pid = _need_strings(path, row, "query_id", "query", "positive_id")
         (negs,) = _need(path, row, "negative_ids")
         if not isinstance(negs, list) or not all(isinstance(n, str) for n in negs):
@@ -187,11 +201,12 @@ def write_qrels(path, qrels: Mapping[str, Mapping[str, int]]) -> None:
 
 
 def read_qrels(path) -> dict[str, dict[str, int]]:
-    _, rows = _read_rows(path, "qrels")
     out: dict[str, dict[str, int]] = {}
-    for row in rows:
-        qid, doc, grade = _need(path, row, "query_id", "doc_id", "grade")
-        if not isinstance(grade, int) or grade < 1:
+    for _, row in _read_rows(path, "qrels"):
+        qid, doc = _need_strings(path, row, "query_id", "doc_id")
+        (grade,) = _need(path, row, "grade")
+        # type() rather than isinstance: a JSON true is not grade 1
+        if type(grade) is not int or grade < 1:
             raise ValueError(f"{path}: grade for ({qid}, {doc}) must be an int >= 1")
         out.setdefault(qid, {})[doc] = grade
     return out
@@ -202,10 +217,9 @@ def write_queries(path, pairs: Iterable[tuple[str, str]]) -> None:
 
 
 def read_queries(path) -> list[tuple[str, str]]:
-    _, rows = _read_rows(path, "queries")
     out = []
     seen = set()
-    for row in rows:
+    for _, row in _read_rows(path, "queries"):
         qid, text = _need_strings(path, row, "query_id", "text")
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
@@ -232,7 +246,7 @@ def write_mining_audit(path, rows: Iterable[Mapping]) -> None:
 
 
 def read_mining_audit(path) -> list[dict]:
-    _, rows = _read_rows(path, "mining-audit")
+    rows = [row for _, row in _read_rows(path, "mining-audit")]
     for row in rows:
         _need(path, row, "query_id", "candidate_id", "reason")
     return rows
@@ -258,9 +272,9 @@ def write_finetune_audit(path, loss_mode: str, audit: Iterable[StepAudit]) -> No
 
 
 def read_finetune_audit(path) -> tuple[str, list[StepAudit]]:
-    header, rows = _read_rows(path, "finetune-audit")
+    header: dict = {}
     audit = []
-    for row in rows:
+    for _, row in _read_rows(path, "finetune-audit", header):
         step, epoch, sigma, mean_w, t, loss = _need(
             path, row, "step", "epoch", "sigma", "mean_weight", "t", "loss"
         )
@@ -286,9 +300,8 @@ def write_loss_curve(path, losses: Sequence[float]) -> None:
 
 
 def read_loss_curve(path) -> list[float]:
-    _, rows = _read_rows(path, "loss-curve")
     out = []
-    for i, row in enumerate(rows, start=1):
+    for i, (_, row) in enumerate(_read_rows(path, "loss-curve"), start=1):
         epoch, loss = _need(path, row, "epoch", "loss")
         if epoch != i:
             raise ValueError(f"{path}: epochs out of order at row {i}")
@@ -319,12 +332,11 @@ def write_metrics_report(path, report: MetricReport) -> None:
 
 
 def read_metrics_report(path) -> MetricReport:
-    _, rows = _read_rows(path, "metrics")
     per_query: dict[str, dict[str, float]] = {}
     excluded: list[str] = []
     errors: dict[str, str] = {}
     macro: dict[str, float] = {}
-    for row in rows:
+    for _, row in _read_rows(path, "metrics"):
         kind = row.get("kind")
         if kind == "query":
             qid = row["query_id"]
@@ -349,7 +361,7 @@ def write_bench_report(path, run_rows: Iterable[Mapping], summary: Mapping) -> N
 
 
 def read_bench_report(path) -> tuple[list[dict], dict]:
-    _, rows = _read_rows(path, "bench")
+    rows = [row for _, row in _read_rows(path, "bench")]
     runs = [r for r in rows if r.get("kind") == "run"]
     summaries = [r for r in rows if r.get("kind") == "summary"]
     if len(summaries) != 1:

@@ -15,6 +15,13 @@ uses that a token's logits are its sequence's row plus its position's row:
 it scores a chunk of N sequences and L positions from (N + L)-row products
 over vocabulary column blocks of at most MAE_BLOCK entries, not from its T
 token rows. `encode` and `mae_loss` take one-row stores.
+
+`encode_batch` and `_encode_backward` walk a store in token blocks:
+consecutive row ranges of at most SCATTER_BLOCK // d tokens, a row never
+split. The forward gathers, and the backward repeats the pooled gradient
+over, one block's (tokens, d) rows at a time, never the whole store's T
+rows. Each row's segment sum and the order of the scatter's updates are
+those of a whole-store pass, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ _RESERVED = ("<pad>", "<mask>")
 
 # entries per decoder column block, (N + L) rows by cols (256 KB of float64)
 MAE_BLOCK = 1 << 15
-# entries per flat scatter index block (512 KB of intp)
+# entries per flat scatter index block (512 KB of intp), and tokens × d
+# entries per encoder token block
 SCATTER_BLOCK = 1 << 16
 # a factored softmax sum below this may have lost its leading terms to underflow
 _MIN_SUM = 2.0 ** -900
@@ -253,10 +261,27 @@ def _check_ids(enc: ToyEncoder, tokens: Tokens) -> None:
         )
 
 
+def _token_blocks(tokens: Tokens, dim: int):
+    """Consecutive (row slice, token slice) ranges of the store, each of at
+    most SCATTER_BLOCK // dim tokens; a row is never split, so a longer row
+    is a range of its own."""
+    starts, lengths = tokens.starts, tokens.lengths
+    ends, cap = starts + lengths, max(1, SCATTER_BLOCK // dim)
+    lo = 0
+    while lo < len(lengths):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap, side="right")))
+        yield slice(lo, hi), slice(starts[lo], ends[hi - 1])
+        lo = hi
+
+
 def encode_batch(enc: ToyEncoder, tokens: Tokens) -> EncodedBatch:
     """Embed the N rows of a store at once: segment mean, projection, normalize."""
     _check_ids(enc, tokens)
-    pooled = np.add.reduceat(enc.token_table[tokens.ids], tokens.starts, axis=0)
+    pooled = np.empty((len(tokens), enc.dim))
+    for rows, span in _token_blocks(tokens, enc.dim):
+        pooled[rows] = np.add.reduceat(
+            enc.token_table[tokens.ids[span]], tokens.starts[rows] - span.start, axis=0
+        )
     pooled /= tokens.lengths[:, None]
     u = pooled @ enc.projection
     norms = np.linalg.norm(u, axis=1)
@@ -300,7 +325,9 @@ def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, gra
     du = (d_embs - (d_embs * e).sum(axis=1, keepdims=True) * e) / fwd.norms[:, None]
     grads["projection"] += fwd.pooled.T @ du
     d_pooled = (du @ enc.projection.T) / lengths[:, None]
-    _scatter(np.add, grads["token_table"], fwd.tokens.ids, np.repeat(d_pooled, lengths, axis=0))
+    for rows, span in _token_blocks(fwd.tokens, enc.dim):
+        _scatter(np.add, grads["token_table"], fwd.tokens.ids[span],
+                 np.repeat(d_pooled[rows], lengths[rows], axis=0))
 
 
 def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:

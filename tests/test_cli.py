@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +564,147 @@ class TestEvaluate:
         main(["evaluate", "--config", cfg])
         report = dataio.read_metrics_report(out / "metrics.jsonl")
         assert "q-unjudged" in report.excluded
+
+
+class TestStreamedGallery:
+    """evaluate reads, tokenizes and embeds its gallery GALLERY_BLOCK
+    passages at a time, keeping only ids and embedding rows."""
+
+    def setup_inputs(self, tmp_path, n, words_per_text=6):
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(40)]
+        passages = [
+            Passage(f"p{i:05d}", " ".join(rng.choice(words, size=words_per_text)), "src")
+            for i in range(n)
+        ]
+        gallery = tmp_path / "gallery.jsonl"
+        dataio.write_corpus(gallery, passages)
+        make_checkpoint(tmp_path / "ckpt.bin", [" ".join(words)])
+        picks = sorted({0, 5, n // 2, n - 1})
+        queries = [(f"q{i}", passages[i].text) for i in picks] + [("q-oov", "unseen")]
+        dataio.write_queries(tmp_path / "queries.jsonl", queries)
+        dataio.write_qrels(tmp_path / "qrels.jsonl",
+                           {f"q{i}": {passages[i].passage_id: 1} for i in picks})
+        cfg = write_cfg(
+            tmp_path / "run.cfg",
+            checkpoint_path=tmp_path / "ckpt.bin",
+            gallery_path=gallery,
+            queries_path=tmp_path / "queries.jsonl",
+            qrels_path=tmp_path / "qrels.jsonl",
+            out_dir=tmp_path / "out",
+            embed_dim=8,
+            max_passage_len=5,
+        )
+        return cfg, tmp_path / "out", gallery
+
+    def test_metrics_match_a_whole_gallery_oracle(self, tmp_path):
+        """The streamed pass writes the bytes of one read_corpus plus one
+        _embed_passages over the whole gallery."""
+        from progemb import cli
+        from progemb.config import load_config
+        from progemb.evaluation import evaluate_run
+
+        cfg_path, out, gallery = self.setup_inputs(tmp_path, 3 * cli.GALLERY_BLOCK + 7)
+        assert main(["evaluate", "--config", cfg_path]) == 0
+
+        cfg = load_config(cfg_path)
+        ckpt = load_checkpoint(cfg.checkpoint_path)
+        passages = dataio.read_corpus(gallery)
+        ids, embs = cli._embed_passages(
+            ckpt.encoder, cli._passage_tokens(ckpt.tokenizer, cfg, passages), passages
+        )
+        queries = []
+        for qid, text in dataio.read_queries(cfg.queries_path):
+            try:
+                queries.append((qid, cli._encode_query(ckpt.encoder, ckpt.tokenizer, cfg, text)))
+            except ValueError:
+                queries.append((qid, None))
+        report = evaluate_run(queries, ids, embs, dataio.read_qrels(cfg.qrels_path),
+                              depth=cfg.eval_depth)
+        dataio.write_metrics_report(tmp_path / "oracle.jsonl", report)
+        assert (out / "metrics.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        assert len(report.per_query) == 4 and "q-oov" in report.errors
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_malformed_row_is_named_by_its_line(self, tmp_path, capsys, where):
+        from progemb.cli import GALLERY_BLOCK
+
+        n = 2 * GALLERY_BLOCK + 3
+        cfg, out, gallery = self.setup_inputs(tmp_path, n)
+        lines = gallery.read_text().splitlines(keepends=True)
+        row = {"first": 0, "middle": GALLERY_BLOCK + 1, "last": n - 1}[where]
+        lines[row + 1] = "{not json\n"
+        gallery.write_text("".join(lines))
+        assert main(["evaluate", "--config", cfg]) == 1
+        assert f"{gallery}:{row + 2}: invalid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, code, message", [
+        ("duplicate", 1, "duplicate passage id 'p00003'"),
+        ("empty", 1, "empty file, expected a corpus header"),
+        ("missing", 2, "No such file or directory"),
+    ])
+    def test_gallery_faults_keep_their_message_and_exit_code(
+        self, tmp_path, capsys, fault, code, message
+    ):
+        """A header-only gallery is TestEvaluate's no-records case."""
+        cfg, out, gallery = self.setup_inputs(tmp_path, 40)
+        lines = gallery.read_text().splitlines(keepends=True)
+        if fault == "duplicate":
+            lines.append(lines[4])
+            gallery.write_text("".join(lines))
+        elif fault == "empty":
+            gallery.write_text("")
+        else:
+            gallery.unlink()
+        assert main(["evaluate", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert str(gallery) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_line_separator_inside_a_gallery_text(self, tmp_path, separator):
+        cfg, out, gallery = self.setup_inputs(tmp_path, 20)
+        row = {"id": "p-sep", "text": f"w1 w2{separator}w3", "source_doc": "src"}
+        with open(gallery, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        dataio.write_queries(tmp_path / "queries.jsonl", [("q", "w1 w2 w3")])
+        dataio.write_qrels(tmp_path / "qrels.jsonl", {"q": {"p-sep": 1}})
+        assert main(["evaluate", "--config", cfg]) == 0
+        report = dataio.read_metrics_report(out / "metrics.jsonl")
+        assert report.per_query["q"]["recall@1"] == 1.0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grade", True, "grade for (q0, p00000) must be an int >= 1"),
+        ("doc_id", 5, "row key 'doc_id' must be a string"),
+        ("query_id", ["q0"], "row key 'query_id' must be a string"),
+    ])
+    def test_mistyped_qrels_field_is_validation_error(
+        self, tmp_path, capsys, key, value, message
+    ):
+        cfg, out, _ = self.setup_inputs(tmp_path, 20)
+        row = {"query_id": "q0", "doc_id": "p00000", "grade": 1, key: value}
+        (tmp_path / "qrels.jsonl").write_text(
+            json.dumps({"format": "qrels", "version": 1}) + "\n" + json.dumps(row) + "\n"
+        )
+        assert main(["evaluate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gallery_pass_memory_does_not_grow_with_the_text(self, tmp_path):
+        """4,000 passages of 80 words (a 1.4 MB file). The streamed command
+        traces about 1.6 MB at its peak: the kept ids and embeddings, about
+        0.5 MB, plus one block's passages and tokens. Keeping the gallery's
+        Passage list traced 2.6 MB; holding the file's lines, rows and
+        passages at once, as a whole-file read does, traced 4.9 MB."""
+        cfg, _, _ = self.setup_inputs(tmp_path, 4000, words_per_text=80)
+        tracemalloc.start()
+        try:
+            assert main(["evaluate", "--config", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2e6
 
 
 class TestBench:

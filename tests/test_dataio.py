@@ -1,12 +1,16 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import gc
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from progemb import dataio
 from progemb.dataio import (
+    iter_corpus,
     read_bench_report,
     read_corpus,
     read_dataset,
@@ -59,6 +63,17 @@ class TestHeaders:
             + "\n{not json}\n"
         )
         with pytest.raises(ValueError, match=r":2: invalid JSON"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_malformed_row_anywhere_names_its_line(self, tmp_path, bad):
+        """The first, a middle and the last of five rows; the header is line 1."""
+        lines = [json.dumps({"id": f"p{i}", "text": "a", "source_doc": "d"}) for i in range(5)]
+        lines[bad] = lines[bad][:-1]
+        path = tmp_path / "f.jsonl"
+        path.write_text(json.dumps({"format": "corpus", "version": 1}) + "\n"
+                        + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:{bad + 2}: invalid JSON"):
             read_corpus(path)
 
     def test_non_object_row_rejected(self, tmp_path):
@@ -114,12 +129,82 @@ class TestCorpus:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_corpus(path)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_line_separator_inside_a_text_is_kept(self, tmp_path, separator):
+        """A raw separator that str.splitlines breaks at but a JSON string
+        may hold; the file is split at newlines only."""
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [Passage("p0", "first", "d")])
+        row = {"id": "p1", "text": f"one{separator}two", "source_doc": "d"}
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        assert separator in path.read_text(encoding="utf-8")
+        assert read_corpus(path) == [Passage("p0", "first", "d"),
+                                     Passage("p1", f"one{separator}two", "d")]
+
     def test_writes_are_deterministic(self, tmp_path):
         passages = [Passage("p0", "some text", "doc")]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_corpus(a, passages)
         write_corpus(b, passages)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCorpusStream:
+    """iter_corpus reads one line at a time and closes its file on every path."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file dataio opens, plus every exception raised while an
+        object is finalized (where an unclosed file's ResourceWarning lands)."""
+        files, unraisable = [], []
+
+        def tracking_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(dataio, "open", tracking_open, raising=False)
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        yield files
+        gc.collect()
+        assert not unraisable
+        assert files and all(fh.closed for fh in files)
+
+    def write(self, path, n):
+        write_corpus(path, [Passage(f"p{i}", f"text {i}", "d") for i in range(n)])
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_abandoned_stream_closes_its_file(self, tmp_path, opened):
+        path = tmp_path / "corpus.jsonl"
+        self.write(path, 10)
+        stream = iter_corpus(path)
+        assert [next(stream).passage_id for _ in range(3)] == ["p0", "p1", "p2"]
+        assert not opened[0].closed
+        del stream
+        gc.collect()
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_header_error_closes_the_file(self, tmp_path, opened):
+        path = tmp_path / "f.jsonl"
+        write_queries(path, [("q0", "text")])
+        with pytest.raises(ValueError, match="expected format 'corpus'"):
+            next(iter_corpus(path))
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_row_error_closes_the_file(self, tmp_path, opened):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, [Passage("p0", "a", "d"), Passage("p1", "b", "d"),
+                            Passage("p0", "c", "d")])
+        with pytest.raises(ValueError, match="duplicate passage id 'p0'"):
+            read_corpus(path)
+
+    def test_stream_is_read_corpus_one_passage_at_a_time(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self.write(path, 7)
+        stream = iter_corpus(path)
+        assert next(stream) == Passage("p0", "text 0", "d")
+        assert [next(stream) for _ in range(6)] == read_corpus(path)[1:]
+        assert next(stream, None) is None
 
 
 class TestDataset:
@@ -195,6 +280,21 @@ class TestQrelsAndQueries:
             + "\n"
         )
         with pytest.raises(ValueError, match="grade"):
+            read_qrels(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grade", True, "grade for (q, d) must be an int >= 1"),
+        ("doc_id", 5, "row key 'doc_id' must be a string, got 5"),
+        ("query_id", ["q"], "row key 'query_id' must be a string, got ['q']"),
+    ])
+    def test_qrels_field_of_the_wrong_type_rejected(self, tmp_path, key, value, message):
+        """A JSON true is not grade 1; a numeric doc id can never match a
+        gallery id; a list query id cannot key the qrels."""
+        row = {"query_id": "q", "doc_id": "d", "grade": 1, key: value}
+        path = tmp_path / "qrels.jsonl"
+        path.write_text(json.dumps({"format": "qrels", "version": 1}) + "\n"
+                        + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_qrels(path)
 
     def test_queries_round_trip(self, tmp_path):

@@ -260,6 +260,34 @@ class TestBatchedKernel:
         expected = [oracle_encode(enc, oracle_tokenize(tok, p.text, 5)) for p in passages]
         np.testing.assert_allclose(embs, np.stack(expected), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("tokens_per_block", [1, 3])
+    def test_token_blocks_leave_results_bit_identical(self, monkeypatch, tokens_per_block):
+        """Token blocks of one and of three tokens, so most rows are a block
+        of their own and longer rows overflow the bound, give the bytes of
+        the default blocks, forward and backward."""
+        rng = np.random.default_rng(12)
+        enc = small_encoder(seed=23, vocab=40, dim=4)
+        seqs = store([rng.integers(0, 40, size=int(n)) for n in rng.integers(1, 9, size=60)])
+        d_embs = rng.normal(size=(len(seqs), enc.dim))
+
+        def run():
+            fwd = encode_batch(enc, seqs)
+            grads = zero_grads(enc)
+            _encode_backward(enc, fwd, d_embs, grads)
+            return [fwd.embs, fwd.pooled, fwd.norms, grads["token_table"], grads["projection"]]
+
+        want = run()
+        monkeypatch.setattr(encoder, "SCATTER_BLOCK", tokens_per_block * enc.dim)
+        covered = 0
+        for rows, span in encoder._token_blocks(seqs, enc.dim):
+            assert rows.start == covered and span.start == seqs.starts[covered]
+            assert span.stop - span.start <= tokens_per_block or rows.stop == rows.start + 1
+            covered = rows.stop
+        assert covered == len(seqs)
+        got = run()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_out_of_vocabulary_error_names_first_bad_id(self):
         enc = small_encoder(vocab=6)
         seqs = store([(2, 3), (4, 8, 6), (7,)])
