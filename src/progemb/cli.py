@@ -45,7 +45,7 @@ from .mining import (
 # cosine is not called here; benchmarks/tracer.py still wraps it in this module
 from .similarity import cosine  # noqa: F401
 from .synthetic import make_clustered_corpus
-from .training import TrainingExample, finetune, pretrain
+from .training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
 
 __all__ = ["main"]
 
@@ -253,41 +253,44 @@ def cmd_mine(cfg: RunConfig) -> None:
 
 
 def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
-    """Examples of dataset rows over one token store: each referenced passage
-    is tokenized once, in first-reference order, then each query."""
+    """The checked training set of dataset rows over one token store: each
+    referenced passage is tokenized once, in first-reference order, then each query."""
     texts = {p.passage_id: p.text for p in passages}
     row_of: dict[str, int] = {}
-    for row in rows:
-        for key in (row.positive_id, *row.negative_ids):
+    candidates = np.full((len(rows), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        negatives = row.negative_ids
+        if len(negatives) > MAX_HARD_NEGATIVES:
+            raise ValueError(
+                f"{row.query_id}: at most {MAX_HARD_NEGATIVES} hard negatives allowed"
+            )
+        if row.positive_id in negatives:
+            raise ValueError(
+                f"{row.query_id}: positive {row.positive_id} appears among negatives"
+            )
+        for k, key in enumerate(negatives):
+            if key in negatives[:k]:
+                raise ValueError(f"{row.query_id}: negative {key} appears twice")
+        for j, key in enumerate((row.positive_id, *negatives)):
             if key not in texts:
-                kind = "positive" if key == row.positive_id else "negative"
+                kind = "positive" if j == 0 else "negative"
                 raise ValueError(f"dataset: unknown {kind} id {key!r}")
-            row_of.setdefault(key, len(row_of))
+            candidates[i, j] = row_of.setdefault(key, len(row_of))
     tokens = Tokens.concat([
         tok.encode_texts([texts[key] for key in row_of], cfg.max_passage_len),
         tok.encode_texts([_query_text(cfg, r.query) for r in rows], cfg.max_query_len),
     ])
-    examples = [
-        TrainingExample(
-            query_id=row.query_id,
-            query=len(row_of) + i,
-            positive_id=row.positive_id,
-            positive=row_of[row.positive_id],
-            negative_ids=tuple(row.negative_ids),
-            hard_negatives=tuple(row_of[n] for n in row.negative_ids),
-        )
-        for i, row in enumerate(rows)
-    ]
-    return examples, tokens
+    names = np.array([*row_of, *(r.query_id for r in rows)], dtype=object)
+    return TrainingSet(len(row_of) + np.arange(len(rows)), candidates, names), tokens
 
 
 def cmd_finetune(cfg: RunConfig) -> None:
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
     rows = dataio.read_dataset(_require(cfg.dataset_path, "dataset_path"))
     passages = dataio.read_corpus(_require(cfg.passages_path, "passages_path"))
-    examples, tokens = _training_set(rows, passages, ckpt.tokenizer, cfg)
+    data, tokens = _training_set(rows, passages, ckpt.tokenizer, cfg)
     result = finetune(
-        examples,
+        data,
         tokens,
         ckpt.encoder,
         HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
@@ -303,7 +306,7 @@ def cmd_finetune(cfg: RunConfig) -> None:
     save_checkpoint(out / "checkpoint.bin", result.encoder, ckpt.tokenizer, ckpt.decoder)
     dataio.write_finetune_audit(out / "finetune_audit.jsonl", cfg.loss_mode, result.audit)
     print(
-        f"fine-tuned {len(examples)} examples for {cfg.finetune_epochs} epochs "
+        f"fine-tuned {len(data)} examples for {cfg.finetune_epochs} epochs "
         f"({len(result.audit)} steps, loss_mode={cfg.loss_mode})"
     )
     if result.audit:
@@ -385,16 +388,19 @@ def cmd_bench(cfg: RunConfig) -> None:
             (p.text for p in data.passages), extra_texts=extra, limit=cfg.vocab_limit
         )
         rows = [dataio.DatasetRow(q.query_id, q.text, q.positive_id, (), {}) for q in data.train]
-        examples, tokens = _training_set(rows, data.passages, tok, cfg)
+        train, tokens = _training_set(rows, data.passages, tok, cfg)
         init = ToyEncoder.create(len(tok.id_to_token), cfg.embed_dim, seed=seed)
         gallery = _passage_tokens(tok, cfg, data.passages)
+        held = tok.encode_texts(
+            [_query_text(cfg, q.text) for q in data.heldout], cfg.max_query_len
+        )
         for mode in ("progressive", "infonce"):
             enc = ToyEncoder(
                 token_table=init.token_table.copy(),
                 projection=init.projection.copy(),
             )
             finetune(
-                examples,
+                train,
                 tokens,
                 enc,
                 HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
@@ -407,9 +413,9 @@ def cmd_bench(cfg: RunConfig) -> None:
                 seed=seed,
             )
             gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)
-            queries = [
-                (q.query_id, _encode_query(enc, tok, cfg, q.text)) for q in data.heldout
-            ]
+            # one query per encode call: batching them moves the embeddings' low bits
+            queries = [(q.query_id, encode(enc, held.take([i])))
+                       for i, q in enumerate(data.heldout)]
             report = evaluate_run(
                 queries, gallery_ids, gallery_embs, data.qrels(), depth=cfg.eval_depth
             )

@@ -1,12 +1,15 @@
 """Batch assembly and the pretraining / fine-tuning loops.
 
-Examples and the pretraining corpus are rows of one token store, tokenized
-once by the caller. Fine-tuning shares negatives in-batch: each query's
-negative pool is every other query's positive plus every hard negative
-brought by any query in the batch. A candidate whose source id equals the
-query's own positive id is excluded from that query's pool (and logged),
-which the batch's integer candidate codes encode. The step scores the pool
-in blocks of query rows, so no (B, M) array lives longer than one block.
+The fine-tuning set and the pretraining corpus are rows of one token store,
+tokenized once by the caller. A `TrainingSet` holds each example's query
+row and its candidate rows (the positive, then up to five hard negatives)
+as integer arrays, so a batch is integer indexing. Fine-tuning shares
+negatives in-batch: each query's negative pool is every other query's
+positive plus every hard negative brought by any query in the batch. A
+candidate whose store row is the query's own positive's row is excluded
+from that query's pool (and logged), which the batch's integer candidate
+codes encode. The step scores the pool in blocks of query rows, so no
+(B, M) array lives longer than one block.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .optim import make_optimizer
 from .similarity import sim_matrix
 
 __all__ = [
-    "TrainingExample",
+    "TrainingSet",
     "ContrastiveBatch",
     "PretrainResult",
     "FinetuneResult",
@@ -56,31 +59,20 @@ MAX_HARD_NEGATIVES = 5
 STEP_ROWS = 64
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    """A query, its positive and up to five hard negatives, as token-store rows."""
+@dataclass(frozen=True, eq=False)
+class TrainingSet:
+    """Fine-tuning examples as rows of one token store, checked by the caller.
 
-    query_id: str
-    query: int
-    positive_id: str
-    positive: int
-    negative_ids: tuple[str, ...] = ()
-    hard_negatives: tuple[int, ...] = ()
+    Example i's query is row queries[i]; candidates[i] holds its positive's
+    row, then its hard negatives' rows, padded with -1. names[r] names store
+    row r, for logs and a batch's ids only."""
 
-    def __post_init__(self):
-        if len(self.hard_negatives) != len(self.negative_ids):
-            raise ValueError(
-                f"{self.query_id}: {len(self.negative_ids)} negative ids but "
-                f"{len(self.hard_negatives)} sequences"
-            )
-        if len(self.hard_negatives) > MAX_HARD_NEGATIVES:
-            raise ValueError(
-                f"{self.query_id}: at most {MAX_HARD_NEGATIVES} hard negatives allowed"
-            )
-        if self.positive_id in self.negative_ids:
-            raise ValueError(
-                f"{self.query_id}: positive {self.positive_id} appears among negatives"
-            )
+    queries: np.ndarray      # (N,) intp
+    candidates: np.ndarray   # (N, 1 + MAX_HARD_NEGATIVES) intp
+    names: np.ndarray        # (rows,) object: str
+
+    def __len__(self) -> int:
+        return len(self.queries)
 
 
 @dataclass
@@ -89,7 +81,7 @@ class ContrastiveBatch:
 
     query_ids: list[str]
     cand_ids: list[str]
-    cand_codes: np.ndarray     # (M,) integer code of each slot's id
+    cand_codes: np.ndarray     # (M,) integer code of each slot's store row
     query_embs: np.ndarray     # (B, d)
     cand_embs: np.ndarray      # (M, d); slots [:B] are the positives
     forward: EncodedBatch      # each distinct query, then each distinct candidate
@@ -101,65 +93,49 @@ class ContrastiveBatch:
         return len(self.query_ids)
 
 
-def _distinct(ids, rows):
-    """Exact integer code of each id, by first appearance, and each code's row."""
-    codes: dict[str, int] = {}
-    distinct: list[int] = []
-    for key, row in zip(ids, rows):
-        code = codes.setdefault(key, len(codes))
-        if code == len(distinct):
-            distinct.append(row)
-        elif distinct[code] != row:
-            raise ValueError(f"id {key!r} maps to two different token sequences")
-    return np.array([codes[key] for key in ids]), distinct
+def _first_appearance(keys: np.ndarray):
+    """Each key's code, numbered by first appearance, and the distinct keys in that order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], keys[first[order]]
 
 
-def build_batch(examples, tokens: Tokens, enc: ToyEncoder) -> ContrastiveBatch:
-    """Encode a batch and assemble its shared candidate pool.
+def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> ContrastiveBatch:
+    """Encode examples data[index] and assemble their shared candidate pool.
 
     The candidate pool is all positives followed by all hard negatives, in
-    example order. Slot j is not one of query i's negatives when the slot's
-    id equals query i's positive id, that is, when cand_codes[j] equals
-    cand_codes[i]; the diagonal slot is the query's own positive, and any
-    further match is a duplicate, which gets logged. Each distinct query id
-    and candidate id is encoded once, in one call. No similarity is formed
-    here: the step scores the pool block by block.
+    example order. Slots are coded by store row: slot j is not one of query
+    i's negatives when cand_codes[j] equals cand_codes[i]; the diagonal slot
+    is the query's own positive, and any further match is a duplicate, which
+    is listed in `excluded` (query-major, then slot order) and logged. Each
+    distinct query row and candidate row is encoded once, in one call. No
+    similarity is formed here: the step scores the pool block by block.
     """
-    examples = list(examples)
-    if not examples:
+    if len(index) == 0:
         raise ValueError("build_batch needs a nonempty batch")
-    cand_ids = [ex.positive_id for ex in examples]
-    cand_rows = [ex.positive for ex in examples]
-    for ex in examples:
-        cand_ids.extend(ex.negative_ids)
-        cand_rows.extend(ex.hard_negatives)
-    query_codes, queries = _distinct(
-        [ex.query_id for ex in examples], [ex.query for ex in examples]
-    )
-    # slots [:B] hold the positives' ids
-    cand_codes, cands = _distinct(cand_ids, cand_rows)
-    forward = encode_batch(enc, tokens.take(queries + cands))
-    rows = np.concatenate([query_codes, len(queries) + cand_codes])
-    b_count = len(examples)
-    slots: dict[int, list[int]] = {}
-    for j, code in enumerate(cand_codes.tolist()):
-        slots.setdefault(code, []).append(j)
-    excluded: list[tuple[str, str]] = []
-    for i, ex in enumerate(examples):
-        for j in slots[int(cand_codes[i])]:
-            if j != i:
-                excluded.append((ex.query_id, cand_ids[j]))
-                logger.debug(
-                    "batch exclusion: candidate %s duplicates positive of %s",
-                    cand_ids[j],
-                    ex.query_id,
-                )
+    size = len(index)
+    queries = data.queries[index]
+    negatives = data.candidates[index, 1:]
+    # slots [:B] hold the positives
+    pool = np.concatenate([data.candidates[index, 0], negatives[negatives >= 0]])
+    query_codes, query_rows = _first_appearance(queries)
+    cand_codes, cand_rows = _first_appearance(pool)
+    forward = encode_batch(enc, tokens.take(np.concatenate([query_rows, cand_rows])))
+    rows = np.concatenate([query_codes, len(query_rows) + cand_codes])
+
+    # query i has one exclusion per further slot of its positive's row, and
+    # each names that row
+    repeats = np.bincount(cand_codes)[cand_codes[:size]] - 1
+    excluded = list(zip(np.repeat(data.names[queries], repeats).tolist(),
+                        np.repeat(data.names[pool[:size]], repeats).tolist()))
+    for query_id, cand_id in excluded:
+        logger.debug("batch exclusion: candidate %s duplicates positive of %s", cand_id, query_id)
     return ContrastiveBatch(
-        query_ids=[ex.query_id for ex in examples],
-        cand_ids=cand_ids,
+        query_ids=data.names[queries].tolist(),
+        cand_ids=data.names[pool].tolist(),
         cand_codes=cand_codes,
-        query_embs=forward.embs[rows[:b_count]],
-        cand_embs=forward.embs[rows[b_count:]],
+        query_embs=forward.embs[rows[:size]],
+        cand_embs=forward.embs[rows[size:]],
         forward=forward,
         rows=rows,
         excluded=excluded,
@@ -270,8 +246,7 @@ def finetune(
     Deterministic for a given seed. A non-finite loss or updated parameter
     stops the run with a step-located ValueError.
     """
-    examples = list(dataset)
-    if not examples:
+    if len(dataset) == 0:
         raise ValueError("finetune needs a nonempty dataset")
     if loss_mode not in ("progressive", "infonce"):
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
@@ -284,11 +259,10 @@ def finetune(
     audit: list[StepAudit] = []
     step = 0
     for epoch in range(epochs):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(dataset))
         for start in range(0, len(order), batch_size):
-            chunk = [examples[int(i)] for i in order[start : start + batch_size]]
             try:
-                batch = build_batch(chunk, tokens, enc)
+                batch = build_batch(dataset, order[start : start + batch_size], tokens, enc)
                 value, pos, mean_w, step_grads = _step_loss_and_gradients(
                     batch, enc, state, hyper, loss_mode, reduction
                 )

@@ -267,6 +267,41 @@ def _pool_gradients(query_embs, cand_embs, neg_mask, weights, scales, tau, reduc
     return grad_q, grad_c
 
 
+def _distinct(ids, rows):
+    """Exact integer code of each id, by first appearance, and each code's row."""
+    codes: dict[str, int] = {}
+    distinct: list[int] = []
+    for key, row in zip(ids, rows):
+        code = codes.setdefault(key, len(codes))
+        if code == len(distinct):
+            distinct.append(row)
+        elif distinct[code] != row:
+            raise ValueError(f"id {key!r} maps to two different token sequences")
+    return np.array([codes[key] for key in ids]), distinct
+
+
+def oracle_batch_layout(examples):
+    """A batch's layout coded by id, as build_batch made it from per-example
+    records: (store rows encoded, forward row of each query then slot, slot
+    codes, exclusions). Each example is (query id, query row, positive id,
+    positive row, negative ids, negative rows)."""
+    cand_ids = [ex[2] for ex in examples] + [n for ex in examples for n in ex[4]]
+    cand_rows = [ex[3] for ex in examples] + [n for ex in examples for n in ex[5]]
+    query_codes, queries = _distinct([ex[0] for ex in examples], [ex[1] for ex in examples])
+    cand_codes, cands = _distinct(cand_ids, cand_rows)
+    rows = np.concatenate([query_codes, len(queries) + cand_codes])
+    slots: dict[int, list[int]] = {}
+    for j, code in enumerate(cand_codes.tolist()):
+        slots.setdefault(code, []).append(j)
+    excluded = [
+        (ex[0], cand_ids[j])
+        for i, ex in enumerate(examples)
+        for j in slots[int(cand_codes[i])]
+        if j != i
+    ]
+    return queries + cands, rows, cand_codes, excluded
+
+
 def batch_similarities(batch):
     """A batch's (pos, neg, neg_mask) in one piece: the (B, M) cosines of
     sim_matrix over the whole pool, their diagonal, and the mask that is

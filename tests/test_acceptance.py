@@ -32,7 +32,7 @@ from progemb.loss import (
 )
 from progemb.mining import Passage, mine_hard_negatives
 from progemb.synthetic import make_clustered_corpus
-from progemb.training import TrainingExample, finetune, pretrain
+from progemb.training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -312,18 +312,15 @@ def _retrieval_recall(seed: int, noise: float, loss_mode: str) -> float:
         tok.encode_texts([p.text for p in data.passages], 64),
         tok.encode_texts([q.text for q in data.train], 16),
     ])
-    examples = [
-        TrainingExample(
-            query_id=q.query_id,
-            query=len(row_of) + i,
-            positive_id=q.positive_id,
-            positive=row_of[q.positive_id],
-        )
-        for i, q in enumerate(data.train)
-    ]
+    candidates = np.full((len(data.train), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    candidates[:, 0] = [row_of[q.positive_id] for q in data.train]
+    names = [*row_of, *(q.query_id for q in data.train)]
+    train = TrainingSet(
+        len(row_of) + np.arange(len(data.train)), candidates, np.array(names, dtype=object)
+    )
     enc = ToyEncoder.create(len(tok.id_to_token), 16, seed=seed)
     finetune(
-        examples,
+        train,
         tokens,
         enc,
         HyperParams(alpha=0.5, beta=0.1, tau=0.01),

@@ -459,6 +459,54 @@ class TestFinetune:
         assert "dataset: unknown positive id 'phantom'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("negatives, message", [
+        (["d1", "d2", "d3", "d4", "d5", "d6"], "q0: at most 5 hard negatives allowed"),
+        (["d1", "d0"], "q0: positive d0 appears among negatives"),
+        (["d1", "d2", "d1"], "q0: negative d1 appears twice"),
+    ], ids=["too_many_negatives", "positive_among_negatives", "repeated_negative"])
+    def test_bad_negatives_are_validation_errors(self, tmp_path, capsys, negatives, message):
+        """A dataset row with more than five negatives, its positive among
+        them, or one negative twice stops finetune before any output."""
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        dataio.write_corpus(ppath, corpus_passages(7))
+        rows = [
+            {"query_id": "q1", "query": "delta", "positive_id": "d1", "negative_ids": []},
+            {"query_id": "q0", "query": "alpha", "positive_id": "d0", "negative_ids": negatives},
+        ]
+        dataio.write_dataset(dpath, rows)
+        cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)
+        assert main(["finetune", "--config", cfg]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_set_rows_follow_the_dataset_ids(self, tmp_path):
+        """Each example's candidate rows are its positive's and its
+        negatives' store rows, in order and padded with -1; the store holds
+        each referenced passage once, then each query, and names every row."""
+        from progemb.cli import _training_set
+        from progemb.config import RunConfig
+
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        rows = dataio.read_dataset(dpath)
+        passages = dataio.read_corpus(ppath)
+        tok = load_checkpoint(ckpt).tokenizer
+        cfg = RunConfig(max_passage_len=16)
+        data, tokens = _training_set(rows, passages, tok, cfg)
+        names = data.names.tolist()
+        # one row per referenced passage, then one per query
+        assert len(tokens) == len(names) == len(set(names))
+        assert names[len(names) - len(rows):] == [r.query_id for r in rows]
+        texts = {p.passage_id: p.text for p in passages}
+        texts.update((r.query_id, r.query) for r in rows)
+        for i, row in enumerate(rows):
+            assert names[data.queries[i]] == row.query_id
+            ids = (row.positive_id, *row.negative_ids)
+            assert [names[r] for r in data.candidates[i, : len(ids)]] == list(ids)
+            assert (data.candidates[i, len(ids):] == -1).all()
+        for r, name in enumerate(names):
+            want = tok.encode_text(texts[name], 16)
+            np.testing.assert_array_equal(tokens.take([r]).ids, want.ids)
+
     @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
     def test_huge_learning_rate_fails_at_its_step_and_writes_nothing(
         self, tmp_path, capsys, optimizer
@@ -766,6 +814,40 @@ class TestBench:
         for k, (tokens, passages) in enumerate(embeds):
             store, tokenized = stores[k // 2]
             assert tokens is store and passages == tokenized
+
+    def test_heldout_queries_tokenized_once_per_seed(self, tmp_path, monkeypatch):
+        """bench tokenizes each seed's held-out queries into one store before
+        its loss-mode loop, and each mode still encodes them one query per
+        call, from that store's rows."""
+        import progemb.cli as cli
+        from progemb.synthetic import make_clustered_corpus
+
+        encode_texts, encode = Tokenizer.encode_texts, cli.encode
+        stores, encoded = [], []
+
+        def spy_texts(tok, texts, max_len=0):
+            texts = list(texts)
+            stores.append((texts, encode_texts(tok, texts, max_len)))
+            return stores[-1][1]
+
+        def spy_encode(enc, tokens):
+            encoded.append(tokens)
+            return encode(enc, tokens)
+
+        monkeypatch.setattr(Tokenizer, "encode_texts", spy_texts)
+        monkeypatch.setattr(cli, "encode", spy_encode)
+        cfg, _ = self.make_cfg(tmp_path, bench_seeds=2)
+        assert main(["bench", "--config", cfg]) == 0
+        assert len(encoded) == 2 * 2 * 8
+        for seed in (0, 1):
+            heldout = [q.text for q in make_clustered_corpus(
+                n_clusters=4, gallery_size=40, n_train=32, n_heldout=8, seed=seed
+            ).heldout]
+            (store,) = [tokens for texts, tokens in stores if texts == heldout]
+            assert not any(texts[0] in heldout for texts, _ in stores if len(texts) == 1)
+            for k, tokens in enumerate(encoded[16 * seed : 16 * seed + 16]):
+                np.testing.assert_array_equal(tokens.lengths, store.lengths[[k % 8]])
+                np.testing.assert_array_equal(tokens.ids, store.take([k % 8]).ids)
 
     def test_two_seeds_average_into_summary(self, tmp_path):
         cfg, out = self.make_cfg(tmp_path, bench_seeds=2)

@@ -5,14 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import batch_similarities, oracle_step_gradients
+from oracles import batch_similarities, oracle_batch_layout, oracle_step_gradients
 
 from progemb import training
-from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode
+from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode, encode_batch
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
 from progemb.similarity import cosine, sim_matrix
 from progemb.training import (
-    TrainingExample,
+    MAX_HARD_NEGATIVES,
+    TrainingSet,
     _step_loss_and_gradients,
     build_batch,
     finetune,
@@ -36,19 +37,18 @@ def make_fixture(dim=6, seed=0):
     return tok, enc, tok.encode_texts(TEXTS)
 
 
-class TestTrainingExample:
-    def test_negative_count_must_match_ids(self):
-        with pytest.raises(ValueError):
-            TrainingExample("q", 0, "p", 1, ("n1",), ())
+# names of make_fixture's rows, for sets whose names no test reads
+ROWS = [f"r{r}" for r in range(len(TEXTS))]
 
-    def test_positive_among_negatives_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingExample("q", 0, "p", 1, ("p",), (2,))
 
-    def test_too_many_negatives_rejected(self):
-        ids = tuple(f"n{i}" for i in range(6))
-        with pytest.raises(ValueError):
-            TrainingExample("q", 0, "p", 1, ids, (2,) * 6)
+def training_set(examples, names=ROWS):
+    """The TrainingSet of (query row, positive row, negative rows) examples
+    over a store whose row r is named names[r]."""
+    candidates = np.full((len(examples), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    for i, (_, positive, negatives) in enumerate(examples):
+        candidates[i, : 1 + len(negatives)] = (positive, *negatives)
+    queries = np.array([q for q, _, _ in examples], dtype=np.intp)
+    return TrainingSet(queries, candidates, np.array(names, dtype=object))
 
 
 class TestBuildBatch:
@@ -56,18 +56,17 @@ class TestBuildBatch:
         """Candidates are all positives then all hard negatives, and each
         similarity matches a direct cosine of the encoded texts."""
         _, enc, tokens = make_fixture()
-        examples = [
-            TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
-            TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        examples = [(0, 1, (2,)), (3, 4, (5,))]
+        data = training_set(examples, ["q0", "p0", "n0", "q1", "p1", "n1"])
+        batch = build_batch(data, [0, 1], tokens, enc)
         pos, neg, _ = batch_similarities(batch)
+        assert batch.query_ids == ["q0", "q1"]
         assert batch.cand_ids == ["p0", "p1", "n0", "n1"]
         assert neg.shape == (2, 4)
-        for i, ex in enumerate(examples):
-            q = encode(enc, tokens.take([ex.query]))
+        for i, (query, positive, _) in enumerate(examples):
+            q = encode(enc, tokens.take([query]))
             np.testing.assert_allclose(
-                pos[i], cosine(q, encode(enc, tokens.take([ex.positive]))), atol=1e-12
+                pos[i], cosine(q, encode(enc, tokens.take([positive]))), atol=1e-12
             )
         np.testing.assert_allclose(
             neg[0, 2], cosine(encode(enc, tokens.take([0])), encode(enc, tokens.take([2]))),
@@ -76,34 +75,29 @@ class TestBuildBatch:
 
     def test_own_positive_masked_out(self):
         _, enc, tokens = make_fixture()
-        examples = [
-            TrainingExample("q0", 0, "p0", 1),
-            TrainingExample("q1", 2, "p1", 3),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(training_set([(0, 1, ()), (2, 3, ())]), [0, 1], tokens, enc)
         neg_mask = batch_similarities(batch)[2]
         assert not neg_mask[0, 0] and not neg_mask[1, 1]
         assert neg_mask[0, 1] and neg_mask[1, 0]
         assert batch.excluded == []
 
-    def test_duplicate_of_own_positive_excluded_and_logged(self):
+    def test_duplicate_of_own_positive_excluded_and_logged(self, caplog):
         """A mined negative that is another query's positive is masked for
         that query only."""
         _, enc, tokens = make_fixture()
-        examples = [
-            TrainingExample("q0", 0, "pA", 1),
-            TrainingExample("q1", 2, "pB", 3, ("pA",), (1,)),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        data = training_set([(0, 1, ()), (2, 3, (1,))], ["q0", "pA", "q1", "pB", "r4", "r5"])
+        with caplog.at_level("DEBUG", logger="progemb.training"):
+            batch = build_batch(data, [0, 1], tokens, enc)
         neg_mask = batch_similarities(batch)[2]
-        # slot 2 is q1's mined negative with id pA == q0's positive id
+        # slot 2 is q1's mined negative, store row 1: q0's positive
         assert not neg_mask[0, 2]
         assert neg_mask[1, 2]
         assert ("q0", "pA") in batch.excluded
+        assert "candidate pA duplicates positive of q0" in caplog.text
 
     def test_mask_and_exclusions_match_pairwise_loop(self):
-        """The id comparison gives the mask and the exclusion order of a
-        plain loop over (query, slot) pairs, on batches with repeated ids."""
+        """The row codes give the mask and the exclusion order of a plain
+        loop over (query, slot) pairs, on batches with repeated rows."""
         _, enc, tokens = make_fixture()
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -112,45 +106,58 @@ class TestBuildBatch:
                 pid = int(rng.integers(0, 6))
                 others = [k for k in range(6) if k != pid]
                 nids = rng.choice(others, size=int(rng.integers(0, 4)), replace=False)
-                examples.append(TrainingExample(
-                    f"q{i}", i, f"p{pid}", pid,
-                    tuple(f"p{k}" for k in nids), tuple(int(k) for k in nids),
-                ))
-            batch = build_batch(examples, tokens, enc)
+                examples.append((i, pid, tuple(int(k) for k in nids)))
+            batch = build_batch(training_set(examples), np.arange(len(examples)), tokens, enc)
             _, neg, neg_mask = batch_similarities(batch)
+            pool = [p for _, p, _ in examples] + [n for _, _, ns in examples for n in ns]
             mask = np.ones(neg.shape, dtype=bool)
             excluded = []
-            for i, ex in enumerate(examples):
-                for j, cid in enumerate(batch.cand_ids):
-                    if cid == ex.positive_id:
+            for i, (query, positive, _) in enumerate(examples):
+                for j, row in enumerate(pool):
+                    if row == positive:
                         mask[i, j] = False
                         if j != i:
-                            excluded.append((ex.query_id, cid))
+                            excluded.append((ROWS[query], ROWS[row]))
+            assert batch.cand_ids == [ROWS[row] for row in pool]
             np.testing.assert_array_equal(neg_mask, mask)
             assert batch.excluded == excluded
 
     def test_shared_id_encoded_once(self):
         _, enc, tokens = make_fixture()
-        examples = [
-            TrainingExample("q0", 0, "pA", 1),
-            TrainingExample("q1", 2, "pB", 3, ("pA",), (1,)),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(training_set([(0, 1, ()), (2, 3, (1,))]), [0, 1], tokens, enc)
         np.testing.assert_array_equal(batch.cand_embs[0], batch.cand_embs[2])
+        # two queries, then the two distinct candidate rows
+        assert len(batch.forward.embs) == 4
 
-    def test_conflicting_texts_for_one_id_rejected(self):
-        _, enc, tokens = make_fixture()
-        examples = [
-            TrainingExample("q0", 0, "pA", 1),
-            TrainingExample("q1", 2, "pA", 3),
-        ]
-        with pytest.raises(ValueError, match="pA"):
-            build_batch(examples, tokens, enc)
+    def test_layout_matches_id_coded_oracle(self):
+        """On random batches with repeated rows (shared positives, negatives
+        that are other queries' positives, examples drawn twice), coding by
+        store row gives the id coding's forward rows, slot codes and
+        exclusions, and encodes the same rows in the same order."""
+        rng = np.random.default_rng(11)
+        # 12 queries over 8 passages: positives repeat
+        tok, data, tokens = random_batch_examples(rng, 12, 8, 3)
+        enc = ToyEncoder.create(tok.vocab_size, 4, seed=11)
+        name = data.names.tolist()
+        for _ in range(30):
+            index = rng.integers(0, len(data), size=int(rng.integers(1, 16)))
+            examples = []
+            for query, (positive, *negatives) in zip(data.queries[index], data.candidates[index]):
+                negatives = [n for n in negatives if n >= 0]
+                examples.append((name[query], query, name[positive], positive,
+                                 [name[n] for n in negatives], negatives))
+            encoded, rows, codes, excluded = oracle_batch_layout(examples)
+            batch = build_batch(data, index, tokens, enc)
+            np.testing.assert_array_equal(batch.rows, rows)
+            np.testing.assert_array_equal(batch.cand_codes, codes)
+            assert batch.excluded == excluded
+            want = encode_batch(enc, tokens.take(encoded)).embs
+            assert batch.forward.embs.tobytes() == want.tobytes()
 
     def test_empty_batch_rejected(self):
         _, enc, tokens = make_fixture()
         with pytest.raises(ValueError):
-            build_batch([], tokens, enc)
+            build_batch(training_set([(0, 1, ())]), [], tokens, enc)
 
 
 class TestStepGradients:
@@ -159,13 +166,10 @@ class TestStepGradients:
         parameters, coefficients frozen, including a candidate that serves
         as one query's positive and another query's hard negative."""
         tok, enc, tokens = make_fixture(dim=4, seed=3)
-        examples = [
-            TrainingExample("q0", 0, "pA", 1, ("n0",), (2,)),
-            TrainingExample("q1", 3, "pB", 4, ("pA",), (1,)),
-        ]
+        data = training_set([(0, 1, (2,)), (3, 4, (1,))])
         hyper = HyperParams(tau=0.1)
         state = MomentumState(t=0.4, step=3)
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(data, [0, 1], tokens, enc)
         value, _, _, grads = _step_loss_and_gradients(
             batch, enc, state, hyper, "progressive", "sum"
         )
@@ -175,7 +179,7 @@ class TestStepGradients:
         w, a = record.weights, record.scales
 
         def frozen_loss():
-            b_pos, b_neg, b_mask = batch_similarities(build_batch(examples, tokens, enc))
+            b_pos, b_neg, b_mask = batch_similarities(build_batch(data, [0, 1], tokens, enc))
             total = 0.0
             for i in range(len(b_pos)):
                 terms = [
@@ -206,11 +210,7 @@ class TestStepGradients:
 
     def test_infonce_mode_ignores_coefficients(self):
         _, enc, tokens = make_fixture(dim=4, seed=5)
-        examples = [
-            TrainingExample("q0", 0, "p0", 1),
-            TrainingExample("q1", 2, "p1", 3),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(training_set([(0, 1, ()), (2, 3, ())]), [0, 1], tokens, enc)
         hyper = HyperParams(tau=0.5)
         v1, _, w1, _ = _step_loss_and_gradients(
             batch, enc, MomentumState(), hyper, "infonce", "sum"
@@ -236,11 +236,9 @@ def random_batch_examples(rng, n_queries, n_passages, n_negatives):
         pid = i % n_passages
         others = [k for k in range(n_passages) if k != pid]
         nids = rng.choice(others, size=n_negatives, replace=False)
-        examples.append(TrainingExample(
-            f"q{i}", n_passages + i, f"p{pid}", pid,
-            tuple(f"p{k}" for k in nids), tuple(int(k) for k in nids),
-        ))
-    return tok, examples, tokens
+        examples.append((n_passages + i, pid, tuple(int(k) for k in nids)))
+    names = [f"p{k}" for k in range(n_passages)] + [f"q{i}" for i in range(n_queries)]
+    return tok, training_set(examples, names), tokens
 
 
 class TestStepAgainstPoolKernel:
@@ -268,11 +266,8 @@ class TestStepAgainstPoolKernel:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_shared_slot_and_exclusion(self, loss_mode, reduction):
         _, enc, tokens = make_fixture(dim=4, seed=3)
-        examples = [
-            TrainingExample("q0", 0, "pA", 1, ("n0",), (2,)),
-            TrainingExample("q1", 3, "pB", 4, ("pA",), (1,)),
-        ]
-        batch = build_batch(examples, tokens, enc)
+        data = training_set([(0, 1, (2,)), (3, 4, (1,))], ["q0", "pA", "n0", "q1", "pB", "r5"])
+        batch = build_batch(data, [0, 1], tokens, enc)
         assert batch.excluded == [("q0", "pA")]
         self.check(batch, enc, HyperParams(tau=0.1), MomentumState(t=0.4, step=3),
                    loss_mode, reduction)
@@ -281,9 +276,9 @@ class TestStepAgainstPoolKernel:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_batch_of_64_with_five_negatives(self, loss_mode, reduction):
         rng = np.random.default_rng(15)
-        tok, examples, tokens = random_batch_examples(rng, 64, 90, 5)
+        tok, data, tokens = random_batch_examples(rng, 64, 90, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=15)
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(data, np.arange(64), tokens, enc)
         assert batch_similarities(batch)[1].shape == (64, 64 * 6) and batch.excluded
         self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
                    loss_mode, reduction)
@@ -299,9 +294,9 @@ class TestStepRowBlocks:
     @staticmethod
     def batch(n_queries=10, seed=15):
         rng = np.random.default_rng(seed)
-        tok, examples, tokens = random_batch_examples(rng, n_queries, n_queries + 8, 5)
+        tok, data, tokens = random_batch_examples(rng, n_queries, n_queries + 8, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=seed)
-        return enc, build_batch(examples, tokens, enc)
+        return enc, build_batch(data, np.arange(n_queries), tokens, enc)
 
     def step(self, enc, batch, loss_mode, reduction="sum"):
         return _step_loss_and_gradients(
@@ -370,14 +365,12 @@ class TestStepRowBlocks:
         tok = Tokenizer.from_texts(texts + queries)
         tokens = tok.encode_texts(texts + queries)
         # query i's first negative copies its own positive (i < 6) or another's
-        examples = [
-            TrainingExample(f"q{i}", 18 + i, f"p{i}", i,
-                            (f"p{12 + i % 6}", f"p{(i + 1) % 12}"),
-                            (12 + i % 6, (i + 1) % 12))
-            for i in range(9)
-        ]
+        data = training_set(
+            [(18 + i, i, (12 + i % 6, (i + 1) % 12)) for i in range(9)],
+            [f"p{k}" for k in range(18)] + [f"q{i}" for i in range(9)],
+        )
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=4)
-        batch = build_batch(examples, tokens, enc)
+        batch = build_batch(data, np.arange(9), tokens, enc)
         assert batch.cand_embs[9].tobytes() == batch.cand_embs[0].tobytes()
         calls = self.record_losses(monkeypatch)
         _, pos, _, _ = self.step(enc, batch, "progressive")
@@ -412,11 +405,7 @@ class TestStepZeroNormRule:
 
     def batch(self):
         _, enc, tokens = make_fixture(dim=4, seed=14)
-        examples = [
-            TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
-            TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
-        ]
-        return enc, build_batch(examples, tokens, enc)
+        return enc, build_batch(training_set([(0, 1, (2,)), (3, 4, (5,))]), [0, 1], tokens, enc)
 
     def step(self, enc, batch):
         return _step_loss_and_gradients(
@@ -501,11 +490,7 @@ class TestPretrain:
 
 def tiny_dataset():
     """Three examples over the rows of make_fixture's store."""
-    return [
-        TrainingExample("q0", 0, "p0", 1, ("n0",), (2,)),
-        TrainingExample("q1", 3, "p1", 4, ("n1",), (5,)),
-        TrainingExample("q2", 2, "p2", 5),
-    ]
+    return training_set([(0, 1, (2,)), (3, 4, (5,)), (2, 5, ())])
 
 
 class TestFinetune:
@@ -547,11 +532,11 @@ class TestFinetune:
 
     def test_training_pulls_positives_closer(self):
         _, enc, tokens = make_fixture(seed=11)
-        examples = tiny_dataset()
-        before = np.mean(batch_similarities(build_batch(examples, tokens, enc))[0])
-        finetune(examples, tokens, enc, HyperParams(tau=0.1), 30, batch_size=3,
+        data = tiny_dataset()
+        before = np.mean(batch_similarities(build_batch(data, [0, 1, 2], tokens, enc))[0])
+        finetune(data, tokens, enc, HyperParams(tau=0.1), 30, batch_size=3,
                  lr=0.05, optimizer="sgd", seed=4)
-        after = np.mean(batch_similarities(build_batch(examples, tokens, enc))[0])
+        after = np.mean(batch_similarities(build_batch(data, [0, 1, 2], tokens, enc))[0])
         assert after > before
 
     def test_epochs_zero_is_a_no_op(self):
