@@ -286,9 +286,12 @@ def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
 
 def cmd_finetune(cfg: RunConfig) -> None:
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
-    rows = dataio.read_dataset(_require(cfg.dataset_path, "dataset_path"))
-    passages = dataio.read_corpus(_require(cfg.passages_path, "passages_path"))
-    data, tokens = _training_set(rows, passages, ckpt.tokenizer, cfg)
+    # the dataset's rows and the passages' texts live only while the set is built
+    data, tokens = _training_set(
+        dataio.read_dataset(_require(cfg.dataset_path, "dataset_path")),
+        dataio.iter_corpus(_require(cfg.passages_path, "passages_path")),
+        ckpt.tokenizer, cfg,
+    )
     result = finetune(
         data,
         tokens,

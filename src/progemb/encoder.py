@@ -60,9 +60,9 @@ _RESERVED = ("<pad>", "<mask>")
 
 # entries per decoder column block, (N + L) rows by cols (256 KB of float64)
 MAE_BLOCK = 1 << 15
-# entries per flat scatter index block (512 KB of intp), and tokens × d
+# entries per flat scatter index block (64 KB of intp), and tokens × d
 # entries per encoder token block
-SCATTER_BLOCK = 1 << 16
+SCATTER_BLOCK = 1 << 13
 # a factored softmax sum below this may have lost its leading terms to underflow
 _MIN_SUM = 2.0 ** -900
 
@@ -321,10 +321,13 @@ def _scatter(ufunc, table: np.ndarray, index, values: np.ndarray) -> None:
 def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
     """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
     e, lengths = fwd.embs, fwd.tokens.lengths
-    # through normalization: du = (I - ee^T) de / |u|, row by row
-    du = (d_embs - (d_embs * e).sum(axis=1, keepdims=True) * e) / fwd.norms[:, None]
+    # through normalization: du = (I - ee^T) de / |u|, row by row, in one buffer
+    du = (d_embs * e).sum(axis=1, keepdims=True) * e
+    np.subtract(d_embs, du, out=du)
+    du /= fwd.norms[:, None]
     grads["projection"] += fwd.pooled.T @ du
-    d_pooled = (du @ enc.projection.T) / lengths[:, None]
+    d_pooled = du @ enc.projection.T
+    d_pooled /= lengths[:, None]
     for rows, span in _token_blocks(fwd.tokens, enc.dim):
         _scatter(np.add, grads["token_table"], fwd.tokens.ids[span],
                  np.repeat(d_pooled[rows], lengths[rows], axis=0))

@@ -21,8 +21,11 @@ weight and scale set to 1.
 
 Both losses run one kernel: a single log-sum-exp per query gives the loss
 value and, with the coefficients frozen, its derivatives with respect to
-the positive and negative similarities. The caller turns those into
-embedding gradients; the cosine's chain rule is the encoder's backward.
+the positive and negative similarities. The kernel works in one
+(B, N + 1) buffer, in place, and returns the negatives' derivative as a
+view of it; it never writes its inputs. The caller turns those
+derivatives into embedding gradients; the cosine's chain rule is the
+encoder's backward.
 """
 
 from __future__ import annotations
@@ -120,27 +123,34 @@ def _reduce(per_query: np.ndarray, reduction: str) -> float:
 
 def _contrastive(p, n, m, w, a, tau: float, reduction: str):
     """The reduced ``w * log(1 + sum(exp((a * neg - pos) / tau)))`` and its
-    record, from one log-sum-exp per query.
+    record, from one log-sum-exp per query over one (rows, N + 1) buffer.
 
-    The negatives' logits are shifted by the positive one, so the positive
-    sits at 0 of the log-sum-exp input and a dominant positive does not
-    cancel; masked negatives are -inf and weigh nothing. With pi the
-    negatives' softmax shares, d/d neg = w pi a / tau, and d/d pos is minus
-    the negatives' total share times w / tau, which keeps its digits when
-    the positive dominates.
+    Column 0 of the buffer is the positive's logit: the negatives' logits
+    are shifted by the positive one, so the positive sits at 0 and a
+    dominant positive does not cancel; masked negatives are -inf and weigh
+    nothing. Scale, shift, mask, max subtraction and exp run in place. With
+    pi the negatives' softmax shares, d/d neg = w pi a / tau, and d/d pos is
+    minus the negatives' total share times w / tau, which keeps its digits
+    when the positive dominates; it is taken before pi is scaled in place,
+    so grad_neg is a view of the buffer.
     """
-    z = np.where(m, (a * n - p[:, None]) / tau, -np.inf)
-    z = np.concatenate([np.zeros((z.shape[0], 1)), z], axis=1)
+    z = np.empty((n.shape[0], n.shape[1] + 1))
+    z[:, 0] = 0.0
+    pi = z[:, 1:]  # the negatives' logits, then each one's softmax share times total
+    np.multiply(a, n, out=pi)
+    pi -= p[:, None]
+    pi /= tau
+    np.copyto(pi, -np.inf, where=~m)
     high = np.max(z, axis=1, keepdims=True)
-    np.exp(z - high, out=z)
+    z -= high
+    np.exp(z, out=z)
     total = np.sum(z, axis=1)
     value = _reduce(w * (high[:, 0] + np.log(total)), reduction)
     coef = w / tau / (total if reduction == "sum" else total * len(p))
-    pi = z[:, 1:]  # each negative's softmax share, times total
-    grad_neg = coef[:, None] * pi
-    grad_neg *= a
     grad_pos = -coef * np.sum(pi, axis=1)
-    return value, BatchSimilarities(w, a, m, grad_pos, grad_neg)
+    pi *= coef[:, None]
+    pi *= a
+    return value, BatchSimilarities(w, a, m, grad_pos, pi)
 
 
 def info_nce(

@@ -8,8 +8,9 @@ negatives in-batch: each query's negative pool is every other query's
 positive plus every hard negative brought by any query in the batch. A
 candidate whose store row is the query's own positive's row is excluded
 from that query's pool (and logged), which the batch's integer candidate
-codes encode. The step scores the pool in blocks of query rows, so no
-(B, M) array lives longer than one block.
+codes encode. The step normalizes the pool once and scores it in blocks
+of query rows sized by a budget of (rows, M) entries, so no (B, M) array
+lives longer than one block and a block's arrays stay near that budget.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .loss import (
     update_momentum,
 )
 from .optim import make_optimizer
-from .similarity import sim_matrix
+from .similarity import _unit_rows, sim_matrix  # noqa: F401
 
 __all__ = [
     "TrainingSet",
@@ -55,8 +56,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MAX_HARD_NEGATIVES = 5
-# query rows per step block: the step's (rows, M) arrays stay this many rows
-STEP_ROWS = 64
+# (rows, M) entries per step block: a block is max(STEP_MIN_ROWS,
+# STEP_ENTRIES // M) query rows, so each of its arrays is near 256 KB of
+# float64 until M is so large that the floor keeps the block a matrix product
+STEP_ENTRIES = 1 << 15
+STEP_MIN_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,48 +306,74 @@ def _step_loss_and_gradients(
     """One batch's loss value, positive similarities, mean positive weight,
     and parameter gradients.
 
-    Query rows are walked in blocks of STEP_ROWS. A block's cosines
-    S_b = sim_matrix(Uq[b], Uc), with query i's positive at slot i and its
-    negatives where the slot's code differs from its positive's, go through
-    the loss kernel, which gives dL/dS_b. Through the product that is
-    dL/dS_b Uc for the block's queries and dL/dS_b^T Uq[b], summed over
-    blocks, for the slots; a slot that is one query's positive and another's
-    negative carries both roles. The encoder's backward projects onto the
-    unit sphere, which is the rest of the cosine's chain rule.
+    The queries and the pool are normalized once, as sim_matrix does, to
+    Uq and Uc. Query rows are walked in blocks of max(STEP_MIN_ROWS,
+    STEP_ENTRIES // M). A block's cosines S_b = Uq[b] Uc^T, clipped, with
+    query i's positive at slot i and its negatives where the slot's code
+    differs from its positive's, go through the loss kernel, which gives
+    dL/dS_b. Through the product that is dL/dS_b Uc for the block's
+    queries and dL/dS_b^T Uq[b], summed over blocks, for the slots; a slot
+    that is one query's positive and another's negative carries both
+    roles. The encoder's backward projects onto the unit sphere, which is
+    the rest of the cosine's chain rule.
 
     pos[i] is the S[i, i] its block feeds the loss, bit for bit: the
     progressive threshold needs every positive before any block's loss, so
     on a batch of several blocks a first pass takes them from the same
-    sim_matrix calls. The blocks' losses are sums and the batch's 1/B, for
+    block products. The blocks' losses are sums and the batch's 1/B, for
     the mean, is applied once; a batch of one block keeps the reduction.
     """
+    value, pos, mean_w, d_embs = _embedding_gradients(batch, state, hyper, loss_mode, reduction)
+    enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+    _encode_backward(enc, batch.forward, d_embs, enc_grads)
+    return value, pos, mean_w, enc_grads
+
+
+def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
+    """The step's loss value, pos, mean positive weight and dL/d(forward
+    embeddings), each distinct sequence's slot gradients summed. The
+    blocks' buffers are freed on return, before the encoder's backward."""
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
     size, uq, uc, codes = batch.size, batch.query_embs, batch.cand_embs, batch.cand_codes
-    blocks = [slice(lo, min(lo + STEP_ROWS, size)) for lo in range(0, size, STEP_ROWS)]
+    qn, cn = _unit_rows(uq, "queries"), _unit_rows(uc, "candidates")
+    rows = max(STEP_MIN_ROWS, STEP_ENTRIES // len(uc))
+    blocks = [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
     diags = [(np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)) for blk in blocks]
     whole = len(blocks) == 1
     block_reduction = reduction if whole else "sum"
+    # the blocks reuse one buffer for their cosines and one for their slots'
+    # term, added in spans of STEP_ENTRIES // d slots: arrays made afresh per
+    # block were given back to the OS and faulted in again every block
+    width = max(1, STEP_ENTRIES // uc.shape[1])
+    spans = [slice(lo, min(lo + width, len(uc))) for lo in range(0, len(uc), width)]
+    sims = np.empty((min(rows, size), len(uc)))
+    term = np.empty((min(width, len(uc)), uc.shape[1]))
+
+    def products(blk):
+        return np.matmul(qn[blk], cn.T, out=sims[: blk.stop - blk.start])
+
     pos = np.empty(size)
     if loss_mode == "progressive" and not whole:
         for blk, diag in zip(blocks, diags):
-            pos[blk] = sim_matrix(uq[blk], uc)[diag]
+            pos[blk] = np.clip(products(blk)[diag], -1.0, 1.0)
     slot_grads = np.empty((size + len(uc), uc.shape[1]))
     values, weights = [], []
     for blk, diag in zip(blocks, diags):
-        sims = sim_matrix(uq[blk], uc)
-        pos[blk] = sims[diag]
+        block_sims = products(blk)
+        np.clip(block_sims, -1.0, 1.0, out=block_sims)
+        pos[blk] = block_sims[diag]
         mask = codes[blk, None] != codes
         if loss_mode == "progressive":
             if blk.start == 0:
                 sigma = batch_threshold(pos, hyper.beta)
             value, record = progressive_loss(
-                pos[blk], sims, sigma, state.t, hyper.tau,
+                pos[blk], block_sims, sigma, state.t, hyper.tau,
                 neg_mask=mask, reduction=block_reduction,
             )
         else:
             value, record = info_nce(
-                pos[blk], sims, hyper.tau, neg_mask=mask, reduction=block_reduction
+                pos[blk], block_sims, hyper.tau, neg_mask=mask, reduction=block_reduction
             )
         values.append(value)
         weights.append(record.weights)
@@ -354,15 +384,15 @@ def _step_loss_and_gradients(
         if blk.start == 0:
             np.matmul(d_sims.T, uq[blk], out=slot_grads[size:])
         else:
-            slot_grads[size:] += d_sims.T @ uq[blk]
+            for span in spans:
+                part = np.matmul(d_sims[:, span].T, uq[blk], out=term[: span.stop - span.start])
+                slot_grads[size:][span] += part
+        # the next block's kernel arrays are made after this block's are freed
+        del record, d_sims
     value = sum(values)
     if reduction == "mean" and not whole:
         value /= size
         slot_grads /= size
-
-    # sum the slot gradients per distinct sequence, then one backward
     d_embs = np.zeros_like(batch.forward.embs)
     _scatter(np.add, d_embs, batch.rows, slot_grads)
-    enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
-    _encode_backward(enc, batch.forward, d_embs, enc_grads)
-    return value, pos, float(np.mean(np.concatenate(weights))), enc_grads
+    return value, pos, float(np.mean(np.concatenate(weights))), d_embs

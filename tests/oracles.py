@@ -132,6 +132,24 @@ class EmbeddingGradients:
     negative: np.ndarray   # (B, N, d)
 
 
+def oracle_contrastive(p, n, m, w, a, tau: float, reduction: str):
+    """Reference loss kernel from whole-array temporaries: a masked copy, a
+    concatenated zero column and an out-of-place exp, then the gradients as
+    new arrays. Returns (value, weights, scales, mask, grad_pos, grad_neg)."""
+    z = np.where(m, (a * n - p[:, None]) / tau, -np.inf)
+    z = np.concatenate([np.zeros((z.shape[0], 1)), z], axis=1)
+    high = np.max(z, axis=1, keepdims=True)
+    np.exp(z - high, out=z)
+    total = np.sum(z, axis=1)
+    value = _reduce(w * (high[:, 0] + np.log(total)), reduction)
+    coef = w / tau / (total if reduction == "sum" else total * len(p))
+    pi = z[:, 1:]
+    grad_neg = coef[:, None] * pi
+    grad_neg *= a
+    grad_pos = -coef * np.sum(pi, axis=1)
+    return value, w, a, m, grad_pos, grad_neg
+
+
 def _logits(pos, neg, neg_mask, scales, tau: float) -> np.ndarray:
     """Negative logits shifted by the positive one, (a * neg - pos) / tau;
     masked entries are -inf."""

@@ -4,6 +4,7 @@ Each test drives main(argv) in-process against files in tmp_path, then
 inspects exit codes and the files written under the output directory.
 """
 
+import gc
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import progemb
-from progemb import dataio
+from progemb import cli, dataio
 from progemb.cli import main
 from progemb.encoder import (
     MaeDecoder,
@@ -414,6 +415,26 @@ class TestFinetune:
         mode, audit = dataio.read_finetune_audit(out / "finetune_audit.jsonl")
         assert mode == "infonce"
         assert all(a.mean_weight == 1.0 for a in audit)
+
+    def test_inputs_are_freed_before_training(self, tmp_path, monkeypatch):
+        """Training sees only the compiled set: when `finetune` starts, no
+        decoded dataset row or passage of the run is alive."""
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        cfg, _ = self.make_cfg(tmp_path, ckpt, ppath, dpath)
+
+        def live():
+            gc.collect()
+            return sum(isinstance(o, (dataio.DatasetRow, Passage)) for o in gc.get_objects())
+
+        before, seen, real = live(), [], cli.finetune
+
+        def counting(*args, **kwargs):
+            seen.append(live() - before)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "finetune", counting)
+        assert main(["finetune", "--config", cfg]) == 0
+        assert seen == [0]
 
     def test_deterministic_across_runs(self, tmp_path):
         ckpt, ppath, dpath = finetune_fixture(tmp_path)

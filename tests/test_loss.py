@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import _weighted_loss, oracle_loss_gradients
+from oracles import _weighted_loss, oracle_contrastive, oracle_loss_gradients
 
 from progemb.loss import (
     HyperParams,
     MomentumState,
+    _scale_matrix,
     batch_threshold,
     info_nce,
     positive_weights,
@@ -309,6 +310,53 @@ class TestNumericalStability:
         pos = rng.uniform(-1, 1, size=500)
         neg = rng.uniform(-1, 1, size=(500, 500))
         assert math.isfinite(info_nce(pos, neg, 0.01)[0])
+
+
+class TestKernelAgainstOracle:
+    """The one-buffer kernel against the kernel it replaced, byte for byte:
+    the value and every record field, on inputs with ties, fully masked
+    rows and no negatives; neither input array is written."""
+
+    @staticmethod
+    def instance(rng):
+        b, n = int(rng.integers(1, 7)), int(rng.integers(0, 9))
+        # a coarse grid makes negatives tie with each other and with the positive
+        pos = rng.integers(-4, 5, size=b) / 4.0
+        neg = rng.integers(-4, 5, size=(b, n)) / 4.0
+        mask = rng.random((b, n)) < 0.7
+        mask[rng.random(b) < 0.25] = False
+        return pos, neg, mask
+
+    @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_byte_identical_to_oracle(self, loss_mode, reduction):
+        rng = np.random.default_rng(31)
+        cases = {"ties": 0, "masked_rows": 0, "no_negatives": 0}
+        for _ in range(150):
+            pos, neg, mask = self.instance(rng)
+            sigma = float(rng.choice([-0.5, 0.0, 0.25, float(np.mean(pos)) - 0.1]))
+            t, tau = float(rng.choice([0.0, 0.5, 1.3])), float(rng.choice([0.01, 0.05, 1.0]))
+            neg_before, mask_before = neg.copy(), mask.copy()
+            if loss_mode == "progressive":
+                value, rec = progressive_loss(pos, neg, sigma, t, tau, mask, reduction)
+                w, a = positive_weights(pos, sigma), _scale_matrix(pos, neg, sigma, t)
+            else:
+                value, rec = info_nce(pos, neg, tau, mask, reduction)
+                w, a = np.ones(pos.shape), np.ones(neg.shape)
+            want = oracle_contrastive(pos, neg, mask, w, a, tau, reduction)
+            assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
+            got = (rec.weights, rec.scales, rec.neg_mask, rec.grad_pos, rec.grad_neg)
+            for field, have, expected in zip(
+                ("weights", "scales", "neg_mask", "grad_pos", "grad_neg"), got, want[1:]
+            ):
+                assert have.shape == expected.shape, field
+                assert have.tobytes() == np.ascontiguousarray(expected).tobytes(), field
+            assert neg.tobytes() == neg_before.tobytes()
+            assert mask.tobytes() == mask_before.tobytes()
+            cases["ties"] += bool((neg == pos[:, None]).any())
+            cases["masked_rows"] += bool(neg.shape[1] and (~mask.any(axis=1)).any())
+            cases["no_negatives"] += neg.shape[1] == 0
+        assert min(cases.values()) > 0, cases
 
 
 class TestMomentum:

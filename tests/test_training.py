@@ -285,8 +285,8 @@ class TestStepAgainstPoolKernel:
 
 
 class TestStepRowBlocks:
-    """The step walks query rows in blocks of STEP_ROWS; the block size
-    changes summation order only."""
+    """The step walks query rows in blocks of max(STEP_MIN_ROWS,
+    STEP_ENTRIES // M); the block size changes summation order only."""
 
     HYPER = HyperParams(beta=0.02, tau=0.05)
     STATE = MomentumState(t=0.6, step=2)
@@ -297,6 +297,14 @@ class TestStepRowBlocks:
         tok, data, tokens = random_batch_examples(rng, n_queries, n_queries + 8, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=seed)
         return enc, build_batch(data, np.arange(n_queries), tokens, enc)
+
+    @staticmethod
+    def block_rows(monkeypatch, batch, rows):
+        """Patch the budget so the step's blocks are `rows` query rows; the
+        budget is not a multiple of M, so its floor division counts."""
+        m = len(batch.cand_ids)
+        monkeypatch.setattr(training, "STEP_MIN_ROWS", 1)
+        monkeypatch.setattr(training, "STEP_ENTRIES", rows * m + m - 1)
 
     def step(self, enc, batch, loss_mode, reduction="sum"):
         return _step_loss_and_gradients(
@@ -316,20 +324,35 @@ class TestStepRowBlocks:
             monkeypatch.setattr(training, name, wrapped)
         return calls
 
-    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_block_size_changes_only_rounding(self, monkeypatch, rows, loss_mode, reduction):
         enc, batch = self.batch()
+        calls = self.record_losses(monkeypatch)
         value, pos, mean_w, grads = self.step(enc, batch, loss_mode, reduction)
-        monkeypatch.setattr(training, "STEP_ROWS", rows)
+        assert len(calls) == 1
+        self.block_rows(monkeypatch, batch, rows)
+        del calls[:]
         b_value, b_pos, b_mean_w, b_grads = self.step(enc, batch, loss_mode, reduction)
+        assert [len(p) for p, _, _ in calls] == {1: [1] * 10, 3: [3, 3, 3, 1], 7: [7, 3]}[rows]
         np.testing.assert_allclose(b_value, value, rtol=1e-12)
         np.testing.assert_allclose(b_pos, pos, rtol=1e-12)
         np.testing.assert_allclose(b_mean_w, mean_w, rtol=1e-12)
         for name in grads:
             np.testing.assert_allclose(b_grads[name], grads[name], rtol=1e-12,
                                        atol=1e-12 * float(np.max(np.abs(grads[name]))))
+
+    def test_budget_sizes_blocks_down_to_the_floor(self, monkeypatch):
+        """A budget below one row per M leaves blocks of STEP_MIN_ROWS rows."""
+        enc, batch = self.batch(n_queries=40)
+        calls = self.record_losses(monkeypatch)
+        self.step(enc, batch, "progressive")
+        assert len(calls) == 1
+        monkeypatch.setattr(training, "STEP_ENTRIES", 1)
+        del calls[:]
+        self.step(enc, batch, "progressive")
+        assert [len(p) for p, _, _ in calls] == [16, 16, 8]
 
     def test_block_records_count_like_one_block(self, monkeypatch):
         """Summed over the blocks' records, the mechanism's counts (w < 1,
@@ -349,14 +372,14 @@ class TestStepRowBlocks:
 
         one = counts()
         assert one[0] == 1 and min(one[1:]) > 0
-        monkeypatch.setattr(training, "STEP_ROWS", 3)
+        self.block_rows(monkeypatch, batch, 3)
         assert counts() == (4,) + one[1:]
 
     def test_pos_is_the_similarity_its_block_feeds_the_loss(self, monkeypatch):
         """On a batch whose mined negatives include verbatim copies of
         positives, pos[i] is bit for bit the S[i, i] of query i's block: the
         diagonal of the whole-pool sim_matrix at the default block, and of
-        each block's own call when the batch spans several."""
+        each block's own product when the batch spans several."""
         rng = np.random.default_rng(4)
         words = [f"w{i}" for i in range(30)]
         texts = [" ".join(rng.choice(words, size=5)) for _ in range(12)]
@@ -376,7 +399,7 @@ class TestStepRowBlocks:
         _, pos, _, _ = self.step(enc, batch, "progressive")
         full = sim_matrix(batch.query_embs, batch.cand_embs)
         assert pos.tobytes() == full.diagonal().tobytes()
-        monkeypatch.setattr(training, "STEP_ROWS", 4)
+        self.block_rows(monkeypatch, batch, 4)
         del calls[:]
         _, pos, _, _ = self.step(enc, batch, "progressive")
         assert len(calls) == 3
@@ -385,18 +408,27 @@ class TestStepRowBlocks:
             assert block_pos.tobytes() == sims[rows, 4 * k + rows].tobytes()
             assert block_pos.tobytes() == pos[4 * k : 4 * k + len(rows)].tobytes()
 
-    def test_step_memory_stays_far_below_one_pool_matrix(self):
-        """At B = 1,024 and M = 6,144 one (B, M) float64 array is 50 MB;
-        the step's traced peak stays under half of that."""
-        enc, batch = self.batch(n_queries=1024, seed=2)
-        assert len(batch.cand_ids) == 6144
+    def traced_step_peak(self, n_queries):
+        """The step's tracemalloc peak, in MB, on a progressive batch of
+        n_queries queries with five negatives each (M = 6 * n_queries)."""
+        enc, batch = self.batch(n_queries=n_queries, seed=2)
+        assert len(batch.cand_ids) == 6 * n_queries
         tracemalloc.start()
         try:
             self.step(enc, batch, "progressive", "mean")
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-        assert peak < 1024 * 6144 * 8 / 2
+
+    def test_step_memory_stays_far_below_one_pool_matrix(self):
+        """At B = 1,024 and M = 6,144 one (B, M) float64 array is 50 MB; the
+        step's traced peak is 3.8 MB (16-row blocks, a few arrays each)."""
+        assert self.traced_step_peak(1024) < 3.8 * 1.25
+
+    def test_step_memory_at_a_large_pool(self):
+        """At B = 4,096 and M = 24,576 one (B, M) float64 array is 805 MB and
+        one 16-row block's array 3.1 MB; the step's traced peak is 14.4 MB."""
+        assert self.traced_step_peak(4096) < 14.4 * 1.25
 
 
 class TestStepZeroNormRule:
