@@ -14,7 +14,10 @@ ids once, pools by segment sums, then projects and normalizes all rows;
 uses that a token's logits are its sequence's row plus its position's row:
 it scores a chunk of N sequences and L positions from (N + L)-row products
 over vocabulary column blocks of at most MAE_BLOCK entries, not from its T
-token rows. `encode` and `mae_loss` take one-row stores.
+token rows. It returns the chunk's losses, then hands out its gradients
+one at a time through one reused buffer, so pretraining can update each
+parameter in place as its gradient arrives. `encode` and `mae_loss` take
+one-row stores.
 
 `encode_batch` and `_encode_backward` walk a store in token blocks:
 consecutive row ranges of at most SCATTER_BLOCK // d tokens, a row never
@@ -205,10 +208,6 @@ class ToyEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return {"token_table": self.token_table, "projection": self.projection}
 
-    def set_params(self, params: dict[str, np.ndarray]):
-        self.token_table = params["token_table"]
-        self.projection = params["projection"]
-
 
 @dataclass
 class MaeDecoder:
@@ -234,10 +233,6 @@ class MaeDecoder:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"position_table": self.position_table, "output": self.output}
-
-    def set_params(self, params: dict[str, np.ndarray]):
-        self.position_table = params["position_table"]
-        self.output = params["output"]
 
 
 @dataclass(frozen=True)
@@ -318,19 +313,32 @@ def _scatter(ufunc, table: np.ndarray, index, values: np.ndarray) -> None:
         ufunc.at(flat, at.reshape(-1), values[lo : lo + step].reshape(-1))
 
 
-def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
-    """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
-    e, lengths = fwd.embs, fwd.tokens.lengths
+def _encode_chain(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray):
+    """d(loss)/d(projected means) and d(loss)/d(token rows), each (N, d),
+    given d(loss)/d(embeddings); reads the projection, nothing else."""
+    e = fwd.embs
     # through normalization: du = (I - ee^T) de / |u|, row by row, in one buffer
     du = (d_embs * e).sum(axis=1, keepdims=True) * e
     np.subtract(d_embs, du, out=du)
     du /= fwd.norms[:, None]
-    grads["projection"] += fwd.pooled.T @ du
     d_pooled = du @ enc.projection.T
-    d_pooled /= lengths[:, None]
-    for rows, span in _token_blocks(fwd.tokens, enc.dim):
-        _scatter(np.add, grads["token_table"], fwd.tokens.ids[span],
+    d_pooled /= fwd.tokens.lengths[:, None]
+    return du, d_pooled
+
+
+def _scatter_tokens(fwd: EncodedBatch, d_pooled: np.ndarray, table_grad: np.ndarray):
+    """Add each row's token gradient onto its tokens' rows of table_grad."""
+    lengths = fwd.tokens.lengths
+    for rows, span in _token_blocks(fwd.tokens, table_grad.shape[1]):
+        _scatter(np.add, table_grad, fwd.tokens.ids[span],
                  np.repeat(d_pooled[rows], lengths[rows], axis=0))
+
+
+def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
+    """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
+    du, d_pooled = _encode_chain(enc, fwd, d_embs)
+    grads["projection"] += fwd.pooled.T @ du
+    _scatter_tokens(fwd, d_pooled, grads["token_table"])
 
 
 def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:
@@ -361,7 +369,16 @@ def mae_loss(enc: ToyEncoder, dec: MaeDecoder, clean: Tokens, corrupted: Tokens)
 
 
 def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
-    """Per-row losses plus the gradients of their sum for all four matrices.
+    """Per-row losses, then the gradients of their sum, streamed.
+
+    Returns (losses, gradients): the losses are final, and the gradients
+    are an iterator of (name, gradient) pairs in the order output,
+    position_table, projection, token_table. All four are views of one
+    buffer the size of the largest parameter, so each is valid until the
+    next is drawn. The caller may scale a gradient in place and update its
+    parameter in place before drawing the next: the kernel reads no
+    parameter after handing out its gradient (the token rows' gradient is
+    taken through the old projection before the projection's goes out).
 
     One encoder forward and backward per chunk. x stacks the N embeddings
     over the first L position rows, and token (i, p)'s logits are
@@ -386,7 +403,15 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     _check_ids(enc, clean)
     targets, lengths, starts = clean.ids, clean.lengths, clean.starts
     fwd = encode_batch(enc, corrupted)
-    grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
+    params = {**dec.params(), **enc.params()}
+    buf = np.empty(max(p.size for p in params.values()))
+
+    def grad_buffer(name):
+        """The buffer as the named parameter's zeroed gradient."""
+        grad = buf[: params[name].size].reshape(params[name].shape)
+        grad.fill(0.0)
+        return grad
+
     n, w = len(lengths), dec.output
     seqs = np.repeat(np.arange(n), lengths)
     positions = np.arange(len(targets)) - np.repeat(starts, lengths)
@@ -406,6 +431,7 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     factored = sums >= _MIN_SUM
     r = np.zeros_like(s)
     r[seqs[factored], positions[factored]] = 1.0 / sums[factored]
+    d_output = grad_buffer("output")
     dx = np.zeros_like(x)
     for blk in blocks:
         e = x @ w[:, blk]
@@ -414,7 +440,7 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         to_seqs, to_positions = r @ e[n:], r.T @ e[:n]
         e[:n] *= to_seqs
         e[n:] *= to_positions
-        grads["output"][:, blk] = x.T @ e
+        d_output[:, blk] = x.T @ e
         dx += e @ w[:, blk].T
     z = x[seqs] + x[n + positions]
     w_targets = w.T[targets]
@@ -435,14 +461,26 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         total = e.sum(axis=1, keepdims=True)
         e /= total
         row_losses[rows] = np.log(total[:, 0]) + top[:, 0] - picked[rows]
-        grads["output"] += z[rows].T @ e
+        d_output += z[rows].T @ e
         dz[rows] += e @ w.T
     # the output gradient's one-hot part, once for the whole chunk
-    _scatter(np.subtract, grads["output"].T, targets, z)
+    _scatter(np.subtract, d_output.T, targets, z)
     _scatter(np.add, dx, n + positions, dz)
-    grads["position_table"][: len(x) - n] += dx[n:]
-    _encode_backward(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0), grads)
-    return np.add.reduceat(row_losses, starts).tolist(), grads
+    du, d_pooled = _encode_chain(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0))
+
+    def gradients():
+        yield "output", d_output
+        d_positions = grad_buffer("position_table")
+        d_positions[: len(x) - n] += dx[n:]
+        yield "position_table", d_positions
+        d_projection = grad_buffer("projection")
+        d_projection += fwd.pooled.T @ du
+        yield "projection", d_projection
+        d_table = grad_buffer("token_table")
+        _scatter_tokens(fwd, d_pooled, d_table)
+        yield "token_table", d_table
+
+    return np.add.reduceat(row_losses, starts).tolist(), gradients()
 
 
 @dataclass
@@ -534,7 +572,9 @@ def load_checkpoint(path) -> Checkpoint:
     vocab = tuple(header["vocab"])
     if len(vocab) != v:
         raise ValueError(f"vocab length {len(vocab)} does not match vocab_size {v}")
-    body = data[newline + 1:]
+    # a view, not a copy of the body; each matrix is copied out of it once,
+    # into an owned, writeable array the optimizer may update in place
+    body = memoryview(data)[newline + 1:]
     offset = 0
 
     def take(shape):

@@ -1,4 +1,11 @@
-"""Optimizers over named parameter dictionaries.
+"""Optimizers over named parameter dictionaries, updated in place.
+
+`step(params, grads)` writes each parameter's update into the array it is
+given and returns nothing: no parameter-sized array is made beyond the
+AdamW moments, which are kept per parameter name together with that
+parameter's step count. A call may therefore carry any subset of the
+parameters, one at a time as their gradients become ready. The update is
+walked in blocks of ADAMW_BLOCK elements through two scratch buffers.
 
 AdamW (decoupled weight decay) is the default; plain gradient descent is
 kept as a fallback whose update has no internal state, which makes bitwise
@@ -11,7 +18,7 @@ import numpy as np
 
 __all__ = ["AdamW", "GradientDescent", "make_optimizer"]
 
-# elements per AdamW block (128 KB of float64 per scratch buffer)
+# elements per update block (128 KB of float64 per scratch buffer)
 ADAMW_BLOCK = 1 << 14
 
 
@@ -34,6 +41,22 @@ def _check_hyper(lr: float, weight_decay: float):
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
 
 
+def _blocks(p: np.ndarray, *others: np.ndarray):
+    """Matching ADAMW_BLOCK-element blocks of p and others, plus two scratch
+    buffers cut to each block's length. p's blocks are views in its memory
+    order, so writing them updates p; others are taken in the same element
+    order, and a moment made by np.zeros_like(p) shares p's layout, so its
+    blocks are views that take its in-place update."""
+    if not (p.flags.c_contiguous or p.flags.f_contiguous) or not p.flags.writeable:
+        raise ValueError("a parameter must be a writeable contiguous array")
+    order = "C" if p.flags.c_contiguous else "F"
+    flat = [a.reshape(-1, order=order) for a in (p, *others)]
+    scratch = np.empty(min(ADAMW_BLOCK, p.size)), np.empty(min(ADAMW_BLOCK, p.size))
+    for lo in range(0, p.size, ADAMW_BLOCK):
+        block = [a[lo : lo + ADAMW_BLOCK] for a in flat]
+        yield *block, *(buf[: len(block[0])] for buf in scratch)
+
+
 class GradientDescent:
     """Fallback mode: p <- p - lr*g, with optional decoupled weight decay."""
 
@@ -43,14 +66,18 @@ class GradientDescent:
         self.weight_decay = weight_decay
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """Update params in place: p - lr * g, then - lr * weight_decay * p
+        of the old p."""
         _check_keys(params, grads)
-        out = {}
+        decay = self.lr * self.weight_decay
         for name, p in params.items():
-            new = p - self.lr * grads[name]
-            if self.weight_decay:
-                new = new - self.lr * self.weight_decay * p
-            out[name] = new
-        return out
+            for p_b, g, tmp, old in _blocks(p, grads[name]):
+                np.multiply(g, self.lr, out=tmp)
+                if self.weight_decay:
+                    np.multiply(p_b, decay, out=old)
+                p_b -= tmp
+                if self.weight_decay:
+                    p_b -= old
 
 
 class AdamW:
@@ -72,35 +99,30 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.t = 0
+        self._t: dict[str, int] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Return the updated parameters; the moments are updated in place.
+        """Update params and their moments in place; return nothing.
 
-        Each block of ADAMW_BLOCK elements runs the textbook update, operation
-        for operation and operand for operand, through two scratch buffers,
-        so the result is bit-identical to it without its full-size
-        temporaries.
+        Each parameter counts its own steps, so its bias correction follows
+        the calls that carried it. Each block runs the textbook update,
+        operation for operation and operand for operand, so the result is
+        bit-identical to the whole-array one. The decay term lr *
+        weight_decay * p is taken from the old p before p is overwritten.
         """
         _check_keys(params, grads)
         b1, b2 = self.betas
-        self.t += 1
-        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         decay = self.lr * self.weight_decay
-        scratch = np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK)
-        out = {}
         for name, p in params.items():
             if name not in self._m:
-                self._m[name] = np.zeros(p.shape)
-                self._v[name] = np.zeros(p.shape)
-            new = np.empty(p.shape)
-            flat = (p.reshape(-1), grads[name].reshape(-1), self._m[name].reshape(-1),
-                    self._v[name].reshape(-1), new.reshape(-1))
-            for lo in range(0, p.size, ADAMW_BLOCK):
-                p_b, g, m, v, new_b = (a[lo : lo + ADAMW_BLOCK] for a in flat)
-                tmp, den = (buf[: len(g)] for buf in scratch)
+                self._t[name] = 0
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            self._t[name] += 1
+            c1, c2 = 1.0 - b1 ** self._t[name], 1.0 - b2 ** self._t[name]
+            for p_b, g, m, v, tmp, den in _blocks(p, grads[name], self._m[name], self._v[name]):
                 # m = b1 * m + (1 - b1) * g
                 np.multiply(m, b1, out=m)
                 np.multiply(g, 1.0 - b1, out=tmp)
@@ -110,20 +132,18 @@ class AdamW:
                 np.multiply(g, 1.0 - b2, out=tmp)
                 tmp *= g
                 v += tmp
-                # new = p - lr * (m / c1) / (sqrt(v / c2) + eps)
+                # p = p - lr * (m / c1) / (sqrt(v / c2) + eps) - lr * weight_decay * p
                 np.divide(m, c1, out=tmp)
                 tmp *= self.lr
                 np.divide(v, c2, out=den)
                 np.sqrt(den, out=den)
                 den += self.eps
                 tmp /= den
-                np.subtract(p_b, tmp, out=new_b)
                 if self.weight_decay:
-                    # new = new - lr * weight_decay * p
-                    np.multiply(p_b, decay, out=tmp)
-                    new_b -= tmp
-            out[name] = new
-        return out
+                    np.multiply(p_b, decay, out=den)
+                p_b -= tmp
+                if self.weight_decay:
+                    p_b -= den
 
 
 def make_optimizer(mode: str, lr: float, weight_decay: float = 0.0):

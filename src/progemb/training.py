@@ -11,6 +11,9 @@ from that query's pool (and logged), which the batch's integer candidate
 codes encode. The step normalizes the pool once and scores it in blocks
 of query rows sized by a budget of (rows, M) entries, so no (B, M) array
 lives longer than one block and a block's arrays stay near that budget.
+The optimizer writes into the model's arrays: fine-tuning fills one
+gradient dict per run, and pretraining applies each parameter's gradient
+as the MAE kernel hands it out, so no whole gradient set is held.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ def pretrain(
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
+    params = {**enc.params(), **dec.params()}
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(epochs):
@@ -188,23 +192,28 @@ def pretrain(
             clean = corpus.take(order[start : start + batch_size])
             corrupted = corrupt(clean, mask_ratio, rng.integers(0, 2**63 - 1, size=len(clean)))
             try:
-                chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
-                if not np.isfinite(chunk_losses).all():
-                    raise ValueError("non-finite reconstruction loss")
-                for name in grads:
-                    grads[name] /= len(clean)
-                new = opt.step({**enc.params(), **dec.params()}, grads)
-                for name, value in new.items():
-                    if not np.isfinite(value).all():
-                        raise ValueError(f"non-finite {name} after the update")
+                chunk_losses = _mae_step(enc, dec, params, opt, clean, corrupted)
             except ValueError as exc:
                 raise ValueError(f"pretrain step {step} (epoch {epoch}): {exc}") from exc
             losses.extend(chunk_losses)
-            enc.set_params(new)
-            dec.set_params(new)
             step += 1
         epoch_losses.append(float(np.mean(losses)))
     return PretrainResult(encoder=enc, decoder=dec, epoch_losses=epoch_losses)
+
+
+def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[float]:
+    """One pretraining chunk: its losses are checked before any update, then
+    each parameter takes its step as soon as its gradient is handed out.
+    The kernel's gradient buffer dies on return, before the next chunk's."""
+    chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+    if not np.isfinite(chunk_losses).all():
+        raise ValueError("non-finite reconstruction loss")
+    for name, grad in grads:
+        grad /= len(clean)
+        opt.step({name: params[name]}, {name: grad})
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"non-finite {name} after the update")
+    return chunk_losses
 
 
 @dataclass(frozen=True)
@@ -259,6 +268,8 @@ def finetune(
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
     state = initial_state
+    params = enc.params()
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
     history: list[MomentumState] = []
     audit: list[StepAudit] = []
     step = 0
@@ -267,16 +278,15 @@ def finetune(
         for start in range(0, len(order), batch_size):
             try:
                 batch = build_batch(dataset, order[start : start + batch_size], tokens, enc)
-                value, pos, mean_w, step_grads = _step_loss_and_gradients(
-                    batch, enc, state, hyper, loss_mode, reduction
+                value, pos, mean_w = _step_loss_and_gradients(
+                    batch, enc, state, hyper, loss_mode, reduction, grads
                 )
                 if not np.isfinite(value):
                     raise ValueError("non-finite contrastive loss")
-                new = opt.step(enc.params(), step_grads)
-                for name, param in new.items():
+                opt.step(params, grads)
+                for name, param in params.items():
                     if not np.isfinite(param).all():
                         raise ValueError(f"non-finite {name} after the update")
-                enc.set_params(new)
             except ValueError as exc:
                 raise ValueError(f"fine-tune step {step} (epoch {epoch}): {exc}") from exc
             state = update_momentum(state, pos, hyper.alpha)
@@ -302,9 +312,11 @@ def _step_loss_and_gradients(
     hyper: HyperParams,
     loss_mode: str,
     reduction: str,
+    grads: dict[str, np.ndarray],
 ):
-    """One batch's loss value, positive similarities, mean positive weight,
-    and parameter gradients.
+    """One batch's loss value, positive similarities and mean positive
+    weight; the parameter gradients are written into grads, which is
+    zeroed first, so a run reuses one set of arrays.
 
     The queries and the pool are normalized once, as sim_matrix does, to
     Uq and Uc. Query rows are walked in blocks of max(STEP_MIN_ROWS,
@@ -324,9 +336,10 @@ def _step_loss_and_gradients(
     the mean, is applied once; a batch of one block keeps the reduction.
     """
     value, pos, mean_w, d_embs = _embedding_gradients(batch, state, hyper, loss_mode, reduction)
-    enc_grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
-    _encode_backward(enc, batch.forward, d_embs, enc_grads)
-    return value, pos, mean_w, enc_grads
+    for grad in grads.values():
+        grad.fill(0.0)
+    _encode_backward(enc, batch.forward, d_embs, grads)
+    return value, pos, mean_w
 
 
 def _embedding_gradients(batch, state, hyper, loss_mode, reduction):

@@ -375,3 +375,15 @@ class OracleAdamW:
                 new = new - self.lr * self.weight_decay * p
             out[name] = new
         return out
+
+
+def oracle_descent(params, grads, lr, weight_decay=0.0):
+    """Gradient descent as whole-array expressions of the old parameters:
+    p - lr * g, then - lr * weight_decay * p. Returns fresh arrays."""
+    out = {}
+    for name, p in params.items():
+        new = p - lr * grads[name]
+        if weight_decay:
+            new = new - lr * weight_decay * p
+        out[name] = new
+    return out

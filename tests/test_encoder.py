@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,12 @@ class TestCorrupt:
         assert rows_of(corrupt(store(seqs[3:]), ratio, seeds[3:])) == rows_of(out)[3:]
 
 
+def mae_gradients(enc, dec, clean, corrupted):
+    """The kernel's losses and a copy of each gradient it hands out, by name."""
+    losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+    return losses, {name: grad.copy() for name, grad in grads}
+
+
 class TestMaeLoss:
     def test_uniform_logits_at_init(self):
         """The output matrix starts at zero, so every position predicts the
@@ -396,7 +403,7 @@ class TestMaeLoss:
         clean = store([(2, 6, 3, 5)])
         corrupted = corrupt(clean, 0.4, [1])
 
-        _, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+        _, grads = mae_gradients(enc, dec, clean, corrupted)
         h = 1e-6
         owners = {"token_table": enc, "projection": enc,
                   "position_table": dec, "output": dec}
@@ -432,7 +439,7 @@ class TestMaeLoss:
             return sum(mae_loss(enc, dec, cleans.take([i]), corrupteds.take([i]))
                        for i in range(len(cleans)))
 
-        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        losses, grads = mae_gradients(enc, dec, cleans, corrupteds)
         np.testing.assert_allclose(sum(losses), total(), rtol=1e-12)
         h = 1e-6
         owners = {"token_table": enc, "projection": enc,
@@ -458,7 +465,7 @@ class TestMaeLoss:
         dec = MaeDecoder.create(6, dim, vocab, seed=5)
         clean = store([(2, 7, 4, 9)])
         corrupted = corrupt(clean, 0.4, [2])
-        (before,), grads = _mae_forward_backward(enc, dec, clean, corrupted)
+        (before,), grads = mae_gradients(enc, dec, clean, corrupted)
         for name, owner in (("token_table", enc), ("projection", enc),
                             ("position_table", dec), ("output", dec)):
             setattr(owner, name, getattr(owner, name) - 0.05 * grads[name])
@@ -505,7 +512,7 @@ class TestMaeKernel:
         if cols_per_block is not None:
             rows = len(cleans) + cleans.lengths.max()
             monkeypatch.setattr(encoder, "MAE_BLOCK", cols_per_block * rows)
-        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        losses, grads = mae_gradients(enc, dec, cleans, corrupteds)
         want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
         assert grads.keys() == want_grads.keys()
@@ -526,7 +533,7 @@ class TestMaeKernel:
             assert (log_sums < -650).all()
         else:
             assert (log_sums < -650).any() and (log_sums > -550).any()
-        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        losses, grads = mae_gradients(enc, dec, cleans, corrupteds)
         want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
         for name in grads:
@@ -534,13 +541,40 @@ class TestMaeKernel:
                                        atol=1e-12 * np.abs(want_grads[name]).max(),
                                        err_msg=f"gradient mismatch for {name}")
 
+    def test_gradients_stream_in_order_through_one_buffer(self):
+        """output, position_table, projection, token_table, each of its
+        parameter's shape, all views of one buffer of the largest one's size."""
+        enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
+        _, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        params = {**enc.params(), **dec.params()}
+        handed = [(name, grad) for name, grad in grads]
+        assert [name for name, _ in handed] == [
+            "output", "position_table", "projection", "token_table"]
+        base = handed[0][1].base
+        assert base.size == max(p.size for p in params.values())
+        for name, grad in handed:
+            assert grad.shape == params[name].shape and grad.base is base
+
+    def test_no_parameter_read_after_its_gradient_goes_out(self):
+        """Overwriting each parameter with NaN as soon as its gradient is
+        handed out leaves every later gradient as it was: the kernel has
+        read all it needs of that parameter."""
+        enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
+        want_losses, want = mae_gradients(enc, dec, cleans, corrupteds)
+        losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        assert losses == want_losses
+        params = {**enc.params(), **dec.params()}
+        for name, grad in grads:
+            assert grad.tobytes() == want[name].tobytes(), name
+            params[name][...] = np.nan
+
     def test_rerun_is_byte_identical(self):
         """At the default block and a vocabulary large enough for several
         column blocks per chunk."""
         enc, dec, cleans, corrupteds = mae_batch(60_000, 4, 8, seed=5)
         assert (len(cleans) + cleans.lengths.max()) * 60_000 > 4 * encoder.MAE_BLOCK
-        first = _mae_forward_backward(enc, dec, cleans, corrupteds)
-        second = _mae_forward_backward(enc, dec, cleans, corrupteds)
+        first = mae_gradients(enc, dec, cleans, corrupteds)
+        second = mae_gradients(enc, dec, cleans, corrupteds)
         assert first[0] == second[0]
         for name, grad in first[1].items():
             assert grad.tobytes() == second[1][name].tobytes(), name
@@ -559,6 +593,39 @@ class TestCheckpoint:
         np.testing.assert_array_equal(ckpt.encoder.projection, enc.projection)
         np.testing.assert_array_equal(ckpt.decoder.position_table, dec.position_table)
         np.testing.assert_array_equal(ckpt.decoder.output, dec.output)
+
+    def test_loaded_parameters_are_owned_and_writeable(self, tmp_path):
+        """The optimizer updates parameters in place, so a loaded matrix must
+        be its own writeable array, not a view of the file's bytes."""
+        tok = Tokenizer.from_texts(["alpha beta gamma", "beta delta"])
+        enc = ToyEncoder.create(len(tok.id_to_token), 6, seed=11)
+        dec = MaeDecoder.create(10, 6, len(tok.id_to_token), seed=11)
+        save_checkpoint(tmp_path / "model.bin", enc, tok, dec)
+        ckpt = load_checkpoint(tmp_path / "model.bin")
+        for arr in (*ckpt.encoder.params().values(), *ckpt.decoder.params().values()):
+            assert arr.flags.writeable and arr.flags.owndata
+            assert arr.flags.c_contiguous and arr.dtype == np.float64
+        ckpt.encoder.token_table[0, 0] += 1.0
+
+    def test_load_holds_the_file_and_the_parameters_only(self, tmp_path):
+        """Loading a 5 MB checkpoint holds, beyond what it returns, the
+        file's bytes once (1.03 times the file size, traced): no copy of
+        the body beside them, which would make it 2."""
+        tok = Tokenizer.from_texts([" ".join(f"w{i}" for i in range(20_000))])
+        enc = ToyEncoder.create(tok.vocab_size, 16, seed=0)
+        dec = MaeDecoder.create(8, 16, tok.vocab_size, seed=0)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, enc, tok, dec)
+        size = path.stat().st_size
+        assert size > 5e6
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ckpt.decoder is not None
+        assert peak - held < 1.25 * size
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         tok = Tokenizer.from_texts(["x y z"])

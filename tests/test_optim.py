@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import OracleAdamW
+from oracles import OracleAdamW, oracle_descent
 
 from progemb import optim
 from progemb.optim import AdamW, GradientDescent, make_optimizer
@@ -15,19 +15,40 @@ def params_of(*values):
 class TestGradientDescent:
     def test_single_step_hand_value(self):
         opt = GradientDescent(lr=0.1)
-        new = opt.step({"w": np.array([1.0, 2.0])}, {"w": np.array([0.5, -1.0])})
-        np.testing.assert_allclose(new["w"], [0.95, 2.10], atol=1e-15)
+        p = {"w": np.array([1.0, 2.0])}
+        assert opt.step(p, {"w": np.array([0.5, -1.0])}) is None
+        np.testing.assert_allclose(p["w"], [0.95, 2.10], atol=1e-15)
 
     def test_weight_decay_shrinks_parameters(self):
         opt = GradientDescent(lr=0.1, weight_decay=0.5)
-        new = opt.step({"w": np.array([2.0])}, {"w": np.array([0.0])})
-        np.testing.assert_allclose(new["w"], [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
+        p = {"w": np.array([2.0])}
+        opt.step(p, {"w": np.array([0.0])})
+        np.testing.assert_allclose(p["w"], [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
 
-    def test_inputs_not_mutated(self):
-        p = {"w": np.array([1.0])}
-        opt = GradientDescent(lr=0.1)
-        opt.step(p, {"w": np.array([1.0])})
-        assert p["w"][0] == 1.0
+    def test_gradients_not_mutated_parameters_updated_in_place(self):
+        w = np.array([1.0, -2.0])
+        g = {"w": np.array([0.5, 0.25])}
+        GradientDescent(lr=0.1, weight_decay=0.1).step({"w": w}, g)
+        assert g["w"].tolist() == [0.5, 0.25]
+        assert w.tolist() == [1.0 - 0.1 * 0.5 - 0.1 * 0.1 * 1.0,
+                              -2.0 - 0.1 * 0.25 - 0.1 * 0.1 * -2.0]
+
+    @pytest.mark.parametrize("block", [optim.ADAMW_BLOCK, 7])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_blocked_update_is_bit_identical_to_formula(self, monkeypatch, block, weight_decay):
+        """p - lr * g - lr * weight_decay * p, as whole-array expressions of
+        the old p, against the blocked in-place update."""
+        monkeypatch.setattr(optim, "ADAMW_BLOCK", block)
+        rng = np.random.default_rng(22)
+        params = {"table": rng.normal(size=(301, 17)), "square": rng.normal(size=(9, 9)).T}
+        opt = GradientDescent(lr=0.01, weight_decay=weight_decay)
+        want = {k: p.copy() for k, p in params.items()}
+        for _ in range(3):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            opt.step(params, grads)
+            want = oracle_descent(want, grads, 0.01, weight_decay)
+            for k in params:
+                assert params[k].tobytes() == want[k].tobytes(), k
 
     def test_deterministic_across_instances(self):
         grads = [{"w": np.array([g])} for g in (0.3, -0.2, 0.7)]
@@ -36,7 +57,7 @@ class TestGradientDescent:
             opt = GradientDescent(lr=0.05)
             p = {"w": np.array([1.0])}
             for g in grads:
-                p = opt.step(p, g)
+                opt.step(p, g)
             results.append(p["w"][0])
         assert results[0] == results[1]
 
@@ -45,8 +66,9 @@ class TestAdamW:
     def test_first_step_hand_value(self):
         """After one step with g=1 the bias-corrected update is lr/(1+eps)."""
         opt = AdamW(lr=0.1)
-        new = opt.step({"w": np.array([1.0])}, {"w": np.array([1.0])})
-        np.testing.assert_allclose(new["w"], [0.9], atol=1e-8)
+        p = {"w": np.array([1.0])}
+        assert opt.step(p, {"w": np.array([1.0])}) is None
+        np.testing.assert_allclose(p["w"], [0.9], atol=1e-8)
 
     def test_matches_scalar_reference_over_steps(self):
         """Compare against an independent scalar transcription of the
@@ -64,21 +86,43 @@ class TestAdamW:
             m_hat = m / (1 - b1**step)
             v_hat = v / (1 - b2**step)
             p_ref = p_ref - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p_ref
-            p = opt.step(p, {"w": np.array([g])})
+            opt.step(p, {"w": np.array([g])})
         np.testing.assert_allclose(p["w"][0], p_ref, rtol=1e-12)
 
     def test_decay_applies_even_with_zero_gradient(self):
         opt = AdamW(lr=0.1, weight_decay=0.5)
-        new = opt.step({"w": np.array([2.0])}, {"w": np.array([0.0])})
-        np.testing.assert_allclose(new["w"], [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
+        p = {"w": np.array([2.0])}
+        opt.step(p, {"w": np.array([0.0])})
+        np.testing.assert_allclose(p["w"], [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
 
     def test_state_tracked_per_key(self):
         opt = AdamW(lr=0.1)
         p = params_of([1.0], [1.0])
         g1 = {"p0": np.array([1.0]), "p1": np.array([0.0])}
-        new = opt.step(p, g1)
-        assert new["p0"][0] != 1.0
-        assert new["p1"][0] == 1.0
+        opt.step(p, g1)
+        assert p["p0"][0] != 1.0
+        assert p["p1"][0] == 1.0
+
+    def test_step_count_tracked_per_parameter(self):
+        """A call may carry any subset of the parameters: each one's bias
+        correction counts the calls that carried it, so stepping the
+        parameters one call each is the same as one call for all."""
+        rng = np.random.default_rng(3)
+        shapes = {"a": (5, 3), "b": (4,)}
+        together, apart = AdamW(lr=0.01, weight_decay=0.1), AdamW(lr=0.01, weight_decay=0.1)
+        p = {k: rng.normal(size=s) for k, s in shapes.items()}
+        q = {k: v.copy() for k, v in p.items()}
+        for _ in range(3):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            together.step(p, grads)
+            for k in ("b", "a"):
+                apart.step({k: q[k]}, {k: grads[k]})
+        for k in shapes:
+            assert p[k].tobytes() == q[k].tobytes()
+            assert together._m[k].tobytes() == apart._m[k].tobytes()
+        # "a" alone takes a fourth step; "b" keeps its count of 3
+        apart.step({"a": q["a"]}, {"a": np.ones(shapes["a"])})
+        assert apart._t == {"a": 4, "b": 3}
 
     @pytest.mark.parametrize("block", [optim.ADAMW_BLOCK, 7])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
@@ -95,24 +139,35 @@ class TestAdamW:
         }
         opt = AdamW(lr=0.01, weight_decay=weight_decay)
         ref = OracleAdamW(lr=0.01, weight_decay=weight_decay)
-        got = want = params
+        want = {k: p.copy() for k, p in params.items()}
         for step in range(4):
             grads = {k: rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 4, size=p.shape)
                      for k, p in params.items()}
             grads["table"][rng.random(grads["table"].shape) < 0.1] = -0.0
             grads["one"][:] = 0.0 if step == 1 else grads["one"]
-            got, want = opt.step(got, grads), ref.step(want, grads)
+            opt.step(params, grads)
+            want = ref.step(want, grads)
             for name in params:
-                assert got[name].tobytes() == want[name].tobytes(), (step, name)
+                assert params[name].tobytes() == want[name].tobytes(), (step, name)
         for name in params:
             assert opt._m[name].tobytes() == ref._m[name].tobytes()
             assert opt._v[name].tobytes() == ref._v[name].tobytes()
 
-    def test_inputs_not_mutated(self):
-        p = {"w": np.array([1.0, -2.0])}
+    def test_gradients_not_mutated_parameters_updated_in_place(self):
+        w = np.array([1.0, -2.0])
         g = {"w": np.array([0.5, 0.25])}
-        AdamW(lr=0.1, weight_decay=0.1).step(p, g)
-        assert p["w"].tolist() == [1.0, -2.0] and g["w"].tolist() == [0.5, 0.25]
+        AdamW(lr=0.1, weight_decay=0.1).step({"w": w}, g)
+        assert g["w"].tolist() == [0.5, 0.25]
+        np.testing.assert_allclose(w, [1.0 - 0.1 - 0.01, -2.0 - 0.1 + 0.02], rtol=1e-7)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.ones(4)[::2],
+        lambda: np.frombuffer(np.ones(4).tobytes()),
+    ], ids=["strided", "read_only"])
+    def test_parameter_that_cannot_be_written_in_place_rejected(self, make):
+        p = make()
+        with pytest.raises(ValueError, match="writeable contiguous"):
+            AdamW(lr=0.1).step({"w": p}, {"w": np.ones(p.shape)})
 
     def test_key_mismatch_rejected(self):
         opt = AdamW(lr=0.1)

@@ -5,9 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import batch_similarities, oracle_batch_layout, oracle_step_gradients
+from oracles import (
+    OracleAdamW,
+    batch_similarities,
+    oracle_batch_layout,
+    oracle_descent,
+    oracle_step_gradients,
+)
 
-from progemb import training
+from progemb import encoder, training
 from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode, encode_batch
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
 from progemb.similarity import cosine, sim_matrix
@@ -160,6 +166,14 @@ class TestBuildBatch:
             build_batch(training_set([(0, 1, ())]), [], tokens, enc)
 
 
+def step_gradients(batch, enc, state, hyper, loss_mode, reduction):
+    """_step_loss_and_gradients into a fresh gradient dict: value, pos,
+    mean weight and the dict."""
+    grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+    return (*_step_loss_and_gradients(batch, enc, state, hyper, loss_mode, reduction, grads),
+            grads)
+
+
 class TestStepGradients:
     def test_match_finite_differences_through_encoder(self):
         """End-to-end gradient of the batch loss with respect to encoder
@@ -170,7 +184,7 @@ class TestStepGradients:
         hyper = HyperParams(tau=0.1)
         state = MomentumState(t=0.4, step=3)
         batch = build_batch(data, [0, 1], tokens, enc)
-        value, _, _, grads = _step_loss_and_gradients(
+        value, _, _, grads = step_gradients(
             batch, enc, state, hyper, "progressive", "sum"
         )
         pos, neg, neg_mask = batch_similarities(batch)
@@ -208,14 +222,29 @@ class TestStepGradients:
                 grads[name], fd, atol=2e-6, err_msg=f"gradient mismatch for {name}"
             )
 
+    def test_gradient_dict_is_zeroed_and_refilled(self):
+        """A dict that already holds another step's gradients is filled
+        with the same bytes as a fresh one, in the same arrays."""
+        _, enc, tokens = make_fixture(dim=4, seed=3)
+        data = training_set([(0, 1, (2,)), (3, 4, (1,))])
+        args = (MomentumState(t=0.4, step=3), HyperParams(tau=0.1), "progressive", "mean")
+        *_, want = step_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args)
+        grads = {name: np.full_like(p, 7.0) for name, p in enc.params().items()}
+        arrays = {name: id(g) for name, g in grads.items()}
+        _step_loss_and_gradients(build_batch(data, [1], tokens, enc), enc, *args, grads)
+        _step_loss_and_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args, grads)
+        assert {name: id(g) for name, g in grads.items()} == arrays
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
     def test_infonce_mode_ignores_coefficients(self):
         _, enc, tokens = make_fixture(dim=4, seed=5)
         batch = build_batch(training_set([(0, 1, ()), (2, 3, ())]), [0, 1], tokens, enc)
         hyper = HyperParams(tau=0.5)
-        v1, _, w1, _ = _step_loss_and_gradients(
+        v1, _, w1, _ = step_gradients(
             batch, enc, MomentumState(), hyper, "infonce", "sum"
         )
-        v2, _, w2, _ = _step_loss_and_gradients(
+        v2, _, w2, _ = step_gradients(
             batch, enc, MomentumState(t=0.9, step=9), hyper, "infonce", "sum"
         )
         assert v1 == v2
@@ -247,7 +276,7 @@ class TestStepAgainstPoolKernel:
 
     @staticmethod
     def check(batch, enc, hyper, state, loss_mode, reduction):
-        _, _, _, grads = _step_loss_and_gradients(batch, enc, state, hyper, loss_mode, reduction)
+        _, _, _, grads = step_gradients(batch, enc, state, hyper, loss_mode, reduction)
         pos, neg, neg_mask = batch_similarities(batch)
         if loss_mode == "progressive":
             sigma = batch_threshold(pos, hyper.beta)
@@ -307,7 +336,7 @@ class TestStepRowBlocks:
         monkeypatch.setattr(training, "STEP_ENTRIES", rows * m + m - 1)
 
     def step(self, enc, batch, loss_mode, reduction="sum"):
-        return _step_loss_and_gradients(
+        return step_gradients(
             batch, enc, self.STATE, self.HYPER, loss_mode, reduction
         )
 
@@ -440,7 +469,7 @@ class TestStepZeroNormRule:
         return enc, build_batch(training_set([(0, 1, (2,)), (3, 4, (5,))]), [0, 1], tokens, enc)
 
     def step(self, enc, batch):
-        return _step_loss_and_gradients(
+        return step_gradients(
             batch, enc, MomentumState(t=0.3, step=1), HyperParams(tau=0.2),
             "progressive", "sum",
         )
@@ -520,6 +549,142 @@ class TestPretrain:
             pretrain(tokens, enc, dec, 2, batch_size=3, lr=1e308, optimizer="sgd", seed=0)
 
 
+def state_of(enc, dec, opt):
+    """Copies of the parameters and of the AdamW moments, by name."""
+    state = {name: p.copy() for name, p in {**enc.params(), **dec.params()}.items()}
+    for name in opt._m:
+        state[f"m.{name}"], state[f"v.{name}"] = opt._m[name].copy(), opt._v[name].copy()
+    return state
+
+
+class TestPretrainStreamedStep:
+    """pretrain applies each gradient as the kernel hands it out, one
+    parameter per optimizer call, into the parameters in place."""
+
+    @staticmethod
+    def record(monkeypatch, poison_chunk=None):
+        """Wrap the kernel and the optimizer factory. Returns the list of
+        chunks, each (clean, corrupted, {name: copy of the gradient as
+        handed out}), and the list of optimizers made. At poison_chunk the
+        parameters and moments are copied into `snapshot` and the chunk's
+        first loss is made NaN."""
+        chunks, opts, snapshot = [], [], {}
+
+        def kernel(enc, dec, clean, corrupted):
+            losses, grads = encoder._mae_forward_backward(enc, dec, clean, corrupted)
+            copies = {}
+            if len(chunks) == poison_chunk:
+                snapshot.update(state_of(enc, dec, opts[0]))
+                losses = [math.nan, *losses[1:]]
+            chunks.append((clean, corrupted, copies))
+
+            def stream():
+                for name, grad in grads:
+                    copies[name] = grad.copy()
+                    yield name, grad
+
+            return losses, stream()
+
+        def make(*args, _make=training.make_optimizer, **kwargs):
+            opts.append(_make(*args, **kwargs))
+            return opts[-1]
+
+        monkeypatch.setattr(training, "_mae_forward_backward", kernel)
+        monkeypatch.setattr(training, "make_optimizer", make)
+        return chunks, opts, snapshot
+
+    @staticmethod
+    def model(seed):
+        tok, enc, tokens = make_fixture(seed=seed)
+        dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=seed)
+        dec.output[...] = np.random.default_rng(seed).normal(0, 0.3, size=dec.output.shape)
+        return enc, dec, tokens
+
+    @pytest.mark.parametrize("optimizer, weight_decay",
+                             [("adamw", 0.0), ("adamw", 0.05), ("sgd", 0.0), ("sgd", 0.05)])
+    def test_matches_whole_dict_oracle_step(self, monkeypatch, optimizer, weight_decay):
+        """Replayed from the same start, each chunk's gradients collected as
+        a whole dict before any update are the bytes the stream handed out,
+        and the oracle's whole-dict step (OracleAdamW, or p - lr * g - lr *
+        weight_decay * p) gives the same parameters and moments."""
+        lr = 0.05
+        enc, dec, tokens = self.model(seed=5)
+        want = {name: p.copy() for name, p in {**enc.params(), **dec.params()}.items()}
+        chunks, opts, _ = self.record(monkeypatch)
+        pretrain(tokens, enc, dec, 2, batch_size=4, lr=lr, weight_decay=weight_decay,
+                 optimizer=optimizer, seed=0)
+        assert len(chunks) == 4
+        ref = OracleAdamW(lr=lr, weight_decay=weight_decay)
+        for clean, corrupted, streamed in chunks:
+            replay_enc = ToyEncoder(want["token_table"], want["projection"])
+            replay_dec = MaeDecoder(want["position_table"], want["output"])
+            _, grads = encoder._mae_forward_backward(replay_enc, replay_dec, clean, corrupted)
+            grads = {name: grad.copy() for name, grad in grads}
+            assert grads.keys() == streamed.keys()
+            for name, grad in grads.items():
+                assert grad.tobytes() == streamed[name].tobytes(), name
+                grad /= len(clean)
+            if optimizer == "adamw":
+                want = ref.step(want, grads)
+            else:
+                want = oracle_descent(want, grads, lr, weight_decay)
+        for name, p in {**enc.params(), **dec.params()}.items():
+            assert p.tobytes() == want[name].tobytes(), name
+        if optimizer == "adamw":
+            for name in want:
+                assert opts[0]._m[name].tobytes() == ref._m[name].tobytes(), name
+                assert opts[0]._v[name].tobytes() == ref._v[name].tobytes(), name
+                assert opts[0]._t[name] == 4
+
+    def test_non_finite_loss_leaves_parameters_and_moments(self, monkeypatch):
+        """A NaN loss at the third chunk stops the run before any of that
+        chunk's updates: parameters and moments are those of the second."""
+        enc, dec, tokens = self.model(seed=6)
+        _, opts, snapshot = self.record(monkeypatch, poison_chunk=2)
+        with pytest.raises(ValueError,
+                           match=r"pretrain step 2 \(epoch 0\): non-finite reconstruction loss"):
+            pretrain(tokens, enc, dec, 1, batch_size=2, lr=0.05, weight_decay=0.05, seed=0)
+        assert snapshot and snapshot.keys() == state_of(enc, dec, opts[0]).keys()
+        for key, value in state_of(enc, dec, opts[0]).items():
+            assert value.tobytes() == snapshot[key].tobytes(), key
+
+    def test_step_memory_is_parameters_moments_and_one_buffer(self, monkeypatch):
+        """3 chunks at V = 8,000, d = 16, under tracemalloc from before the
+        model is made. From the second chunk on, each chunk's traced peak
+        stays below the parameters, their two moments, one buffer of the
+        largest parameter and an allowance of four of the kernel's column
+        blocks (1.05 MB; the kernel's transients peak at 0.83 MB here). A
+        step that also holds a whole gradient dict or a fresh copy of the
+        parameters is 2 MB or more above it."""
+        allowance = 4 * encoder.MAE_BLOCK * 8
+        words = [f"w{i}" for i in range(7_998)]
+        tok = Tokenizer.from_texts([" ".join(words)])
+        rng = np.random.default_rng(0)
+        tokens = tok.encode_texts(" ".join(rng.choice(words, size=10)) for _ in range(12))
+        peaks = []
+
+        def kernel(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return encoder._mae_forward_backward(*args)
+
+        monkeypatch.setattr(training, "_mae_forward_backward", kernel)
+        tracemalloc.start()
+        try:
+            enc = ToyEncoder.create(tok.vocab_size, 16, seed=0)
+            dec = MaeDecoder.create(10, 16, tok.vocab_size, seed=0)
+            pretrain(tokens, enc, dec, 1, batch_size=4, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        params = [*enc.params().values(), *dec.params().values()]
+        total, largest = sum(p.nbytes for p in params), max(p.nbytes for p in params)
+        assert tok.vocab_size == 8_000 and len(peaks) == 4
+        # peaks[k] is chunk k's peak, k = 1, 2, 3
+        for peak in peaks[2:]:
+            assert peak < 3 * total + largest + allowance
+
+
 def tiny_dataset():
     """Three examples over the rows of make_fixture's store."""
     return training_set([(0, 1, (2,)), (3, 4, (5,)), (2, 5, ())])
@@ -593,6 +758,25 @@ class TestFinetune:
         expected = hyper.alpha * (row.sigma + hyper.beta) + (1 - hyper.alpha) * 0.8
         np.testing.assert_allclose(row.t, expected, atol=1e-12)
         assert result.momentum_history[0].step == 101
+
+    def test_one_gradient_dict_per_run_and_parameters_updated_in_place(self, monkeypatch):
+        """Every step fills the same gradient arrays, and the optimizer
+        writes into the encoder's own arrays."""
+        _, enc, tokens = make_fixture(seed=6)
+        params = enc.params()
+        seen = []
+
+        def step(*args, _step=training._step_loss_and_gradients):
+            seen.append({name: id(g) for name, g in args[-1].items()})
+            return _step(*args)
+
+        monkeypatch.setattr(training, "_step_loss_and_gradients", step)
+        before = {name: p.copy() for name, p in params.items()}
+        finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2,
+                 lr=0.01, seed=0)
+        assert len(seen) == 4 and all(ids == seen[0] for ids in seen)
+        for name, p in enc.params().items():
+            assert p is params[name] and not np.array_equal(p, before[name])
 
     def test_injected_nan_names_its_step(self):
         """A NaN in the projection gives NaN similarities and a NaN loss; the
