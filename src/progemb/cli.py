@@ -25,7 +25,7 @@ from .encoder import (
     Tokenizer,
     Tokens,
     ToyEncoder,
-    encode,
+    encode,  # noqa: F401 - not called here; benchmarks/tracer.py wraps it in this module
     encode_batch,
     load_checkpoint,
     save_checkpoint,
@@ -121,10 +121,6 @@ def _require(path: str, what: str) -> str:
 
 def _query_text(cfg: RunConfig, text: str) -> str:
     return f"{cfg.query_prefix} {text}" if cfg.query_prefix else text
-
-
-def _encode_query(enc, tok: Tokenizer, cfg: RunConfig, text: str) -> np.ndarray:
-    return encode(enc, tok.encode_text(_query_text(cfg, text), cfg.max_query_len))
 
 
 def _passage_tokens(tok: Tokenizer, cfg: RunConfig, passages) -> Tokens:
@@ -284,6 +280,17 @@ def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
     return TrainingSet(len(row_of) + np.arange(len(rows)), candidates, names), tokens
 
 
+def _finetune(cfg: RunConfig, data: TrainingSet, tokens: Tokens, enc):
+    """Fine-tune enc in place with the config's hyperparameters, epochs,
+    loss mode and seed."""
+    return finetune(
+        data, tokens, enc, HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
+        cfg.finetune_epochs, batch_size=cfg.finetune_batch_size, lr=cfg.finetune_lr,
+        weight_decay=cfg.weight_decay, optimizer=cfg.optimizer,
+        loss_mode=cfg.loss_mode, seed=cfg.seed,
+    )
+
+
 def cmd_finetune(cfg: RunConfig) -> None:
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
     # the dataset's rows and the passages' texts live only while the set is built
@@ -292,19 +299,7 @@ def cmd_finetune(cfg: RunConfig) -> None:
         dataio.iter_corpus(_require(cfg.passages_path, "passages_path")),
         ckpt.tokenizer, cfg,
     )
-    result = finetune(
-        data,
-        tokens,
-        ckpt.encoder,
-        HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
-        cfg.finetune_epochs,
-        batch_size=cfg.finetune_batch_size,
-        lr=cfg.finetune_lr,
-        weight_decay=cfg.weight_decay,
-        optimizer=cfg.optimizer,
-        loss_mode=cfg.loss_mode,
-        seed=cfg.seed,
-    )
+    result = _finetune(cfg, data, tokens, ckpt.encoder)
     out = _out_dir(cfg)
     save_checkpoint(out / "checkpoint.bin", result.encoder, ckpt.tokenizer, ckpt.decoder)
     dataio.write_finetune_audit(out / "finetune_audit.jsonl", cfg.loss_mode, result.audit)
@@ -352,15 +347,16 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     gallery_ids, gallery_embs = _embed_gallery(
         ckpt.encoder, ckpt.tokenizer, cfg, gallery_path
     )
-    queries = []
+    tok, stores, failed = ckpt.tokenizer, {}, []
     for qid, text in query_rows:
         try:
-            queries.append((qid, _encode_query(ckpt.encoder, ckpt.tokenizer, cfg, text)))
+            stores[qid] = tok.encode_text(_query_text(cfg, text), cfg.max_query_len)
         except ValueError:
             # evaluation carries on; the report records the failed query
-            queries.append((qid, None))
+            failed.append((qid, None))
+    tokens = Tokens.concat(stores.values()) if stores else tok.encode_texts(())
     report = evaluate_run(
-        queries,
+        [*zip(stores, encode_batch(ckpt.encoder, tokens).embs), *failed],
         gallery_ids,
         gallery_embs,
         qrels,
@@ -402,23 +398,11 @@ def cmd_bench(cfg: RunConfig) -> None:
                 token_table=init.token_table.copy(),
                 projection=init.projection.copy(),
             )
-            finetune(
-                train,
-                tokens,
-                enc,
-                HyperParams(alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau),
-                cfg.bench_epochs,
-                batch_size=cfg.finetune_batch_size,
-                lr=cfg.finetune_lr,
-                weight_decay=cfg.weight_decay,
-                optimizer=cfg.optimizer,
-                loss_mode=mode,
-                seed=seed,
-            )
+            run = dataclasses.replace(cfg, finetune_epochs=cfg.bench_epochs,
+                                      loss_mode=mode, seed=seed)
+            _finetune(run, train, tokens, enc)
             gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)
-            # one query per encode call: batching them moves the embeddings' low bits
-            queries = [(q.query_id, encode(enc, held.take([i])))
-                       for i, q in enumerate(data.heldout)]
+            queries = zip((q.query_id for q in data.heldout), encode_batch(enc, held).embs)
             report = evaluate_run(
                 queries, gallery_ids, gallery_embs, data.qrels(), depth=cfg.eval_depth
             )

@@ -387,7 +387,8 @@ def write_embeddings(path, ids: Sequence[str], matrix: np.ndarray) -> None:
     }
     with _atomic_open(path, "wb") as fh:
         fh.write(_dump(header).encode("utf-8") + b"\n")
-        fh.write(matrix.tobytes(order="C"))
+        # the contiguous little-endian array's own buffer, not a bytes copy
+        fh.write(matrix)
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
@@ -404,7 +405,8 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray]:
             f"{path}: unsupported embeddings version {header.get('version')!r}"
         )
     count, dim = int(header["count"]), int(header["dim"])
-    body = raw[newline + 1 :]
+    # a view, not a copy of the body; the matrix is its one owned copy
+    body = memoryview(raw)[newline + 1 :]
     expected = count * dim * 8
     if len(body) != expected:
         raise ValueError(

@@ -536,7 +536,8 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+            # the contiguous little-endian array's own buffer, not a bytes copy
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -634,6 +634,89 @@ class TestEvaluate:
         report = dataio.read_metrics_report(out / "metrics.jsonl")
         assert "q-unjudged" in report.excluded
 
+    def test_queries_are_embedded_in_one_call_around_their_error_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """An empty and an OOV query stay error rows; the queries that
+        tokenize are embedded in one encode_batch call and rank the gallery
+        exactly as their one-row embeddings do."""
+        from progemb.config import load_config
+        from progemb.encoder import encode
+        from progemb.evaluation import rank_gallery
+
+        cfg_path, out = self.setup_inputs(tmp_path)
+        qpath = tmp_path / "queries.jsonl"
+        rows = dataio.read_queries(qpath) + [("q-empty", "")]
+        dataio.write_queries(qpath, rows)
+        embedded, pairs = [], []
+        encode_batch, evaluate_run = cli.encode_batch, cli.evaluate_run
+
+        def spy_embed(enc, tokens):
+            embedded.append(len(tokens))
+            return encode_batch(enc, tokens)
+
+        def spy_evaluate(queries, *args, **kwargs):
+            pairs.extend(queries)
+            return evaluate_run(queries, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "encode_batch", spy_embed)
+        monkeypatch.setattr(cli, "evaluate_run", spy_evaluate)
+        assert main(["evaluate", "--config", cfg_path]) == 0
+        # the gallery's one block, then every query that tokenized
+        assert embedded == [6, len(rows) - 2]
+        report = dataio.read_metrics_report(out / "metrics.jsonl")
+        assert {"q-oov", "q-empty"} <= set(report.errors)
+        got = dict(pairs)
+        assert got["q-oov"] is None and got["q-empty"] is None
+
+        cfg = load_config(cfg_path)
+        ckpt = load_checkpoint(cfg.checkpoint_path)
+        gallery_ids, gallery_embs = cli._embed_gallery(
+            ckpt.encoder, ckpt.tokenizer, cfg, cfg.gallery_path
+        )
+        ids = [qid for qid, text in rows if got[qid] is not None]
+        texts = dict(rows)
+        one_row = np.array([
+            encode(ckpt.encoder, ckpt.tokenizer.encode_text(texts[qid], cfg.max_query_len))
+            for qid in ids
+        ])
+        batched = np.array([got[qid] for qid in ids])
+        np.testing.assert_allclose(batched, one_row, rtol=0, atol=1e-15)
+        depth = len(gallery_ids)
+        for a, b in zip(rank_gallery(ids, batched, gallery_ids, gallery_embs, depth),
+                        rank_gallery(ids, one_row, gallery_ids, gallery_embs, depth)):
+            assert a.doc_ids == b.doc_ids
+
+    def test_queries_that_all_fail_to_tokenize_are_all_error_rows(self, tmp_path):
+        cfg, out = self.setup_inputs(tmp_path)
+        dataio.write_queries(tmp_path / "queries.jsonl", [("q-oov", "unseen"), ("q-empty", "")])
+        assert main(["evaluate", "--config", cfg]) == 0
+        report = dataio.read_metrics_report(out / "metrics.jsonl")
+        assert sorted(report.errors) == ["q-empty", "q-oov"] and not report.per_query
+
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "encoder produced a zero-norm embedding"),
+        (1e300, "encoder produced a non-finite embedding (infinite norm)"),
+    ])
+    def test_degenerate_query_embedding_is_validation_error(
+        self, tmp_path, capsys, value, message
+    ):
+        """A query whose embedding has zero or infinite norm, which only a
+        hand-made checkpoint gives, fails the run as a degenerate gallery
+        passage does; it is not an error row."""
+        cfg, out = self.setup_inputs(tmp_path)
+        ckpt_path = tmp_path / "ckpt.bin"
+        make_checkpoint(ckpt_path, [p.text for p in corpus_passages(6)] + ["odd"])
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.encoder.token_table[ckpt.tokenizer.id_to_token.index("odd")] = value
+        save_checkpoint(ckpt_path, ckpt.encoder, ckpt.tokenizer)
+        qpath = tmp_path / "queries.jsonl"
+        dataio.write_queries(qpath, dataio.read_queries(qpath) + [("q-odd", "odd")])
+        with np.errstate(over="ignore"):
+            assert main(["evaluate", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
+
 
 class TestStreamedGallery:
     """evaluate reads, tokenizes and embeds its gallery GALLERY_BLOCK
@@ -671,6 +754,7 @@ class TestStreamedGallery:
         _embed_passages over the whole gallery."""
         from progemb import cli
         from progemb.config import load_config
+        from progemb.encoder import Tokens, encode_batch
         from progemb.evaluation import evaluate_run
 
         cfg_path, out, gallery = self.setup_inputs(tmp_path, 3 * cli.GALLERY_BLOCK + 7)
@@ -682,12 +766,13 @@ class TestStreamedGallery:
         ids, embs = cli._embed_passages(
             ckpt.encoder, cli._passage_tokens(ckpt.tokenizer, cfg, passages), passages
         )
-        queries = []
+        stores, queries = {}, []
         for qid, text in dataio.read_queries(cfg.queries_path):
             try:
-                queries.append((qid, cli._encode_query(ckpt.encoder, ckpt.tokenizer, cfg, text)))
+                stores[qid] = ckpt.tokenizer.encode_text(text, cfg.max_query_len)
             except ValueError:
                 queries.append((qid, None))
+        queries += zip(stores, encode_batch(ckpt.encoder, Tokens.concat(stores.values())).embs)
         report = evaluate_run(queries, ids, embs, dataio.read_qrels(cfg.qrels_path),
                               depth=cfg.eval_depth)
         dataio.write_metrics_report(tmp_path / "oracle.jsonl", report)
@@ -838,37 +923,37 @@ class TestBench:
 
     def test_heldout_queries_tokenized_once_per_seed(self, tmp_path, monkeypatch):
         """bench tokenizes each seed's held-out queries into one store before
-        its loss-mode loop, and each mode still encodes them one query per
-        call, from that store's rows."""
+        its loss-mode loop, and each mode embeds that whole store in one
+        encode_batch call."""
         import progemb.cli as cli
         from progemb.synthetic import make_clustered_corpus
 
-        encode_texts, encode = Tokenizer.encode_texts, cli.encode
-        stores, encoded = [], []
+        encode_texts, encode_batch = Tokenizer.encode_texts, cli.encode_batch
+        stores, embedded = [], []
 
         def spy_texts(tok, texts, max_len=0):
             texts = list(texts)
             stores.append((texts, encode_texts(tok, texts, max_len)))
             return stores[-1][1]
 
-        def spy_encode(enc, tokens):
-            encoded.append(tokens)
-            return encode(enc, tokens)
+        def spy_embed(enc, tokens):
+            embedded.append(tokens)
+            return encode_batch(enc, tokens)
 
         monkeypatch.setattr(Tokenizer, "encode_texts", spy_texts)
-        monkeypatch.setattr(cli, "encode", spy_encode)
+        monkeypatch.setattr(cli, "encode_batch", spy_embed)
         cfg, _ = self.make_cfg(tmp_path, bench_seeds=2)
         assert main(["bench", "--config", cfg]) == 0
-        assert len(encoded) == 2 * 2 * 8
+        # per seed and mode: the 40-passage gallery, then the 8 held-out queries
+        assert [len(tokens) for tokens in embedded] == [40, 8] * 4
         for seed in (0, 1):
             heldout = [q.text for q in make_clustered_corpus(
                 n_clusters=4, gallery_size=40, n_train=32, n_heldout=8, seed=seed
             ).heldout]
             (store,) = [tokens for texts, tokens in stores if texts == heldout]
             assert not any(texts[0] in heldout for texts, _ in stores if len(texts) == 1)
-            for k, tokens in enumerate(encoded[16 * seed : 16 * seed + 16]):
-                np.testing.assert_array_equal(tokens.lengths, store.lengths[[k % 8]])
-                np.testing.assert_array_equal(tokens.ids, store.take([k % 8]).ids)
+            queries = embedded[4 * seed + 1 : 4 * seed + 4 : 2]
+            assert all(tokens is store for tokens in queries)
 
     def test_two_seeds_average_into_summary(self, tmp_path):
         cfg, out = self.make_cfg(tmp_path, bench_seeds=2)

@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,40 @@ class TestEmbeddings:
     def test_one_dimensional_matrix_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="2-d"):
             write_embeddings(tmp_path / "e.bin", ["a"], np.ones(3))
+
+    def test_write_does_not_copy_the_matrix(self, tmp_path):
+        """The matrix's own buffer is written: a 4 MB matrix traces about
+        0.1 MB while it is saved, where a bytes copy of it traced 4.1 MB.
+        The file is the header line plus the matrix's bytes."""
+        matrix = np.random.default_rng(0).normal(size=(1000, 512))
+        ids = [f"p{i:04d}" for i in range(1000)]
+        path = tmp_path / "emb.bin"
+        tracemalloc.start()
+        try:
+            write_embeddings(path, ids, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * matrix.nbytes
+        raw = path.read_bytes()
+        assert raw[raw.index(b"\n") + 1:] == matrix.tobytes()
+
+    def test_read_holds_the_body_twice_at_most(self, tmp_path):
+        """Reading a 4 MB body holds the file's bytes and the returned copy,
+        2.0 times the body traced, and no bytes slice of the body beside
+        them, which made it 3."""
+        matrix = np.random.default_rng(0).normal(size=(1000, 512))
+        path = tmp_path / "emb.bin"
+        write_embeddings(path, [f"p{i:04d}" for i in range(1000)], matrix)
+        tracemalloc.start()
+        try:
+            _, got = read_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * matrix.nbytes
+        assert got.flags.owndata and got.flags.writeable
+        np.testing.assert_array_equal(got, matrix)
 
 
 class _FailingSecondWrite:
