@@ -1,22 +1,24 @@
 """Versioned on-disk formats: line-delimited JSON plus one binary block.
 
-Every text file starts with a header line {"format": ..., "version": 1};
-readers reject a wrong format name or an unknown version outright. Rows are
-serialized with sorted keys so identical runs produce byte-identical files.
-Embeddings live in a binary file with the same JSON header line followed by
-a raw little-endian float64 block. Every writer replaces its file
-atomically: a write that fails leaves the previous file as it was.
+Every file is framed by `progemb._files`: a header line {"format": ...,
+"version": 1}, checked by its one `check_header`, which rejects a wrong
+format name, an unknown version, or a missing or mistyped header key
+outright. Rows are serialized with sorted keys so identical runs produce
+byte-identical files, and every row key a reader needs is checked for its
+exact JSON type. Embeddings are a binary file of that framing: the header
+line, then a raw little-endian float64 block. Every writer replaces its
+file atomically: a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import _atomic_open
+from ._files import NUMBER, atomic_open, check_header, dump, need, parse_line
+from ._files import read_binary, write_binary
 from .evaluation import METRICS, MetricReport
 from .mining import Passage
 from .training import StepAudit
@@ -50,23 +52,16 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def _dump(row: Mapping) -> str:
-    # bare NaN / Infinity is not JSON; refuse it rather than write it
-    return json.dumps(row, sort_keys=True, allow_nan=False)
-
-
-def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header=None) -> None:
-    header = {"format": fmt, "version": FORMAT_VERSION}
-    if extra_header:
-        header.update(extra_header)
-    with _atomic_open(path, "w") as fh:
-        fh.write(_dump(header) + "\n")
+def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header: Mapping = {}) -> None:
+    with atomic_open(path, "w") as fh:
+        fh.write(dump({"format": fmt, "version": FORMAT_VERSION, **extra_header}) + "\n")
         for row in rows:
-            fh.write(_dump(row) + "\n")
+            fh.write(dump(row) + "\n")
 
 
-def _read_rows(path, fmt: str, header: dict | None = None) -> Iterator[tuple[int, dict]]:
-    """Check the header line, then yield (line number, row) for each row.
+def _read_rows(path, fmt: str, types: Mapping = {}, header: dict | None = None
+               ) -> Iterator[dict]:
+    """Check the header line and its keys of ``types``, then yield each row.
 
     The open file is read one line at a time, so neither its text nor its
     rows are held at once. Iterating a text file splits at newlines only,
@@ -79,45 +74,12 @@ def _read_rows(path, fmt: str, header: dict | None = None) -> Iterator[tuple[int
         first = next(lines, None)
         if first is None:
             raise ValueError(f"{path}: empty file, expected a {fmt} header")
-        head = _parse_line(path, 1, first[1].rstrip("\n"))
-        if head.get("format") != fmt:
-            raise ValueError(
-                f"{path}: expected format {fmt!r}, found {head.get('format')!r}"
-            )
-        if head.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported {fmt} version {head.get('version')!r}, "
-                f"this reader handles version {FORMAT_VERSION}"
-            )
+        head = check_header(path, parse_line(path, 1, first[1].rstrip("\n")), fmt,
+                            FORMAT_VERSION, types)
         if header is not None:
             header.update(head)
         for lineno, line in lines:
-            yield lineno, _parse_line(path, lineno, line.rstrip("\n"))
-
-
-def _parse_line(path, lineno: int, line: str) -> dict:
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    if not isinstance(row, dict):
-        raise ValueError(f"{path}:{lineno}: expected an object, got {type(row).__name__}")
-    return row
-
-
-def _need(path, row: Mapping, *keys: str):
-    for key in keys:
-        if key not in row:
-            raise ValueError(f"{path}: row missing key {key!r}: {dict(row)}")
-    return [row[k] for k in keys]
-
-
-def _need_strings(path, row: Mapping, *keys: str):
-    values = _need(path, row, *keys)
-    for key, value in zip(keys, values):
-        if not isinstance(value, str):
-            raise ValueError(f"{path}: row key {key!r} must be a string, got {value!r}")
-    return values
+            yield parse_line(path, lineno, line.rstrip("\n"))
 
 
 # --- corpus ---------------------------------------------------------------
@@ -137,8 +99,8 @@ def iter_corpus(path) -> Iterator[Passage]:
     """The corpus file's passages in file order, read one line at a time and
     checked as they are read: string fields and no repeated id."""
     seen = set()
-    for _, row in _read_rows(path, "corpus"):
-        pid, text, doc = _need_strings(path, row, "id", "text", "source_doc")
+    for row in _read_rows(path, "corpus"):
+        pid, text, doc = need(path, row, {"id": str, "text": str, "source_doc": str})
         if pid in seen:
             raise ValueError(f"{path}: duplicate passage id {pid!r}")
         seen.add(pid)
@@ -167,13 +129,9 @@ def write_dataset(path, rows: Iterable[Mapping]) -> None:
 def read_dataset(path) -> list[DatasetRow]:
     out = []
     seen = set()
-    for _, row in _read_rows(path, "dataset"):
-        qid, query, pid = _need_strings(path, row, "query_id", "query", "positive_id")
-        (negs,) = _need(path, row, "negative_ids")
-        if not isinstance(negs, list) or not all(isinstance(n, str) for n in negs):
-            raise ValueError(
-                f"{path}: row key 'negative_ids' must be a list of strings, got {negs!r}"
-            )
+    for row in _read_rows(path, "dataset"):
+        qid, query, pid, negs = need(path, row, {"query_id": str, "query": str,
+                                                 "positive_id": str, "negative_ids": list[str]})
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)
@@ -202,9 +160,9 @@ def write_qrels(path, qrels: Mapping[str, Mapping[str, int]]) -> None:
 
 def read_qrels(path) -> dict[str, dict[str, int]]:
     out: dict[str, dict[str, int]] = {}
-    for _, row in _read_rows(path, "qrels"):
-        qid, doc = _need_strings(path, row, "query_id", "doc_id")
-        (grade,) = _need(path, row, "grade")
+    for row in _read_rows(path, "qrels"):
+        qid, doc = need(path, row, {"query_id": str, "doc_id": str})
+        grade = row.get("grade")
         # type() rather than isinstance: a JSON true is not grade 1
         if type(grade) is not int or grade < 1:
             raise ValueError(f"{path}: grade for ({qid}, {doc}) must be an int >= 1")
@@ -219,8 +177,8 @@ def write_queries(path, pairs: Iterable[tuple[str, str]]) -> None:
 def read_queries(path) -> list[tuple[str, str]]:
     out = []
     seen = set()
-    for _, row in _read_rows(path, "queries"):
-        qid, text = _need_strings(path, row, "query_id", "text")
+    for row in _read_rows(path, "queries"):
+        qid, text = need(path, row, {"query_id": str, "text": str})
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)
@@ -246,49 +204,29 @@ def write_mining_audit(path, rows: Iterable[Mapping]) -> None:
 
 
 def read_mining_audit(path) -> list[dict]:
-    rows = [row for _, row in _read_rows(path, "mining-audit")]
+    rows = list(_read_rows(path, "mining-audit"))
     for row in rows:
-        _need(path, row, "query_id", "candidate_id", "reason")
+        need(path, row, {"query_id": str, "candidate_id": str, "reason": str})
     return rows
 
 
+# a row's keys, in the order of StepAudit's fields, and their JSON types
+_STEP_AUDIT = {"step": int, "epoch": int, "sigma": NUMBER, "mean_weight": NUMBER,
+               "t": NUMBER, "loss": NUMBER}
+
+
 def write_finetune_audit(path, loss_mode: str, audit: Iterable[StepAudit]) -> None:
-    _write_rows(
-        path,
-        "finetune-audit",
-        (
-            {
-                "step": a.step,
-                "epoch": a.epoch,
-                "sigma": a.sigma,
-                "mean_weight": a.mean_weight,
-                "t": a.t,
-                "loss": a.loss,
-            }
-            for a in audit
-        ),
-        extra_header={"loss_mode": loss_mode},
-    )
+    rows = ({key: getattr(a, key) for key in _STEP_AUDIT} for a in audit)
+    _write_rows(path, "finetune-audit", rows, extra_header={"loss_mode": loss_mode})
 
 
 def read_finetune_audit(path) -> tuple[str, list[StepAudit]]:
     header: dict = {}
     audit = []
-    for _, row in _read_rows(path, "finetune-audit", header):
-        step, epoch, sigma, mean_w, t, loss = _need(
-            path, row, "step", "epoch", "sigma", "mean_weight", "t", "loss"
-        )
-        audit.append(
-            StepAudit(
-                step=int(step),
-                epoch=int(epoch),
-                sigma=float(sigma),
-                mean_weight=float(mean_w),
-                t=float(t),
-                loss=float(loss),
-            )
-        )
-    return header.get("loss_mode", "progressive"), audit
+    for row in _read_rows(path, "finetune-audit", {"loss_mode": str}, header):
+        step, epoch, *values = need(path, row, _STEP_AUDIT)
+        audit.append(StepAudit(step, epoch, *map(float, values)))
+    return header["loss_mode"], audit
 
 
 def write_loss_curve(path, losses: Sequence[float]) -> None:
@@ -301,8 +239,8 @@ def write_loss_curve(path, losses: Sequence[float]) -> None:
 
 def read_loss_curve(path) -> list[float]:
     out = []
-    for i, (_, row) in enumerate(_read_rows(path, "loss-curve"), start=1):
-        epoch, loss = _need(path, row, "epoch", "loss")
+    for i, row in enumerate(_read_rows(path, "loss-curve"), start=1):
+        epoch, loss = need(path, row, {"epoch": int, "loss": NUMBER})
         if epoch != i:
             raise ValueError(f"{path}: epochs out of order at row {i}")
         out.append(float(loss))
@@ -336,17 +274,19 @@ def read_metrics_report(path) -> MetricReport:
     excluded: list[str] = []
     errors: dict[str, str] = {}
     macro: dict[str, float] = {}
-    for _, row in _read_rows(path, "metrics"):
+    for row in _read_rows(path, "metrics"):
         kind = row.get("kind")
+        present = {m: NUMBER for m in METRICS if m in row}
         if kind == "query":
-            qid = row["query_id"]
-            per_query[qid] = {m: row[m] for m in METRICS if m in row}
+            qid, *values = need(path, row, {"query_id": str, **present})
+            per_query[qid] = dict(zip(present, values))
         elif kind == "excluded":
-            excluded.append(row["query_id"])
+            excluded += need(path, row, {"query_id": str})
         elif kind == "error":
-            errors[row["query_id"]] = row.get("message", "")
+            qid, message = need(path, row, {"query_id": str, "message": str})
+            errors[qid] = message
         elif kind == "macro":
-            macro = {m: row[m] for m in METRICS if m in row}
+            macro = dict(zip(present, need(path, row, present)))
         else:
             raise ValueError(f"{path}: unknown row kind {kind!r}")
     return MetricReport(
@@ -361,7 +301,7 @@ def write_bench_report(path, run_rows: Iterable[Mapping], summary: Mapping) -> N
 
 
 def read_bench_report(path) -> tuple[list[dict], dict]:
-    rows = [row for _, row in _read_rows(path, "bench")]
+    rows = list(_read_rows(path, "bench"))
     runs = [r for r in rows if r.get("kind") == "run"]
     summaries = [r for r in rows if r.get("kind") == "summary"]
     if len(summaries) != 1:
@@ -372,48 +312,19 @@ def read_bench_report(path) -> tuple[list[dict], dict]:
 # --- binary embeddings ----------------------------------------------------
 
 def write_embeddings(path, ids: Sequence[str], matrix: np.ndarray) -> None:
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"embedding matrix must be 2-d, got shape {matrix.shape}")
     if len(ids) != matrix.shape[0]:
         raise ValueError(f"{len(ids)} ids for {matrix.shape[0]} embedding rows")
-    header = {
-        "format": "embeddings",
-        "version": FORMAT_VERSION,
-        "count": matrix.shape[0],
-        "dim": matrix.shape[1],
-        "itemsize": 8,
-        "ids": list(ids),
-    }
-    with _atomic_open(path, "wb") as fh:
-        fh.write(_dump(header).encode("utf-8") + b"\n")
-        # the contiguous little-endian array's own buffer, not a bytes copy
-        fh.write(matrix)
+    fields = {"count": matrix.shape[0], "dim": matrix.shape[1], "itemsize": 8, "ids": list(ids)}
+    write_binary(path, "embeddings", FORMAT_VERSION, fields, [matrix])
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path}: missing embeddings header line")
-    header = _parse_line(path, 1, raw[:newline].decode("utf-8"))
-    if header.get("format") != "embeddings":
-        raise ValueError(f"{path}: not an embeddings file")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported embeddings version {header.get('version')!r}"
-        )
-    count, dim = int(header["count"]), int(header["dim"])
-    # a view, not a copy of the body; the matrix is its one owned copy
-    body = memoryview(raw)[newline + 1 :]
-    expected = count * dim * 8
-    if len(body) != expected:
-        raise ValueError(
-            f"{path}: embedding block is {len(body)} bytes, expected {expected}"
-        )
-    matrix = np.frombuffer(body, dtype="<f8").reshape(count, dim).copy()
-    ids = [str(i) for i in header["ids"]]
-    if len(ids) != count:
-        raise ValueError(f"{path}: header lists {len(ids)} ids for {count} rows")
-    return ids, matrix
+    types = {"count": int, "dim": int, "itemsize": int, "ids": list[str]}
+    head, (matrix,) = read_binary(path, "embeddings", FORMAT_VERSION, types,
+                                  lambda head: [(head["count"], head["dim"])])
+    if len(head["ids"]) != len(matrix):
+        raise ValueError(f"{path}: header lists {len(head['ids'])} ids for {len(matrix)} rows")
+    return head["ids"], matrix

@@ -25,20 +25,22 @@ split. The forward gathers, and the backward repeats the pooled gradient
 over, one block's (tokens, d) rows at a time, never the whole store's T
 rows. Each row's segment sum and the order of the scatter's updates are
 those of a whole-store pass, so results are bit-identical.
+
+A checkpoint is framed by `progemb._files`, as the passage embeddings are:
+`_files.write_binary` and `_files.read_binary` write and read it, and
+`load_checkpoint` adds only the vocabulary checks.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
+
+from ._files import read_binary, write_binary
 
 __all__ = [
     "PAD_ID",
@@ -71,9 +73,9 @@ _MIN_SUM = 2.0 ** -900
 
 CHECKPOINT_MAGIC = "checkpoint"
 CHECKPOINT_VERSION = 1
-# exact JSON types of the header's shape keys; `type(...) is int` refuses a bool
+# the header's keys and their exact JSON types, checked by `_files.check_header`
 _HEADER_TYPES = {"vocab_size": int, "dim": int, "max_positions": int,
-                 "vocab": list, "has_decoder": bool}
+                 "vocab": list[str], "has_decoder": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,22 +492,6 @@ class Checkpoint:
     decoder: MaeDecoder | None = None
 
 
-@contextmanager
-def _atomic_open(path, mode: str):
-    """Open a temporary file beside ``path`` for writing. On a clean exit it
-    replaces ``path`` in one ``os.replace``; on an error it is removed, so
-    ``path`` keeps its previous content and no partial file is left."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: MaeDecoder | None = None):
     """Write a versioned checkpoint.
 
@@ -520,9 +506,7 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
         raise ValueError(
             f"tokenizer vocab ({tokenizer.vocab_size}) does not match encoder ({encoder.vocab_size})"
         )
-    header = {
-        "format": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
+    fields = {
         "vocab_size": encoder.vocab_size,
         "dim": encoder.dim,
         "max_positions": decoder.max_positions if decoder is not None else 0,
@@ -532,70 +516,20 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
     blocks = [encoder.token_table, encoder.projection]
     if decoder is not None:
         blocks += [decoder.position_table, decoder.output]
-    with _atomic_open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for block in blocks:
-            # the contiguous little-endian array's own buffer, not a bytes copy
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields, blocks)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    data = Path(path).read_bytes()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"not a checkpoint file (no header line): {path}")
-    try:
-        header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt checkpoint header in {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"corrupt checkpoint header in {path}: not a JSON object")
-    if header.get("format") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: {path}")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {header.get('version')!r} in {path}"
-        )
-    keys = ["vocab_size", "dim", "vocab", "has_decoder"]
-    if header.get("has_decoder"):
-        keys.append("max_positions")
-    for key in keys:
-        if key not in header:
-            raise ValueError(f"corrupt checkpoint header in {path}: no {key!r}")
-    for key, kind in _HEADER_TYPES.items():
-        if key in header and type(header[key]) is not kind:
-            raise ValueError(f"corrupt checkpoint header in {path}: {key!r} must be "
-                             f"{kind.__name__}, got {type(header[key]).__name__}")
-    if not all(type(t) is str for t in header["vocab"]):
-        raise ValueError(f"corrupt checkpoint header in {path}: 'vocab' holds a non-string")
-    v, d = header["vocab_size"], header["dim"]
-    vocab = tuple(header["vocab"])
-    if len(vocab) != v:
-        raise ValueError(f"vocab length {len(vocab)} does not match vocab_size {v}")
-    # a view, not a copy of the body; each matrix is copied out of it once,
-    # into an owned, writeable array the optimizer may update in place
-    body = memoryview(data)[newline + 1:]
-    offset = 0
+    def shapes(head):
+        v, d = head["vocab_size"], head["dim"]
+        if len(head["vocab"]) != v:
+            raise ValueError(f"{path}: vocab length {len(head['vocab'])} does not match "
+                             f"vocab_size {v}")
+        decoder = [(head["max_positions"], d), (d, v)] if head["has_decoder"] else []
+        return [(v, d), (d, d), *decoder]
 
-    def take(shape):
-        nonlocal offset
-        n = int(np.prod(shape))
-        block = np.frombuffer(body, dtype="<f8", count=n, offset=offset * 8)
-        offset += n
-        return block.reshape(shape).astype(np.float64)
-
-    expected = v * d + d * d
-    if header["has_decoder"]:
-        p = header["max_positions"]
-        expected += p * d + d * v
-    if len(body) != expected * 8:
-        raise ValueError(
-            f"checkpoint body has {len(body)} bytes, expected {expected * 8}"
-        )
-    encoder = ToyEncoder(token_table=take((v, d)), projection=take((d, d)))
-    decoder = None
-    if header["has_decoder"]:
-        p = header["max_positions"]
-        decoder = MaeDecoder(position_table=take((p, d)), output=take((d, v)))
-    return Checkpoint(encoder=encoder, tokenizer=Tokenizer(id_to_token=vocab), decoder=decoder)
+    head, blocks = read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER_TYPES, shapes)
+    encoder = ToyEncoder(token_table=blocks[0], projection=blocks[1])
+    decoder = MaeDecoder(position_table=blocks[2], output=blocks[3]) if head["has_decoder"] else None
+    return Checkpoint(encoder=encoder, tokenizer=Tokenizer(id_to_token=tuple(head["vocab"])),
+                      decoder=decoder)

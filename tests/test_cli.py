@@ -619,7 +619,8 @@ class TestEvaluate:
         header["dim"] = str(header["dim"])
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
         assert main(["evaluate", "--config", cfg]) == 1
-        assert f"{ckpt}: 'dim' must be int, got str" in capsys.readouterr().err
+        message = f"{ckpt}: header key 'dim' must be an int, got {header['dim']!r}"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):

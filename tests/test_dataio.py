@@ -371,6 +371,53 @@ class TestAuditLogs:
         assert text == before
 
 
+class TestRowKeys:
+    """Every text reader refuses a row without a key it needs, or with one of
+    another JSON type, with a ValueError naming the file: no KeyError and no
+    coercion of a string or a bool into a number."""
+
+    @pytest.mark.parametrize("fmt, row, message", [
+        ("metrics", {"kind": "query", "ndcg@10": 1.0}, "row missing key 'query_id'"),
+        ("metrics", {"kind": "query", "query_id": "q", "map": "0.5"},
+         "row key 'map' must be a number, got '0.5'"),
+        ("metrics", {"kind": "excluded", "query_id": 7}, "row key 'query_id' must be a string"),
+        ("metrics", {"kind": "error", "query_id": "q"}, "row missing key 'message'"),
+        ("metrics", {"kind": "macro", "recall@1": True}, "row key 'recall@1' must be a number"),
+        ("finetune-audit", {"step": "3", "epoch": 1, "sigma": 0.5, "mean_weight": 1.0,
+                            "t": 0.1, "loss": 1.0}, "row key 'step' must be an int, got '3'"),
+        ("finetune-audit", {"step": 3, "epoch": True, "sigma": 0.5, "mean_weight": 1.0,
+                            "t": 0.1, "loss": 1.0}, "row key 'epoch' must be an int, got True"),
+        ("finetune-audit", {"step": 3, "epoch": 1, "sigma": "0.5", "mean_weight": 1.0,
+                            "t": 0.1, "loss": 1.0}, "row key 'sigma' must be a number"),
+        ("finetune-audit", {"step": 3, "epoch": 1, "sigma": 0.5, "mean_weight": 1.0,
+                            "t": "nan", "loss": 1.0}, "row key 't' must be a number"),
+        ("finetune-audit", {"step": 3, "epoch": 1, "sigma": 0.5, "mean_weight": 1.0,
+                            "t": 0.1}, "row missing key 'loss'"),
+        ("loss-curve", {"epoch": 1, "loss": "12.5"}, "row key 'loss' must be a number"),
+        ("loss-curve", {"epoch": 1.0, "loss": 12.5}, "row key 'epoch' must be an int"),
+        ("mining-audit", {"query_id": "q", "candidate_id": 3, "reason": "r"},
+         "row key 'candidate_id' must be a string"),
+    ])
+    def test_missing_or_mistyped_key_rejected(self, tmp_path, fmt, row, message):
+        read = {"metrics": read_metrics_report, "finetune-audit": read_finetune_audit,
+                "loss-curve": read_loss_curve, "mining-audit": read_mining_audit}[fmt]
+        path = tmp_path / f"{fmt}.jsonl"
+        header = {"format": fmt, "version": 1, "loss_mode": "infonce"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read(path)
+
+    @pytest.mark.parametrize("loss_mode", [None, 1])
+    def test_finetune_audit_header_needs_its_loss_mode(self, tmp_path, loss_mode):
+        path = tmp_path / "audit.jsonl"
+        header = {"format": "finetune-audit", "version": 1, "loss_mode": loss_mode}
+        if loss_mode is None:
+            del header["loss_mode"]
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header ")):
+            read_finetune_audit(path)
+
+
 class TestReports:
     def test_metrics_report_round_trip(self, tmp_path):
         report = MetricReport(
@@ -450,7 +497,7 @@ class TestEmbeddings:
         path.write_bytes(
             json.dumps({"format": "corpus", "version": 1}).encode() + b"\n"
         )
-        with pytest.raises(ValueError, match="not an embeddings file"):
+        with pytest.raises(ValueError, match="expected format 'embeddings', found 'corpus'"):
             read_embeddings(path)
 
     def test_one_dimensional_matrix_rejected(self, tmp_path):
@@ -537,12 +584,12 @@ class TestAtomicWrites:
 
     @pytest.fixture
     def failing_write(self, monkeypatch):
-        import progemb.encoder
+        import progemb._files
 
         def failing_open(*args, **kwargs):
             return _FailingSecondWrite(open(*args, **kwargs))
 
-        monkeypatch.setattr(progemb.encoder, "open", failing_open, raising=False)
+        monkeypatch.setattr(progemb._files, "open", failing_open, raising=False)
 
     def test_failing_write_of_rows(self, tmp_path, request):
         path = tmp_path / "queries.jsonl"

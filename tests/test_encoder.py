@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from oracles import oracle_corrupt, oracle_mae, oracle_tokenize, rows_of, store
 
 from progemb import encoder
+from progemb.dataio import read_embeddings, write_embeddings
 from progemb.encoder import (
     MASK_ID,
     PAD_ID,
@@ -27,6 +29,31 @@ from progemb.encoder import (
     _mae_forward_backward,
     _scatter,
 )
+
+
+BINARY_FORMATS = ["checkpoint", "embeddings"]
+# one value of each JSON type
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def write_binary_file(fmt, path):
+    """Write a small valid file of a binary format; return its reader."""
+    if fmt == "checkpoint":
+        tok = Tokenizer.from_texts(["m n"])
+        save_checkpoint(path, ToyEncoder.create(tok.vocab_size, 3, seed=1), tok,
+                        MaeDecoder.create(4, 3, tok.vocab_size))
+        return load_checkpoint
+    write_embeddings(path, ["a", "b"], np.arange(6.0).reshape(2, 3))
+    return read_embeddings
+
+
+def split_binary_file(path):
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), body
 
 
 def oracle_encode(enc, seq):
@@ -668,63 +695,124 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["vocab_size", "dim", "vocab", "has_decoder",
-                                     "max_positions"])
-    def test_header_without_a_key_rejected(self, tmp_path, key):
-        tok = Tokenizer.from_texts(["m n"])
-        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=1)
-        good = tmp_path / "good.bin"
-        save_checkpoint(good, enc, tok, MaeDecoder.create(4, 3, len(tok.id_to_token)))
-        head, body = good.read_bytes().split(b"\n", 1)
-        header = json.loads(head)
+    @pytest.mark.parametrize("fmt, key", [
+        *(pytest.param("checkpoint", key, id=key)
+          for key in ["vocab_size", "dim", "vocab", "has_decoder", "max_positions"]),
+        *(pytest.param("embeddings", key, id=f"embeddings-{key}")
+          for key in ["count", "dim", "itemsize", "ids"]),
+    ])
+    def test_header_without_a_key_rejected(self, tmp_path, fmt, key):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        header, body = split_binary_file(tmp_path / "good.bin")
         del header[key]
         bad = tmp_path / "bad.bin"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match=re.escape(f"{bad}: no '{key}'")):
-            load_checkpoint(bad)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: header missing key '{key}'")):
+            read(bad)
 
-    @pytest.mark.parametrize("key, value", [
-        ("vocab_size", 6.0), ("vocab_size", True), ("dim", "3"), ("dim", None),
-        ("max_positions", 4.0), ("vocab", "abcdef"), ("vocab", ["<pad>", 1, "m", "n"]),
-        ("has_decoder", 1),
+    # the checkpoint cases keep the ids they had before embeddings joined them
+    @pytest.mark.parametrize("fmt, key, value", [
+        *(pytest.param("checkpoint", key, value, id=case) for case, key, value in [
+            ("vocab_size-6.0", "vocab_size", 6.0), ("vocab_size-True", "vocab_size", True),
+            ("dim-3", "dim", "3"), ("dim-None", "dim", None),
+            ("max_positions-4.0", "max_positions", 4.0), ("vocab-abcdef", "vocab", "abcdef"),
+            ("vocab-value6", "vocab", ["<pad>", 1, "m", "n"]), ("has_decoder-1", "has_decoder", 1),
+        ]),
+        *(pytest.param("embeddings", key, value,
+                       id=f"embeddings-{key}-{type(value).__name__}")
+          for key, value in [
+              ("count", True), ("count", 2.9), ("count", "2"), ("dim", False), ("dim", 3.0),
+              ("dim", "3"), ("ids", "ab"), ("ids", [1, 2]), ("itemsize", "8"),
+          ]),
     ])
-    def test_header_with_a_mistyped_key_rejected(self, tmp_path, key, value):
-        tok = Tokenizer.from_texts(["m n"])
-        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=1)
-        good = tmp_path / "good.bin"
-        save_checkpoint(good, enc, tok, MaeDecoder.create(4, 3, len(tok.id_to_token)))
-        head, body = good.read_bytes().split(b"\n", 1)
-        header = json.loads(head)
+    def test_header_with_a_mistyped_key_rejected(self, tmp_path, fmt, key, value):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        header, body = split_binary_file(tmp_path / "good.bin")
         header[key] = value
         bad = tmp_path / "bad.bin"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match=re.escape(f"{bad}: '{key}'")):
-            load_checkpoint(bad)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: header key '{key}' must be")):
+            read(bad)
 
-    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+    @pytest.mark.parametrize("fmt, key, message", [
+        ("checkpoint", "vocab", "vocab length 3 does not match vocab_size 4"),
+        ("embeddings", "ids", "header lists 1 ids for 2 rows"),
+    ])
+    def test_names_that_do_not_match_the_rows_rejected(self, tmp_path, fmt, key, message):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        header, body = split_binary_file(tmp_path / "good.bin")
+        header[key] = header[key][:-1]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            read(bad)
+
+    @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    def test_header_with_a_negative_shape_rejected(self, tmp_path, fmt):
+        """A negative dim is refused, naming the file, before numpy sees it."""
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        header, _ = split_binary_file(tmp_path / "good.bin")
+        header["dim"] = -1
+        if fmt == "checkpoint":
+            header.update(vocab_size=1, vocab=["<pad>"], has_decoder=False)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: negative matrix shape")):
+            read(bad)
+
+    @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, fmt):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
         path = tmp_path / "list.bin"
-        path.write_bytes(b'["checkpoint", 1]\n')
-        with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON object")):
-            load_checkpoint(path)
+        path.write_bytes(b'["%s", 1]\n' % fmt.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: expected an object, got list")):
+            read(path)
 
-    def test_unknown_version_rejected(self, tmp_path):
-        tok = Tokenizer.from_texts(["m n"])
-        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=1)
-        good = tmp_path / "good.bin"
-        save_checkpoint(good, enc, tok)
-        data = good.read_bytes()
+    @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    def test_unknown_version_rejected(self, tmp_path, fmt):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        data = (tmp_path / "good.bin").read_bytes()
         tampered = data.replace(b'"version": 1', b'"version": 99')
         bad = tmp_path / "bad.bin"
         bad.write_bytes(tampered)
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(bad)
+            read(bad)
 
-    def test_truncated_payload_rejected(self, tmp_path):
-        tok = Tokenizer.from_texts(["u v w"])
-        enc = ToyEncoder.create(len(tok.id_to_token), 3, seed=2)
+    @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    def test_truncated_payload_rejected(self, tmp_path, fmt):
+        read = write_binary_file(fmt, tmp_path / "good.bin")
+        data = (tmp_path / "good.bin").read_bytes()
         path = tmp_path / "trunc.bin"
-        save_checkpoint(path, enc, tok)
-        data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: body is")):
+            read(path)
+
+    @pytest.fixture(scope="class")
+    def good_files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("binary")
+        return {fmt: (folder / f"{fmt}.bin", write_binary_file(fmt, folder / f"{fmt}.bin"))
+                for fmt in BINARY_FORMATS}
+
+    @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    @given(data=st.data())
+    def test_any_header_fault_or_truncation_is_a_value_error(self, good_files, fmt, data):
+        """Deleting or retyping any header key, or cutting the file at any
+        byte, is a ValueError naming the file, never a KeyError or TypeError."""
+        good, read = good_files[fmt]
+        header, body = split_binary_file(good)
+        key = data.draw(st.sampled_from(sorted(header)))
+        fault = data.draw(st.sampled_from(["delete", "retype", "truncate"]))
+        if fault == "truncate":
+            raw = good.read_bytes()
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            if fault == "delete":
+                del header[key]
+            else:
+                kind = type(header[key])
+                header[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not kind))
+            raw = json.dumps(header).encode() + b"\n" + body
+        bad = good.with_name("bad.bin")
+        bad.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            read(bad)
