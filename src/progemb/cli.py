@@ -30,7 +30,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from .evaluation import METRICS, MetricReport, evaluate_run
+from .evaluation import evaluate_run
 from .loss import HyperParams
 from .mining import (
     AlwaysIrrelevantJudge,
@@ -234,9 +234,8 @@ def cmd_mine(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     dataio.write_corpus(out / "passages.jsonl", passages)
     dataio.write_embeddings(out / "passage_embeddings.bin", ids, embs)
-    stats = assemble_dataset(
-        queries, positives, mined, out / "dataset.jsonl", dropped=dropped
-    )
+    rows, stats = assemble_dataset(queries, positives, mined, dropped=dropped)
+    dataio.write_dataset(out / "dataset.jsonl", rows)
     dataio.write_mining_audit(out / "mining_audit.jsonl", audit_rows)
     print(
         f"mined {stats.examples_written} queries over {len(passages)} passages: "
@@ -313,9 +312,9 @@ def cmd_finetune(cfg: RunConfig) -> None:
     print(f"wrote {out / 'finetune_audit.jsonl'}")
 
 
-def _print_report(report: MetricReport) -> None:
+def _print_report(report: dataio.MetricReport) -> None:
     print(f"{'metric':<10} {'macro':>8}")
-    for name in METRICS:
+    for name in dataio.METRICS:
         print(f"{name:<10} {report.macro.get(name, 0.0):>8.4f}")
     print(
         f"queries evaluated {len(report.per_query)}, "
@@ -414,7 +413,7 @@ def cmd_bench(cfg: RunConfig) -> None:
                 f"ndcg@10 {report.macro['ndcg@10']:.4f}"
             )
     means = {
-        mode: {m: float(np.mean([row[m] for row in rows])) for m in METRICS}
+        mode: {m: float(np.mean([row[m] for row in rows])) for m in dataio.METRICS}
         for mode, rows in per_mode.items()
     }
     summary = {
@@ -423,7 +422,7 @@ def cmd_bench(cfg: RunConfig) -> None:
         "progressive": means["progressive"],
         "infonce": means["infonce"],
         "delta": {
-            m: means["progressive"][m] - means["infonce"][m] for m in METRICS
+            m: means["progressive"][m] - means["infonce"][m] for m in dataio.METRICS
         },
     }
     out = _out_dir(cfg)

@@ -1,31 +1,37 @@
-"""Versioned on-disk formats: line-delimited JSON plus one binary block.
+"""Versioned on-disk formats and the records they hold.
 
-Every file is framed by `progemb._files`: a header line {"format": ...,
-"version": 1}, checked by its one `check_header`, which rejects a wrong
-format name, an unknown version, or a missing or mistyped header key
-outright. Rows are serialized with sorted keys so identical runs produce
-byte-identical files, and every row key a reader needs is checked for its
-exact JSON type. Embeddings are a binary file of that framing: the header
-line, then a raw little-endian float64 block. Every writer replaces its
-file atomically: a write that fails leaves the previous file as it was.
+Every artifact record (`Passage`, `DatasetRow`, `StepAudit`, `MetricReport`
+with its `METRICS`) is defined here, beside its format's writer and reader;
+the stages import them from here, and this module imports nothing from
+progemb but `progemb._files`. `progemb.cli` writes every artifact: the
+checkpoint through `encoder.save_checkpoint`, every other file through
+this module. Every file is framed by `_files`: a header line {"format":
+..., "version": 1}, checked by its one `check_header`, which rejects a
+wrong format name, an unknown version, or a missing or mistyped header
+key outright. Rows are serialized with sorted keys so identical runs
+produce byte-identical files, and every row key a reader needs is checked
+for its exact JSON type. Embeddings are a binary file of that framing: the
+header line, then a raw little-endian float64 block. Every writer replaces
+its file atomically: a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._files import NUMBER, atomic_open, check_header, dump, need, parse_line
 from ._files import read_binary, write_binary
-from .evaluation import METRICS, MetricReport
-from .mining import Passage
-from .training import StepAudit
 
 __all__ = [
     "FORMAT_VERSION",
+    "Passage",
     "DatasetRow",
+    "StepAudit",
+    "MetricReport",
+    "METRICS",
     "write_corpus",
     "iter_corpus",
     "read_corpus",
@@ -84,6 +90,19 @@ def _read_rows(path, fmt: str, types: Mapping = {}, header: dict | None = None
 
 # --- corpus ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Passage:
+    passage_id: str
+    text: str
+    source_doc: str
+
+    def __post_init__(self):
+        if not self.passage_id:
+            raise ValueError("passage id must be nonempty")
+        if not self.text:
+            raise ValueError(f"passage {self.passage_id}: text must be nonempty")
+
+
 def write_corpus(path, passages: Iterable[Passage]) -> None:
     _write_rows(
         path,
@@ -122,8 +141,16 @@ class DatasetRow:
     provenance: dict
 
 
-def write_dataset(path, rows: Iterable[Mapping]) -> None:
-    _write_rows(path, "dataset", rows)
+def write_dataset(path, rows: Iterable[DatasetRow]) -> None:
+    _write_rows(
+        path,
+        "dataset",
+        (
+            {"query_id": r.query_id, "query": r.query, "positive_id": r.positive_id,
+             "negative_ids": list(r.negative_ids), "provenance": r.provenance}
+            for r in rows
+        ),
+    )
 
 
 def read_dataset(path) -> list[DatasetRow]:
@@ -210,6 +237,18 @@ def read_mining_audit(path) -> list[dict]:
     return rows
 
 
+@dataclass(frozen=True)
+class StepAudit:
+    """Per-step training record; t is the bias after that step's update."""
+
+    step: int
+    epoch: int
+    sigma: float
+    mean_weight: float
+    t: float
+    loss: float
+
+
 # a row's keys, in the order of StepAudit's fields, and their JSON types
 _STEP_AUDIT = {"step": int, "epoch": int, "sigma": NUMBER, "mean_weight": NUMBER,
                "t": NUMBER, "loss": NUMBER}
@@ -248,6 +287,19 @@ def read_loss_curve(path) -> list[float]:
 
 
 # --- metric reports -------------------------------------------------------
+
+METRICS = ("ndcg@10", "map", "mrr@10", "recall@1", "recall@10", "recall@50")
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """Per-query metric rows plus macro averages over the included queries."""
+
+    per_query: dict[str, dict[str, float]]
+    macro: dict[str, float]
+    excluded: tuple[str, ...] = ()
+    errors: dict[str, str] = field(default_factory=dict)
+
 
 def write_metrics_report(path, report: MetricReport) -> None:
     rows: list[dict] = []

@@ -16,8 +16,8 @@ it scores a chunk of N sequences and L positions from (N + L)-row products
 over vocabulary column blocks of at most MAE_BLOCK entries, not from its T
 token rows. It returns the chunk's losses, then hands out its gradients
 one at a time through one reused buffer, so pretraining can update each
-parameter in place as its gradient arrives. `encode` and `mae_loss` take
-one-row stores.
+parameter in place as its gradient arrives. `encode` takes a one-row
+store.
 
 `encode_batch` and `_encode_backward` walk a store in token blocks:
 consecutive row ranges of at most SCATTER_BLOCK // d tokens, a row never
@@ -53,7 +53,6 @@ __all__ = [
     "encode",
     "encode_batch",
     "corrupt",
-    "mae_loss",
     "save_checkpoint",
     "load_checkpoint",
     "Checkpoint",
@@ -176,9 +175,6 @@ class Tokenizer:
     def encode_text(self, text: str, max_len: int = 0) -> Tokens:
         """A one-row store of text; see encode_texts."""
         return self.encode_texts([text], max_len)
-
-    def decode(self, tokens: Tokens) -> str:
-        return " ".join(self.id_to_token[t] for t in tokens.ids)
 
 
 @dataclass
@@ -358,16 +354,6 @@ def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:
             rng = np.random.default_rng(seed)
             ids[start + rng.choice(length, size=n_mask, replace=False)] = MASK_ID
     return Tokens(ids, tokens.lengths)
-
-
-def mae_loss(enc: ToyEncoder, dec: MaeDecoder, clean: Tokens, corrupted: Tokens) -> float:
-    """Reconstruction loss of a one-row store: sum of -log p(clean token).
-
-    The corrupted sequence is embedded once; each position's logits are the
-    output matrix applied to (embedding + position row).
-    """
-    losses, _ = _mae_forward_backward(enc, dec, clean, corrupted)
-    return losses[0]
 
 
 def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataio import METRICS, MetricReport
 # sim_matrix is not called here; benchmarks/tracer.py still wraps it in this module
 from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
     "Qrels",
     "RankedList",
-    "MetricReport",
-    "METRICS",
     "rank_gallery",
     "ndcg_at_k",
     "mrr_at_k",
@@ -36,8 +35,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 Qrels = Mapping[str, Mapping[str, int]]
-
-METRICS = ("ndcg@10", "map", "mrr@10", "recall@1", "recall@10", "recall@50")
 
 
 @dataclass(frozen=True)
@@ -54,16 +51,6 @@ class RankedList:
         for a, b in zip(self.scores, self.scores[1:]):
             if b > a:
                 raise ValueError(f"{self.query_id}: scores increase in ranking")
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-query metric rows plus macro averages over the included queries."""
-
-    per_query: dict[str, dict[str, float]]
-    macro: dict[str, float]
-    excluded: tuple[str, ...] = ()
-    errors: dict[str, str] = field(default_factory=dict)
 
 
 def _relevant_ids(rels: Mapping[str, int]) -> set[str]:

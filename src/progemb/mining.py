@@ -4,7 +4,8 @@ The pluggable pieces are the query generator (callable on a Passage) and the
 relevance judge (called on query text, candidate text and mined similarity).
 Judges that raise are treated fail-open: the candidate stays in the pool and
 the failure is logged, so a broken judge can never silently shrink the
-training data.
+training data. This module writes no file: `assemble_dataset` returns the
+dataset's `dataio.DatasetRow`s, which the caller writes.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from typing import Callable, Collection, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .dataio import DatasetRow, Passage
 # sim_matrix is not called here; benchmarks/tracer.py still wraps it in this module
 from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
-    "Passage",
     "MinedCandidate",
     "RelevanceJudge",
     "RemovalRecord",
@@ -41,19 +42,6 @@ MAX_MINED_NEGATIVES = 5
 
 _SENTENCE_END = re.compile(r"[.!?]+(?=\s)")
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
-
-
-@dataclass(frozen=True)
-class Passage:
-    passage_id: str
-    text: str
-    source_doc: str
-
-    def __post_init__(self):
-        if not self.passage_id:
-            raise ValueError("passage id must be nonempty")
-        if not self.text:
-            raise ValueError(f"passage {self.passage_id}: text must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -242,20 +230,17 @@ def assemble_dataset(
     queries: Sequence[tuple[str, str]],
     positives: Mapping[str, str],
     mined: Mapping[str, Sequence[MinedCandidate]],
-    output_path,
     *,
     dropped: Mapping[str, int] | None = None,
-) -> DatasetStats:
-    """Write the training dataset file and return its counts.
+) -> tuple[list[DatasetRow], DatasetStats]:
+    """The training dataset's rows, in query order, and their counts.
 
     queries is (query_id, query_text) pairs; positives and mined map query
     ids to the positive passage id and the surviving candidates. Queries with
-    zero surviving negatives are still written: in-batch negatives supervise
+    zero surviving negatives are still kept: in-batch negatives supervise
     them during fine-tuning. dropped carries per-query filtered-out counts
     for the statistics only.
     """
-    from .dataio import write_dataset
-
     seen: set[str] = set()
     rows = []
     negatives_written = 0
@@ -271,19 +256,18 @@ def assemble_dataset(
             zero_negative += 1
         negatives_written += len(cands)
         rows.append(
-            {
-                "query_id": query_id,
-                "query": text,
-                "positive_id": positives[query_id],
-                "negative_ids": [c.passage_id for c in cands],
-                "provenance": {
+            DatasetRow(
+                query_id=query_id,
+                query=text,
+                positive_id=positives[query_id],
+                negative_ids=tuple(c.passage_id for c in cands),
+                provenance={
                     "similarities": [c.similarity for c in cands],
                     "filtered_out": int(dropped.get(query_id, 0)) if dropped else 0,
                 },
-            }
+            )
         )
-    write_dataset(output_path, rows)
-    return DatasetStats(
+    return rows, DatasetStats(
         examples_written=len(rows),
         negatives_written=negatives_written,
         negatives_dropped=sum(dropped.values()) if dropped else 0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mining import Passage
+from .dataio import Passage
 
 __all__ = ["SyntheticQuery", "SyntheticData", "make_clustered_corpus"]
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import StepAudit
 from .encoder import (
     EncodedBatch,
     MaeDecoder,
@@ -50,7 +51,6 @@ __all__ = [
     "ContrastiveBatch",
     "PretrainResult",
     "FinetuneResult",
-    "StepAudit",
     "build_batch",
     "pretrain",
     "finetune",
@@ -72,7 +72,9 @@ class TrainingSet:
 
     Example i's query is row queries[i]; candidates[i] holds its positive's
     row, then its hard negatives' rows, padded with -1. names[r] names store
-    row r, for logs and a batch's ids only."""
+    row r, for logs and a batch's ids only. The CLI's sets put every query
+    row after every candidate row; a set that uses a query row as a
+    candidate too gives both roles one forward row in a batch."""
 
     queries: np.ndarray      # (N,) intp
     candidates: np.ndarray   # (N, 1 + MAX_HARD_NEGATIVES) intp
@@ -88,10 +90,10 @@ class ContrastiveBatch:
 
     query_ids: list[str]
     cand_ids: list[str]
-    cand_codes: np.ndarray     # (M,) integer code of each slot's store row
+    cand_codes: np.ndarray     # (M,) forward row of each slot, a code of its store row
     query_embs: np.ndarray     # (B, d)
     cand_embs: np.ndarray      # (M, d); slots [:B] are the positives
-    forward: EncodedBatch      # each distinct query, then each distinct candidate
+    forward: EncodedBatch      # each distinct store row, the queries' first
     rows: np.ndarray           # (B + M,) forward row of each query, then each slot
     excluded: list[tuple[str, str]] = field(default_factory=list)
 
@@ -115,8 +117,9 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     i's negatives when cand_codes[j] equals cand_codes[i]; the diagonal slot
     is the query's own positive, and any further match is a duplicate, which
     is listed in `excluded` (query-major, then slot order) and logged. Each
-    distinct query row and candidate row is encoded once, in one call. No
-    similarity is formed here: the step scores the pool block by block.
+    distinct store row is encoded once, in one call, numbered by first
+    appearance over the queries, then the slots. No similarity is formed
+    here: the step scores the pool block by block.
     """
     if len(index) == 0:
         raise ValueError("build_batch needs a nonempty batch")
@@ -125,10 +128,9 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     negatives = data.candidates[index, 1:]
     # slots [:B] hold the positives
     pool = np.concatenate([data.candidates[index, 0], negatives[negatives >= 0]])
-    query_codes, query_rows = _first_appearance(queries)
-    cand_codes, cand_rows = _first_appearance(pool)
-    forward = encode_batch(enc, tokens.take(np.concatenate([query_rows, cand_rows])))
-    rows = np.concatenate([query_codes, len(query_rows) + cand_codes])
+    rows, distinct = _first_appearance(np.concatenate([queries, pool]))
+    forward = encode_batch(enc, tokens.take(distinct))
+    cand_codes = rows[size:]
 
     # query i has one exclusion per further slot of its positive's row, and
     # each names that row
@@ -214,18 +216,6 @@ def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[f
         if not np.isfinite(params[name]).all():
             raise ValueError(f"non-finite {name} after the update")
     return chunk_losses
-
-
-@dataclass(frozen=True)
-class StepAudit:
-    """Per-step training record; t is the bias after that step's update."""
-
-    step: int
-    epoch: int
-    sigma: float
-    mean_weight: float
-    t: float
-    loss: float
 
 
 @dataclass

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from progemb.encoder import MASK_ID, Tokens, _encode_backward, encode_batch
+from progemb.encoder import MASK_ID, Tokens, _encode_backward, _mae_forward_backward, encode_batch
 from progemb.loss import HyperParams, _reduce, _scale_matrix, positive_weights
 from progemb.similarity import sim_matrix
 
@@ -92,6 +92,13 @@ def oracle_corrupt(seq, mask_ratio, seed) -> tuple[int, ...]:
     for pos in rng.choice(len(seq), size=n_mask, replace=False):
         tokens[int(pos)] = MASK_ID
     return tuple(tokens)
+
+
+def mae_loss(enc, dec, clean, corrupted) -> float:
+    """The MAE kernel's reconstruction loss of a one-row store; its
+    gradients are never drawn."""
+    losses, _ = _mae_forward_backward(enc, dec, clean, corrupted)
+    return losses[0]
 
 
 def oracle_mae(enc, dec, clean, corrupted):

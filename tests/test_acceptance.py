@@ -13,6 +13,7 @@ from oracles import oracle_loss_gradients, oracle_topk
 
 from progemb import dataio
 from progemb.cli import main
+from progemb.dataio import DatasetRow, Passage
 from progemb.encoder import (
     MaeDecoder,
     Tokenizer,
@@ -30,7 +31,7 @@ from progemb.loss import (
     progressive_loss,
     update_momentum,
 )
-from progemb.mining import Passage, mine_hard_negatives
+from progemb.mining import mine_hard_negatives
 from progemb.synthetic import make_clustered_corpus
 from progemb.training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
 
@@ -421,12 +422,8 @@ def test_finetune_command_determinism(tmp_path):
     save_checkpoint(ckpt, enc, tok, None)
     dataio.write_corpus(tmp_path / "passages.jsonl", passages)
     rows = [
-        {
-            "query_id": f"q{i}",
-            "query": texts[i].split()[0],
-            "positive_id": f"d{i}",
-            "negative_ids": [f"d{(i + 1) % 6}", f"d{(i + 2) % 6}"],
-        }
+        DatasetRow(f"q{i}", texts[i].split()[0], f"d{i}",
+                   (f"d{(i + 1) % 6}", f"d{(i + 2) % 6}"), {})
         for i in range(4)
     ]
     dataio.write_dataset(tmp_path / "dataset.jsonl", rows)

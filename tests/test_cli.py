@@ -26,7 +26,7 @@ from progemb.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from progemb.mining import Passage
+from progemb.dataio import DatasetRow, Passage
 
 
 def write_cfg(path, **options):
@@ -350,15 +350,8 @@ def finetune_fixture(tmp_path, with_decoder=False, n_queries=4):
     rows = []
     for i in range(n_queries):
         pos = passages[i]
-        negs = [passages[(i + 1) % 6].passage_id, passages[(i + 2) % 6].passage_id]
-        rows.append(
-            {
-                "query_id": f"q{i}",
-                "query": pos.text.split()[0],
-                "positive_id": pos.passage_id,
-                "negative_ids": negs,
-            }
-        )
+        negs = (passages[(i + 1) % 6].passage_id, passages[(i + 2) % 6].passage_id)
+        rows.append(DatasetRow(f"q{i}", pos.text.split()[0], pos.passage_id, negs, {}))
     dataset_path = tmp_path / "dataset.jsonl"
     dataio.write_dataset(dataset_path, rows)
     return ckpt, passages_path, dataset_path
@@ -424,7 +417,7 @@ class TestFinetune:
 
         def live():
             gc.collect()
-            return sum(isinstance(o, (dataio.DatasetRow, Passage)) for o in gc.get_objects())
+            return sum(isinstance(o, (DatasetRow, Passage)) for o in gc.get_objects())
 
         before, seen, real = live(), [], cli.finetune
 
@@ -451,30 +444,14 @@ class TestFinetune:
 
     def test_unknown_negative_id_is_validation_error(self, tmp_path, capsys):
         ckpt, ppath, dpath = finetune_fixture(tmp_path)
-        rows = [
-            {
-                "query_id": "q0",
-                "query": "alpha",
-                "positive_id": "d0",
-                "negative_ids": ["ghost"],
-            }
-        ]
-        dataio.write_dataset(dpath, rows)
+        dataio.write_dataset(dpath, [DatasetRow("q0", "alpha", "d0", ("ghost",), {})])
         cfg, _ = self.make_cfg(tmp_path, ckpt, ppath, dpath)
         assert main(["finetune", "--config", cfg]) == 1
         assert "dataset: unknown negative id 'ghost'" in capsys.readouterr().err
 
     def test_unknown_positive_id_is_validation_error(self, tmp_path, capsys):
         ckpt, ppath, dpath = finetune_fixture(tmp_path)
-        rows = [
-            {
-                "query_id": "q0",
-                "query": "alpha",
-                "positive_id": "phantom",
-                "negative_ids": ["d1"],
-            }
-        ]
-        dataio.write_dataset(dpath, rows)
+        dataio.write_dataset(dpath, [DatasetRow("q0", "alpha", "phantom", ("d1",), {})])
         cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)
         assert main(["finetune", "--config", cfg]) == 1
         assert "dataset: unknown positive id 'phantom'" in capsys.readouterr().err
@@ -491,8 +468,8 @@ class TestFinetune:
         ckpt, ppath, dpath = finetune_fixture(tmp_path)
         dataio.write_corpus(ppath, corpus_passages(7))
         rows = [
-            {"query_id": "q1", "query": "delta", "positive_id": "d1", "negative_ids": []},
-            {"query_id": "q0", "query": "alpha", "positive_id": "d0", "negative_ids": negatives},
+            DatasetRow("q1", "delta", "d1", (), {}),
+            DatasetRow("q0", "alpha", "d0", tuple(negatives), {}),
         ]
         dataio.write_dataset(dpath, rows)
         cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)

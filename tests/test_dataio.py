@@ -11,6 +11,10 @@ import pytest
 
 from progemb import dataio
 from progemb.dataio import (
+    DatasetRow,
+    MetricReport,
+    Passage,
+    StepAudit,
     iter_corpus,
     read_bench_report,
     read_corpus,
@@ -33,9 +37,6 @@ from progemb.dataio import (
     write_qrels,
     write_queries,
 )
-from progemb.evaluation import MetricReport
-from progemb.mining import Passage
-from progemb.training import StepAudit
 
 
 class TestHeaders:
@@ -211,13 +212,8 @@ class TestCorpusStream:
 class TestDataset:
     def test_round_trip(self, tmp_path):
         rows = [
-            {
-                "query_id": "q0",
-                "query": "what is it",
-                "positive_id": "p0",
-                "negative_ids": ["n0", "n1"],
-                "provenance": {"similarities": [0.4, 0.3], "filtered_out": 1},
-            }
+            DatasetRow("q0", "what is it", "p0", ("n0", "n1"),
+                       {"similarities": [0.4, 0.3], "filtered_out": 1})
         ]
         path = tmp_path / "dataset.jsonl"
         write_dataset(path, rows)
@@ -227,10 +223,7 @@ class TestDataset:
         assert got[0].provenance["filtered_out"] == 1
 
     def test_duplicate_query_rejected(self, tmp_path):
-        rows = [
-            {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": []},
-            {"query_id": "q0", "query": "b", "positive_id": "p", "negative_ids": []},
-        ]
+        rows = [DatasetRow("q0", "a", "p", (), {}), DatasetRow("q0", "b", "p", (), {})]
         path = tmp_path / "dataset.jsonl"
         write_dataset(path, rows)
         with pytest.raises(ValueError, match="duplicate query id"):
@@ -245,7 +238,7 @@ class TestDataset:
         row = {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": ["n0"]}
         row[key] = value
         path = tmp_path / "dataset.jsonl"
-        write_dataset(path, [row])
+        dataio._write_rows(path, "dataset", [row])
         message = f"{path}: row key '{key}' must be {expected}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_dataset(path)
@@ -255,7 +248,7 @@ class TestDataset:
             {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": []}
         ]
         path = tmp_path / "dataset.jsonl"
-        write_dataset(path, rows)
+        dataio._write_rows(path, "dataset", rows)
         assert read_dataset(path)[0].provenance == {}
 
 
@@ -569,14 +562,12 @@ class TestAtomicWrites:
 
     def test_row_that_fails_to_dump_midway(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
-        rows = [{"query_id": f"q{i}", "query": "b", "positive_id": "p1",
-                 "negative_ids": [], "score": float("nan") if i == 2 else 0.5}
+        rows = [DatasetRow(f"q{i}", "b", "p1", (), {"score": float("nan") if i == 2 else 0.5})
                 for i in range(4)]
         with pytest.raises(ValueError, match="JSON compliant"):
             write_dataset(path, rows)
         assert list(tmp_path.iterdir()) == []
-        write_dataset(path, [{"query_id": "q0", "query": "a", "positive_id": "p0",
-                              "negative_ids": []}])
+        write_dataset(path, [DatasetRow("q0", "a", "p0", (), {})])
         before = path.read_bytes()
         with pytest.raises(ValueError, match="JSON compliant"):
             write_dataset(path, rows)

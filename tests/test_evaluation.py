@@ -12,9 +12,8 @@ import pytest
 from oracles import oracle_topk
 
 from progemb import evaluation
+from progemb.dataio import METRICS, MetricReport
 from progemb.evaluation import (
-    METRICS,
-    MetricReport,
     RankedList,
     average_precision,
     evaluate_run,

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from oracles import oracle_topk
 
-from progemb.dataio import read_dataset
+from progemb.dataio import Passage, read_dataset, write_dataset
 from progemb.mining import (
     AlwaysIrrelevantJudge,
     AlwaysRelevantJudge,
     MinedCandidate,
-    Passage,
     assemble_dataset,
     filter_false_negatives,
     first_sentence_query,
@@ -294,12 +293,14 @@ class TestAssembleDataset:
             for i in range(10)
         }
         path = tmp_path / "dataset.jsonl"
-        stats = assemble_dataset(queries, positives, mined, path)
+        written, stats = assemble_dataset(queries, positives, mined)
         assert stats.examples_written == 10
         assert stats.negatives_written == 50
         assert stats.zero_negative_queries == 0
 
+        write_dataset(path, written)
         rows = read_dataset(path)
+        assert rows == written
         assert len(rows) == 10
         for i, row in enumerate(rows):
             assert row.query_id == f"q{i}"
@@ -308,33 +309,27 @@ class TestAssembleDataset:
 
     def test_zero_negative_query_still_written(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
-        stats = assemble_dataset(
-            [("q0", "question")], {"q0": "pos"}, {"q0": []}, path
-        )
+        written, stats = assemble_dataset([("q0", "question")], {"q0": "pos"}, {"q0": []})
         assert stats.examples_written == 1
         assert stats.zero_negative_queries == 1
+        write_dataset(path, written)
         rows = read_dataset(path)
         assert rows[0].negative_ids == ()
 
-    def test_dropped_counts_reported(self, tmp_path):
-        stats = assemble_dataset(
+    def test_dropped_counts_reported(self):
+        rows, stats = assemble_dataset(
             [("q0", "question")],
             {"q0": "pos"},
             {"q0": [MinedCandidate("n0", 0.4)]},
-            tmp_path / "d.jsonl",
             dropped={"q0": 3},
         )
         assert stats.negatives_dropped == 3
+        assert rows[0].provenance == {"similarities": [0.4], "filtered_out": 3}
 
-    def test_duplicate_query_id_rejected(self, tmp_path):
+    def test_duplicate_query_id_rejected(self):
         with pytest.raises(ValueError, match="dup"):
-            assemble_dataset(
-                [("dup", "a"), ("dup", "b")],
-                {"dup": "p"},
-                {},
-                tmp_path / "d.jsonl",
-            )
+            assemble_dataset([("dup", "a"), ("dup", "b")], {"dup": "p"}, {})
 
-    def test_query_without_positive_rejected(self, tmp_path):
+    def test_query_without_positive_rejected(self):
         with pytest.raises(ValueError, match="q0"):
-            assemble_dataset([("q0", "a")], {}, {}, tmp_path / "d.jsonl")
+            assemble_dataset([("q0", "a")], {}, {})

@@ -138,8 +138,9 @@ class TestBuildBatch:
     def test_layout_matches_id_coded_oracle(self):
         """On random batches with repeated rows (shared positives, negatives
         that are other queries' positives, examples drawn twice), coding by
-        store row gives the id coding's forward rows, slot codes and
-        exclusions, and encodes the same rows in the same order."""
+        store row gives the id coding's forward rows and exclusions, and
+        encodes the same rows in the same order. A slot's code is its
+        forward row: the id coding's partition, numbered after the queries."""
         rng = np.random.default_rng(11)
         # 12 queries over 8 passages: positives repeat
         tok, data, tokens = random_batch_examples(rng, 12, 8, 3)
@@ -152,10 +153,10 @@ class TestBuildBatch:
                 negatives = [n for n in negatives if n >= 0]
                 examples.append((name[query], query, name[positive], positive,
                                  [name[n] for n in negatives], negatives))
-            encoded, rows, codes, excluded = oracle_batch_layout(examples)
+            encoded, rows, _, excluded = oracle_batch_layout(examples)
             batch = build_batch(data, index, tokens, enc)
             np.testing.assert_array_equal(batch.rows, rows)
-            np.testing.assert_array_equal(batch.cand_codes, codes)
+            np.testing.assert_array_equal(batch.cand_codes, rows[len(index):])
             assert batch.excluded == excluded
             want = encode_batch(enc, tokens.take(encoded)).embs
             assert batch.forward.embs.tobytes() == want.tobytes()
