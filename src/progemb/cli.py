@@ -368,6 +368,65 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     print(f"wrote {out / 'metrics.jsonl'}")
 
 
+def _modes_in_process(run):
+    """run(mode)'s results for the progressive, then the InfoNCE mode, one
+    after the other in this process."""
+    return run("progressive"), run("infonce")
+
+
+def _modes(run):
+    """_modes_in_process's results, with the InfoNCE run in a forked child
+    where os.fork exists. The child inherits run's inputs, prints nothing
+    and sends its JSON result back through a pipe, while the progressive
+    run stays in this process. The child's ValueError or OSError is raised
+    here with its message, and a child that ends without a result is a
+    RuntimeError. The child is reaped on every path."""
+    import json
+    import os
+    import signal
+
+    if not hasattr(os, "fork"):
+        return _modes_in_process(run)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 3
+        try:
+            os.close(read)
+            try:
+                reply = {"result": run("infonce")}
+            except ValueError as exc:
+                reply = {"error": "value", "message": str(exc)}
+            except OSError as exc:
+                reply = {"error": "os", "message": str(exc)}
+            with open(write, "w", encoding="utf-8") as pipe:
+                json.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with open(read, encoding="utf-8") as pipe:
+            progressive = run("progressive")
+            text = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if exit_code != 0:
+        raise RuntimeError(f"the infonce run ended without a result (exit {exit_code})")
+    reply = json.loads(text)
+    if "error" in reply:
+        raise (ValueError if reply["error"] == "value" else OSError)(reply["message"])
+    return progressive, reply["result"]
+
+
 def cmd_bench(cfg: RunConfig) -> None:
     run_rows = []
     per_mode: dict[str, list[dict]] = {"progressive": [], "infonce": []}
@@ -392,25 +451,27 @@ def cmd_bench(cfg: RunConfig) -> None:
         held = tok.encode_texts(
             [_query_text(cfg, q.text) for q in data.heldout], cfg.max_query_len
         )
-        for mode in ("progressive", "infonce"):
+
+        def run(mode):
+            """The macro metrics of one loss mode's fine-tune from init."""
             enc = ToyEncoder(
                 token_table=init.token_table.copy(),
                 projection=init.projection.copy(),
             )
-            run = dataclasses.replace(cfg, finetune_epochs=cfg.bench_epochs,
-                                      loss_mode=mode, seed=seed)
-            _finetune(run, train, tokens, enc)
+            _finetune(dataclasses.replace(cfg, finetune_epochs=cfg.bench_epochs,
+                                          loss_mode=mode, seed=seed), train, tokens, enc)
             gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)
             queries = zip((q.query_id for q in data.heldout), encode_batch(enc, held).embs)
-            report = evaluate_run(
+            return evaluate_run(
                 queries, gallery_ids, gallery_embs, data.qrels(), depth=cfg.eval_depth
-            )
-            row = {"seed": seed, "loss_mode": mode, **report.macro}
-            run_rows.append(row)
-            per_mode[mode].append(report.macro)
+            ).macro
+
+        for mode, macro in zip(("progressive", "infonce"), _modes(run)):
+            run_rows.append({"seed": seed, "loss_mode": mode, **macro})
+            per_mode[mode].append(macro)
             print(
-                f"seed {seed} {mode:<12} recall@1 {report.macro['recall@1']:.4f} "
-                f"ndcg@10 {report.macro['ndcg@10']:.4f}"
+                f"seed {seed} {mode:<12} recall@1 {macro['recall@1']:.4f} "
+                f"ndcg@10 {macro['ndcg@10']:.4f}"
             )
     means = {
         mode: {m: float(np.mean([row[m] for row in rows])) for m in dataio.METRICS}

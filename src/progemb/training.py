@@ -29,11 +29,12 @@ from .encoder import (
     MaeDecoder,
     Tokens,
     ToyEncoder,
+    _check_ids,
     _encode_backward,
+    _encode_checked,
     _mae_forward_backward,
     _scatter,
     corrupt,
-    encode_batch,
 )
 from .loss import (
     HyperParams,
@@ -119,7 +120,8 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     is listed in `excluded` (query-major, then slot order) and logged. Each
     distinct store row is encoded once, in one call, numbered by first
     appearance over the queries, then the slots. No similarity is formed
-    here: the step scores the pool block by block.
+    here: the step scores the pool block by block. The store's ids are not
+    checked again: `finetune` checks them once per run.
     """
     if len(index) == 0:
         raise ValueError("build_batch needs a nonempty batch")
@@ -129,7 +131,7 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     # slots [:B] hold the positives
     pool = np.concatenate([data.candidates[index, 0], negatives[negatives >= 0]])
     rows, distinct = _first_appearance(np.concatenate([queries, pool]))
-    forward = encode_batch(enc, tokens.take(distinct))
+    forward = _encode_checked(enc, tokens.take(distinct))
     cand_codes = rows[size:]
 
     # query i has one exclusion per further slot of its positive's row, and
@@ -246,8 +248,9 @@ def finetune(
     Each step: build the batch, derive sigma / weights / scales from its
     similarities, take one optimizer step on the frozen-coefficient loss,
     then fold the batch's mean positive similarity into the momentum bias.
-    Deterministic for a given seed. A non-finite loss or updated parameter
-    stops the run with a step-located ValueError.
+    Deterministic for a given seed. The store's ids are checked once,
+    before the first step. A non-finite loss or updated parameter stops the
+    run with a step-located ValueError.
     """
     if len(dataset) == 0:
         raise ValueError("finetune needs a nonempty dataset")
@@ -255,6 +258,7 @@ def finetune(
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
+    _check_ids(enc, tokens)
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
     state = initial_state
@@ -268,7 +272,7 @@ def finetune(
         for start in range(0, len(order), batch_size):
             try:
                 batch = build_batch(dataset, order[start : start + batch_size], tokens, enc)
-                value, pos, mean_w = _step_loss_and_gradients(
+                value, pos, mean_w, sigma = _step_loss_and_gradients(
                     batch, enc, state, hyper, loss_mode, reduction, grads
                 )
                 if not np.isfinite(value):
@@ -285,7 +289,7 @@ def finetune(
                 StepAudit(
                     step=step,
                     epoch=epoch,
-                    sigma=batch_threshold(pos, hyper.beta),
+                    sigma=sigma,
                     mean_weight=mean_w,
                     t=state.t,
                     loss=value,
@@ -304,9 +308,9 @@ def _step_loss_and_gradients(
     reduction: str,
     grads: dict[str, np.ndarray],
 ):
-    """One batch's loss value, positive similarities and mean positive
-    weight; the parameter gradients are written into grads, which is
-    zeroed first, so a run reuses one set of arrays.
+    """One batch's loss value, positive similarities, mean positive weight
+    and threshold sigma; the parameter gradients are written into grads,
+    which is zeroed first, so a run reuses one set of arrays.
 
     The queries and the pool are normalized once, as sim_matrix does, to
     Uq and Uc. Query rows are walked in blocks of max(STEP_MIN_ROWS,
@@ -325,17 +329,21 @@ def _step_loss_and_gradients(
     block products. The blocks' losses are sums and the batch's 1/B, for
     the mean, is applied once; a batch of one block keeps the reduction.
     """
-    value, pos, mean_w, d_embs = _embedding_gradients(batch, state, hyper, loss_mode, reduction)
+    value, pos, mean_w, sigma, d_embs = _embedding_gradients(
+        batch, state, hyper, loss_mode, reduction
+    )
     for grad in grads.values():
         grad.fill(0.0)
     _encode_backward(enc, batch.forward, d_embs, grads)
-    return value, pos, mean_w
+    return value, pos, mean_w, sigma
 
 
 def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
-    """The step's loss value, pos, mean positive weight and dL/d(forward
-    embeddings), each distinct sequence's slot gradients summed. The
-    blocks' buffers are freed on return, before the encoder's backward."""
+    """The step's loss value, pos, mean positive weight, sigma and
+    dL/d(forward embeddings), each distinct sequence's slot gradients
+    summed. sigma is taken once, by the progressive loss before its first
+    block or for the audit after InfoNCE's last. The blocks' buffers are
+    freed on return, before the encoder's backward."""
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
     size, uq, uc, codes = batch.size, batch.query_embs, batch.cand_embs, batch.cand_codes
@@ -392,10 +400,17 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
                 slot_grads[size:][span] += part
         # the next block's kernel arrays are made after this block's are freed
         del record, d_sims
+    if loss_mode != "progressive":
+        sigma = batch_threshold(pos, hyper.beta)
     value = sum(values)
     if reduction == "mean" and not whole:
         value /= size
         slot_grads /= size
-    d_embs = np.zeros_like(batch.forward.embs)
-    _scatter(np.add, d_embs, batch.rows, slot_grads)
-    return value, pos, float(np.mean(np.concatenate(weights))), d_embs
+    if len(batch.rows) == len(batch.forward.embs):
+        # no forward row repeats, so rows is 0, 1, ...: the scatter onto
+        # zeros would add each slot's gradient to 0.0 once
+        d_embs = np.add(slot_grads, 0.0, out=slot_grads)
+    else:
+        d_embs = np.zeros_like(batch.forward.embs)
+        _scatter(np.add, d_embs, [(batch.rows, slot_grads)])
+    return value, pos, float(np.mean(np.concatenate(weights))), sigma, d_embs

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import progemb
-from progemb import cli, dataio
+from progemb import cli, dataio, training
 from progemb.cli import main
 from progemb.encoder import (
     MaeDecoder,
@@ -876,9 +876,11 @@ class TestBench:
 
     def test_gallery_tokenized_once_per_seed(self, tmp_path, monkeypatch):
         """bench tokenizes each seed's gallery once, before its loss-mode
-        loop, and both modes embed the passages that store was made from."""
+        loop, and both modes embed the passages that store was made from.
+        Both modes run in this process, where the spies see them."""
         import progemb.cli as cli
 
+        monkeypatch.setattr(cli, "_modes", cli._modes_in_process)
         tokenize, embed = cli._passage_tokens, cli._embed_passages
         stores, embeds = [], []
 
@@ -902,10 +904,12 @@ class TestBench:
     def test_heldout_queries_tokenized_once_per_seed(self, tmp_path, monkeypatch):
         """bench tokenizes each seed's held-out queries into one store before
         its loss-mode loop, and each mode embeds that whole store in one
-        encode_batch call."""
+        encode_batch call. Both modes run in this process, where the spies
+        see them."""
         import progemb.cli as cli
         from progemb.synthetic import make_clustered_corpus
 
+        monkeypatch.setattr(cli, "_modes", cli._modes_in_process)
         encode_texts, encode_batch = Tokenizer.encode_texts, cli.encode_batch
         stores, embedded = [], []
 
@@ -945,3 +949,81 @@ class TestBench:
         assert summary["delta"]["recall@1"] == pytest.approx(
             summary["progressive"]["recall@1"] - summary["infonce"]["recall@1"]
         )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="bench forks only where os.fork exists")
+class TestBenchFork:
+    """bench's InfoNCE run in a forked child, against the in-process runner."""
+
+    make_cfg = TestBench.make_cfg
+
+    def test_forked_and_in_process_runs_are_byte_identical(self, tmp_path, capfd, monkeypatch):
+        cfg, out = self.make_cfg(tmp_path, bench_seeds=2, bench_noise_rate=0.2)
+        infonce, info_nce = [], training.info_nce
+
+        def count(*args, **kwargs):
+            infonce.append(1)
+            return info_nce(*args, **kwargs)
+
+        monkeypatch.setattr(training, "info_nce", count)
+        assert main(["bench", "--config", cfg]) == 0
+        forked_out, forked_err = capfd.readouterr()
+        forked = (out / "bench.jsonl").read_bytes()
+        # the parent ran no InfoNCE step: both seeds' InfoNCE runs were children
+        assert infonce == []
+        monkeypatch.setattr(cli, "_modes", cli._modes_in_process)
+        assert main(["bench", "--config", cfg]) == 0
+        assert infonce
+        assert capfd.readouterr() == (forked_out, forked_err)
+        assert (out / "bench.jsonl").read_bytes() == forked
+        assert forked_out.count("infonce") == 3
+
+    @pytest.mark.parametrize("error, code", [(ValueError("injected"), 1),
+                                             (OSError(5, "injected"), 2)])
+    def test_infonce_error_exits_with_the_in_process_code_and_message(
+        self, tmp_path, capsys, monkeypatch, error, code
+    ):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(training, "info_nce", fail)
+        cfg, out = self.make_cfg(tmp_path)
+        assert main(["bench", "--config", cfg]) == code
+        forked = capsys.readouterr()
+        monkeypatch.setattr(cli, "_modes", cli._modes_in_process)
+        assert main(["bench", "--config", cfg]) == code
+        assert capsys.readouterr() == forked
+        assert "injected" in forked.err and forked.out == ""
+        assert not (out / "bench.jsonl").exists()
+
+    def test_child_that_dies_exits_three(self, tmp_path, capsys, monkeypatch):
+        import signal
+
+        test_pid = os.getpid()
+
+        def die(*args, **kwargs):
+            # only a forked child kills itself; this process fails the test
+            if os.getpid() == test_pid:
+                raise AssertionError("the InfoNCE run did not fork")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(training, "info_nce", die)
+        cfg, out = self.make_cfg(tmp_path)
+        assert main(["bench", "--config", cfg]) == 3
+        assert "internal error: RuntimeError: the infonce run ended without a result" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "bench.jsonl").exists()
+
+    def test_progressive_failure_exits_one_and_reaps_the_child(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(training, "progressive_loss", fail)
+        cfg, out = self.make_cfg(tmp_path)
+        assert main(["bench", "--config", cfg]) == 1
+        assert "error: fine-tune step 0 (epoch 0): injected" in capsys.readouterr().err
+        assert not (out / "bench.jsonl").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

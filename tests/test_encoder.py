@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from oracles import mae_loss, oracle_corrupt, oracle_mae, oracle_tokenize, rows_of, store
 
 from progemb import encoder
@@ -237,7 +237,7 @@ class TestScatter:
             values[rng.random(values.shape) < 0.2] = -0.0
             want, got = base.copy(), base.copy()
             ufunc.at(want.T if transposed else want, index, values)
-            _scatter(ufunc, got.T if transposed else got, index, values)
+            _scatter(ufunc, got.T if transposed else got, [(index, values)])
             assert got.tobytes() == want.tobytes()
 
 
@@ -793,6 +793,8 @@ class TestCheckpoint:
                 for fmt in BINARY_FORMATS}
 
     @pytest.mark.parametrize("fmt", BINARY_FORMATS)
+    # a per-example deadline times the host, not the reader
+    @settings(deadline=None)
     @given(data=st.data())
     def test_any_header_fault_or_truncation_is_a_value_error(self, good_files, fmt, data):
         """Deleting or retyping any header key, or cutting the file at any

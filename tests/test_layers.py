@@ -72,9 +72,9 @@ def test_every_module_imports_only_its_lower_layers():
     assert breaches == {}
 
 
-def test_reading_artifacts_loads_no_stage():
-    """A fresh process that imports `progemb.dataio` holds no stage module."""
-    probe = "import sys, progemb.dataio; print(' '.join(sorted(sys.modules)))"
+def loaded_after_import(module: str) -> set[str]:
+    """The names in sys.modules of a fresh process that imports module."""
+    probe = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -82,6 +82,20 @@ def test_reading_artifacts_loads_no_stage():
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
-    loaded = set(out.stdout.split())
+    return set(out.stdout.split())
+
+
+def test_reading_artifacts_loads_no_stage():
+    """A fresh process that imports `progemb.dataio` holds no stage module."""
+    loaded = loaded_after_import("progemb.dataio")
     assert "progemb.dataio" in loaded
     assert [f"progemb.{stage}" for stage in STAGES if f"progemb.{stage}" in loaded] == []
+
+
+def test_the_cli_loads_no_process_pool():
+    """`bench` forks its child with os.fork, so importing the CLI, which
+    every command and `--help` does, loads no process-pool package."""
+    loaded = loaded_after_import("progemb.cli")
+    assert "progemb.cli" in loaded
+    pools = ("multiprocessing", "concurrent")
+    assert sorted(name for name in loaded if name.partition(".")[0] in pools) == []
