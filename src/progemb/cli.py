@@ -13,6 +13,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import json
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -102,7 +105,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        what = exc if isinstance(exc, _ChildError) else f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {what}", file=sys.stderr)
         return 3
     return 0
 
@@ -368,6 +372,12 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     print(f"wrote {out / 'metrics.jsonl'}")
 
 
+class _ChildError(RuntimeError):
+    """An exception other than ValueError or OSError in bench's forked
+    InfoNCE run, carried as its `Type: message` text, which main prints as
+    it prints the same exception raised in this process."""
+
+
 def _modes_in_process(run):
     """run(mode)'s results for the progressive, then the InfoNCE mode, one
     after the other in this process."""
@@ -379,12 +389,9 @@ def _modes(run):
     where os.fork exists. The child inherits run's inputs, prints nothing
     and sends its JSON result back through a pipe, while the progressive
     run stays in this process. The child's ValueError or OSError is raised
-    here with its message, and a child that ends without a result is a
+    here with its message, any other exception as a _ChildError with its
+    type and message, and a child that ends without a result is a
     RuntimeError. The child is reaped on every path."""
-    import json
-    import os
-    import signal
-
     if not hasattr(os, "fork"):
         return _modes_in_process(run)
     read, write = os.pipe()
@@ -404,6 +411,8 @@ def _modes(run):
                 reply = {"error": "value", "message": str(exc)}
             except OSError as exc:
                 reply = {"error": "os", "message": str(exc)}
+            except Exception as exc:
+                reply = {"error": "other", "message": f"{type(exc).__name__}: {exc}"}
             with open(write, "w", encoding="utf-8") as pipe:
                 json.dump(reply, pipe)
             code = 0
@@ -423,7 +432,8 @@ def _modes(run):
         raise RuntimeError(f"the infonce run ended without a result (exit {exit_code})")
     reply = json.loads(text)
     if "error" in reply:
-        raise (ValueError if reply["error"] == "value" else OSError)(reply["message"])
+        kind = {"value": ValueError, "os": OSError, "other": _ChildError}[reply["error"]]
+        raise kind(reply["message"])
     return progressive, reply["result"]
 
 

@@ -21,12 +21,10 @@ store.
 
 `encode_batch` and `_encode_backward` walk a store in token blocks:
 consecutive row ranges of at most SCATTER_BLOCK // d tokens, a row never
-split. The forward finds them once and keeps them in its `EncodedBatch`,
-and it gathers, and the backward repeats the pooled gradient over, one
-block's (tokens, d) rows at a time, never the whole store's T rows. Each
-row's segment sum and the order of the scatter's updates are those of a
-whole-store pass, so results are bit-identical. `_encode_checked` is the
-forward without the id check, for a store already checked once.
+split. The forward gathers, and the backward repeats the pooled gradient
+over, one block's (tokens, d) rows at a time, never the whole store's T
+rows. Each row's segment sum and the order of the scatter's updates are
+those of a whole-store pass, so results are bit-identical.
 
 A checkpoint is framed by `progemb._files`, as the passage embeddings are:
 `_files.write_binary` and `_files.read_binary` write and read it, and
@@ -35,8 +33,6 @@ A checkpoint is framed by `progemb._files`, as the passage embeddings are:
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -245,7 +241,6 @@ class EncodedBatch:
     pooled: np.ndarray    # (N, d) token means
     norms: np.ndarray     # (N,) norms of the projected means
     tokens: Tokens        # the N sequences
-    blocks: list          # the store's token blocks, walked again by the backward
 
 
 def _check_ids(enc: ToyEncoder, tokens: Tokens) -> None:
@@ -259,33 +254,27 @@ def _check_ids(enc: ToyEncoder, tokens: Tokens) -> None:
         )
 
 
-def _token_blocks(tokens: Tokens, dim: int) -> list[tuple[slice, slice]]:
+def _token_blocks(tokens: Tokens, dim: int):
     """Consecutive (row slice, token slice) ranges of the store, each of at
     most SCATTER_BLOCK // dim tokens; a row is never split, so a longer row
     is a range of its own."""
-    ends = list(itertools.accumulate(tokens.lengths.tolist()))
-    cap = max(1, SCATTER_BLOCK // dim)
-    blocks, lo, start = [], 0, 0
-    while lo < len(ends):
-        hi = max(lo + 1, bisect.bisect_right(ends, start + cap))
-        blocks.append((slice(lo, hi), slice(start, ends[hi - 1])))
-        lo, start = hi, ends[hi - 1]
-    return blocks
+    starts, lengths = tokens.starts, tokens.lengths
+    ends, cap = starts + lengths, max(1, SCATTER_BLOCK // dim)
+    lo = 0
+    while lo < len(lengths):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + cap, side="right")))
+        yield slice(lo, hi), slice(starts[lo], ends[hi - 1])
+        lo = hi
 
 
 def encode_batch(enc: ToyEncoder, tokens: Tokens) -> EncodedBatch:
     """Embed the N rows of a store at once: segment mean, projection, normalize."""
     _check_ids(enc, tokens)
-    return _encode_checked(enc, tokens)
-
-
-def _encode_checked(enc: ToyEncoder, tokens: Tokens) -> EncodedBatch:
-    """encode_batch of a store whose ids `_check_ids` has passed."""
-    blocks, starts = _token_blocks(tokens, enc.dim), tokens.starts
     pooled = np.empty((len(tokens), enc.dim))
-    for rows, span in blocks:
-        np.add.reduceat(enc.token_table[tokens.ids[span]], starts[rows] - span.start,
-                        axis=0, out=pooled[rows])
+    for rows, span in _token_blocks(tokens, enc.dim):
+        pooled[rows] = np.add.reduceat(
+            enc.token_table[tokens.ids[span]], tokens.starts[rows] - span.start, axis=0
+        )
     pooled /= tokens.lengths[:, None]
     u = pooled @ enc.projection
     norms = np.linalg.norm(u, axis=1)
@@ -294,7 +283,7 @@ def _encode_checked(enc: ToyEncoder, tokens: Tokens) -> EncodedBatch:
     # u / inf would read as a zero row; a NaN norm carries on into the loss
     if np.isinf(norms).any():
         raise ValueError("encoder produced a non-finite embedding (infinite norm)")
-    return EncodedBatch(u / norms[:, None], pooled, norms, tokens, blocks)
+    return EncodedBatch(u / norms[:, None], pooled, norms, tokens)
 
 
 def encode(enc: ToyEncoder, tokens: Tokens) -> np.ndarray:
@@ -302,28 +291,24 @@ def encode(enc: ToyEncoder, tokens: Tokens) -> np.ndarray:
     return encode_batch(enc, tokens).embs[0]
 
 
-def _scatter(ufunc, table: np.ndarray, pieces) -> None:
-    """``ufunc.at(table, index, values)`` for each (index, values) of pieces
-    in turn, for a 2-D table, as flat 1-D ``ufunc.at`` calls: row index[k]
-    of the table takes row k of values.
+def _scatter(ufunc, table: np.ndarray, index, values: np.ndarray) -> None:
+    """``ufunc.at(table, index, values)`` for a 2-D table, as one flat 1-D
+    ``ufunc.at``: row index[k] of the table takes row k of values.
 
-    The flat updates run in the 2-D calls' order, so the result is
+    The flat updates run in the 2-D call's order, so the result is
     bit-identical, and they go through the table's strides, so a
-    transposed view is updated in place. The flat view is made once for
-    all pieces; a piece's flat index is built for SCATTER_BLOCK entries at
-    a time.
+    transposed view is updated in place. The flat index is built for
+    SCATTER_BLOCK entries at a time.
     """
     item = table.itemsize
     row, col = table.strides[0] // item, table.strides[1] // item
     span = (table.shape[0] - 1) * row + (table.shape[1] - 1) * col + 1
     flat = np.lib.stride_tricks.as_strided(table, shape=(span,), strides=(item,))
-    cols = np.arange(table.shape[1]) * col
+    index, cols = np.asarray(index), np.arange(table.shape[1]) * col
     step = max(1, SCATTER_BLOCK // table.shape[1])
-    for index, values in pieces:
-        index = np.asarray(index)
-        for lo in range(0, len(index), step):
-            at = index[lo : lo + step, None] * row + cols
-            ufunc.at(flat, at.reshape(-1), values[lo : lo + step].reshape(-1))
+    for lo in range(0, len(index), step):
+        at = index[lo : lo + step, None] * row + cols
+        ufunc.at(flat, at.reshape(-1), values[lo : lo + step].reshape(-1))
 
 
 def _encode_chain(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray):
@@ -340,11 +325,11 @@ def _encode_chain(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray):
 
 
 def _scatter_tokens(fwd: EncodedBatch, d_pooled: np.ndarray, table_grad: np.ndarray):
-    """Add each row's token gradient onto its tokens' rows of table_grad,
-    one of the forward's token blocks at a time."""
-    ids, lengths = fwd.tokens.ids, fwd.tokens.lengths
-    _scatter(np.add, table_grad, ((ids[span], np.repeat(d_pooled[rows], lengths[rows], axis=0))
-                                  for rows, span in fwd.blocks))
+    """Add each row's token gradient onto its tokens' rows of table_grad."""
+    lengths = fwd.tokens.lengths
+    for rows, span in _token_blocks(fwd.tokens, table_grad.shape[1]):
+        _scatter(np.add, table_grad, fwd.tokens.ids[span],
+                 np.repeat(d_pooled[rows], lengths[rows], axis=0))
 
 
 def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
@@ -467,8 +452,8 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         d_output += z[rows].T @ e
         dz[rows] += e @ w.T
     # the output gradient's one-hot part, once for the whole chunk
-    _scatter(np.subtract, d_output.T, [(targets, z)])
-    _scatter(np.add, dx, [(n + positions, dz)])
+    _scatter(np.subtract, d_output.T, targets, z)
+    _scatter(np.add, dx, n + positions, dz)
     du, d_pooled = _encode_chain(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0))
 
     def gradients():

@@ -29,12 +29,11 @@ from .encoder import (
     MaeDecoder,
     Tokens,
     ToyEncoder,
-    _check_ids,
     _encode_backward,
-    _encode_checked,
     _mae_forward_backward,
     _scatter,
     corrupt,
+    encode_batch,
 )
 from .loss import (
     HyperParams,
@@ -120,8 +119,7 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     is listed in `excluded` (query-major, then slot order) and logged. Each
     distinct store row is encoded once, in one call, numbered by first
     appearance over the queries, then the slots. No similarity is formed
-    here: the step scores the pool block by block. The store's ids are not
-    checked again: `finetune` checks them once per run.
+    here: the step scores the pool block by block.
     """
     if len(index) == 0:
         raise ValueError("build_batch needs a nonempty batch")
@@ -131,7 +129,7 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     # slots [:B] hold the positives
     pool = np.concatenate([data.candidates[index, 0], negatives[negatives >= 0]])
     rows, distinct = _first_appearance(np.concatenate([queries, pool]))
-    forward = _encode_checked(enc, tokens.take(distinct))
+    forward = encode_batch(enc, tokens.take(distinct))
     cand_codes = rows[size:]
 
     # query i has one exclusion per further slot of its positive's row, and
@@ -248,9 +246,8 @@ def finetune(
     Each step: build the batch, derive sigma / weights / scales from its
     similarities, take one optimizer step on the frozen-coefficient loss,
     then fold the batch's mean positive similarity into the momentum bias.
-    Deterministic for a given seed. The store's ids are checked once,
-    before the first step. A non-finite loss or updated parameter stops the
-    run with a step-located ValueError.
+    Deterministic for a given seed. A non-finite loss or updated parameter
+    stops the run with a step-located ValueError.
     """
     if len(dataset) == 0:
         raise ValueError("finetune needs a nonempty dataset")
@@ -258,7 +255,6 @@ def finetune(
         raise ValueError(f"unknown loss_mode {loss_mode!r}")
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
-    _check_ids(enc, tokens)
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
     state = initial_state
@@ -406,11 +402,6 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
     if reduction == "mean" and not whole:
         value /= size
         slot_grads /= size
-    if len(batch.rows) == len(batch.forward.embs):
-        # no forward row repeats, so rows is 0, 1, ...: the scatter onto
-        # zeros would add each slot's gradient to 0.0 once
-        d_embs = np.add(slot_grads, 0.0, out=slot_grads)
-    else:
-        d_embs = np.zeros_like(batch.forward.embs)
-        _scatter(np.add, d_embs, [(batch.rows, slot_grads)])
+    d_embs = np.zeros_like(batch.forward.embs)
+    _scatter(np.add, d_embs, batch.rows, slot_grads)
     return value, pos, float(np.mean(np.concatenate(weights))), sigma, d_embs

@@ -979,7 +979,8 @@ class TestBenchFork:
         assert forked_out.count("infonce") == 3
 
     @pytest.mark.parametrize("error, code", [(ValueError("injected"), 1),
-                                             (OSError(5, "injected"), 2)])
+                                             (OSError(5, "injected"), 2),
+                                             (KeyError("injected"), 3)])
     def test_infonce_error_exits_with_the_in_process_code_and_message(
         self, tmp_path, capsys, monkeypatch, error, code
     ):

@@ -237,7 +237,7 @@ class TestScatter:
             values[rng.random(values.shape) < 0.2] = -0.0
             want, got = base.copy(), base.copy()
             ufunc.at(want.T if transposed else want, index, values)
-            _scatter(ufunc, got.T if transposed else got, [(index, values)])
+            _scatter(ufunc, got.T if transposed else got, index, values)
             assert got.tobytes() == want.tobytes()
 
 

@@ -1,6 +1,5 @@
 """Tests for batch assembly and the two training loops."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -315,27 +314,6 @@ class TestStepAgainstPoolKernel:
         assert batch_similarities(batch)[1].shape == (64, 64 * 6) and batch.excluded
         self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
                    loss_mode, reduction)
-
-
-    @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
-    def test_distinct_forward_rows_take_the_scatters_bytes(self, loss_mode):
-        """A batch whose queries and slots are distinct forward rows takes
-        its slot gradients as the forward rows' gradients: the bytes of the
-        scatter onto zeros, which one unused forward row forces."""
-        rng = np.random.default_rng(21)
-        tok, data, tokens = random_batch_examples(rng, 16, 40, 0)
-        enc = ToyEncoder.create(tok.vocab_size, 8, seed=21)
-        batch = build_batch(data, np.arange(16), tokens, enc)
-        assert len(batch.rows) == len(batch.forward.embs) == 32
-        args = (MomentumState(t=0.4, step=2), HyperParams(tau=0.05), loss_mode, "mean")
-        got = training._embedding_gradients(batch, *args)[-1]
-        fwd = batch.forward
-        padded = dataclasses.replace(
-            batch, forward=dataclasses.replace(fwd, embs=np.vstack([fwd.embs, fwd.embs[:1]]))
-        )
-        want = training._embedding_gradients(padded, *args)[-1]
-        assert got.tobytes() == want[:-1].tobytes()
-        assert not want[-1].any()
 
 
 class TestStepRowBlocks:
