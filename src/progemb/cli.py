@@ -50,7 +50,7 @@ from .similarity import cosine  # noqa: F401
 from .synthetic import make_clustered_corpus
 from .training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # passages per encoder kernel call
 EMBED_BLOCK = 128
@@ -109,6 +109,22 @@ def main(argv=None) -> int:
         print(f"internal error: {what}", file=sys.stderr)
         return 3
     return 0
+
+
+def run() -> None:
+    """The `progemb` program: main()'s exit code, without interpreter
+    teardown. Every artifact is closed before main returns, and the package
+    registers no atexit hook or logging handler, so after stdout and stderr
+    are flushed nothing is left that teardown would finish; a caller's
+    atexit handlers do not run. A flush that fails leaves through
+    SystemExit, which reports it as an ordinary exit does."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
 
 
 def _out_dir(cfg: RunConfig) -> Path:

@@ -323,7 +323,7 @@ def _step_loss_and_gradients(
     progressive threshold needs every positive before any block's loss, so
     on a batch of several blocks a first pass takes them from the same
     block products. The blocks' losses are sums and the batch's 1/B, for
-    the mean, is applied once; a batch of one block keeps the reduction.
+    the mean, is applied once, to the value and the slot gradients.
     """
     value, pos, mean_w, sigma, d_embs = _embedding_gradients(
         batch, state, hyper, loss_mode, reduction
@@ -347,8 +347,6 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
     rows = max(STEP_MIN_ROWS, STEP_ENTRIES // len(uc))
     blocks = [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
     diags = [(np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)) for blk in blocks]
-    whole = len(blocks) == 1
-    block_reduction = reduction if whole else "sum"
     # the blocks reuse one buffer for their cosines and one for their slots'
     # term, added in spans of STEP_ENTRIES // d slots: arrays made afresh per
     # block were given back to the OS and faulted in again every block
@@ -361,7 +359,7 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
         return np.matmul(qn[blk], cn.T, out=sims[: blk.stop - blk.start])
 
     pos = np.empty(size)
-    if loss_mode == "progressive" and not whole:
+    if loss_mode == "progressive" and len(blocks) > 1:
         for blk, diag in zip(blocks, diags):
             pos[blk] = np.clip(products(blk)[diag], -1.0, 1.0)
     slot_grads = np.empty((size + len(uc), uc.shape[1]))
@@ -376,11 +374,11 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
                 sigma = batch_threshold(pos, hyper.beta)
             value, record = progressive_loss(
                 pos[blk], block_sims, sigma, state.t, hyper.tau,
-                neg_mask=mask, reduction=block_reduction,
+                neg_mask=mask, reduction="sum",
             )
         else:
             value, record = info_nce(
-                pos[blk], block_sims, hyper.tau, neg_mask=mask, reduction=block_reduction
+                pos[blk], block_sims, hyper.tau, neg_mask=mask, reduction="sum"
             )
         values.append(value)
         weights.append(record.weights)
@@ -399,7 +397,7 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
     if loss_mode != "progressive":
         sigma = batch_threshold(pos, hyper.beta)
     value = sum(values)
-    if reduction == "mean" and not whole:
+    if reduction == "mean":
         value /= size
         slot_grads /= size
     d_embs = np.zeros_like(batch.forward.embs)

@@ -62,6 +62,18 @@ def make_checkpoint(path, texts, dim=8, seed=0, with_decoder=False):
     return tok
 
 
+def python(*args, cwd=None, **env):
+    """A fresh interpreter run with args, its stdout and stderr piped. It
+    imports the same progemb as this process, installed or not; env adds to
+    this process's environment."""
+    src = str(Path(progemb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
 def assert_same_files(first, second):
     """Both output directories hold the same file names with the same bytes."""
     names = sorted(p.name for p in first.iterdir())
@@ -87,15 +99,7 @@ class TestArgumentParsing:
             main(["finetune", "--config", cfg, "--loss-mode", "triplet"])
 
     def test_module_entry_point(self, tmp_path):
-        # the child imports the same progemb as this process, installed or not
-        src = str(Path(progemb.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "progemb", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        out = python("-m", "progemb", "--help")
         assert out.returncode == 0
         assert "pretrain" in out.stdout
 
@@ -133,6 +137,118 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "run.cfg", mining_k=0, out_dir=str(out))
         assert main(["mine", "--config", cfg]) == 1
         assert not out.exists()
+
+
+# OpenBLAS's own thread count, as the library numpy loaded reads it; prints
+# nothing where numpy carries no OpenBLAS
+BLAS_THREADS = """
+import ctypes, glob, os
+import progemb
+import numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    handle = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        count = getattr(handle, symbol, None)
+        if count is not None:
+            count.argtypes, count.restype = [], ctypes.c_int
+            print(count())
+            raise SystemExit
+"""
+
+
+def clustered_corpus(path, clusters=16, words=72, docs=256):
+    """Documents of two 6-word sentences, each from one cluster's words:
+    document i takes 12 consecutive words of cluster i % clusters from its
+    own start, so every word is used and the vocabulary holds
+    clusters * words of them."""
+    passages = []
+    for i in range(docs):
+        start = 5 * (i // clusters)
+        picked = [f"k{i % clusters}w{(start + k) % words}" for k in range(12)]
+        text = " ".join(picked[:6]) + " . " + " ".join(picked[6:]) + " ."
+        passages.append(Passage(f"d{i:03d}", text, "gen"))
+    dataio.write_corpus(path, passages)
+
+
+class TestProcess:
+    """Commands run as `python -m progemb` in a fresh interpreter."""
+
+    def test_blas_is_pinned_to_one_thread(self):
+        out = python("-c", BLAS_THREADS, OPENBLAS_NUM_THREADS="4")
+        assert out.returncode == 0, out.stderr
+        if not out.stdout:
+            pytest.skip("numpy carries no OpenBLAS")
+        assert int(out.stdout) == 1
+
+    def test_artifacts_do_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        # products with a vocabulary-long side (V > 1,000 at d = 32) are the
+        # ones OpenBLAS splits differently at 1 thread than at 2
+        for threads in ("1", "2"):
+            run = tmp_path / threads
+            run.mkdir()
+            clustered_corpus(run / "corpus.jsonl")
+            write_cfg(
+                run / "run.cfg", corpus_path="corpus.jsonl",
+                checkpoint_path="pretrain/checkpoint.bin",
+                passages_path="mine/passages.jsonl", dataset_path="mine/dataset.jsonl",
+                embed_dim=32, pretrain_epochs=1, finetune_epochs=1,
+                finetune_batch_size=64, mining_k=5,
+            )
+            for command in ("pretrain", "mine", "finetune"):
+                out = python("-m", "progemb", command, "--config", "run.cfg",
+                             "--out", command, cwd=run, OPENBLAS_NUM_THREADS=threads)
+                assert out.returncode == 0, out.stderr
+        tok = load_checkpoint(tmp_path / "1" / "pretrain" / "checkpoint.bin").tokenizer
+        assert len(tok.id_to_token) > 16 * 72
+        for command in ("pretrain", "mine", "finetune"):
+            assert_same_files(tmp_path / "1" / command, tmp_path / "2" / command)
+
+    def test_piped_output_holds_every_wrote_line(self, tmp_path):
+        dataio.write_corpus(tmp_path / "docs.jsonl", corpus_passages())
+        cfg = write_cfg(
+            tmp_path / "run.cfg", corpus_path=str(tmp_path / "docs.jsonl"),
+            checkpoint_path=str(tmp_path / "pretrain" / "checkpoint.bin"),
+            embed_dim=8, pretrain_epochs=1, mining_k=2,
+        )
+        for command, count in (("pretrain", 2), ("mine", 4)):
+            out_dir = tmp_path / command
+            # block-buffered, as a pipe is unless the caller asks otherwise
+            out = python("-m", "progemb", command, "--config", cfg, "--out", str(out_dir),
+                         PYTHONUNBUFFERED="")
+            assert out.returncode == 0, out.stderr
+            wrote = [line[len("wrote "):] for line in out.stdout.splitlines()
+                     if line.startswith("wrote ")]
+            assert len(wrote) == count
+            assert sorted(wrote) == sorted(str(path) for path in out_dir.iterdir())
+        load_checkpoint(tmp_path / "pretrain" / "checkpoint.bin")
+        assert len(dataio.read_loss_curve(tmp_path / "pretrain" / "loss_curve.jsonl")) == 1
+        assert len(dataio.read_corpus(tmp_path / "mine" / "passages.jsonl")) == 6
+        assert len(dataio.read_dataset(tmp_path / "mine" / "dataset.jsonl")) == 6
+        assert len(dataio.read_embeddings(tmp_path / "mine" / "passage_embeddings.bin")[0]) == 6
+        dataio.read_mining_audit(tmp_path / "mine" / "mining_audit.jsonl")
+
+    @pytest.mark.parametrize("options, code, message", [
+        ({"mining_k": 0}, 1, "error: {path}: config: mining_k must be > 0, got 0\n"),
+        (None, 2, "i/o error: [Errno 2] No such file or directory: '{path}'\n"),
+    ], ids=["invalid", "missing"])
+    def test_failures_exit_with_their_code_and_message(self, tmp_path, options, code, message):
+        path = tmp_path / "run.cfg"
+        if options is not None:
+            write_cfg(path, **options)
+        out = python("-m", "progemb", "mine", "--config", str(path))
+        assert (out.returncode, out.stdout, out.stderr) == (code, "", message.format(path=path))
+
+    def test_a_command_ends_without_atexit_handlers(self, tmp_path):
+        out = python("-c", (
+            "import atexit, sys; atexit.register(print, 'teardown'); "
+            "from progemb.cli import run; "
+            f"sys.argv[1:] = ['mine', '--config', {str(tmp_path / 'absent.cfg')!r}]; run()"
+        ))
+        assert out.returncode == 2
+        assert "absent.cfg" in out.stderr
+        assert "teardown" not in out.stdout
 
 
 class TestPretrain:
