@@ -23,9 +23,11 @@ import numpy as np
 
 # a JSON number; like `type(v) is int`, `type(v) in NUMBER` refuses a JSON true
 NUMBER = (int, float)
+# `need`'s list-of-strings kind, built once: each `list[str]` builds a new alias
+_STRINGS = list[str]
 # each JSON type a reader may ask `need` for, as its messages name it
 _KINDS = {str: "a string", int: "an int", bool: "a bool", NUMBER: "a number",
-          list[str]: "a list of strings"}
+          _STRINGS: "a list of strings"}
 
 
 def dump(obj: Mapping) -> str:
@@ -70,7 +72,7 @@ def need(path, obj: Mapping, types: Mapping, what: str = "row") -> list:
         if key not in obj:
             raise ValueError(f"{path}: {what} missing key {key!r}")
         value = obj[key]
-        if kind == list[str]:
+        if kind == _STRINGS:
             ok = type(value) is list and all(type(v) is str for v in value)
         else:
             ok = type(value) in (kind if isinstance(kind, tuple) else (kind,))

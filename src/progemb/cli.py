@@ -36,12 +36,11 @@ from .encoder import (
 from .evaluation import evaluate_run
 from .loss import HyperParams
 from .mining import (
-    AlwaysIrrelevantJudge,
-    AlwaysRelevantJudge,
     assemble_dataset,
     filter_false_negatives,
     first_sentence_query,
     generate_queries,
+    judge_for,
     mine_hard_negatives,
     split_passages,
 )
@@ -192,24 +191,6 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     print(f"wrote {out / 'loss_curve.jsonl'}")
 
 
-class _SimilarityJudge:
-    """Marks a candidate relevant when its mined similarity exceeds the threshold."""
-
-    def __init__(self, threshold: float):
-        self._threshold = threshold
-
-    def judge(self, query: str, candidate: str, similarity: float) -> bool:
-        return similarity > self._threshold
-
-
-def _make_judge(cfg: RunConfig):
-    if cfg.judge == "always_irrelevant":
-        return AlwaysIrrelevantJudge()
-    if cfg.judge == "always_relevant":
-        return AlwaysRelevantJudge()
-    return _SimilarityJudge(cfg.judge_threshold)
-
-
 def cmd_mine(cfg: RunConfig) -> None:
     docs = dataio.read_corpus(_require(cfg.corpus_path, "corpus_path"))
     ckpt = load_checkpoint(_require(cfg.checkpoint_path, "checkpoint_path"))
@@ -235,7 +216,7 @@ def cmd_mine(cfg: RunConfig) -> None:
 
     query_texts = [_query_text(cfg, q) for _, q in queries]
     query_embs = encode_batch(enc, tok.encode_texts(query_texts, cfg.max_query_len)).embs
-    judge = _make_judge(cfg)
+    judge = judge_for(cfg.judge, cfg.judge_threshold)
     mined: dict[str, list] = {}
     dropped: dict[str, int] = {}
     audit_rows: list[dict] = []
@@ -243,13 +224,11 @@ def cmd_mine(cfg: RunConfig) -> None:
         query_embs, ids, embs, [{positives[qid]} for qid, _ in queries], k=cfg.mining_k
     )
     for (qid, qtext), candidates in zip(queries, all_candidates):
-        kept, events = filter_false_negatives(qtext, candidates, judge, texts)
+        kept, audit = filter_false_negatives(qtext, candidates, judge, texts)
         mined[qid] = kept
-        dropped[qid] = sum(1 for e in events if e.removed)
-        audit_rows.extend(
-            {"query_id": qid, "candidate_id": e.candidate_id, "reason": e.reason}
-            for e in events
-        )
+        dropped[qid] = len(candidates) - len(kept)
+        audit_rows += ({"query_id": qid, "candidate_id": cid, "reason": reason}
+                       for cid, reason in audit)
 
     out = _out_dir(cfg)
     dataio.write_corpus(out / "passages.jsonl", passages)

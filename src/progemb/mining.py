@@ -1,7 +1,10 @@
 """Offline mining pipeline: split, generate, mine, filter, assemble.
 
-The pluggable pieces are the query generator (callable on a Passage) and the
-relevance judge (called on query text, candidate text and mined similarity).
+A mined candidate is top-k's (passage_id, similarity) pair from mining
+through filtering into the dataset. The pluggable pieces are functions: the
+query generator, called on a Passage, and the relevance judge, called as
+judge(query, candidate_text, similarity) -> bool, True when the candidate
+answers the query; `judge_for` builds the config's three.
 Judges that raise are treated fail-open: the candidate stays in the pool and
 the failure is logged, so a broken judge can never silently shrink the
 training data. This module writes no file: `assemble_dataset` returns the
@@ -12,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Collection, Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -22,12 +25,8 @@ from .dataio import DatasetRow, Passage
 from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
-    "MinedCandidate",
-    "RelevanceJudge",
-    "RemovalRecord",
     "DatasetStats",
-    "AlwaysIrrelevantJudge",
-    "AlwaysRelevantJudge",
+    "judge_for",
     "split_passages",
     "first_sentence_query",
     "generate_queries",
@@ -44,36 +43,18 @@ _SENTENCE_END = re.compile(r"[.!?]+(?=\s)")
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
 
 
-@dataclass(frozen=True)
-class MinedCandidate:
-    """A retrieved negative; judged_relevant stays None until a judge ran."""
-
-    passage_id: str
-    similarity: float
-    judged_relevant: bool | None = None
-
-    def __post_init__(self):
-        if not -1.0 <= self.similarity <= 1.0:
-            raise ValueError(
-                f"candidate {self.passage_id}: similarity {self.similarity} "
-                "outside [-1, 1]"
-            )
-
-
-class RelevanceJudge(Protocol):
-    def judge(self, query: str, candidate: str, similarity: float) -> bool:
-        """True means the candidate, at its mined similarity, answers the query."""
-        ...
-
-
-class AlwaysIrrelevantJudge:
-    def judge(self, query: str, candidate: str, similarity: float) -> bool:
-        return False
-
-
-class AlwaysRelevantJudge:
-    def judge(self, query: str, candidate: str, similarity: float) -> bool:
-        return True
+def judge_for(name: str, threshold: float) -> Callable[[str, str, float], bool]:
+    """The config's judge `name` as a function of (query, candidate text,
+    mined similarity): `always_irrelevant` keeps every candidate,
+    `always_relevant` removes every one, and `similarity` removes those
+    whose mined similarity exceeds threshold."""
+    if name == "always_irrelevant":
+        return lambda query, candidate, similarity: False
+    if name == "always_relevant":
+        return lambda query, candidate, similarity: True
+    if name == "similarity":
+        return lambda query, candidate, similarity: similarity > threshold
+    raise ValueError(f"unknown judge {name!r}")
 
 
 def _unit_spans(raw: str, max_chars: int) -> list[tuple[int, int]]:
@@ -161,61 +142,48 @@ def mine_hard_negatives(
     passage_embs: np.ndarray,
     positive_ids: Sequence[Collection[str]],
     k: int = MAX_MINED_NEGATIVES,
-) -> list[list[MinedCandidate]]:
-    """Exact top-k cosine retrieval (`similarity.top_k`) of each query row.
+) -> list[list[tuple[str, float]]]:
+    """Exact top-k cosine retrieval (`similarity.top_k`) of each query row:
+    one list of (passage_id, similarity) pairs per query.
 
     positive_ids holds the ids to exclude, one collection per query. A list
     is shorter than k when the corpus is small. Order is similarity
     descending with ties broken by ascending passage id.
     """
     hits = top_k(query_embs, passage_embs, passage_ids, k, exclude=positive_ids)
-    return [[MinedCandidate(pid, s) for pid, s in zip(*hit)] for hit in hits]
-
-
-@dataclass(frozen=True)
-class RemovalRecord:
-    """One filter event; removed is False for fail-open judge errors."""
-
-    candidate_id: str
-    reason: str
-    removed: bool
+    return [list(zip(*hit)) for hit in hits]
 
 
 def filter_false_negatives(
     query: str,
-    candidates: Sequence[MinedCandidate],
-    judge: RelevanceJudge,
+    candidates: Sequence[tuple[str, float]],
+    judge: Callable[[str, str, float], bool],
     passage_texts: Mapping[str, str],
-) -> tuple[list[MinedCandidate], list[RemovalRecord]]:
-    """Drop candidates the judge marks relevant; keep order; log everything.
+) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
+    """The candidates the judge does not mark relevant, in mining order, and
+    one (candidate_id, reason) audit pair per candidate removed
+    ("judged_relevant") or failed on ("judge_error: ..."), in candidate order.
 
-    A judge exception keeps the candidate with judged_relevant=None and an
-    audit record, so the caller can re-run the filter later.
+    A judge exception keeps the candidate (fail-open), so the candidates
+    removed are those mined but not kept.
     """
-    kept: list[MinedCandidate] = []
-    events: list[RemovalRecord] = []
-    for cand in candidates:
-        text = passage_texts.get(cand.passage_id)
+    kept, audit = [], []
+    for pid, similarity in candidates:
+        text = passage_texts.get(pid)
         if text is None:
-            raise ValueError(f"no text for mined candidate {cand.passage_id}")
+            raise ValueError(f"no text for mined candidate {pid}")
         try:
-            relevant = bool(judge.judge(query, text, cand.similarity))
+            relevant = bool(judge(query, text, similarity))
         except Exception as exc:
-            logger.warning(
-                "judge failed on candidate %s: %s (kept)", cand.passage_id, exc
-            )
-            kept.append(replace(cand, judged_relevant=None))
-            events.append(
-                RemovalRecord(cand.passage_id, f"judge_error: {exc}", removed=False)
-            )
+            logger.warning("judge failed on candidate %s: %s (kept)", pid, exc)
+            kept.append((pid, similarity))
+            audit.append((pid, f"judge_error: {exc}"))
             continue
         if relevant:
-            events.append(
-                RemovalRecord(cand.passage_id, "judged_relevant", removed=True)
-            )
+            audit.append((pid, "judged_relevant"))
         else:
-            kept.append(replace(cand, judged_relevant=False))
-    return kept, events
+            kept.append((pid, similarity))
+    return kept, audit
 
 
 @dataclass(frozen=True)
@@ -229,14 +197,15 @@ class DatasetStats:
 def assemble_dataset(
     queries: Sequence[tuple[str, str]],
     positives: Mapping[str, str],
-    mined: Mapping[str, Sequence[MinedCandidate]],
+    mined: Mapping[str, Sequence[tuple[str, float]]],
     *,
     dropped: Mapping[str, int] | None = None,
 ) -> tuple[list[DatasetRow], DatasetStats]:
     """The training dataset's rows, in query order, and their counts.
 
     queries is (query_id, query_text) pairs; positives and mined map query
-    ids to the positive passage id and the surviving candidates. Queries with
+    ids to the positive passage id and the surviving (passage_id, similarity)
+    pairs. Queries with
     zero surviving negatives are still kept: in-batch negatives supervise
     them during fine-tuning. dropped carries per-query filtered-out counts
     for the statistics only.
@@ -260,9 +229,9 @@ def assemble_dataset(
                 query_id=query_id,
                 query=text,
                 positive_id=positives[query_id],
-                negative_ids=tuple(c.passage_id for c in cands),
+                negative_ids=tuple(pid for pid, _ in cands),
                 provenance={
-                    "similarities": [c.similarity for c in cands],
+                    "similarities": [similarity for _, similarity in cands],
                     "filtered_out": int(dropped.get(query_id, 0)) if dropped else 0,
                 },
             )

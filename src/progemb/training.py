@@ -221,7 +221,7 @@ def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[f
 @dataclass
 class FinetuneResult:
     encoder: ToyEncoder
-    momentum_history: list[MomentumState]
+    state: MomentumState
     audit: list[StepAudit]
 
 
@@ -247,7 +247,8 @@ def finetune(
     similarities, take one optimizer step on the frozen-coefficient loss,
     then fold the batch's mean positive similarity into the momentum bias.
     Deterministic for a given seed. A non-finite loss or updated parameter
-    stops the run with a step-located ValueError.
+    stops the run with a step-located ValueError. The result's state is
+    the momentum state after the last step, from which a later run resumes.
     """
     if len(dataset) == 0:
         raise ValueError("finetune needs a nonempty dataset")
@@ -260,7 +261,6 @@ def finetune(
     state = initial_state
     params = enc.params()
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    history: list[MomentumState] = []
     audit: list[StepAudit] = []
     step = 0
     for epoch in range(epochs):
@@ -280,7 +280,6 @@ def finetune(
             except ValueError as exc:
                 raise ValueError(f"fine-tune step {step} (epoch {epoch}): {exc}") from exc
             state = update_momentum(state, pos, hyper.alpha)
-            history.append(state)
             audit.append(
                 StepAudit(
                     step=step,
@@ -292,7 +291,7 @@ def finetune(
                 )
             )
             step += 1
-    return FinetuneResult(encoder=enc, momentum_history=history, audit=audit)
+    return FinetuneResult(encoder=enc, state=state, audit=audit)
 
 
 def _step_loss_and_gradients(

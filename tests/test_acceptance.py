@@ -283,9 +283,9 @@ def test_mining_matches_exhaustive_oracle():
         ok = ok and len(all_mined) == len(queries)
         for q, pos, mined in zip(queries, positives, all_mined):
             want = oracle_topk(q, ids, embs, pos, 5)
-            ok = ok and [c.passage_id for c in mined] == [pid for pid, _ in want]
+            ok = ok and [pid for pid, _ in mined] == [pid for pid, _ in want]
             ok = ok and all(
-                abs(c.similarity - s) <= 1e-12 for c, (_, s) in zip(mined, want)
+                abs(sim - s) <= 1e-12 for (_, sim), (_, s) in zip(mined, want)
             )
     _report(7, ok, "top-5 ids and similarities of 8 queries match on 50 corpora "
                    "of 100-1000 passages")

@@ -428,6 +428,59 @@ class TestMine:
         # the cut runs through distinct texts, not only verbatim copies
         assert kept and any(s < 0.999 for pair, s in scores.items() if pair in removed)
 
+    def test_judge_errors_keep_their_candidates_and_are_not_dropped(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A judge that removes the `common1` passages and raises on the
+        `common2` ones: each query keeps its other candidates, failed ones
+        included, in mining order; its audit pairs follow candidate order;
+        and `filtered_out` counts only the removed candidates."""
+        def judge(query, candidate, similarity):
+            if candidate.endswith("common2"):
+                raise TimeoutError("no verdict")
+            return candidate.endswith("common1")
+
+        calls = []
+
+        def spy(query, candidates, judge, texts):
+            kept, audit = cli_filter(query, candidates, judge, texts)
+            calls.append((list(candidates), kept, audit))
+            return kept, audit
+
+        cli_filter = cli.filter_false_negatives
+        monkeypatch.setattr(cli, "judge_for", lambda name, threshold: judge)
+        monkeypatch.setattr(cli, "filter_false_negatives", spy)
+        cfg, out = self.setup_inputs(tmp_path)
+        assert main(["mine", "--config", cfg]) == 0
+        texts = {p.passage_id: p.text for p in dataio.read_corpus(out / "passages.jsonl")}
+        rows = dataio.read_dataset(out / "dataset.jsonl")
+        audit_rows = dataio.read_mining_audit(out / "mining_audit.jsonl")
+        assert len(calls) == len(rows) == 20
+        removed_total, failed_total = 0, 0
+        for row, (candidates, kept, audit) in zip(rows, calls):
+            assert len(candidates) == 5
+            suffix = {pid: texts[pid].rsplit(" ", 1)[1] for pid, _ in candidates}
+            assert kept == [c for c in candidates if suffix[c[0]] != "common1"]
+            assert audit == [
+                (pid, "judged_relevant" if suffix[pid] == "common1"
+                 else "judge_error: no verdict")
+                for pid, _ in candidates if suffix[pid] != "common0"
+            ]
+            removed = sum(suffix[pid] == "common1" for pid, _ in candidates)
+            removed_total += removed
+            failed_total += sum(suffix[pid] == "common2" for pid, _ in candidates)
+            assert row.negative_ids == tuple(pid for pid, _ in kept)
+            assert row.provenance == {"similarities": [s for _, s in kept],
+                                      "filtered_out": removed}
+        assert removed_total and failed_total
+        assert audit_rows == [
+            {"query_id": row.query_id, "candidate_id": cid, "reason": reason}
+            for row, (_, _, audit) in zip(rows, calls) for cid, reason in audit
+        ]
+        assert f"{100 - removed_total} negatives kept, {removed_total} dropped" in (
+            capsys.readouterr().out
+        )
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, _ = self.setup_inputs(tmp_path, judge="similarity", judge_threshold=0.9)
         for out in ("out1", "out2"):

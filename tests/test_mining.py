@@ -8,16 +8,17 @@ from oracles import oracle_topk
 
 from progemb.dataio import Passage, read_dataset, write_dataset
 from progemb.mining import (
-    AlwaysIrrelevantJudge,
-    AlwaysRelevantJudge,
-    MinedCandidate,
     assemble_dataset,
     filter_false_negatives,
     first_sentence_query,
     generate_queries,
+    judge_for,
     mine_hard_negatives,
     split_passages,
 )
+
+always_irrelevant = judge_for("always_irrelevant", 0.95)
+always_relevant = judge_for("always_relevant", 0.95)
 
 
 def squash(text):
@@ -162,14 +163,14 @@ class TestMineHardNegatives:
             rng.normal(size=(1, 4)), ["a", "b", "c"], embs, [{"b"}], k=5
         )
         assert len(out) == 2
-        assert {c.passage_id for c in out} == {"a", "c"}
+        assert {pid for pid, _ in out} == {"a", "c"}
 
     def test_identical_embedding_ranks_first(self):
         rng = np.random.default_rng(2)
         embs = rng.normal(size=(4, 5))
         [out] = mine_hard_negatives(embs[2:3].copy(), list("abcd"), embs, [{"a"}], k=2)
-        assert out[0].passage_id == "c"
-        np.testing.assert_allclose(out[0].similarity, 1.0, atol=1e-12)
+        assert out[0][0] == "c"
+        np.testing.assert_allclose(out[0][1], 1.0, atol=1e-12)
 
     def test_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -185,9 +186,9 @@ class TestMineHardNegatives:
             assert len(all_mined) == len(queries)
             for q, pos, mined in zip(queries, positives, all_mined):
                 expected = oracle_topk(q, ids, embs, pos, 5)
-                assert [c.passage_id for c in mined] == [pid for pid, _ in expected]
+                assert [pid for pid, _ in mined] == [pid for pid, _ in expected]
                 np.testing.assert_allclose(
-                    [c.similarity for c in mined], [s for _, s in expected], atol=1e-12
+                    [s for _, s in mined], [s for _, s in expected], atol=1e-12
                 )
 
     def test_ties_break_by_ascending_id(self):
@@ -195,7 +196,7 @@ class TestMineHardNegatives:
         embs = np.stack([base, base * 2.0, base * 0.5, -base])
         [out] = mine_hard_negatives(base[None], ["z", "m", "a", "q"], embs, [set()], k=3)
         # three identical similarities of 1.0; ids decide the order
-        assert [c.passage_id for c in out] == ["a", "m", "z"]
+        assert [pid for pid, _ in out] == ["a", "m", "z"]
 
     def test_positive_never_mined(self):
         rng = np.random.default_rng(4)
@@ -203,7 +204,7 @@ class TestMineHardNegatives:
         ids = [f"p{i}" for i in range(30)]
         mined = mine_hard_negatives(embs[:5], ids, embs, [{p} for p in ids[:5]], k=10)
         for qi, out in enumerate(mined):
-            assert ids[qi] not in {c.passage_id for c in out}
+            assert ids[qi] not in {pid for pid, _ in out}
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -216,72 +217,102 @@ class TestMineHardNegatives:
 
 def candidates_fixture():
     sims = [0.99, 0.97, 0.9, 0.5, 0.2]
-    cands = [MinedCandidate(f"c{i}", s) for i, s in enumerate(sims)]
+    cands = [(f"c{i}", s) for i, s in enumerate(sims)]
     texts = {f"c{i}": f"text {i}" for i in range(5)}
     return cands, texts
 
 
-class _ThresholdJudge:
+def threshold_judge(texts, sims):
     """Relevant iff the mined similarity it is passed exceeds 0.95; that
     similarity must be the candidate's, looked up through its text."""
+    sim_by_text = {texts[pid]: s for pid, s in sims}
 
-    def __init__(self, texts, sims):
-        self._sim_by_text = {texts[c.passage_id]: c.similarity for c in sims}
-
-    def judge(self, query, candidate, similarity):
-        assert similarity == self._sim_by_text[candidate]
+    def judge(query, candidate, similarity):
+        assert similarity == sim_by_text[candidate]
         return similarity > 0.95
 
+    return judge
 
-class _ExplodingJudge:
-    def judge(self, query, candidate, similarity):
-        raise ConnectionError("judge backend unreachable")
+
+def exploding_judge(query, candidate, similarity):
+    raise ConnectionError("judge backend unreachable")
+
+
+class TestJudgeFor:
+    def test_config_judges(self):
+        assert always_irrelevant("q", "text", 1.0) is False
+        assert always_relevant("q", "text", -1.0) is True
+        judge = judge_for("similarity", 0.5)
+        assert judge("q", "text", 0.51) and not judge("q", "text", 0.5)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="nope"):
+            judge_for("nope", 0.5)
 
 
 class TestFilterFalseNegatives:
     def test_always_irrelevant_is_identity(self):
         cands, texts = candidates_fixture()
-        kept, events = filter_false_negatives("q", cands, AlwaysIrrelevantJudge(), texts)
-        assert [c.passage_id for c in kept] == [c.passage_id for c in cands]
-        assert all(c.judged_relevant is False for c in kept)
-        assert events == []
+        kept, audit = filter_false_negatives("q", cands, always_irrelevant, texts)
+        assert [pid for pid, _ in kept] == [pid for pid, _ in cands]
+        assert kept == cands
+        assert audit == []
 
     def test_always_relevant_empties_the_list(self):
         cands, texts = candidates_fixture()
-        kept, events = filter_false_negatives("q", cands, AlwaysRelevantJudge(), texts)
+        kept, audit = filter_false_negatives("q", cands, always_relevant, texts)
         assert kept == []
-        assert len(events) == 5
-        assert all(e.removed for e in events)
+        assert len(audit) == 5
+        assert all(reason == "judged_relevant" for _, reason in audit)
 
     def test_threshold_judge_removes_exactly_above_cutoff(self):
         cands, texts = candidates_fixture()
-        judge = _ThresholdJudge(texts, cands)
-        kept, events = filter_false_negatives("q", cands, judge, texts)
-        assert [c.passage_id for c in kept] == ["c2", "c3", "c4"]
-        assert sorted(e.candidate_id for e in events) == ["c0", "c1"]
+        judge = threshold_judge(texts, cands)
+        kept, audit = filter_false_negatives("q", cands, judge, texts)
+        assert [pid for pid, _ in kept] == ["c2", "c3", "c4"]
+        assert sorted(cid for cid, _ in audit) == ["c0", "c1"]
 
     def test_judge_failure_keeps_candidate_flagged(self):
         cands, texts = candidates_fixture()
-        kept, events = filter_false_negatives("q", cands, _ExplodingJudge(), texts)
+        kept, audit = filter_false_negatives("q", cands, exploding_judge, texts)
         assert len(kept) == 5
-        assert all(c.judged_relevant is None for c in kept)
-        assert all(not e.removed for e in events)
-        assert "unreachable" in events[0].reason
+        assert kept == cands
+        assert all(reason.startswith("judge_error: ") for _, reason in audit)
+        assert "unreachable" in audit[0][1]
 
     def test_survivor_order_preserved(self):
         cands, texts = candidates_fixture()
 
-        class DropMiddle:
-            def judge(self, query, candidate, similarity):
-                return candidate == "text 2"
+        def drop_middle(query, candidate, similarity):
+            return candidate == "text 2"
 
-        kept, _ = filter_false_negatives("q", cands, DropMiddle(), texts)
-        assert [c.passage_id for c in kept] == ["c0", "c1", "c3", "c4"]
+        kept, _ = filter_false_negatives("q", cands, drop_middle, texts)
+        assert [pid for pid, _ in kept] == ["c0", "c1", "c3", "c4"]
+
+    def test_removed_and_failed_candidates_are_audited_in_order(self):
+        """A judge that removes c1 and c3 and raises on c0 and c4: the kept
+        pairs, c0 and c4 among them, keep mining order, and the audit pairs
+        follow candidate order with their reasons."""
+        cands, texts = candidates_fixture()
+
+        def judge(query, candidate, similarity):
+            if candidate in ("text 0", "text 4"):
+                raise TimeoutError(f"no verdict on {candidate}")
+            return candidate in ("text 1", "text 3")
+
+        kept, audit = filter_false_negatives("q", cands, judge, texts)
+        assert kept == [cands[0], cands[2], cands[4]]
+        assert audit == [
+            ("c0", "judge_error: no verdict on text 0"),
+            ("c1", "judged_relevant"),
+            ("c3", "judged_relevant"),
+            ("c4", "judge_error: no verdict on text 4"),
+        ]
 
     def test_missing_candidate_text_rejected(self):
         cands, _ = candidates_fixture()
         with pytest.raises(ValueError, match="c0"):
-            filter_false_negatives("q", cands, AlwaysIrrelevantJudge(), {})
+            filter_false_negatives("q", cands, always_irrelevant, {})
 
 
 class TestAssembleDataset:
@@ -289,7 +320,7 @@ class TestAssembleDataset:
         queries = [(f"q{i}", f"question {i}") for i in range(10)]
         positives = {f"q{i}": f"pos{i}" for i in range(10)}
         mined = {
-            f"q{i}": [MinedCandidate(f"n{i}-{j}", 0.5 - 0.01 * j) for j in range(5)]
+            f"q{i}": [(f"n{i}-{j}", 0.5 - 0.01 * j) for j in range(5)]
             for i in range(10)
         }
         path = tmp_path / "dataset.jsonl"
@@ -320,7 +351,7 @@ class TestAssembleDataset:
         rows, stats = assemble_dataset(
             [("q0", "question")],
             {"q0": "pos"},
-            {"q0": [MinedCandidate("n0", 0.4)]},
+            {"q0": [("n0", 0.4)]},
             dropped={"q0": 3},
         )
         assert stats.negatives_dropped == 3

@@ -108,11 +108,11 @@ class TestTopK:
         mined = mine_hard_negatives(queries, ids, embs, others, k=5)
         ranked = rank_gallery([str(i) for i in range(len(queries))], queries, ids, embs, 10)
         for cands, hits in zip(mined, ranked):
-            assert [c.passage_id for c in cands] == copy_ids[:5]
-            assert len({c.similarity for c in cands}) == 1
+            assert [pid for pid, _ in cands] == copy_ids[:5]
+            assert len({s for _, s in cands}) == 1
             assert hits.doc_ids[:7] == tuple(copy_ids)
             assert len(set(hits.scores[:7])) == 1
-            assert hits.scores[:5] == tuple(c.similarity for c in cands)
+            assert hits.scores[:5] == tuple(s for _, s in cands)
 
     def test_output_is_byte_identical_at_any_block_size(self, monkeypatch):
         rng = np.random.default_rng(31)

@@ -714,11 +714,11 @@ class TestFinetune:
             t = hyper.alpha * mean_pos + (1 - hyper.alpha) * t
             np.testing.assert_allclose(row.t, t, atol=1e-12)
 
-    def test_momentum_history_matches_audit(self):
+    def test_final_momentum_state_matches_audit(self):
         _, enc, tokens = make_fixture(seed=8)
         result = finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 3,
                           batch_size=3, lr=0.01, seed=2)
-        assert [s.t for s in result.momentum_history] == [a.t for a in result.audit]
+        assert result.state.t == result.audit[-1].t
 
     def test_deterministic_with_fallback_optimizer(self):
         finals = []
@@ -760,7 +760,7 @@ class TestFinetune:
         row = result.audit[0]
         expected = hyper.alpha * (row.sigma + hyper.beta) + (1 - hyper.alpha) * 0.8
         np.testing.assert_allclose(row.t, expected, atol=1e-12)
-        assert result.momentum_history[0].step == 101
+        assert result.state.step == start.step + len(result.audit)
 
     def test_one_gradient_dict_per_run_and_parameters_updated_in_place(self, monkeypatch):
         """Every step fills the same gradient arrays, and the optimizer
