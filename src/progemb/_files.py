@@ -30,9 +30,10 @@ _KINDS = {str: "a string", int: "an int", bool: "a bool", NUMBER: "a number",
           _STRINGS: "a list of strings"}
 
 
-def dump(obj: Mapping) -> str:
-    # bare NaN / Infinity is not JSON; refuse it rather than write it
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
+# One artifact line's JSON, keys sorted. Bare NaN / Infinity is not JSON, so
+# it is refused rather than written. One encoder serves every line: json.dumps
+# with keyword arguments builds a new one per call.
+dump: Callable[[Mapping], str] = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 @contextmanager

@@ -147,8 +147,11 @@ def mine_hard_negatives(
     one list of (passage_id, similarity) pairs per query.
 
     positive_ids holds the ids to exclude, one collection per query. A list
-    is shorter than k when the corpus is small. Order is similarity
-    descending with ties broken by ascending passage id.
+    is shorter than k when fewer passages are left. Order is similarity
+    descending with ties broken by ascending passage id. A similarity is
+    the clipped einsum product of the unit rows, so a passage's bytes do not
+    depend on its position; a BLAS product only screens the candidates.
+    Non-finite embeddings and repeated passage ids are a ValueError.
     """
     hits = top_k(query_embs, passage_embs, passage_ids, k, exclude=positive_ids)
     return [list(zip(*hit)) for hit in hits]

@@ -25,6 +25,33 @@ def oracle_topk(query_emb, ids, embs, exclude, k):
     return pool[:k]
 
 
+def oracle_blocked_topk(queries, gallery, ids, k, exclude=None, block=1 << 16):
+    """The blocked-einsum reference for `similarity.top_k`, with no screen:
+    every score is an entry of ``np.einsum("qd,md->qm", ...)`` over the unit
+    rows, clipped to [-1, 1], in query blocks of at most ``block`` scores;
+    np.partition finds each row's kth score and the columns at or above it
+    are ordered by (-score, id rank). Returns one (ids, scores) pair of
+    tuples per query."""
+    q, g = (np.asarray(x, dtype=np.float64) for x in (queries, gallery))
+    q, g = q / np.linalg.norm(q, axis=1)[:, None], g / np.linalg.norm(g, axis=1)[:, None]
+    m, kk = len(g), min(k, len(g))
+    rank = np.empty(m, dtype=np.intp)
+    rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
+    column = {pid: j for j, pid in enumerate(ids)} if exclude else {}
+    out, step = [], max(1, block // m)
+    for start in range(0, len(q), step):
+        s = np.einsum("qd,md->qm", q[start : start + step], g)
+        np.clip(s, -1.0, 1.0, out=s)
+        for i, skip in enumerate(exclude[start : start + step] if exclude else ()):
+            s[i, [column[p] for p in skip if p in column]] = -np.inf
+        for row in s:
+            top = np.flatnonzero(row >= np.partition(row, m - kk)[m - kk])
+            top = top[np.lexsort((rank[top], -row[top]))][:kk]
+            top = top[row[top] > -np.inf]
+            out.append((tuple(ids[j] for j in top.tolist()), tuple(row[top].tolist())))
+    return out
+
+
 def oracle_log_sum_exp(values) -> float:
     """Numerically stable log(sum(exp(values))) for a nonempty vector.
 

@@ -352,6 +352,18 @@ class TestMine:
             assert row.positive_id not in row.negative_ids
             assert row.query_id.startswith(row.positive_id)
 
+    def test_non_finite_embedding_fails_and_writes_no_dataset(self, tmp_path, capsys):
+        """encode_batch lets a NaN token row through; top-k rejects the NaN
+        embeddings, so no query is written without its negatives."""
+        cfg, out = self.setup_inputs(tmp_path)
+        model = load_checkpoint(tmp_path / "ckpt.bin")
+        model.encoder.token_table[5, 0] = np.nan
+        save_checkpoint(tmp_path / "ckpt.bin", model.encoder, model.tokenizer)
+        with np.errstate(invalid="ignore"):
+            assert main(["mine", "--config", cfg]) == 1
+        assert "non-finite vector" in capsys.readouterr().err
+        assert not (out / "dataset.jsonl").exists()
+
     def test_passages_and_embeddings_align(self, tmp_path):
         cfg, out = self.setup_inputs(tmp_path)
         main(["mine", "--config", cfg])

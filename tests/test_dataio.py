@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from progemb import dataio
+from progemb import _files, dataio
 from progemb.dataio import (
     DatasetRow,
     MetricReport,
@@ -89,6 +89,22 @@ class TestHeaders:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_corpus(tmp_path / "absent.jsonl")
+
+
+class TestDump:
+    def test_lines_are_json_dumps_with_sorted_keys(self):
+        rows = [
+            {"text": "naïve café — 東京", "id": "p1", "nested": [[1, 2.5], ["x", None]]},
+            {"b": 1, "a": -0.0, "c": 1e-300, "d": [True, False], "e": {"z": 1, "y": 2}},
+            {},
+        ]
+        for row in rows:
+            assert _files.dump(row) == json.dumps(row, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_rejected(self, bad):
+        with pytest.raises(ValueError):
+            _files.dump({"loss": [1.0, bad]})
 
 
 class TestCorpus:

@@ -1,15 +1,21 @@
 """Tests for cosine similarity, similarity matrices, top-k, and log-sum-exp."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import oracle_log_sum_exp
+from oracles import oracle_blocked_topk, oracle_log_sum_exp
 
 from progemb import similarity
 from progemb.evaluation import rank_gallery
 from progemb.mining import mine_hard_negatives
-from progemb.similarity import cosine, sim_matrix, top_k
+from progemb.similarity import _unit_rows, cosine, sim_matrix, top_k
+
+
+def bits(hits):
+    """Each hit's ids and its scores' bytes: equal bits, not just equal values."""
+    return [(names, np.array(scores, dtype=np.float64).tobytes()) for names, scores in hits]
 
 
 class TestCosine:
@@ -126,8 +132,11 @@ class TestTopK:
         exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
         assert len(queries) * m > 2 * similarity.TOPK_BLOCK
         default = top_k(queries, embs, ids, 8, exclude)
-        monkeypatch.setattr(similarity, "TOPK_BLOCK", 1)
-        assert top_k(queries, embs, ids, 8, exclude) == default
+        for block in (1, 97, 4099, 30011):
+            monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
+            got = top_k(queries, embs, ids, 8, exclude)
+            assert got == default
+            assert bits(got) == bits(default)
 
     def test_exclusions_leave_a_short_list(self):
         embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
@@ -141,6 +150,125 @@ class TestTopK:
                      (np.ones((2, 4)), ["a", "b"], 1)]:
             with pytest.raises(ValueError):
                 top_k(embs[:1], *args)
+
+    def test_non_finite_gallery_row_rejected(self):
+        """It used to drop out of every list, each one hit short."""
+        g = np.eye(4)
+        g[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite vector: gallery row 2"):
+            top_k([[1, 0.2, 0, 0]], g, list("abcd"), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite vector: queries row 1"):
+            top_k([[1, 0, 0, 0], [bad, 0, 0, 0]], np.eye(4), list("abcd"), 2)
+
+    def test_repeated_ids_rejected(self):
+        with pytest.raises(ValueError, match="repeated gallery id 'a'"):
+            top_k(np.eye(3)[:1], np.eye(3), ["a", "a", "b"], 2, [{"a"}])
+
+
+class TestScreenedTopK:
+    """`top_k` screens with a BLAS product and rescores with einsum; its lists
+    and score bits are those of the blocked-einsum oracle it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16, 32, 64])
+    def test_matches_the_blocked_einsum_oracle(self, monkeypatch, d):
+        rng = np.random.default_rng(1000 + d)
+        flipped = 0
+        for _ in range(10):
+            n = int(rng.integers(1, 60))
+            rows = rng.normal(size=(n, d))
+            # verbatim copies of one row, and near ties: copies of rows moved
+            # one ulp in one component
+            copies = np.repeat(rows[rng.integers(n)][None], int(rng.integers(0, 6)), axis=0)
+            src = rng.integers(0, n, size=n // 2 + 1)
+            twins, at = rows[src].copy(), (np.arange(len(src)), rng.integers(0, d, size=len(src)))
+            twins[at] = np.nextafter(twins[at], rng.choice([-np.inf, np.inf], size=len(src)))
+            order = rng.permutation(n + len(copies) + len(src))
+            gallery = np.concatenate([rows, copies, twins])[order]
+            m = len(gallery)
+            # ids that numpy's string order would tie: "p7" and "p7\x00"
+            ids = [f"p{j // 2}" + "\x00" * (j % 2) for j in rng.permutation(m).tolist()]
+            queries = np.concatenate([
+                rng.normal(size=(int(rng.integers(1, 20)), d)),
+                gallery[rng.integers(0, m, size=8)],  # they score the +1 clip
+                gallery[rng.integers(0, m, size=8)] + 1e-3 * rng.normal(size=(8, d)),
+            ])
+            exclude = [set(rng.choice(ids, size=int(rng.integers(0, 4)), replace=False))
+                       | {"unknown"} for _ in queries]
+            exclude[0], exclude[1] = set(ids), set(ids[1:])
+            k = int(rng.integers(1, m + 3))
+            want = bits(oracle_blocked_topk(queries, gallery, ids, k, exclude))
+            plain = bits(oracle_blocked_topk(queries, gallery, ids, k))
+            assert want[0] == ((), b"") and len(want[1][0]) == 1
+            for block in (1, 7, int(rng.integers(8, 400)), 1 << 16):
+                monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
+                assert bits(top_k(queries, gallery, ids, k, exclude)) == want
+                assert bits(top_k(queries, gallery, ids, k)) == plain
+            q, g = _unit_rows(queries, "q"), _unit_rows(gallery, "g")
+            where = np.argsort(order)
+            row, twin = where[src], where[n + len(copies) + np.arange(len(src))]
+            blas, einsum = q @ g.T, np.einsum("qd,md->qm", q, g)
+            flipped += int((np.sign(blas[:, row] - blas[:, twin])
+                            != np.sign(einsum[:, row] - einsum[:, twin])).sum())
+        # the near ties test the slack: BLAS and einsum order some apart. At
+        # d = 1 both products are one exact multiplication.
+        assert flipped > 0 or d == 1
+
+    def test_rescores_only_the_k_best_and_their_ties(self, monkeypatch):
+        """einsum rescores, per query, at least k pairs and at most the
+        columns at or above the k-th score: the screen prunes the rest."""
+        rng = np.random.default_rng(37)
+        m, d, k = 3000, 16, 8
+        embs = rng.normal(size=(m, d))
+        embs[2980:] = embs[5]
+        ids = [f"p{i:04d}" for i in rng.permutation(m)]
+        queries = np.concatenate([rng.normal(size=(150, d)),
+                                  embs[5] + 0.3 * rng.normal(size=(150, d))])
+        exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
+        q, g = _unit_rows(queries, "q"), _unit_rows(embs, "g")
+        scores = np.clip(np.einsum("qd,md->qm", q, g), -1.0, 1.0)
+        for i, skip in enumerate(exclude):
+            scores[i, [ids.index(p) for p in skip]] = -np.inf
+        kth = np.sort(scores, axis=1)[:, -k]
+        at_or_above = (scores >= kth[:, None]).sum(axis=1)
+        assert at_or_above.max() > k  # some queries tie at the k-th score
+        query_of = {row.tobytes(): i for i, row in enumerate(q)}
+        rescored = np.zeros(len(q), dtype=int)
+        einsum = np.einsum
+
+        def counting(spec, a, b):
+            if spec == "nd,nd->n":
+                np.add.at(rescored, [query_of[row.tobytes()] for row in a], 1)
+            return einsum(spec, a, b)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        top_k(queries, embs, ids, k, exclude)
+        monkeypatch.undo()
+        assert (rescored >= k).all() and (rescored <= at_or_above).all()
+
+    def test_memory_is_bounded_by_the_tiles(self):
+        """Beyond its unit-norm copies of the inputs and the hits it returns,
+        top_k holds a few TOPK_BLOCK-entry arrays and per-id ones (the id
+        rank and lookup): no (Q, M) score matrix, and no gathers of every
+        query's k candidate rows."""
+        rng = np.random.default_rng(41)
+        m, d, nq, k = 50_000, 16, 2_000, 50
+        embs, queries = rng.normal(size=(m, d)), rng.normal(size=(nq, d))
+        ids = [f"p{i:05d}" for i in range(m)]
+        tracemalloc.start()
+        try:
+            hits = top_k(queries, embs, ids, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(len(names) == k for names, _ in hits)
+        copies, hits_bytes, per_id = 8 * (m + nq) * d, 48 * nq * k, 200 * m
+        tiles = 8 * 4 * similarity.TOPK_BLOCK
+        assert peak < copies + hits_bytes + per_id + tiles
+        # gathering each query's k rows and its own rows at once would not fit
+        assert 8 * 2 * nq * k * d > per_id + tiles
 
 
 class TestLogSumExp:
