@@ -27,7 +27,7 @@ NUMBER = (int, float)
 _STRINGS = list[str]
 # each JSON type a reader may ask `need` for, as its messages name it
 _KINDS = {str: "a string", int: "an int", bool: "a bool", NUMBER: "a number",
-          _STRINGS: "a list of strings"}
+          _STRINGS: "a list of strings", dict: "an object"}
 
 
 # One artifact line's JSON, keys sorted. Bare NaN / Infinity is not JSON, so

@@ -47,7 +47,7 @@ from .mining import (
 # cosine is not called here; benchmarks/tracer.py still wraps it in this module
 from .similarity import cosine  # noqa: F401
 from .synthetic import make_clustered_corpus
-from .training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
+from .training import TrainingSet, finetune, pretrain
 
 __all__ = ["main", "run"]
 
@@ -116,8 +116,12 @@ def run() -> None:
     registers no atexit hook or logging handler, so after stdout and stderr
     are flushed nothing is left that teardown would finish; a caller's
     atexit handlers do not run. A flush that fails leaves through
-    SystemExit, which reports it as an ordinary exit does."""
-    code = main()
+    SystemExit, which reports it as an ordinary exit does. argparse's own
+    exits (--help, a usage error) leave the same way, with its code."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         sys.stdout.flush()
         sys.stderr.flush()
@@ -169,7 +173,7 @@ def cmd_pretrain(cfg: RunConfig) -> None:
         cfg.max_passage_len, cfg.embed_dim, len(tok.id_to_token), seed=cfg.seed
     )
     sequences = tok.encode_texts([p.text for p in corpus], cfg.max_passage_len)
-    result = pretrain(
+    losses = pretrain(
         sequences,
         enc,
         dec,
@@ -182,11 +186,11 @@ def cmd_pretrain(cfg: RunConfig) -> None:
         seed=cfg.seed,
     )
     out = _out_dir(cfg)
-    save_checkpoint(out / "checkpoint.bin", result.encoder, tok, result.decoder)
-    dataio.write_loss_curve(out / "loss_curve.jsonl", result.epoch_losses)
+    save_checkpoint(out / "checkpoint.bin", enc, tok, dec)
+    dataio.write_loss_curve(out / "loss_curve.jsonl", losses)
     print(f"pretrained {cfg.pretrain_epochs} epochs on {len(sequences)} sequences")
-    if result.epoch_losses:
-        print(f"loss {result.epoch_losses[0]:.4f} -> {result.epoch_losses[-1]:.4f}")
+    if losses:
+        print(f"loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     print(f"wrote {out / 'checkpoint.bin'}")
     print(f"wrote {out / 'loss_curve.jsonl'}")
 
@@ -233,13 +237,14 @@ def cmd_mine(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     dataio.write_corpus(out / "passages.jsonl", passages)
     dataio.write_embeddings(out / "passage_embeddings.bin", ids, embs)
-    rows, stats = assemble_dataset(queries, positives, mined, dropped=dropped)
+    rows = assemble_dataset(queries, positives, mined, dropped=dropped)
     dataio.write_dataset(out / "dataset.jsonl", rows)
     dataio.write_mining_audit(out / "mining_audit.jsonl", audit_rows)
     print(
-        f"mined {stats.examples_written} queries over {len(passages)} passages: "
-        f"{stats.negatives_written} negatives kept, {stats.negatives_dropped} dropped, "
-        f"{stats.zero_negative_queries} queries with no negatives"
+        f"mined {len(rows)} queries over {len(passages)} passages: "
+        f"{sum(len(r.negative_ids) for r in rows)} negatives kept, "
+        f"{sum(dropped.values())} dropped, "
+        f"{sum(not r.negative_ids for r in rows)} queries with no negatives"
     )
     for name in ("passages.jsonl", "dataset.jsonl", "mining_audit.jsonl",
                  "passage_embeddings.bin"):
@@ -247,25 +252,15 @@ def cmd_mine(cfg: RunConfig) -> None:
 
 
 def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
-    """The checked training set of dataset rows over one token store: each
-    referenced passage is tokenized once, in first-reference order, then each query."""
+    """The training set of dataset rows, as `dataio.read_dataset` checks
+    them, over one token store: each referenced passage is tokenized once,
+    in first-reference order, then each query. An id with no passage is a
+    ValueError."""
     texts = {p.passage_id: p.text for p in passages}
     row_of: dict[str, int] = {}
-    candidates = np.full((len(rows), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    candidates = np.full((len(rows), 1 + dataio.MAX_NEGATIVES), -1, dtype=np.intp)
     for i, row in enumerate(rows):
-        negatives = row.negative_ids
-        if len(negatives) > MAX_HARD_NEGATIVES:
-            raise ValueError(
-                f"{row.query_id}: at most {MAX_HARD_NEGATIVES} hard negatives allowed"
-            )
-        if row.positive_id in negatives:
-            raise ValueError(
-                f"{row.query_id}: positive {row.positive_id} appears among negatives"
-            )
-        for k, key in enumerate(negatives):
-            if key in negatives[:k]:
-                raise ValueError(f"{row.query_id}: negative {key} appears twice")
-        for j, key in enumerate((row.positive_id, *negatives)):
+        for j, key in enumerate((row.positive_id, *row.negative_ids)):
             if key not in texts:
                 kind = "positive" if j == 0 else "negative"
                 raise ValueError(f"dataset: unknown {kind} id {key!r}")
@@ -299,7 +294,7 @@ def cmd_finetune(cfg: RunConfig) -> None:
     )
     result = _finetune(cfg, data, tokens, ckpt.encoder)
     out = _out_dir(cfg)
-    save_checkpoint(out / "checkpoint.bin", result.encoder, ckpt.tokenizer, ckpt.decoder)
+    save_checkpoint(out / "checkpoint.bin", ckpt.encoder, ckpt.tokenizer, ckpt.decoder)
     dataio.write_finetune_audit(out / "finetune_audit.jsonl", cfg.loss_mode, result.audit)
     print(
         f"fine-tuned {len(data)} examples for {cfg.finetune_epochs} epochs "

@@ -27,6 +27,7 @@ from ._files import read_binary, write_binary
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_NEGATIVES",
     "Passage",
     "DatasetRow",
     "StepAudit",
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# hard negatives per dataset row, as the paper extracts per query
+MAX_NEGATIVES = 5
 
 
 def _write_rows(path, fmt: str, rows: Iterable[Mapping], extra_header: Mapping = {}) -> None:
@@ -154,23 +157,28 @@ def write_dataset(path, rows: Iterable[DatasetRow]) -> None:
 
 
 def read_dataset(path) -> list[DatasetRow]:
+    """The dataset's rows in file order, each checked as it is read: no
+    repeated query id, at most MAX_NEGATIVES negatives, the positive not
+    among them and no negative twice, and a provenance, when present, that
+    is a JSON object. The first fault in file order is the ValueError."""
     out = []
     seen = set()
     for row in _read_rows(path, "dataset"):
-        qid, query, pid, negs = need(path, row, {"query_id": str, "query": str,
-                                                 "positive_id": str, "negative_ids": list[str]})
+        row.setdefault("provenance", {})
+        qid, query, pid, negs, provenance = need(path, row, {
+            "query_id": str, "query": str, "positive_id": str, "negative_ids": list[str],
+            "provenance": dict})
         if qid in seen:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)
-        out.append(
-            DatasetRow(
-                query_id=qid,
-                query=query,
-                positive_id=pid,
-                negative_ids=tuple(negs),
-                provenance=row.get("provenance", {}),
-            )
-        )
+        if len(negs) > MAX_NEGATIVES:
+            raise ValueError(f"{qid}: at most {MAX_NEGATIVES} hard negatives allowed")
+        if pid in negs:
+            raise ValueError(f"{qid}: positive {pid} appears among negatives")
+        for k, key in enumerate(negs):
+            if key in negs[:k]:
+                raise ValueError(f"{qid}: negative {key} appears twice")
+        out.append(DatasetRow(qid, query, pid, tuple(negs), provenance))
     return out
 
 

@@ -177,7 +177,7 @@ class Tokenizer:
         return self.encode_texts([text], max_len)
 
 
-@dataclass
+@dataclass(eq=False)
 class ToyEncoder:
     """Mean-pooled token embeddings -> linear projection -> L2 normalization."""
 
@@ -207,7 +207,7 @@ class ToyEncoder:
         return {"token_table": self.token_table, "projection": self.projection}
 
 
-@dataclass
+@dataclass(eq=False)
 class MaeDecoder:
     """Lightweight reconstruction head: per-position shift plus output matrix."""
 
@@ -233,7 +233,7 @@ class MaeDecoder:
         return {"position_table": self.position_table, "output": self.output}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedBatch:
     """Embeddings of N sequences plus what the backward pass needs."""
 
@@ -428,7 +428,7 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         to_seqs, to_positions = r @ e[n:], r.T @ e[:n]
         e[:n] *= to_seqs
         e[n:] *= to_positions
-        d_output[:, blk] = x.T @ e
+        np.matmul(x.T, e, out=d_output[:, blk])
         dx += e @ w[:, blk].T
     z = x[seqs] + x[n + positions]
     w_targets = w.T[targets]
@@ -471,7 +471,7 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     return np.add.reduceat(row_losses, starts).tolist(), gradients()
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     encoder: ToyEncoder
     tokenizer: Tokenizer

@@ -71,7 +71,7 @@ class MomentumState:
     step: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchSimilarities:
     """One batch's frozen coefficients and the loss's similarity gradients.
 

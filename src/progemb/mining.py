@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import DatasetRow, Passage
+from .dataio import MAX_NEGATIVES, DatasetRow, Passage
 # sim_matrix is not called here; benchmarks/tracer.py still wraps it in this module
 from .similarity import sim_matrix, top_k  # noqa: F401
 
 __all__ = [
-    "DatasetStats",
     "judge_for",
     "split_passages",
     "first_sentence_query",
@@ -36,8 +34,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-MAX_MINED_NEGATIVES = 5
 
 _SENTENCE_END = re.compile(r"[.!?]+(?=\s)")
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
@@ -141,7 +137,7 @@ def mine_hard_negatives(
     passage_ids: Sequence[str],
     passage_embs: np.ndarray,
     positive_ids: Sequence[Collection[str]],
-    k: int = MAX_MINED_NEGATIVES,
+    k: int = MAX_NEGATIVES,
 ) -> list[list[tuple[str, float]]]:
     """Exact top-k cosine retrieval (`similarity.top_k`) of each query row:
     one list of (passage_id, similarity) pairs per query.
@@ -189,44 +185,31 @@ def filter_false_negatives(
     return kept, audit
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    examples_written: int
-    negatives_written: int
-    negatives_dropped: int
-    zero_negative_queries: int
-
-
 def assemble_dataset(
     queries: Sequence[tuple[str, str]],
     positives: Mapping[str, str],
     mined: Mapping[str, Sequence[tuple[str, float]]],
     *,
     dropped: Mapping[str, int] | None = None,
-) -> tuple[list[DatasetRow], DatasetStats]:
-    """The training dataset's rows, in query order, and their counts.
+) -> list[DatasetRow]:
+    """The training dataset's rows, in query order.
 
     queries is (query_id, query_text) pairs; positives and mined map query
     ids to the positive passage id and the surviving (passage_id, similarity)
-    pairs. Queries with
+    pairs, of which each row keeps the first MAX_NEGATIVES. Queries with
     zero surviving negatives are still kept: in-batch negatives supervise
-    them during fine-tuning. dropped carries per-query filtered-out counts
-    for the statistics only.
+    them during fine-tuning. dropped carries per-query filtered-out counts,
+    which each row's provenance records.
     """
     seen: set[str] = set()
     rows = []
-    negatives_written = 0
-    zero_negative = 0
     for query_id, text in queries:
         if query_id in seen:
             raise ValueError(f"duplicate query id {query_id}")
         seen.add(query_id)
         if query_id not in positives:
             raise ValueError(f"query {query_id} has no positive passage")
-        cands = list(mined.get(query_id, ()))[:MAX_MINED_NEGATIVES]
-        if not cands:
-            zero_negative += 1
-        negatives_written += len(cands)
+        cands = list(mined.get(query_id, ()))[:MAX_NEGATIVES]
         rows.append(
             DatasetRow(
                 query_id=query_id,
@@ -239,9 +222,4 @@ def assemble_dataset(
                 },
             )
         )
-    return rows, DatasetStats(
-        examples_written=len(rows),
-        negatives_written=negatives_written,
-        negatives_dropped=sum(dropped.values()) if dropped else 0,
-        zero_negative_queries=zero_negative,
-    )
+    return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import StepAudit
+from .dataio import MAX_NEGATIVES, StepAudit
 from .encoder import (
     EncodedBatch,
     MaeDecoder,
@@ -49,7 +49,6 @@ from .similarity import _unit_rows, sim_matrix  # noqa: F401
 __all__ = [
     "TrainingSet",
     "ContrastiveBatch",
-    "PretrainResult",
     "FinetuneResult",
     "build_batch",
     "pretrain",
@@ -58,7 +57,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-MAX_HARD_NEGATIVES = 5
 # (rows, M) entries per step block: a block is max(STEP_MIN_ROWS,
 # STEP_ENTRIES // M) query rows, so each of its arrays is near 256 KB of
 # float64 until M is so large that the floor keeps the block a matrix product
@@ -68,23 +66,24 @@ STEP_MIN_ROWS = 16
 
 @dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """Fine-tuning examples as rows of one token store, checked by the caller.
+    """Fine-tuning examples as rows of one token store.
 
     Example i's query is row queries[i]; candidates[i] holds its positive's
-    row, then its hard negatives' rows, padded with -1. names[r] names store
-    row r, for logs and a batch's ids only. The CLI's sets put every query
+    row, then its hard negatives' rows, padded with -1: distinct rows other
+    than the positive's, as `dataio.read_dataset` checks a dataset's rows.
+    names[r] names store row r, for logs and a batch's ids only. The CLI's sets put every query
     row after every candidate row; a set that uses a query row as a
     candidate too gives both roles one forward row in a batch."""
 
     queries: np.ndarray      # (N,) intp
-    candidates: np.ndarray   # (N, 1 + MAX_HARD_NEGATIVES) intp
+    candidates: np.ndarray   # (N, 1 + MAX_NEGATIVES) intp
     names: np.ndarray        # (rows,) object: str
 
     def __len__(self) -> int:
         return len(self.queries)
 
 
-@dataclass
+@dataclass(eq=False)
 class ContrastiveBatch:
     """A batch's embeddings plus the bookkeeping needed for the step and audits."""
 
@@ -151,13 +150,6 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     )
 
 
-@dataclass
-class PretrainResult:
-    encoder: ToyEncoder
-    decoder: MaeDecoder
-    epoch_losses: list[float]
-
-
 def pretrain(
     corpus: Tokens,
     enc: ToyEncoder,
@@ -170,13 +162,14 @@ def pretrain(
     weight_decay: float = 0.0,
     optimizer: str = "adamw",
     seed: int = 0,
-) -> PretrainResult:
-    """Train encoder and decoder on masked reconstruction.
+) -> list[float]:
+    """Train encoder and decoder in place on masked reconstruction, and
+    return each epoch's mean per-sequence loss.
 
     Per batch of corpus rows the objective is the mean reconstruction loss
-    on a freshly corrupted copy. The returned curve holds each epoch's mean
-    per-sequence loss. Deterministic for a given seed. A non-finite loss or
-    updated parameter stops the run with a step-located ValueError.
+    on a freshly corrupted copy. Deterministic for a given seed. A
+    non-finite loss or updated parameter stops the run with a step-located
+    ValueError.
     """
     if len(corpus) == 0:
         raise ValueError("pretrain needs a nonempty corpus")
@@ -200,7 +193,7 @@ def pretrain(
             losses.extend(chunk_losses)
             step += 1
         epoch_losses.append(float(np.mean(losses)))
-    return PretrainResult(encoder=enc, decoder=dec, epoch_losses=epoch_losses)
+    return epoch_losses
 
 
 def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[float]:
@@ -220,7 +213,6 @@ def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[f
 
 @dataclass
 class FinetuneResult:
-    encoder: ToyEncoder
     state: MomentumState
     audit: list[StepAudit]
 
@@ -241,14 +233,15 @@ def finetune(
     seed: int = 0,
     initial_state: MomentumState = MomentumState(),
 ) -> FinetuneResult:
-    """Contrastive fine-tuning with in-batch shared negatives.
+    """Contrastive fine-tuning of enc, in place, with in-batch shared negatives.
 
     Each step: build the batch, derive sigma / weights / scales from its
     similarities, take one optimizer step on the frozen-coefficient loss,
     then fold the batch's mean positive similarity into the momentum bias.
     Deterministic for a given seed. A non-finite loss or updated parameter
-    stops the run with a step-located ValueError. The result's state is
-    the momentum state after the last step, from which a later run resumes.
+    stops the run with a step-located ValueError. The result holds each
+    step's audit and the momentum state after the last step, from which a
+    later run resumes.
     """
     if len(dataset) == 0:
         raise ValueError("finetune needs a nonempty dataset")
@@ -291,7 +284,7 @@ def finetune(
                 )
             )
             step += 1
-    return FinetuneResult(encoder=enc, state=state, audit=audit)
+    return FinetuneResult(state=state, audit=audit)
 
 
 def _step_loss_and_gradients(

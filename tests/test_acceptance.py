@@ -13,7 +13,7 @@ from oracles import oracle_loss_gradients, oracle_topk
 
 from progemb import dataio
 from progemb.cli import main
-from progemb.dataio import DatasetRow, Passage
+from progemb.dataio import MAX_NEGATIVES, DatasetRow, Passage
 from progemb.encoder import (
     MaeDecoder,
     Tokenizer,
@@ -33,7 +33,7 @@ from progemb.loss import (
 )
 from progemb.mining import mine_hard_negatives
 from progemb.synthetic import make_clustered_corpus
-from progemb.training import MAX_HARD_NEGATIVES, TrainingSet, finetune, pretrain
+from progemb.training import TrainingSet, finetune, pretrain
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -313,7 +313,7 @@ def _retrieval_recall(seed: int, noise: float, loss_mode: str) -> float:
         tok.encode_texts([p.text for p in data.passages], 64),
         tok.encode_texts([q.text for q in data.train], 16),
     ])
-    candidates = np.full((len(data.train), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    candidates = np.full((len(data.train), 1 + MAX_NEGATIVES), -1, dtype=np.intp)
     candidates[:, 0] = [row_of[q.positive_id] for q in data.train]
     names = [*row_of, *(q.query_id for q in data.train)]
     train = TrainingSet(
@@ -389,17 +389,16 @@ def test_mae_pretraining_sanity():
 
     enc = ToyEncoder.create(len(tok.id_to_token), 16, seed=0)
     dec = MaeDecoder.create(16, 16, len(tok.id_to_token), seed=0)
-    result = pretrain(
+    losses = pretrain(
         seqs, enc, dec, epochs=10, mask_ratio=0.3, batch_size=25, lr=0.1, seed=0
     )
-    ratio = result.epoch_losses[-1] / result.epoch_losses[0]
+    ratio = losses[-1] / losses[0]
 
     enc1 = ToyEncoder.create(len(tok.id_to_token), 16, seed=0)
     dec1 = MaeDecoder.create(16, 16, len(tok.id_to_token), seed=0)
-    single = pretrain(
+    final = pretrain(
         seqs.take([0]), enc1, dec1, epochs=200, mask_ratio=0.3, batch_size=1, lr=0.05, seed=0
-    )
-    final = single.epoch_losses[-1]
+    )[-1]
 
     _report(
         10,

@@ -251,6 +251,22 @@ class TestProcess:
         assert "teardown" not in out.stdout
 
 
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--help"], 0, "stdout", "usage: progemb"),
+        ([], 2, "stderr", "error: the following arguments are required: command"),
+    ], ids=["help", "missing_subcommand"])
+    def test_argument_exits_end_without_atexit_handlers(self, argv, code, stream, text):
+        """argparse's exits inside main leave through run's flush and
+        os._exit too: their output reaches a pipe and teardown is skipped."""
+        out = python("-c", (
+            "import atexit, sys; atexit.register(print, 'teardown'); "
+            f"from progemb.cli import run; sys.argv[1:] = {argv!r}; run()"
+        ), PYTHONUNBUFFERED="")
+        assert out.returncode == code
+        assert text in getattr(out, stream)
+        assert "teardown" not in out.stdout
+
+
 class TestPretrain:
     def run(self, tmp_path, *extra, epochs=2, name="run.cfg", out="out", n_docs=6,
             optimizer="sgd", **options):
@@ -492,6 +508,32 @@ class TestMine:
         assert f"{100 - removed_total} negatives kept, {removed_total} dropped" in (
             capsys.readouterr().out
         )
+
+    @pytest.mark.parametrize("options, summary", [
+        ({"judge": "similarity", "judge_threshold": 0.99, "mining_k": 3},
+         "12 negatives kept, 48 dropped, 8 queries with no negatives"),
+        ({"mining_k": 7}, "100 negatives kept, 0 dropped, 0 queries with no negatives"),
+        ({"judge": "always_relevant", "mining_k": 7},
+         "0 negatives kept, 140 dropped, 20 queries with no negatives"),
+    ], ids=["some_dropped", "truncated", "all_dropped"])
+    def test_summary_counts_the_written_rows_and_the_judges_drops(
+        self, tmp_path, capsys, options, summary
+    ):
+        """Passage i's text is passage i + 6's, so at 0.99 the judge drops a
+        query's verbatim copies: the 8 queries of a text held 4 times keep
+        none of their 3 candidates, the 12 of a text held 3 times keep one.
+        Kept negatives are those written, at most 5 a row; dropped ones are
+        the judge's."""
+        cfg, out = self.setup_inputs(tmp_path, **options)
+        assert main(["mine", "--config", cfg]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == f"mined 20 queries over 20 passages: {summary}"
+        rows = dataio.read_dataset(out / "dataset.jsonl")
+        audit = dataio.read_mining_audit(out / "mining_audit.jsonl")
+        counts = (sum(len(r.negative_ids) for r in rows), len(audit),
+                  sum(not r.negative_ids for r in rows))
+        assert summary == "{} negatives kept, {} dropped, {} queries with no negatives".format(
+            *counts)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, _ = self.setup_inputs(tmp_path, judge="similarity", judge_threshold=0.9)

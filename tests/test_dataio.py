@@ -259,6 +259,39 @@ class TestDataset:
         with pytest.raises(ValueError, match=re.escape(message)):
             read_dataset(path)
 
+    @pytest.mark.parametrize("negatives, message", [
+        (("n1", "n2", "n3", "n4", "n5", "n6"), "q1: at most 5 hard negatives allowed"),
+        (("n1", "p1"), "q1: positive p1 appears among negatives"),
+        (("n1", "n2", "n1"), "q1: negative n1 appears twice"),
+    ], ids=["too_many_negatives", "positive_among_negatives", "repeated_negative"])
+    def test_rule_breaking_row_rejected(self, tmp_path, negatives, message):
+        rows = [DatasetRow("q0", "a", "p0", (), {}),
+                DatasetRow("q1", "b", "p1", negatives, {})]
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(path, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_first_fault_in_file_order_wins(self, tmp_path, first):
+        faulty = [DatasetRow("q0", "a", "p0", ("n1", "n1"), {}),
+                  DatasetRow("q1", "b", "p1", ("n1", "p1"), {})]
+        messages = ["q0: negative n1 appears twice", "q1: positive p1 appears among negatives"]
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(path, [faulty[first], faulty[1 - first]])
+        with pytest.raises(ValueError, match=f"^{re.escape(messages[first])}$"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("provenance", [[1, 2], "a", 3, None])
+    def test_provenance_that_is_not_an_object_rejected(self, tmp_path, provenance):
+        row = {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": [],
+               "provenance": provenance}
+        path = tmp_path / "dataset.jsonl"
+        dataio._write_rows(path, "dataset", [row])
+        message = f"{path}: row key 'provenance' must be an object"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_dataset(path)
+
     def test_provenance_optional(self, tmp_path):
         rows = [
             {"query_id": "q0", "query": "a", "positive_id": "p", "negative_ids": []}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import oracle_topk
 
-from progemb.dataio import Passage, read_dataset, write_dataset
+from progemb.dataio import MAX_NEGATIVES, Passage, read_dataset, write_dataset
 from progemb.mining import (
     assemble_dataset,
     filter_false_negatives,
@@ -324,10 +324,9 @@ class TestAssembleDataset:
             for i in range(10)
         }
         path = tmp_path / "dataset.jsonl"
-        written, stats = assemble_dataset(queries, positives, mined)
-        assert stats.examples_written == 10
-        assert stats.negatives_written == 50
-        assert stats.zero_negative_queries == 0
+        written = assemble_dataset(queries, positives, mined)
+        assert len(written) == 10
+        assert sum(len(row.negative_ids) for row in written) == 50
 
         write_dataset(path, written)
         rows = read_dataset(path)
@@ -340,22 +339,28 @@ class TestAssembleDataset:
 
     def test_zero_negative_query_still_written(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
-        written, stats = assemble_dataset([("q0", "question")], {"q0": "pos"}, {"q0": []})
-        assert stats.examples_written == 1
-        assert stats.zero_negative_queries == 1
+        written = assemble_dataset([("q0", "question")], {"q0": "pos"}, {"q0": []})
+        assert len(written) == 1
         write_dataset(path, written)
         rows = read_dataset(path)
         assert rows[0].negative_ids == ()
 
     def test_dropped_counts_reported(self):
-        rows, stats = assemble_dataset(
+        """Each row's provenance records its query's dropped count; `mine`'s
+        summary adds them up (tests/test_cli.py)."""
+        rows = assemble_dataset(
             [("q0", "question")],
             {"q0": "pos"},
             {"q0": [("n0", 0.4)]},
             dropped={"q0": 3},
         )
-        assert stats.negatives_dropped == 3
         assert rows[0].provenance == {"similarities": [0.4], "filtered_out": 3}
+
+    def test_keeps_the_first_max_negatives_candidates(self):
+        mined = {"q0": [(f"n{j}", 0.9 - 0.1 * j) for j in range(MAX_NEGATIVES + 2)]}
+        (row,) = assemble_dataset([("q0", "question")], {"q0": "pos"}, mined)
+        assert row.negative_ids == tuple(f"n{j}" for j in range(MAX_NEGATIVES))
+        assert row.provenance["similarities"] == [s for _, s in mined["q0"][:MAX_NEGATIVES]]
 
     def test_duplicate_query_id_rejected(self):
         with pytest.raises(ValueError, match="dup"):

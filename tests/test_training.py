@@ -17,8 +17,8 @@ from progemb import encoder, training
 from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode, encode_batch
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
 from progemb.similarity import cosine, sim_matrix
+from progemb.dataio import MAX_NEGATIVES
 from progemb.training import (
-    MAX_HARD_NEGATIVES,
     TrainingSet,
     _step_loss_and_gradients,
     build_batch,
@@ -50,7 +50,7 @@ ROWS = [f"r{r}" for r in range(len(TEXTS))]
 def training_set(examples, names=ROWS):
     """The TrainingSet of (query row, positive row, negative rows) examples
     over a store whose row r is named names[r]."""
-    candidates = np.full((len(examples), 1 + MAX_HARD_NEGATIVES), -1, dtype=np.intp)
+    candidates = np.full((len(examples), 1 + MAX_NEGATIVES), -1, dtype=np.intp)
     for i, (_, positive, negatives) in enumerate(examples):
         candidates[i, : 1 + len(negatives)] = (positive, *negatives)
     queries = np.array([q for q, _, _ in examples], dtype=np.intp)
@@ -502,17 +502,16 @@ class TestPretrain:
     def test_curve_length_and_decrease(self):
         tok, enc, tokens = make_fixture(seed=1)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=1)
-        result = pretrain(tokens, enc, dec, 12, mask_ratio=0.3, batch_size=3,
+        losses = pretrain(tokens, enc, dec, 12, mask_ratio=0.3, batch_size=3,
                           lr=0.05, seed=0)
-        assert len(result.epoch_losses) == 12
-        assert result.epoch_losses[-1] < result.epoch_losses[0]
+        assert len(losses) == 12
+        assert losses[-1] < losses[0]
 
     def test_epoch_zero_is_a_no_op(self):
         tok, enc, tokens = make_fixture(seed=2)
         dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=2)
         before = enc.token_table.copy()
-        result = pretrain(tokens, enc, dec, 0, seed=0)
-        assert result.epoch_losses == []
+        assert pretrain(tokens, enc, dec, 0, seed=0) == []
         np.testing.assert_array_equal(enc.token_table, before)
 
     def test_deterministic_per_seed(self):
@@ -520,8 +519,7 @@ class TestPretrain:
         for _ in range(2):
             tok, enc, tokens = make_fixture(seed=4)
             dec = MaeDecoder.create(8, 6, len(tok.id_to_token), seed=4)
-            result = pretrain(tokens, enc, dec, 3, batch_size=2, lr=0.02, seed=9)
-            losses.append(result.epoch_losses)
+            losses.append(pretrain(tokens, enc, dec, 3, batch_size=2, lr=0.02, seed=9))
         assert losses[0] == losses[1]
 
     def test_empty_corpus_rejected(self):
