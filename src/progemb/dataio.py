@@ -172,12 +172,12 @@ def read_dataset(path) -> list[DatasetRow]:
             raise ValueError(f"{path}: duplicate query id {qid!r}")
         seen.add(qid)
         if len(negs) > MAX_NEGATIVES:
-            raise ValueError(f"{qid}: at most {MAX_NEGATIVES} hard negatives allowed")
+            raise ValueError(f"{path}: {qid}: at most {MAX_NEGATIVES} hard negatives allowed")
         if pid in negs:
-            raise ValueError(f"{qid}: positive {pid} appears among negatives")
+            raise ValueError(f"{path}: {qid}: positive {pid} appears among negatives")
         for k, key in enumerate(negs):
             if key in negs[:k]:
-                raise ValueError(f"{qid}: negative {key} appears twice")
+                raise ValueError(f"{path}: {qid}: negative {key} appears twice")
         out.append(DatasetRow(qid, query, pid, tuple(negs), provenance))
     return out
 

@@ -430,6 +430,8 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
         e[n:] *= to_positions
         np.matmul(x.T, e, out=d_output[:, blk])
         dx += e @ w[:, blk].T
+        # the next block's arrays are made after this block's are freed
+        del e, to_seqs, to_positions
     z = x[seqs] + x[n + positions]
     w_targets = w.T[targets]
     picked = np.einsum("td,td->t", z, w_targets)

@@ -20,8 +20,8 @@ flows through them. InfoNCE is the same weighted log-sum-exp with every
 weight and scale set to 1.
 
 Both losses run one kernel: a single log-sum-exp per query gives the loss
-value and, with the coefficients frozen, its derivatives with respect to
-the positive and negative similarities. The kernel works in one
+value, summed over the queries, and, with the coefficients frozen, its
+derivatives with respect to the positive and negative similarities. The kernel works in one
 (B, N + 1) buffer, in place, and returns the negatives' derivative as a
 view of it; it never writes its inputs. The caller turns those
 derivatives into embedding gradients; the cosine's chain rule is the
@@ -78,7 +78,7 @@ class BatchSimilarities:
     ``neg_mask`` marks which negatives participate; excluded slots arise
     when in-batch sharing would make a query's own positive one of its
     negatives. ``grad_pos`` and ``grad_neg`` are the derivatives of the
-    reduced loss with respect to ``pos`` and ``neg``, with the weights and
+    summed loss with respect to ``pos`` and ``neg``, with the weights and
     scales held fixed; a masked negative's is exactly 0.
     """
 
@@ -113,16 +113,8 @@ def _check_inputs(pos, neg, tau: float, neg_mask):
     return p, n, m
 
 
-def _reduce(per_query: np.ndarray, reduction: str) -> float:
-    if reduction == "sum":
-        return float(np.sum(per_query))
-    if reduction == "mean":
-        return float(np.mean(per_query))
-    raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
-
-
-def _contrastive(p, n, m, w, a, tau: float, reduction: str):
-    """The reduced ``w * log(1 + sum(exp((a * neg - pos) / tau)))`` and its
+def _contrastive(p, n, m, w, a, tau: float):
+    """The summed ``w * log(1 + sum(exp((a * neg - pos) / tau)))`` and its
     record, from one log-sum-exp per query over one (rows, N + 1) buffer.
 
     Column 0 of the buffer is the positive's logit: the negatives' logits
@@ -145,18 +137,16 @@ def _contrastive(p, n, m, w, a, tau: float, reduction: str):
     z -= high
     np.exp(z, out=z)
     total = np.sum(z, axis=1)
-    value = _reduce(w * (high[:, 0] + np.log(total)), reduction)
-    coef = w / tau / (total if reduction == "sum" else total * len(p))
+    value = float(np.sum(w * (high[:, 0] + np.log(total))))
+    coef = w / tau / total
     grad_pos = -coef * np.sum(pi, axis=1)
     pi *= coef[:, None]
     pi *= a
     return value, BatchSimilarities(w, a, m, grad_pos, pi)
 
 
-def info_nce(
-    pos, neg, tau: float, neg_mask=None, reduction: str = "sum"
-) -> tuple[float, BatchSimilarities]:
-    """Temperature-scaled softmax contrastive loss over a batch, plus its record.
+def info_nce(pos, neg, tau: float, neg_mask=None) -> tuple[float, BatchSimilarities]:
+    """Temperature-scaled softmax contrastive loss summed over a batch, plus its record.
 
     Per query q the loss is -log of exp(pos_q/tau) divided by the sum of
     exp(pos_q/tau) and every exp(neg_qn/tau). The result is >= 0 and is
@@ -168,13 +158,12 @@ def info_nce(
         neg: (B, N) negative similarities; N may be 0.
         tau: temperature, > 0.
         neg_mask: optional (B, N) bool; False entries are ignored.
-        reduction: 'sum' (default) or 'mean' over queries.
 
     Returns:
         (value, BatchSimilarities) with every weight and scale equal to 1.
     """
     p, n, m = _check_inputs(pos, neg, tau, neg_mask)
-    return _contrastive(p, n, m, np.ones(p.shape), np.ones(n.shape), tau, reduction)
+    return _contrastive(p, n, m, np.ones(p.shape), np.ones(n.shape), tau)
 
 
 def batch_threshold(pos, beta: float) -> float:
@@ -222,9 +211,8 @@ def progressive_loss(
     t: float,
     tau: float,
     neg_mask=None,
-    reduction: str = "sum",
 ) -> tuple[float, BatchSimilarities]:
-    """Adaptively weighted contrastive loss plus its audit record.
+    """Adaptively weighted contrastive loss summed over a batch, plus its audit record.
 
     Per query q the loss is ``-w_q * log`` of exp(pos_q/tau) divided by the
     sum of exp(pos_q/tau) and every exp(a_qn * neg_qn / tau); the scale
@@ -237,7 +225,7 @@ def progressive_loss(
     """
     p, n, m = _check_inputs(pos, neg, tau, neg_mask)
     return _contrastive(
-        p, n, m, positive_weights(p, sigma), _scale_matrix(p, n, sigma, t), tau, reduction
+        p, n, m, positive_weights(p, sigma), _scale_matrix(p, n, sigma, t), tau
     )
 
 

@@ -4,8 +4,9 @@
 given and returns nothing: no parameter-sized array is made beyond the
 AdamW moments, which are kept per parameter name together with that
 parameter's step count. A call may therefore carry any subset of the
-parameters, one at a time as their gradients become ready. The update is
-walked in blocks of ADAMW_BLOCK elements through two scratch buffers.
+parameters, one at a time as their gradients become ready. A parameter must
+be a writeable C-contiguous array; the update is walked in blocks of
+ADAMW_BLOCK elements through two scratch buffers.
 
 AdamW (decoupled weight decay) is the default; plain gradient descent is
 kept as a fallback whose update has no internal state, which makes bitwise
@@ -23,15 +24,16 @@ ADAMW_BLOCK = 1 << 14
 
 
 def _check_keys(params: dict, grads: dict):
+    """Refuse a call before any update: keys, shapes, and parameters that
+    the blocks cannot write in place."""
     if set(params) != set(grads):
         missing = set(params) ^ set(grads)
         raise ValueError(f"params/grads key mismatch: {sorted(missing)}")
-    for name in params:
-        if params[name].shape != grads[name].shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: "
-                f"{params[name].shape} vs {grads[name].shape}"
-            )
+    for name, p in params.items():
+        if p.shape != grads[name].shape:
+            raise ValueError(f"shape mismatch for {name!r}: {p.shape} vs {grads[name].shape}")
+        if not p.flags.c_contiguous or not p.flags.writeable:
+            raise ValueError(f"{name!r} must be a writeable contiguous array in C order")
 
 
 def _check_hyper(lr: float, weight_decay: float):
@@ -43,14 +45,11 @@ def _check_hyper(lr: float, weight_decay: float):
 
 def _blocks(p: np.ndarray, *others: np.ndarray):
     """Matching ADAMW_BLOCK-element blocks of p and others, plus two scratch
-    buffers cut to each block's length. p's blocks are views in its memory
-    order, so writing them updates p; others are taken in the same element
-    order, and a moment made by np.zeros_like(p) shares p's layout, so its
-    blocks are views that take its in-place update."""
-    if not (p.flags.c_contiguous or p.flags.f_contiguous) or not p.flags.writeable:
-        raise ValueError("a parameter must be a writeable contiguous array")
-    order = "C" if p.flags.c_contiguous else "F"
-    flat = [a.reshape(-1, order=order) for a in (p, *others)]
+    buffers cut to each block's length. p's blocks are views of its
+    C-ordered memory, so writing them updates p; others are taken in the
+    same element order, and a moment made by np.zeros_like(p) is C-ordered
+    too, so its blocks are views that take its in-place update."""
+    flat = [a.reshape(-1) for a in (p, *others)]
     scratch = np.empty(min(ADAMW_BLOCK, p.size)), np.empty(min(ADAMW_BLOCK, p.size))
     for lo in range(0, p.size, ADAMW_BLOCK):
         block = [a[lo : lo + ADAMW_BLOCK] for a in flat]

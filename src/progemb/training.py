@@ -8,9 +8,11 @@ negatives in-batch: each query's negative pool is every other query's
 positive plus every hard negative brought by any query in the batch. A
 candidate whose store row is the query's own positive's row is excluded
 from that query's pool (and logged), which the batch's integer candidate
-codes encode. The step normalizes the pool once and scores it in blocks
-of query rows sized by a budget of (rows, M) entries, so no (B, M) array
-lives longer than one block and a block's arrays stay near that budget.
+codes encode. The step normalizes the pool once, takes the positives'
+similarities and the batch threshold once from the unit rows, and scores
+the pool once, in blocks of query rows sized by a budget of (rows, M)
+entries, so no (B, M) array lives longer than one block and a block's
+arrays stay near that budget. The step's loss is the batch mean.
 The optimizer writes into the model's arrays: fine-tuning fills one
 gradient dict per run, and pretraining applies each parameter's gradient
 as the MAE kernel hands it out, so no whole gradient set is held.
@@ -229,7 +231,6 @@ def finetune(
     weight_decay: float = 0.0,
     optimizer: str = "adamw",
     loss_mode: str = "progressive",
-    reduction: str = "mean",
     seed: int = 0,
     initial_state: MomentumState = MomentumState(),
 ) -> FinetuneResult:
@@ -262,7 +263,7 @@ def finetune(
             try:
                 batch = build_batch(dataset, order[start : start + batch_size], tokens, enc)
                 value, pos, mean_w, sigma = _step_loss_and_gradients(
-                    batch, enc, state, hyper, loss_mode, reduction, grads
+                    batch, enc, state, hyper, loss_mode, grads
                 )
                 if not np.isfinite(value):
                     raise ValueError("non-finite contrastive loss")
@@ -293,52 +294,52 @@ def _step_loss_and_gradients(
     state: MomentumState,
     hyper: HyperParams,
     loss_mode: str,
-    reduction: str,
     grads: dict[str, np.ndarray],
 ):
-    """One batch's loss value, positive similarities, mean positive weight
-    and threshold sigma; the parameter gradients are written into grads,
-    which is zeroed first, so a run reuses one set of arrays.
+    """One batch's mean loss value, positive similarities, mean positive
+    weight and threshold sigma; the parameter gradients of the mean loss
+    are written into grads, which is zeroed first, so a run reuses one set
+    of arrays.
 
     The queries and the pool are normalized once, as sim_matrix does, to
-    Uq and Uc. Query rows are walked in blocks of max(STEP_MIN_ROWS,
-    STEP_ENTRIES // M). A block's cosines S_b = Uq[b] Uc^T, clipped, with
-    query i's positive at slot i and its negatives where the slot's code
-    differs from its positive's, go through the loss kernel, which gives
-    dL/dS_b. Through the product that is dL/dS_b Uc for the block's
+    Uq and Uc. pos[i] is the clipped einsum product of Uq[i] and its
+    positive's row Uc[i], the scores top-k gives, and sigma = mean(pos) -
+    beta is taken from it before any block is scored; the momentum update
+    and the audit read the same pos and sigma. Query rows are then walked
+    in blocks of max(STEP_MIN_ROWS, STEP_ENTRIES // M), each scored once:
+    a block's cosines S_b = Uq[b] Uc^T, clipped, with query i's positive
+    at slot i and its negatives where the slot's code differs from its
+    positive's, go through the loss kernel, which gives dL/dS_b. The
+    positive the kernel weighs the negatives against is S_b's own
+    diagonal, which differs from pos in its last bits at most: a negative
+    that copies the positive's embedding comes from the same product, so
+    it ties the positive and counts as a hard negative, as the paper's
+    rule (at least as similar as the positive) says. The positive's
+    derivative adds onto that diagonal, which the mask keeps out of the
+    negatives. Through the product that is dL/dS_b Uc for the block's
     queries and dL/dS_b^T Uq[b], summed over blocks, for the slots; a slot
     that is one query's positive and another's negative carries both
     roles. The encoder's backward projects onto the unit sphere, which is
-    the rest of the cosine's chain rule.
-
-    pos[i] is the S[i, i] its block feeds the loss, bit for bit: the
-    progressive threshold needs every positive before any block's loss, so
-    on a batch of several blocks a first pass takes them from the same
-    block products. The blocks' losses are sums and the batch's 1/B, for
-    the mean, is applied once, to the value and the slot gradients.
+    the rest of the cosine's chain rule. The blocks' losses are sums, and
+    the batch's 1/B is applied once, to the value and the slot gradients.
     """
-    value, pos, mean_w, sigma, d_embs = _embedding_gradients(
-        batch, state, hyper, loss_mode, reduction
-    )
+    value, pos, mean_w, sigma, d_embs = _embedding_gradients(batch, state, hyper, loss_mode)
     for grad in grads.values():
         grad.fill(0.0)
     _encode_backward(enc, batch.forward, d_embs, grads)
     return value, pos, mean_w, sigma
 
 
-def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
-    """The step's loss value, pos, mean positive weight, sigma and
+def _embedding_gradients(batch, state, hyper, loss_mode):
+    """The step's mean loss value, pos, mean positive weight, sigma and
     dL/d(forward embeddings), each distinct sequence's slot gradients
-    summed. sigma is taken once, by the progressive loss before its first
-    block or for the audit after InfoNCE's last. The blocks' buffers are
-    freed on return, before the encoder's backward."""
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}, expected 'sum' or 'mean'")
+    summed. The blocks' buffers are freed on return, before the encoder's
+    backward."""
     size, uq, uc, codes = batch.size, batch.query_embs, batch.cand_embs, batch.cand_codes
     qn, cn = _unit_rows(uq, "queries"), _unit_rows(uc, "candidates")
+    pos = np.clip(np.einsum("nd,nd->n", qn, cn[:size]), -1.0, 1.0)
+    sigma = batch_threshold(pos, hyper.beta)
     rows = max(STEP_MIN_ROWS, STEP_ENTRIES // len(uc))
-    blocks = [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
-    diags = [(np.arange(blk.stop - blk.start), np.arange(blk.start, blk.stop)) for blk in blocks]
     # the blocks reuse one buffer for their cosines and one for their slots'
     # term, added in spans of STEP_ENTRIES // d slots: arrays made afresh per
     # block were given back to the OS and faulted in again every block
@@ -346,52 +347,34 @@ def _embedding_gradients(batch, state, hyper, loss_mode, reduction):
     spans = [slice(lo, min(lo + width, len(uc))) for lo in range(0, len(uc), width)]
     sims = np.empty((min(rows, size), len(uc)))
     term = np.empty((min(width, len(uc)), uc.shape[1]))
-
-    def products(blk):
-        return np.matmul(qn[blk], cn.T, out=sims[: blk.stop - blk.start])
-
-    pos = np.empty(size)
-    if loss_mode == "progressive" and len(blocks) > 1:
-        for blk, diag in zip(blocks, diags):
-            pos[blk] = np.clip(products(blk)[diag], -1.0, 1.0)
-    slot_grads = np.empty((size + len(uc), uc.shape[1]))
-    values, weights = [], []
-    for blk, diag in zip(blocks, diags):
-        block_sims = products(blk)
+    slot_grads = np.zeros((size + len(uc), uc.shape[1]))
+    value, weights = 0.0, []
+    for lo in range(0, size, rows):
+        blk = slice(lo, min(lo + rows, size))
+        diag = np.arange(blk.stop - lo), np.arange(lo, blk.stop)
+        block_sims = np.matmul(qn[blk], cn.T, out=sims[: blk.stop - lo])
         np.clip(block_sims, -1.0, 1.0, out=block_sims)
-        pos[blk] = block_sims[diag]
         mask = codes[blk, None] != codes
+        # the positive of the same product as the negatives, so a copy ties it
+        block_pos = block_sims[diag]
         if loss_mode == "progressive":
-            if blk.start == 0:
-                sigma = batch_threshold(pos, hyper.beta)
-            value, record = progressive_loss(
-                pos[blk], block_sims, sigma, state.t, hyper.tau,
-                neg_mask=mask, reduction="sum",
+            block_value, record = progressive_loss(
+                block_pos, block_sims, sigma, state.t, hyper.tau, neg_mask=mask
             )
         else:
-            value, record = info_nce(
-                pos[blk], block_sims, hyper.tau, neg_mask=mask, reduction="sum"
-            )
-        values.append(value)
+            block_value, record = info_nce(block_pos, block_sims, hyper.tau, neg_mask=mask)
+        value += block_value
         weights.append(record.weights)
-        # pos[i] is S[i, i]: its derivative adds onto that entry, in place
         d_sims = record.grad_neg
         d_sims[diag] += record.grad_pos
         np.matmul(d_sims, uc, out=slot_grads[blk])
-        if blk.start == 0:
-            np.matmul(d_sims.T, uq[blk], out=slot_grads[size:])
-        else:
-            for span in spans:
-                part = np.matmul(d_sims[:, span].T, uq[blk], out=term[: span.stop - span.start])
-                slot_grads[size:][span] += part
+        for span in spans:
+            part = np.matmul(d_sims[:, span].T, uq[blk], out=term[: span.stop - span.start])
+            slot_grads[size:][span] += part
         # the next block's kernel arrays are made after this block's are freed
         del record, d_sims
-    if loss_mode != "progressive":
-        sigma = batch_threshold(pos, hyper.beta)
-    value = sum(values)
-    if reduction == "mean":
-        value /= size
-        slot_grads /= size
+    value /= size
+    slot_grads /= size
     d_embs = np.zeros_like(batch.forward.embs)
     _scatter(np.add, d_embs, batch.rows, slot_grads)
     return value, pos, float(np.mean(np.concatenate(weights))), sigma, d_embs

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from progemb.encoder import MASK_ID, Tokens, _encode_backward, _mae_forward_backward, encode_batch
-from progemb.loss import HyperParams, _reduce, _scale_matrix, positive_weights
+from progemb.loss import HyperParams, _scale_matrix, positive_weights
 from progemb.similarity import sim_matrix
 
 
@@ -166,17 +166,18 @@ class EmbeddingGradients:
     negative: np.ndarray   # (B, N, d)
 
 
-def oracle_contrastive(p, n, m, w, a, tau: float, reduction: str):
+def oracle_contrastive(p, n, m, w, a, tau: float):
     """Reference loss kernel from whole-array temporaries: a masked copy, a
     concatenated zero column and an out-of-place exp, then the gradients as
-    new arrays. Returns (value, weights, scales, mask, grad_pos, grad_neg)."""
+    new arrays. Returns (summed value, weights, scales, mask, grad_pos,
+    grad_neg)."""
     z = np.where(m, (a * n - p[:, None]) / tau, -np.inf)
     z = np.concatenate([np.zeros((z.shape[0], 1)), z], axis=1)
     high = np.max(z, axis=1, keepdims=True)
     np.exp(z - high, out=z)
     total = np.sum(z, axis=1)
-    value = _reduce(w * (high[:, 0] + np.log(total)), reduction)
-    coef = w / tau / (total if reduction == "sum" else total * len(p))
+    value = float(np.sum(w * (high[:, 0] + np.log(total))))
+    coef = w / tau / total
     pi = z[:, 1:]
     grad_neg = coef[:, None] * pi
     grad_neg *= a
@@ -204,9 +205,9 @@ def _row_lse_over_zero(shifted: np.ndarray) -> np.ndarray:
     return (m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1)))
 
 
-def _weighted_loss(p, n, m, weights, scales, tau: float, reduction: str) -> float:
-    """The reduced per-query ``w * log(1 + sum(exp(logits)))``."""
-    return _reduce(weights * _row_lse_over_zero(_logits(p, n, m, scales, tau)), reduction)
+def _weighted_loss(p, n, m, weights, scales, tau: float) -> float:
+    """The summed per-query ``w * log(1 + sum(exp(logits)))``."""
+    return float(np.sum(weights * _row_lse_over_zero(_logits(p, n, m, scales, tau))))
 
 
 def _unit_rows(x: np.ndarray, used, name: str):

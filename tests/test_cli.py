@@ -697,7 +697,7 @@ class TestFinetune:
         dataio.write_dataset(dpath, rows)
         cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath)
         assert main(["finetune", "--config", cfg]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {dpath}: {message}\n"
         assert not out.exists()
 
     def test_training_set_rows_follow_the_dataset_ids(self, tmp_path):

@@ -269,7 +269,7 @@ class TestDataset:
                 DatasetRow("q1", "b", "p1", negatives, {})]
         path = tmp_path / "dataset.jsonl"
         write_dataset(path, rows)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_dataset(path)
 
     @pytest.mark.parametrize("first", [0, 1])
@@ -279,7 +279,7 @@ class TestDataset:
         messages = ["q0: negative n1 appears twice", "q1: positive p1 appears among negatives"]
         path = tmp_path / "dataset.jsonl"
         write_dataset(path, [faulty[first], faulty[1 - first]])
-        with pytest.raises(ValueError, match=f"^{re.escape(messages[first])}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {messages[first]}')}$"):
             read_dataset(path)
 
     @pytest.mark.parametrize("provenance", [[1, 2], "a", 3, None])

@@ -594,6 +594,28 @@ class TestMaeKernel:
             assert grad.tobytes() == want[name].tobytes(), name
             params[name][...] = np.nan
 
+    def test_memory_beyond_the_gradient_buffer(self):
+        """At V = 8,000, d = 16 and 32 sequences of 12 tokens the gradient
+        buffer is the (16, 8,000) output's 1.024 MB; the rest of the chunk's
+        traced peak is 0.57 MB, because no two vocabulary blocks' arrays
+        coexist in the second sweep."""
+        vocab, dim, n, length = 8_000, 16, 32, 12
+        enc = ToyEncoder.create(vocab, dim, seed=7)
+        dec = MaeDecoder.create(length, dim, vocab, seed=7)
+        rng = np.random.default_rng(7)
+        dec.output = rng.normal(0, 0.5, size=dec.output.shape)
+        clean = Tokens(rng.integers(MASK_ID + 1, vocab, size=n * length), np.full(n, length))
+        corrupted = corrupt(clean, 0.3, range(n))
+        tracemalloc.start()
+        try:
+            _, grads = _mae_forward_backward(enc, dec, clean, corrupted)
+            for _ in grads:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - dec.output.nbytes) / 1e6 < 0.57 * 1.25
+
     def test_rerun_is_byte_identical(self):
         """At the default block and a vocabulary large enough for several
         column blocks per chunk."""

@@ -24,7 +24,7 @@ from progemb.loss import (
 )
 
 
-def scalar_progressive(pos, neg, sigma, t, tau, mask=None, reduction="sum"):
+def scalar_progressive(pos, neg, sigma, t, tau, mask=None):
     """Per-query scalar evaluation of the progressive loss."""
     b, n = neg.shape
     per_query = []
@@ -44,11 +44,10 @@ def scalar_progressive(pos, neg, sigma, t, tau, mask=None, reduction="sum"):
             a = 1.0 if (p < sigma or s < p) else t + p
             terms.append(math.exp((a * s - p) / tau))
         per_query.append(w * math.log1p(math.fsum(terms)))
-    total = math.fsum(per_query)
-    return total if reduction == "sum" else total / b
+    return math.fsum(per_query)
 
 
-def scalar_infonce(pos, neg, tau, reduction="sum"):
+def scalar_infonce(pos, neg, tau):
     b, n = neg.shape
     per_query = [
         math.log1p(
@@ -56,8 +55,7 @@ def scalar_infonce(pos, neg, tau, reduction="sum"):
         )
         for i in range(b)
     ]
-    total = math.fsum(per_query)
-    return total if reduction == "sum" else total / b
+    return math.fsum(per_query)
 
 
 def negative_scales(pos_q, neg_q, sigma, t):
@@ -183,13 +181,6 @@ class TestProgressiveLossValue:
             value, _ = progressive_loss(pos, neg, sigma, t, tau)
             expected = scalar_progressive(pos, neg, sigma, t, tau)
             np.testing.assert_allclose(value, expected, rtol=0, atol=1e-10)
-
-    def test_mean_reduction_is_sum_over_batch(self):
-        rng = np.random.default_rng(102)
-        pos, neg, sigma, t, tau = random_instance(rng)
-        total, _ = progressive_loss(pos, neg, sigma, t, tau, reduction="sum")
-        mean, _ = progressive_loss(pos, neg, sigma, t, tau, reduction="mean")
-        np.testing.assert_allclose(mean * len(pos), total, rtol=1e-12)
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(103)
@@ -328,8 +319,7 @@ class TestKernelAgainstOracle:
         return pos, neg, mask
 
     @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
-    def test_byte_identical_to_oracle(self, loss_mode, reduction):
+    def test_byte_identical_to_oracle(self, loss_mode):
         rng = np.random.default_rng(31)
         cases = {"ties": 0, "masked_rows": 0, "no_negatives": 0}
         for _ in range(150):
@@ -338,12 +328,12 @@ class TestKernelAgainstOracle:
             t, tau = float(rng.choice([0.0, 0.5, 1.3])), float(rng.choice([0.01, 0.05, 1.0]))
             neg_before, mask_before = neg.copy(), mask.copy()
             if loss_mode == "progressive":
-                value, rec = progressive_loss(pos, neg, sigma, t, tau, mask, reduction)
+                value, rec = progressive_loss(pos, neg, sigma, t, tau, mask)
                 w, a = positive_weights(pos, sigma), _scale_matrix(pos, neg, sigma, t)
             else:
-                value, rec = info_nce(pos, neg, tau, mask, reduction)
+                value, rec = info_nce(pos, neg, tau, mask)
                 w, a = np.ones(pos.shape), np.ones(neg.shape)
-            want = oracle_contrastive(pos, neg, mask, w, a, tau, reduction)
+            want = oracle_contrastive(pos, neg, mask, w, a, tau)
             assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
             got = (rec.weights, rec.scales, rec.neg_mask, rec.grad_pos, rec.grad_neg)
             for field, have, expected in zip(
@@ -530,7 +520,7 @@ class TestLossGradients:
             )
 
 
-def frozen_value(pos, neg, w, a, mask, tau, reduction):
+def frozen_value(pos, neg, w, a, mask, tau):
     """The loss as a plain function of the similarities, with the weights
     and scales held fixed; the finite-difference target."""
     per_query = [
@@ -540,12 +530,11 @@ def frozen_value(pos, neg, w, a, mask, tau, reduction):
         ))
         for i in range(len(pos))
     ]
-    total = math.fsum(per_query)
-    return total if reduction == "sum" else total / len(pos)
+    return math.fsum(per_query)
 
 
 class TestSimilarityGradients:
-    """The record's grad_pos and grad_neg: derivatives of the reduced loss
+    """The record's grad_pos and grad_neg: derivatives of the summed loss
     at the similarities, coefficients frozen."""
 
     @staticmethod
@@ -563,31 +552,28 @@ class TestSimilarityGradients:
         rng = np.random.default_rng(141)
         h = 1e-6
         for tau in (1.0, 0.1, 0.01):
-            for reduction in ("sum", "mean"):
-                for _ in range(5):
-                    pos, neg, mask, sigma, t = self.instance(rng, tau)
-                    _, rec = progressive_loss(
-                        pos, neg, sigma, t, tau, neg_mask=mask, reduction=reduction
-                    )
+            for _ in range(5):
+                pos, neg, mask, sigma, t = self.instance(rng, tau)
+                _, rec = progressive_loss(pos, neg, sigma, t, tau, neg_mask=mask)
 
-                    def f(p, n):
-                        return frozen_value(p, n, rec.weights, rec.scales, mask, tau, reduction)
+                def f(p, n):
+                    return frozen_value(p, n, rec.weights, rec.scales, mask, tau)
 
-                    numeric = []
-                    for arr in (pos, neg):
-                        g = np.zeros_like(arr)
-                        for idx in np.ndindex(arr.shape):
-                            orig = arr[idx]
-                            arr[idx] = orig + h
-                            up = f(pos, neg)
-                            arr[idx] = orig - h
-                            down = f(pos, neg)
-                            arr[idx] = orig
-                            g[idx] = (up - down) / (2.0 * h)
-                        numeric.append(g)
-                    err = max_relative_error([rec.grad_pos, rec.grad_neg], numeric)
-                    assert err <= 1e-5, (tau, reduction, err)
-                    assert np.all(rec.grad_neg[~mask] == 0.0)
+                numeric = []
+                for arr in (pos, neg):
+                    g = np.zeros_like(arr)
+                    for idx in np.ndindex(arr.shape):
+                        orig = arr[idx]
+                        arr[idx] = orig + h
+                        up = f(pos, neg)
+                        arr[idx] = orig - h
+                        down = f(pos, neg)
+                        arr[idx] = orig
+                        g[idx] = (up - down) / (2.0 * h)
+                    numeric.append(g)
+                err = max_relative_error([rec.grad_pos, rec.grad_neg], numeric)
+                assert err <= 1e-5, (tau, err)
+                assert np.all(rec.grad_neg[~mask] == 0.0)
 
     def test_value_is_the_oracle_formula_exactly(self):
         """One log-sum-exp gives the value and the gradients, and the value
@@ -596,15 +582,10 @@ class TestSimilarityGradients:
         for _ in range(200):
             pos, neg, sigma, t, tau = random_instance(rng)
             mask = rng.uniform(size=neg.shape) < 0.7
-            for reduction in ("sum", "mean"):
-                value, rec = progressive_loss(
-                    pos, neg, sigma, t, tau, neg_mask=mask, reduction=reduction
-                )
-                assert value == _weighted_loss(
-                    pos, neg, mask, rec.weights, rec.scales, tau, reduction
-                )
-                plain, _ = info_nce(pos, neg, tau, neg_mask=mask, reduction=reduction)
-                assert plain == _weighted_loss(pos, neg, mask, 1.0, 1.0, tau, reduction)
+            value, rec = progressive_loss(pos, neg, sigma, t, tau, neg_mask=mask)
+            assert value == _weighted_loss(pos, neg, mask, rec.weights, rec.scales, tau)
+            plain, _ = info_nce(pos, neg, tau, neg_mask=mask)
+            assert plain == _weighted_loss(pos, neg, mask, 1.0, 1.0, tau)
 
     def test_saturated_positive_keeps_its_digits(self):
         """The positive's derivative is minus the negatives' share, not

@@ -37,11 +37,15 @@ class TestGradientDescent:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_blocked_update_is_bit_identical_to_formula(self, monkeypatch, block, weight_decay):
         """p - lr * g - lr * weight_decay * p, as whole-array expressions of
-        the old p, against the blocked in-place update."""
+        the old p, against the blocked in-place update. A transposed
+        parameter is refused before it changes anything: parameters are
+        C-ordered."""
         monkeypatch.setattr(optim, "ADAMW_BLOCK", block)
         rng = np.random.default_rng(22)
-        params = {"table": rng.normal(size=(301, 17)), "square": rng.normal(size=(9, 9)).T}
+        params = {"table": rng.normal(size=(301, 17)), "square": rng.normal(size=(9, 9))}
         opt = GradientDescent(lr=0.01, weight_decay=weight_decay)
+        with pytest.raises(ValueError, match="in C order"):
+            opt.step({"square": params["square"].T}, {"square": np.ones((9, 9))})
         want = {k: p.copy() for k, p in params.items()}
         for _ in range(3):
             grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
@@ -129,15 +133,18 @@ class TestAdamW:
     def test_blocked_update_is_bit_identical_to_oracle(self, monkeypatch, block, weight_decay):
         """The blocked, in-place update against the whole-array one, over
         several steps, on tables larger than one block and not a multiple
-        of it, a transposed parameter, zero and -0.0 gradients."""
+        of it, zero and -0.0 gradients. A transposed parameter is refused
+        before it changes anything: parameters are C-ordered."""
         monkeypatch.setattr(optim, "ADAMW_BLOCK", block)
         rng = np.random.default_rng(21)
         params = {
             "table": rng.normal(size=(1201, 17)),
-            "square": rng.normal(size=(9, 9)).T,
+            "square": rng.normal(size=(9, 9)),
             "one": np.array([0.3]),
         }
         opt = AdamW(lr=0.01, weight_decay=weight_decay)
+        with pytest.raises(ValueError, match="in C order"):
+            opt.step({"square": params["square"].T}, {"square": np.ones((9, 9))})
         ref = OracleAdamW(lr=0.01, weight_decay=weight_decay)
         want = {k: p.copy() for k, p in params.items()}
         for step in range(4):

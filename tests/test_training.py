@@ -16,7 +16,7 @@ from oracles import (
 from progemb import encoder, training
 from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode, encode_batch
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
-from progemb.similarity import cosine, sim_matrix
+from progemb.similarity import _unit_rows, cosine
 from progemb.dataio import MAX_NEGATIVES
 from progemb.training import (
     TrainingSet,
@@ -167,29 +167,27 @@ class TestBuildBatch:
             build_batch(training_set([(0, 1, ())]), [], tokens, enc)
 
 
-def step_gradients(batch, enc, state, hyper, loss_mode, reduction):
+def step_gradients(batch, enc, state, hyper, loss_mode):
     """_step_loss_and_gradients into a fresh gradient dict: value, pos,
     mean weight and the dict."""
     grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
     value, pos, mean_w, _ = _step_loss_and_gradients(
-        batch, enc, state, hyper, loss_mode, reduction, grads
+        batch, enc, state, hyper, loss_mode, grads
     )
     return value, pos, mean_w, grads
 
 
 class TestStepGradients:
     def test_match_finite_differences_through_encoder(self):
-        """End-to-end gradient of the batch loss with respect to encoder
-        parameters, coefficients frozen, including a candidate that serves
-        as one query's positive and another query's hard negative."""
+        """End-to-end gradient of the batch's mean loss with respect to
+        encoder parameters, coefficients frozen, including a candidate that
+        serves as one query's positive and another query's hard negative."""
         tok, enc, tokens = make_fixture(dim=4, seed=3)
         data = training_set([(0, 1, (2,)), (3, 4, (1,))])
         hyper = HyperParams(tau=0.1)
         state = MomentumState(t=0.4, step=3)
         batch = build_batch(data, [0, 1], tokens, enc)
-        value, _, _, grads = step_gradients(
-            batch, enc, state, hyper, "progressive", "sum"
-        )
+        value, _, _, grads = step_gradients(batch, enc, state, hyper, "progressive")
         pos, neg, neg_mask = batch_similarities(batch)
         sigma = batch_threshold(pos, hyper.beta)
         _, record = progressive_loss(pos, neg, sigma, state.t, hyper.tau, neg_mask=neg_mask)
@@ -205,7 +203,7 @@ class TestStepGradients:
                     if b_mask[i, j]
                 ]
                 total += w[i] * math.log1p(math.fsum(terms))
-            return total
+            return total / len(b_pos)
 
         np.testing.assert_allclose(value, frozen_loss(), rtol=1e-10)
         h = 1e-6
@@ -230,7 +228,7 @@ class TestStepGradients:
         with the same bytes as a fresh one, in the same arrays."""
         _, enc, tokens = make_fixture(dim=4, seed=3)
         data = training_set([(0, 1, (2,)), (3, 4, (1,))])
-        args = (MomentumState(t=0.4, step=3), HyperParams(tau=0.1), "progressive", "mean")
+        args = (MomentumState(t=0.4, step=3), HyperParams(tau=0.1), "progressive")
         *_, want = step_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args)
         grads = {name: np.full_like(p, 7.0) for name, p in enc.params().items()}
         arrays = {name: id(g) for name, g in grads.items()}
@@ -244,12 +242,8 @@ class TestStepGradients:
         _, enc, tokens = make_fixture(dim=4, seed=5)
         batch = build_batch(training_set([(0, 1, ()), (2, 3, ())]), [0, 1], tokens, enc)
         hyper = HyperParams(tau=0.5)
-        v1, _, w1, _ = step_gradients(
-            batch, enc, MomentumState(), hyper, "infonce", "sum"
-        )
-        v2, _, w2, _ = step_gradients(
-            batch, enc, MomentumState(t=0.9, step=9), hyper, "infonce", "sum"
-        )
+        v1, _, w1, _ = step_gradients(batch, enc, MomentumState(), hyper, "infonce")
+        v2, _, w2, _ = step_gradients(batch, enc, MomentumState(t=0.9, step=9), hyper, "infonce")
         assert v1 == v2
         assert w1 == w2 == 1.0
 
@@ -274,12 +268,14 @@ def random_batch_examples(rng, n_queries, n_passages, n_negatives):
 
 
 class TestStepAgainstPoolKernel:
-    """The step's encoder gradients against the pool kernel's path: cosine
-    chain rule per slot, then the scatter and the encoder backward."""
+    """The step's encoder gradients of the mean loss against the pool
+    kernel's path: cosine chain rule per slot, then the scatter and the
+    encoder backward. The oracle reduces in either of its two ways: its
+    mean, or its sum with the batch's 1/B applied to the result."""
 
     @staticmethod
     def check(batch, enc, hyper, state, loss_mode, reduction):
-        _, _, _, grads = step_gradients(batch, enc, state, hyper, loss_mode, reduction)
+        _, _, _, grads = step_gradients(batch, enc, state, hyper, loss_mode)
         pos, neg, neg_mask = batch_similarities(batch)
         if loss_mode == "progressive":
             sigma = batch_threshold(pos, hyper.beta)
@@ -289,6 +285,8 @@ class TestStepAgainstPoolKernel:
         want = oracle_step_gradients(
             batch, enc, rec.weights, rec.scales, hyper.tau, reduction
         )
+        if reduction == "sum":
+            want = {name: grad / batch.size for name, grad in want.items()}
         for name in want:
             scale = float(np.max(np.abs(want[name])))
             assert scale > 0.0
@@ -338,20 +336,18 @@ class TestStepRowBlocks:
         monkeypatch.setattr(training, "STEP_MIN_ROWS", 1)
         monkeypatch.setattr(training, "STEP_ENTRIES", rows * m + m - 1)
 
-    def step(self, enc, batch, loss_mode, reduction="sum"):
-        return step_gradients(
-            batch, enc, self.STATE, self.HYPER, loss_mode, reduction
-        )
+    def step(self, enc, batch, loss_mode):
+        return step_gradients(batch, enc, self.STATE, self.HYPER, loss_mode)
 
     @staticmethod
     def record_losses(monkeypatch):
         """Wrap the loss names the step calls; return the list of their
-        (pos, neg, record) per call."""
+        (pos, neg, record, value) per call."""
         calls = []
         for name in ("progressive_loss", "info_nce"):
             def wrapped(pos, neg, *args, _fn=getattr(training, name), **kwargs):
                 value, record = _fn(pos, neg, *args, **kwargs)
-                calls.append((np.array(pos), np.array(neg), record))
+                calls.append((np.array(pos), np.array(neg), record, value))
                 return value, record
             monkeypatch.setattr(training, name, wrapped)
         return calls
@@ -360,14 +356,25 @@ class TestStepRowBlocks:
     @pytest.mark.parametrize("loss_mode", ["progressive", "infonce"])
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_block_size_changes_only_rounding(self, monkeypatch, rows, loss_mode, reduction):
+        """At "mean", the step's mean value and gradients; at "sum", the
+        loss kernel's sums that the blocks add up, and their derivatives at
+        pos, against the one-block call's."""
         enc, batch = self.batch()
         calls = self.record_losses(monkeypatch)
-        value, pos, mean_w, grads = self.step(enc, batch, loss_mode, reduction)
-        assert len(calls) == 1
+        value, pos, mean_w, grads = self.step(enc, batch, loss_mode)
+        [(_, _, record, kernel_value)] = calls
         self.block_rows(monkeypatch, batch, rows)
         del calls[:]
-        b_value, b_pos, b_mean_w, b_grads = self.step(enc, batch, loss_mode, reduction)
-        assert [len(p) for p, _, _ in calls] == {1: [1] * 10, 3: [3, 3, 3, 1], 7: [7, 3]}[rows]
+        b_value, b_pos, b_mean_w, b_grads = self.step(enc, batch, loss_mode)
+        assert [len(p) for p, *_ in calls] == {1: [1] * 10, 3: [3, 3, 3, 1], 7: [7, 3]}[rows]
+        if reduction == "sum":
+            np.testing.assert_allclose(sum(v for *_, v in calls), kernel_value, rtol=1e-12)
+            np.testing.assert_allclose(np.concatenate([r.grad_pos for _, _, r, _ in calls]),
+                                       record.grad_pos, rtol=1e-12)
+            np.testing.assert_allclose(np.concatenate([r.grad_neg for _, _, r, _ in calls]),
+                                       record.grad_neg, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(record.grad_neg))))
+            return
         np.testing.assert_allclose(b_value, value, rtol=1e-12)
         np.testing.assert_allclose(b_pos, pos, rtol=1e-12)
         np.testing.assert_allclose(b_mean_w, mean_w, rtol=1e-12)
@@ -384,7 +391,7 @@ class TestStepRowBlocks:
         monkeypatch.setattr(training, "STEP_ENTRIES", 1)
         del calls[:]
         self.step(enc, batch, "progressive")
-        assert [len(p) for p, _, _ in calls] == [16, 16, 8]
+        assert [len(p) for p, *_ in calls] == [16, 16, 8]
 
     def test_block_records_count_like_one_block(self, monkeypatch):
         """Summed over the blocks' records, the mechanism's counts (w < 1,
@@ -397,9 +404,9 @@ class TestStepRowBlocks:
             self.step(enc, batch, "progressive")
             return (
                 len(calls),
-                sum(int((r.weights < 1.0).sum()) for _, _, r in calls),
-                sum(int(((r.scales != 1.0) & r.neg_mask).sum()) for _, _, r in calls),
-                sum(int(r.neg_mask.sum()) for _, _, r in calls),
+                sum(int((r.weights < 1.0).sum()) for _, _, r, _ in calls),
+                sum(int(((r.scales != 1.0) & r.neg_mask).sum()) for _, _, r, _ in calls),
+                sum(int(r.neg_mask.sum()) for _, _, r, _ in calls),
             )
 
         one = counts()
@@ -407,11 +414,11 @@ class TestStepRowBlocks:
         self.block_rows(monkeypatch, batch, 3)
         assert counts() == (4,) + one[1:]
 
-    def test_pos_is_the_similarity_its_block_feeds_the_loss(self, monkeypatch):
-        """On a batch whose mined negatives include verbatim copies of
-        positives, pos[i] is bit for bit the S[i, i] of query i's block: the
-        diagonal of the whole-pool sim_matrix at the default block, and of
-        each block's own product when the batch spans several."""
+    @staticmethod
+    def copies_batch():
+        """Nine queries whose mined negatives include verbatim copies of
+        positives: query i's first negative, slot 9 + 2i, copies its own
+        positive (i < 6) or query i - 6's."""
         rng = np.random.default_rng(4)
         words = [f"w{i}" for i in range(30)]
         texts = [" ".join(rng.choice(words, size=5)) for _ in range(12)]
@@ -419,7 +426,6 @@ class TestStepRowBlocks:
         queries = [" ".join(rng.choice(words, size=3)) for _ in range(9)]
         tok = Tokenizer.from_texts(texts + queries)
         tokens = tok.encode_texts(texts + queries)
-        # query i's first negative copies its own positive (i < 6) or another's
         data = training_set(
             [(18 + i, i, (12 + i % 6, (i + 1) % 12)) for i in range(9)],
             [f"p{k}" for k in range(18)] + [f"q{i}" for i in range(9)],
@@ -427,18 +433,63 @@ class TestStepRowBlocks:
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=4)
         batch = build_batch(data, np.arange(9), tokens, enc)
         assert batch.cand_embs[9].tobytes() == batch.cand_embs[0].tobytes()
+        return enc, batch
+
+    BLOCKINGS = ((None, [9]), (1, [1] * 9), (3, [3, 3, 3]), (4, [4, 4, 1]), (7, [7, 2]))
+
+    def test_pos_and_sigma_are_taken_once_before_the_blocks(self, monkeypatch):
+        """pos is the clipped einsum product of each query's unit row and
+        its positive's, and sigma is batch_threshold of that pos, byte for
+        byte in both loss modes, at the default block and at 1-, 3-, 4- and
+        7-row blocks."""
+        enc, batch = self.copies_batch()
+        qn = _unit_rows(batch.query_embs, "queries")
+        cn = _unit_rows(batch.cand_embs, "candidates")
+        want = np.clip(np.einsum("nd,nd->n", qn, cn[:9]), -1.0, 1.0)
+        want_sigma = np.float64(batch_threshold(want, self.HYPER.beta)).tobytes()
         calls = self.record_losses(monkeypatch)
-        _, pos, _, _ = self.step(enc, batch, "progressive")
-        full = sim_matrix(batch.query_embs, batch.cand_embs)
-        assert pos.tobytes() == full.diagonal().tobytes()
-        self.block_rows(monkeypatch, batch, 4)
-        del calls[:]
-        _, pos, _, _ = self.step(enc, batch, "progressive")
-        assert len(calls) == 3
-        for k, (block_pos, sims, _) in enumerate(calls):
-            rows = np.arange(len(block_pos))
-            assert block_pos.tobytes() == sims[rows, 4 * k + rows].tobytes()
-            assert block_pos.tobytes() == pos[4 * k : 4 * k + len(rows)].tobytes()
+        grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+        for rows, blocks in self.BLOCKINGS:
+            if rows is not None:
+                self.block_rows(monkeypatch, batch, rows)
+            for loss_mode in ("progressive", "infonce"):
+                del calls[:]
+                _, pos, _, sigma = _step_loss_and_gradients(
+                    batch, enc, self.STATE, self.HYPER, loss_mode, grads
+                )
+                assert [len(p) for p, *_ in calls] == blocks
+                assert pos.tobytes() == want.tobytes(), (rows, loss_mode)
+                assert np.float64(sigma).tobytes() == want_sigma, (rows, loss_mode)
+
+    def test_pos_is_the_similarity_its_block_feeds_the_loss(self, monkeypatch):
+        """The positive each block feeds the loss is S[i, i] of the block's
+        own product, bit for bit, so a verbatim copy of a query's positive
+        ties it at every block size, and is a hard negative wherever the
+        positive is at or above sigma: its scale is t + pos."""
+        enc, batch = self.copies_batch()
+        calls = self.record_losses(monkeypatch)
+        hard = 0
+        for rows, blocks in self.BLOCKINGS:
+            if rows is not None:
+                self.block_rows(monkeypatch, batch, rows)
+            del calls[:]
+            _, pos, _, grads = self.step(enc, batch, "progressive")
+            assert [len(p) for p, *_ in calls] == blocks
+            sigma = batch_threshold(pos, self.HYPER.beta)
+            lo = 0
+            for block_pos, sims, record, _ in calls:
+                local = np.arange(len(block_pos))
+                assert block_pos.tobytes() == sims[local, lo + local].tobytes(), rows
+                for r, i in enumerate(range(lo, lo + len(block_pos))):
+                    if i >= 6:
+                        continue
+                    copy = 9 + 2 * i
+                    assert sims[r, copy].tobytes() == block_pos[r].tobytes(), (rows, i)
+                    if block_pos[r] >= sigma:
+                        assert record.scales[r, copy] == self.STATE.t + block_pos[r]
+                        hard += 1
+                lo += len(block_pos)
+        assert hard > 0
 
     def traced_step_peak(self, n_queries):
         """The step's tracemalloc peak, in MB, on a progressive batch of
@@ -447,7 +498,7 @@ class TestStepRowBlocks:
         assert len(batch.cand_ids) == 6 * n_queries
         tracemalloc.start()
         try:
-            self.step(enc, batch, "progressive", "mean")
+            self.step(enc, batch, "progressive")
             return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
@@ -473,8 +524,7 @@ class TestStepZeroNormRule:
 
     def step(self, enc, batch):
         return step_gradients(
-            batch, enc, MomentumState(t=0.3, step=1), HyperParams(tau=0.2),
-            "progressive", "sum",
+            batch, enc, MomentumState(t=0.3, step=1), HyperParams(tau=0.2), "progressive"
         )
 
     def test_zero_vector_in_a_pool_slot_rejected(self):
