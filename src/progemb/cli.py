@@ -146,8 +146,17 @@ def _query_text(cfg: RunConfig, text: str) -> str:
     return f"{cfg.query_prefix} {text}" if cfg.query_prefix else text
 
 
+def _tokenizer(cfg: RunConfig, passages) -> Tokenizer:
+    """The vocabulary of every token of the passages and the query prefix."""
+    return Tokenizer.from_texts(itertools.chain((p.text for p in passages), [cfg.query_prefix]))
+
+
 def _passage_tokens(tok: Tokenizer, cfg: RunConfig, passages) -> Tokens:
     return tok.encode_texts([p.text for p in passages], cfg.max_passage_len)
+
+
+def _query_tokens(tok: Tokenizer, cfg: RunConfig, texts) -> Tokens:
+    return tok.encode_texts([_query_text(cfg, t) for t in texts], cfg.max_query_len)
 
 
 def _embed_passages(enc, tokens: Tokens, passages):
@@ -164,15 +173,10 @@ def cmd_pretrain(cfg: RunConfig) -> None:
     corpus = dataio.read_corpus(_require(cfg.corpus_path, "corpus_path"))
     if not corpus:
         raise ValueError(f"{cfg.corpus_path}: corpus has no records")
-    extra = (cfg.query_prefix,) if cfg.query_prefix else ()
-    tok = Tokenizer.from_texts(
-        (p.text for p in corpus), extra_texts=extra, limit=cfg.vocab_limit
-    )
-    enc = ToyEncoder.create(len(tok.id_to_token), cfg.embed_dim, seed=cfg.seed)
-    dec = MaeDecoder.create(
-        cfg.max_passage_len, cfg.embed_dim, len(tok.id_to_token), seed=cfg.seed
-    )
-    sequences = tok.encode_texts([p.text for p in corpus], cfg.max_passage_len)
+    tok = _tokenizer(cfg, corpus)
+    enc = ToyEncoder.create(tok.vocab_size, cfg.embed_dim, seed=cfg.seed)
+    dec = MaeDecoder.create(cfg.max_passage_len, cfg.embed_dim, tok.vocab_size, seed=cfg.seed)
+    sequences = _passage_tokens(tok, cfg, corpus)
     losses = pretrain(
         sequences,
         enc,
@@ -218,8 +222,7 @@ def cmd_mine(cfg: RunConfig) -> None:
             queries.append((qid, q))
             positives[qid] = p.passage_id
 
-    query_texts = [_query_text(cfg, q) for _, q in queries]
-    query_embs = encode_batch(enc, tok.encode_texts(query_texts, cfg.max_query_len)).embs
+    query_embs = encode_batch(enc, _query_tokens(tok, cfg, (q for _, q in queries))).embs
     judge = judge_for(cfg.judge, cfg.judge_threshold)
     mined: dict[str, list] = {}
     dropped: dict[str, int] = {}
@@ -267,7 +270,7 @@ def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
             candidates[i, j] = row_of.setdefault(key, len(row_of))
     tokens = Tokens.concat([
         tok.encode_texts([texts[key] for key in row_of], cfg.max_passage_len),
-        tok.encode_texts([_query_text(cfg, r.query) for r in rows], cfg.max_query_len),
+        _query_tokens(tok, cfg, (r.query for r in rows)),
     ])
     names = np.array([*row_of, *(r.query_id for r in rows)], dtype=object)
     return TrainingSet(len(row_of) + np.arange(len(rows)), candidates, names), tokens
@@ -440,24 +443,16 @@ def cmd_bench(cfg: RunConfig) -> None:
             noise_rate=cfg.bench_noise_rate,
             seed=seed,
         )
-        extra = (cfg.query_prefix,) if cfg.query_prefix else ()
-        tok = Tokenizer.from_texts(
-            (p.text for p in data.passages), extra_texts=extra, limit=cfg.vocab_limit
-        )
+        tok = _tokenizer(cfg, data.passages)
         rows = [dataio.DatasetRow(q.query_id, q.text, q.positive_id, (), {}) for q in data.train]
         train, tokens = _training_set(rows, data.passages, tok, cfg)
-        init = ToyEncoder.create(len(tok.id_to_token), cfg.embed_dim, seed=seed)
         gallery = _passage_tokens(tok, cfg, data.passages)
-        held = tok.encode_texts(
-            [_query_text(cfg, q.text) for q in data.heldout], cfg.max_query_len
-        )
+        held = _query_tokens(tok, cfg, (q.text for q in data.heldout))
 
         def run(mode):
-            """The macro metrics of one loss mode's fine-tune from init."""
-            enc = ToyEncoder(
-                token_table=init.token_table.copy(),
-                projection=init.projection.copy(),
-            )
+            """The macro metrics of one loss mode's fine-tune from the
+            seed's initial encoder."""
+            enc = ToyEncoder.create(tok.vocab_size, cfg.embed_dim, seed=seed)
             _finetune(dataclasses.replace(cfg, finetune_epochs=cfg.bench_epochs,
                                           loss_mode=mode, seed=seed), train, tokens, enc)
             gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)

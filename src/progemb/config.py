@@ -35,7 +35,6 @@ class RunConfig:
 
     # encoder shape and tokenization
     embed_dim: int = 16
-    vocab_limit: int = 0          # 0 keeps the whole vocabulary
     max_query_len: int = 16
     max_passage_len: int = 64
     query_prefix: str = ""
@@ -93,7 +92,7 @@ class RunConfig:
                      "mining_k", "eval_depth", "bench_seeds", "bench_clusters",
                      "bench_gallery", "bench_train", "bench_heldout"):
             positive(name, getattr(self, name))
-        for name in ("vocab_limit", "pretrain_epochs", "finetune_epochs",
+        for name in ("pretrain_epochs", "finetune_epochs",
                      "weight_decay", "beta", "bench_epochs", "seed"):
             nonneg(name, getattr(self, name))
         if not -1.0 <= self.judge_threshold <= 1.0:

@@ -6,6 +6,7 @@ embeddings are mean-pooled, passed through one linear projection, and
 L2-normalized. The decoder reconstructs each clean token from the corrupted
 text's embedding plus a learned position row.
 
+A `Tokenizer`'s vocabulary is every token of the texts it is built from.
 Tokens have one form: a `Tokens` store, N rows as one flat id array plus
 lengths, built by `Tokenizer.encode_texts`. `encode_batch` checks a store's
 ids once, pools by segment sums, then projects and normalizes all rows;
@@ -34,6 +35,7 @@ A checkpoint is framed by `progemb._files`, as the passage embeddings are:
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -109,39 +111,22 @@ class Tokens:
 class Tokenizer:
     """Whitespace tokenizer over a fixed vocabulary.
 
-    Ids 0 and 1 are reserved for padding and the mask token. Remaining ids
-    are assigned by descending corpus frequency, ties broken by token
-    string, so a rebuilt vocabulary over the same corpus is identical.
+    Ids 0 and 1 are reserved for padding and the mask token. The rest are
+    every token of the texts the vocabulary was built from, by descending
+    count, ties broken by token string, so a rebuilt vocabulary over the
+    same texts is identical.
     """
 
     id_to_token: tuple[str, ...]
 
     @classmethod
-    def from_texts(cls, texts, extra_texts=(), limit: int = 0) -> "Tokenizer":
-        """Build a vocabulary from an iterable of texts.
-
-        Args:
-            texts: corpus lines; split on whitespace.
-            extra_texts: additional texts whose tokens must be encodable
-                (e.g. a query instruction prefix).
-            limit: keep only the `limit` most frequent tokens (0 = keep all);
-                tokens from extra_texts are always kept.
-        """
+    def from_texts(cls, texts) -> "Tokenizer":
+        """The vocabulary of every whitespace token of an iterable of texts."""
         counts = Counter()
         for text in texts:
             counts.update(text.split())
-        extra_tokens = set()
-        for text in extra_texts:
-            extra_tokens.update(text.split())
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if limit > 0:
-            kept = [tok for tok, _ in ordered[:limit]]
-        else:
-            kept = [tok for tok, _ in ordered]
-        for tok in sorted(extra_tokens):
-            if tok not in counts or (limit > 0 and tok not in kept):
-                kept.append(tok)
-        return cls(id_to_token=_RESERVED + tuple(kept))
+        return cls(id_to_token=_RESERVED + tuple(tok for tok, _ in ordered))
 
     @property
     def vocab_size(self) -> int:
@@ -155,7 +140,8 @@ class Tokenizer:
         """One store row per text, truncated to max_len when positive.
 
         Raises:
-            ValueError: on the first empty text or out-of-vocabulary token.
+            ValueError: on the first empty text or out-of-vocabulary token;
+                the latter names the token and the text.
         """
         table = self._lookup
         ids, lengths = [], []
@@ -168,7 +154,9 @@ class Tokenizer:
             try:
                 ids.extend([table[w] for w in words])
             except KeyError as exc:
-                raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
+                raise ValueError(
+                    f"token not in vocabulary: {exc.args[0]!r} (in {reprlib.repr(text)})"
+                ) from None
             lengths.append(len(words))
         return Tokens(np.array(ids, dtype=np.intp), np.array(lengths, dtype=np.intp))
 

@@ -306,6 +306,13 @@ class TestPretrain:
             out2 / "loss_curve.jsonl"
         ).read_bytes()
 
+    def test_vocabulary_holds_the_corpus_and_the_query_prefix(self, tmp_path):
+        rc, out = self.run(tmp_path, query_prefix="find: now")
+        assert rc == 0
+        vocab = load_checkpoint(out / "checkpoint.bin").tokenizer.id_to_token
+        words = {w for p in corpus_passages() for w in p.text.split()}
+        assert set(vocab[2:]) == words | {"find:", "now"}
+
     def test_seed_override_changes_result(self, tmp_path):
         _, out1 = self.run(tmp_path, out="out1")
         _, out2 = self.run(tmp_path, "--seed", "9", out="out2")
@@ -1090,6 +1097,12 @@ class TestBench:
             assert summary[mode]["recall@1"] == pytest.approx(row["recall@1"])
         assert "delta" in summary
         assert "mean recall@1" in capsys.readouterr().out
+
+    def test_query_prefix_runs(self, tmp_path):
+        cfg, out = self.make_cfg(tmp_path, query_prefix="find: now")
+        assert main(["bench", "--config", cfg]) == 0
+        runs, _ = dataio.read_bench_report(out / "bench.jsonl")
+        assert [r["loss_mode"] for r in runs] == ["progressive", "infonce"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg, _ = self.make_cfg(tmp_path, bench_noise_rate=0.2)

@@ -1,9 +1,12 @@
 """Tests for the key = value run configuration."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from progemb import cli
 from progemb.config import RunConfig, load_config, parse_config, serialize_config
 
 
@@ -44,6 +47,11 @@ class TestParse:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ValueError, match="line 2: unknown key 'embeddim'"):
             parse_config("seed = 1\nembeddim = 4\n")
+
+    def test_vocab_limit_is_gone(self):
+        """A vocabulary holds every token of its texts; no key cuts it."""
+        with pytest.raises(ValueError, match="line 1: unknown key 'vocab_limit'"):
+            parse_config("vocab_limit = 0")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate key 'seed'"):
@@ -144,3 +152,17 @@ class TestLoad:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "absent.cfg")
+
+
+class TestEveryOptionIsRead:
+    def test_cli_reads_every_field(self):
+        """A config key that no command reads is a dead option: each field
+        must appear as `cfg.<field>` somewhere in the command driver."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+        }
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert fields - read == set()
