@@ -184,9 +184,17 @@ def read_dataset(path) -> list[DatasetRow]:
 
 # --- qrels and queries ----------------------------------------------------
 
+def _grade(path, qid: str, doc: str, grade) -> int:
+    """A qrels row's grade, which must be an int >= 1 when written and read."""
+    # type() rather than isinstance: a JSON true is not grade 1
+    if type(grade) is not int or grade < 1:
+        raise ValueError(f"{path}: grade for ({qid}, {doc}) must be an int >= 1")
+    return grade
+
+
 def write_qrels(path, qrels: Mapping[str, Mapping[str, int]]) -> None:
     rows = (
-        {"query_id": qid, "doc_id": doc, "grade": int(grade)}
+        {"query_id": qid, "doc_id": doc, "grade": _grade(path, qid, doc, int(grade))}
         for qid in sorted(qrels)
         for doc, grade in sorted(qrels[qid].items())
     )
@@ -197,11 +205,7 @@ def read_qrels(path) -> dict[str, dict[str, int]]:
     out: dict[str, dict[str, int]] = {}
     for row in _read_rows(path, "qrels"):
         qid, doc = need(path, row, {"query_id": str, "doc_id": str})
-        grade = row.get("grade")
-        # type() rather than isinstance: a JSON true is not grade 1
-        if type(grade) is not int or grade < 1:
-            raise ValueError(f"{path}: grade for ({qid}, {doc}) must be an int >= 1")
-        out.setdefault(qid, {})[doc] = grade
+        out.setdefault(qid, {})[doc] = _grade(path, qid, doc, row.get("grade"))
     return out
 
 

@@ -15,10 +15,12 @@ ids once, pools by segment sums, then projects and normalizes all rows;
 uses that a token's logits are its sequence's row plus its position's row:
 it scores a chunk of N sequences and L positions from (N + L)-row products
 over vocabulary column blocks of at most MAE_BLOCK entries, not from its T
-token rows. It returns the chunk's losses, then hands out its gradients
-one at a time through one reused buffer, so pretraining can update each
-parameter in place as its gradient arrives. `encode` takes a one-row
-store.
+token rows. It returns the chunk's losses, then hands out the decoder's
+gradient and then the encoder's through one reused buffer, so pretraining
+can update each model in place as its gradient arrives. Each model's
+parameters are one float64 vector, `params`, whose views are its named
+matrices; a gradient is the same model type over a zeroed vector.
+`encode` takes a one-row store.
 
 `encode_batch` and `_encode_backward` walk a store in token blocks:
 consecutive row ranges of at most SCATTER_BLOCK // d tokens, a row never
@@ -28,8 +30,8 @@ rows. Each row's segment sum and the order of the scatter's updates are
 those of a whole-store pass, so results are bit-identical.
 
 A checkpoint is framed by `progemb._files`, as the passage embeddings are:
-`_files.write_binary` and `_files.read_binary` write and read it, and
-`load_checkpoint` adds only the vocabulary checks.
+`_files.write_binary` and `_files.read_binary` write and read it, one
+block per model, and `load_checkpoint` adds only the header checks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -165,60 +167,69 @@ class Tokenizer:
         return self.encode_texts([text], max_len)
 
 
-@dataclass(eq=False)
+def _set_views(model, shapes: dict) -> None:
+    """Set each named matrix of model to a C-ordered view of model.params:
+    consecutive slices, in the order of shapes, that span the vector, so a
+    vector of another length is a ValueError."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    for (name, shape), part in zip(shapes.items(), np.split(model.params, cuts)):
+        object.__setattr__(model, name, part.reshape(shape))
+
+
+@dataclass(frozen=True, eq=False)
 class ToyEncoder:
-    """Mean-pooled token embeddings -> linear projection -> L2 normalization."""
+    """Mean-pooled token embeddings -> linear projection -> L2 normalization.
 
-    token_table: np.ndarray   # (V, d)
-    projection: np.ndarray    # (d, d)
+    The parameters are one float64 vector, params: token_table, then
+    projection, each a view of it. A gradient is a ToyEncoder over a
+    zeroed vector of the same length."""
 
-    @property
-    def vocab_size(self) -> int:
-        return self.token_table.shape[0]
+    params: np.ndarray   # (V * d + d * d,)
+    vocab_size: int
+    dim: int
+    token_table: np.ndarray = field(init=False, repr=False)   # (V, d)
+    projection: np.ndarray = field(init=False, repr=False)    # (d, d)
 
-    @property
-    def dim(self) -> int:
-        return self.token_table.shape[1]
+    def __post_init__(self):
+        v, d = self.vocab_size, self.dim
+        _set_views(self, {"token_table": (v, d), "projection": (d, d)})
 
     @classmethod
     def create(cls, vocab_size: int, dim: int, seed: int = 0) -> "ToyEncoder":
         if vocab_size < 2 or dim < 1:
             raise ValueError("need vocab_size >= 2 (reserved ids) and dim >= 1")
         rng = np.random.default_rng(seed)
-        scale = 1.0 / math.sqrt(dim)
-        return cls(
-            token_table=rng.normal(0.0, scale, size=(vocab_size, dim)),
-            projection=rng.normal(0.0, scale, size=(dim, dim)),
-        )
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"token_table": self.token_table, "projection": self.projection}
+        params = rng.normal(0.0, 1.0 / math.sqrt(dim), size=vocab_size * dim + dim * dim)
+        return cls(params, vocab_size, dim)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MaeDecoder:
-    """Lightweight reconstruction head: per-position shift plus output matrix."""
+    """Lightweight reconstruction head: per-position shift plus output matrix.
 
-    position_table: np.ndarray   # (P, d)
-    output: np.ndarray           # (d, V)
+    The parameters are one float64 vector, params: position_table, then
+    output, each a view of it."""
 
-    @property
-    def max_positions(self) -> int:
-        return self.position_table.shape[0]
+    params: np.ndarray   # (P * d + d * V,)
+    max_positions: int
+    dim: int
+    vocab_size: int
+    position_table: np.ndarray = field(init=False, repr=False)   # (P, d)
+    output: np.ndarray = field(init=False, repr=False)           # (d, V)
+
+    def __post_init__(self):
+        p, d, v = self.max_positions, self.dim, self.vocab_size
+        _set_views(self, {"position_table": (p, d), "output": (d, v)})
 
     @classmethod
     def create(cls, max_positions: int, dim: int, vocab_size: int, seed: int = 0) -> "MaeDecoder":
         if max_positions < 1:
             raise ValueError("need max_positions >= 1")
+        dec = cls(np.zeros(max_positions * dim + dim * vocab_size), max_positions, dim, vocab_size)
+        # zero output weights give exactly uniform logits at init
         rng = np.random.default_rng(seed)
-        return cls(
-            position_table=rng.normal(0.0, 0.1, size=(max_positions, dim)),
-            # zero output weights give exactly uniform logits at init
-            output=np.zeros((dim, vocab_size)),
-        )
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"position_table": self.position_table, "output": self.output}
+        dec.position_table[...] = rng.normal(0.0, 0.1, size=dec.position_table.shape)
+        return dec
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,32 +310,22 @@ def _scatter(ufunc, table: np.ndarray, index, values: np.ndarray) -> None:
         ufunc.at(flat, at.reshape(-1), values[lo : lo + step].reshape(-1))
 
 
-def _encode_chain(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray):
-    """d(loss)/d(projected means) and d(loss)/d(token rows), each (N, d),
-    given d(loss)/d(embeddings); reads the projection, nothing else."""
+def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grad: ToyEncoder):
+    """Write d(loss)/d(encoder params) into grad, a ToyEncoder of enc's
+    shape, given d(loss)/d(embeddings), (N, d); reads enc's projection."""
     e = fwd.embs
     # through normalization: du = (I - ee^T) de / |u|, row by row, in one buffer
     du = (d_embs * e).sum(axis=1, keepdims=True) * e
     np.subtract(d_embs, du, out=du)
     du /= fwd.norms[:, None]
     d_pooled = du @ enc.projection.T
-    d_pooled /= fwd.tokens.lengths[:, None]
-    return du, d_pooled
-
-
-def _scatter_tokens(fwd: EncodedBatch, d_pooled: np.ndarray, table_grad: np.ndarray):
-    """Add each row's token gradient onto its tokens' rows of table_grad."""
     lengths = fwd.tokens.lengths
-    for rows, span in _token_blocks(fwd.tokens, table_grad.shape[1]):
-        _scatter(np.add, table_grad, fwd.tokens.ids[span],
+    d_pooled /= lengths[:, None]
+    grad.params.fill(0.0)
+    grad.projection[...] += fwd.pooled.T @ du
+    for rows, span in _token_blocks(fwd.tokens, enc.dim):
+        _scatter(np.add, grad.token_table, fwd.tokens.ids[span],
                  np.repeat(d_pooled[rows], lengths[rows], axis=0))
-
-
-def _encode_backward(enc: ToyEncoder, fwd: EncodedBatch, d_embs: np.ndarray, grads: dict):
-    """Accumulate d(loss)/d(encoder params) given d(loss)/d(embeddings), (N, d)."""
-    du, d_pooled = _encode_chain(enc, fwd, d_embs)
-    grads["projection"] += fwd.pooled.T @ du
-    _scatter_tokens(fwd, d_pooled, grads["token_table"])
 
 
 def corrupt(tokens: Tokens, mask_ratio: float, seeds) -> Tokens:
@@ -348,13 +349,12 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     """Per-row losses, then the gradients of their sum, streamed.
 
     Returns (losses, gradients): the losses are final, and the gradients
-    are an iterator of (name, gradient) pairs in the order output,
-    position_table, projection, token_table. All four are views of one
-    buffer the size of the largest parameter, so each is valid until the
-    next is drawn. The caller may scale a gradient in place and update its
-    parameter in place before drawing the next: the kernel reads no
-    parameter after handing out its gradient (the token rows' gradient is
-    taken through the old projection before the projection's goes out).
+    are an iterator of the decoder's gradient, a MaeDecoder, then the
+    encoder's, a ToyEncoder. Both are built over one buffer the size of the
+    larger parameter vector, so each is valid until the next is drawn. The
+    caller may scale a gradient in place and update its model in place
+    before drawing the next: the kernel reads no parameter of a model after
+    handing out that model's gradient.
 
     One encoder forward and backward per chunk. x stacks the N embeddings
     over the first L position rows, and token (i, p)'s logits are
@@ -379,16 +379,10 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     _check_ids(enc, clean)
     targets, lengths, starts = clean.ids, clean.lengths, clean.starts
     fwd = encode_batch(enc, corrupted)
-    params = {**dec.params(), **enc.params()}
-    buf = np.empty(max(p.size for p in params.values()))
-
-    def grad_buffer(name):
-        """The buffer as the named parameter's zeroed gradient."""
-        grad = buf[: params[name].size].reshape(params[name].shape)
-        grad.fill(0.0)
-        return grad
-
-    n, w = len(lengths), dec.output
+    buf = np.empty(max(enc.params.size, dec.params.size))
+    d_dec = replace(dec, params=buf[: dec.params.size])
+    d_dec.params.fill(0.0)
+    n, w, d_output = len(lengths), dec.output, d_dec.output
     seqs = np.repeat(np.arange(n), lengths)
     positions = np.arange(len(targets)) - np.repeat(starts, lengths)
     x = np.concatenate([fwd.embs, dec.position_table[: lengths.max()]])
@@ -407,7 +401,6 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     factored = sums >= _MIN_SUM
     r = np.zeros_like(s)
     r[seqs[factored], positions[factored]] = 1.0 / sums[factored]
-    d_output = grad_buffer("output")
     dx = np.zeros_like(x)
     for blk in blocks:
         e = x @ w[:, blk]
@@ -444,19 +437,14 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     # the output gradient's one-hot part, once for the whole chunk
     _scatter(np.subtract, d_output.T, targets, z)
     _scatter(np.add, dx, n + positions, dz)
-    du, d_pooled = _encode_chain(enc, fwd, dx[:n] + np.add.reduceat(dz, starts, axis=0))
+    d_dec.position_table[: len(x) - n] += dx[n:]
+    d_embs = dx[:n] + np.add.reduceat(dz, starts, axis=0)
 
     def gradients():
-        yield "output", d_output
-        d_positions = grad_buffer("position_table")
-        d_positions[: len(x) - n] += dx[n:]
-        yield "position_table", d_positions
-        d_projection = grad_buffer("projection")
-        d_projection += fwd.pooled.T @ du
-        yield "projection", d_projection
-        d_table = grad_buffer("token_table")
-        _scatter_tokens(fwd, d_pooled, d_table)
-        yield "token_table", d_table
+        yield d_dec
+        d_enc = replace(enc, params=buf[: enc.params.size])
+        _encode_backward(enc, fwd, d_embs, d_enc)
+        yield d_enc
 
     return np.add.reduceat(row_losses, starts).tolist(), gradients()
 
@@ -472,11 +460,11 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
     """Write a versioned checkpoint.
 
     Layout: one ASCII header line of JSON (format, version, vocab, shapes),
-    then the parameter matrices as raw little-endian float64 in C order, in
-    the fixed order token_table, projection, and, when a decoder is present,
-    position_table, output. The encoding is canonical: saving a freshly
-    loaded checkpoint reproduces the file byte for byte. The file is
-    replaced atomically: a failed save leaves the previous one.
+    then the encoder's parameter vector and, when a decoder is present, the
+    decoder's, as raw little-endian float64: token_table, projection,
+    position_table, output, each in C order. The encoding is canonical:
+    saving a freshly loaded checkpoint reproduces the file byte for byte.
+    The file is replaced atomically: a failed save leaves the previous one.
     """
     if tokenizer.vocab_size != encoder.vocab_size:
         raise ValueError(
@@ -489,23 +477,25 @@ def save_checkpoint(path, encoder: ToyEncoder, tokenizer: Tokenizer, decoder: Ma
         "has_decoder": decoder is not None,
         "vocab": list(tokenizer.id_to_token),
     }
-    blocks = [encoder.token_table, encoder.projection]
-    if decoder is not None:
-        blocks += [decoder.position_table, decoder.output]
+    blocks = [encoder.params] + ([decoder.params] if decoder is not None else [])
     write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, fields, blocks)
 
 
 def load_checkpoint(path) -> Checkpoint:
     def shapes(head):
-        v, d = head["vocab_size"], head["dim"]
+        v, d, p = head["vocab_size"], head["dim"], head["max_positions"]
         if len(head["vocab"]) != v:
             raise ValueError(f"{path}: vocab length {len(head['vocab'])} does not match "
                              f"vocab_size {v}")
-        decoder = [(head["max_positions"], d), (d, v)] if head["has_decoder"] else []
-        return [(v, d), (d, d), *decoder]
+        dims = {"vocab_size": v, "dim": d, **({"max_positions": p} if head["has_decoder"] else {})}
+        # checked before the products: two negative dims make a positive size,
+        # and a zero dim would load and fail only at the first encode
+        if (low := min(dims.values())) < 1:
+            raise ValueError(f"{path}: {'negative' if low < 0 else 'zero'} matrix shape in {dims}")
+        return [(v * d + d * d,), *([(p * d + d * v,)] if head["has_decoder"] else [])]
 
     head, blocks = read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER_TYPES, shapes)
-    encoder = ToyEncoder(token_table=blocks[0], projection=blocks[1])
-    decoder = MaeDecoder(position_table=blocks[2], output=blocks[3]) if head["has_decoder"] else None
-    return Checkpoint(encoder=encoder, tokenizer=Tokenizer(id_to_token=tuple(head["vocab"])),
-                      decoder=decoder)
+    v, d = head["vocab_size"], head["dim"]
+    decoder = MaeDecoder(blocks[1], head["max_positions"], d, v) if head["has_decoder"] else None
+    return Checkpoint(encoder=ToyEncoder(blocks[0], v, d),
+                      tokenizer=Tokenizer(id_to_token=tuple(head["vocab"])), decoder=decoder)

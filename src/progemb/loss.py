@@ -83,7 +83,7 @@ class BatchSimilarities:
     """
 
     weights: np.ndarray      # (B,)
-    scales: np.ndarray       # (B, N)
+    scales: np.ndarray       # (B, N); InfoNCE's is a read-only broadcast of 1
     neg_mask: np.ndarray     # (B, N) bool
     grad_pos: np.ndarray     # (B,)
     grad_neg: np.ndarray     # (B, N)
@@ -163,7 +163,7 @@ def info_nce(pos, neg, tau: float, neg_mask=None) -> tuple[float, BatchSimilarit
         (value, BatchSimilarities) with every weight and scale equal to 1.
     """
     p, n, m = _check_inputs(pos, neg, tau, neg_mask)
-    return _contrastive(p, n, m, np.ones(p.shape), np.ones(n.shape), tau)
+    return _contrastive(p, n, m, np.ones(p.shape), np.broadcast_to(1.0, n.shape), tau)
 
 
 def batch_threshold(pos, beta: float) -> float:

@@ -1,12 +1,13 @@
-"""Optimizers over named parameter dictionaries, updated in place.
+"""Optimizers over named parameter arrays, updated in place.
 
 `step(params, grads)` writes each parameter's update into the array it is
-given and returns nothing: no parameter-sized array is made beyond the
-AdamW moments, which are kept per parameter name together with that
-parameter's step count. A call may therefore carry any subset of the
-parameters, one at a time as their gradients become ready. A parameter must
-be a writeable C-contiguous array; the update is walked in blocks of
-ADAMW_BLOCK elements through two scratch buffers.
+given and returns nothing. Training passes one name per model ("encoder",
+"decoder") with its whole parameter vector. No parameter-sized array is
+made beyond the AdamW moments, kept per name with that name's step count,
+so a call may carry any subset of the names, as pretraining steps the
+decoder and then the encoder. A parameter must be a writeable C-contiguous
+array; the update is walked in blocks of ADAMW_BLOCK elements through two
+scratch buffers.
 
 AdamW (decoupled weight decay) is the default; plain gradient descent is
 kept as a fallback whose update has no internal state, which makes bitwise

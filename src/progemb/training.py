@@ -13,15 +13,16 @@ similarities and the batch threshold once from the unit rows, and scores
 the pool once, in blocks of query rows sized by a budget of (rows, M)
 entries, so no (B, M) array lives longer than one block and a block's
 arrays stay near that budget. The step's loss is the batch mean.
-The optimizer writes into the model's arrays: fine-tuning fills one
-gradient dict per run, and pretraining applies each parameter's gradient
-as the MAE kernel hands it out, so no whole gradient set is held.
+The optimizer writes into each model's one parameter vector: fine-tuning
+fills one gradient vector per run, and pretraining steps the decoder, then
+the encoder, as the MAE kernel hands out each one's gradient from one
+buffer, so no whole gradient set is held.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,7 +180,6 @@ def pretrain(
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
-    params = {**enc.params(), **dec.params()}
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(epochs):
@@ -189,7 +189,7 @@ def pretrain(
             clean = corpus.take(order[start : start + batch_size])
             corrupted = corrupt(clean, mask_ratio, rng.integers(0, 2**63 - 1, size=len(clean)))
             try:
-                chunk_losses = _mae_step(enc, dec, params, opt, clean, corrupted)
+                chunk_losses = _mae_step(enc, dec, opt, clean, corrupted)
             except ValueError as exc:
                 raise ValueError(f"pretrain step {step} (epoch {epoch}): {exc}") from exc
             losses.extend(chunk_losses)
@@ -198,17 +198,18 @@ def pretrain(
     return epoch_losses
 
 
-def _mae_step(enc, dec, params, opt, clean: Tokens, corrupted: Tokens) -> list[float]:
+def _mae_step(enc, dec, opt, clean: Tokens, corrupted: Tokens) -> list[float]:
     """One pretraining chunk: its losses are checked before any update, then
-    each parameter takes its step as soon as its gradient is handed out.
-    The kernel's gradient buffer dies on return, before the next chunk's."""
+    the decoder and the encoder each take their step as soon as their
+    gradient is handed out. The kernel's gradient buffer dies on return,
+    before the next chunk's."""
     chunk_losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
     if not np.isfinite(chunk_losses).all():
         raise ValueError("non-finite reconstruction loss")
-    for name, grad in grads:
-        grad /= len(clean)
-        opt.step({name: params[name]}, {name: grad})
-        if not np.isfinite(params[name]).all():
+    for name, model, grad in zip(("decoder", "encoder"), (dec, enc), grads, strict=True):
+        grad.params[...] /= len(clean)
+        opt.step({name: model.params}, {name: grad.params})
+        if not np.isfinite(model.params).all():
             raise ValueError(f"non-finite {name} after the update")
     return chunk_losses
 
@@ -253,8 +254,7 @@ def finetune(
     rng = np.random.default_rng(seed)
     opt = make_optimizer(optimizer, lr, weight_decay)
     state = initial_state
-    params = enc.params()
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    grad = replace(enc, params=np.zeros_like(enc.params))
     audit: list[StepAudit] = []
     step = 0
     for epoch in range(epochs):
@@ -263,14 +263,13 @@ def finetune(
             try:
                 batch = build_batch(dataset, order[start : start + batch_size], tokens, enc)
                 value, pos, mean_w, sigma = _step_loss_and_gradients(
-                    batch, enc, state, hyper, loss_mode, grads
+                    batch, enc, state, hyper, loss_mode, grad
                 )
                 if not np.isfinite(value):
                     raise ValueError("non-finite contrastive loss")
-                opt.step(params, grads)
-                for name, param in params.items():
-                    if not np.isfinite(param).all():
-                        raise ValueError(f"non-finite {name} after the update")
+                opt.step({"encoder": enc.params}, {"encoder": grad.params})
+                if not np.isfinite(enc.params).all():
+                    raise ValueError("non-finite encoder after the update")
             except ValueError as exc:
                 raise ValueError(f"fine-tune step {step} (epoch {epoch}): {exc}") from exc
             state = update_momentum(state, pos, hyper.alpha)
@@ -294,12 +293,12 @@ def _step_loss_and_gradients(
     state: MomentumState,
     hyper: HyperParams,
     loss_mode: str,
-    grads: dict[str, np.ndarray],
+    grad: ToyEncoder,
 ):
     """One batch's mean loss value, positive similarities, mean positive
-    weight and threshold sigma; the parameter gradients of the mean loss
-    are written into grads, which is zeroed first, so a run reuses one set
-    of arrays.
+    weight and threshold sigma; the parameter gradient of the mean loss is
+    written into grad, a ToyEncoder of enc's shape, so a run reuses one
+    vector.
 
     The queries and the pool are normalized once, as sim_matrix does, to
     Uq and Uc. pos[i] is the clipped einsum product of Uq[i] and its
@@ -324,9 +323,7 @@ def _step_loss_and_gradients(
     the batch's 1/B is applied once, to the value and the slot gradients.
     """
     value, pos, mean_w, sigma, d_embs = _embedding_gradients(batch, state, hyper, loss_mode)
-    for grad in grads.values():
-        grad.fill(0.0)
-    _encode_backward(enc, batch.forward, d_embs, grads)
+    _encode_backward(enc, batch.forward, d_embs, grad)
     return value, pos, mean_w, sigma
 
 

@@ -1,7 +1,7 @@
 """Scalar reference implementations that the tests check the kernels against."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -130,10 +130,10 @@ def mae_loss(enc, dec, clean, corrupted) -> float:
 
 def oracle_mae(enc, dec, clean, corrupted):
     """Per-sequence MAE reference: each row builds its own (L, V) log
-    softmax. Returns the per-row losses and the gradients of their sum
-    for token_table, projection, position_table and output."""
+    softmax. Returns the per-row losses and the gradients of their sum,
+    a MaeDecoder and a ToyEncoder over zeroed vectors of their own."""
     fwd = encode_batch(enc, corrupted)
-    grads = {name: np.zeros_like(p) for name, p in {**enc.params(), **dec.params()}.items()}
+    d_dec, d_enc = zero_grad(dec), zero_grad(enc)
     d_embs = np.empty_like(fwd.embs)
     losses = []
     for i, seq in enumerate(rows_of(clean)):
@@ -144,12 +144,12 @@ def oracle_mae(enc, dec, clean, corrupted):
         losses.append(-float(logp[rows, tgt].sum()))
         d_logits = np.exp(logp)
         d_logits[rows, tgt] -= 1.0
-        grads["output"] += z.T @ d_logits
+        d_dec.output[...] += z.T @ d_logits
         dz = d_logits @ dec.output.T
-        grads["position_table"][:length] += dz
+        d_dec.position_table[:length] += dz
         d_embs[i] = dz.sum(axis=0)
-    _encode_backward(enc, fwd, d_embs, grads)
-    return losses, grads
+    _encode_backward(enc, fwd, d_embs, d_enc)
+    return losses, (d_dec, d_enc)
 
 
 # The progressive loss and its embedding gradients as the package computed
@@ -365,17 +365,18 @@ def batch_similarities(batch):
 
 
 def oracle_step_gradients(batch, enc, weights, scales, tau, reduction):
-    """A fine-tune step's encoder gradients by the pool kernel: per-slot
-    embedding gradients, summed per distinct sequence, then one backward."""
+    """A fine-tune step's encoder gradient by the pool kernel: per-slot
+    embedding gradients, summed per distinct sequence, then one backward.
+    Returns a ToyEncoder over the gradient vector."""
     query_grad, cand_grad = _pool_gradients(
         batch.query_embs, batch.cand_embs, batch_similarities(batch)[2],
         weights, scales, tau, reduction,
     )
     d_embs = np.zeros_like(batch.forward.embs)
     np.add.at(d_embs, batch.rows, np.concatenate([query_grad, cand_grad]))
-    grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
-    _encode_backward(enc, batch.forward, d_embs, grads)
-    return grads
+    grad = zero_grad(enc)
+    _encode_backward(enc, batch.forward, d_embs, grad)
+    return grad
 
 
 class OracleAdamW:
@@ -422,3 +423,14 @@ def oracle_descent(params, grads, lr, weight_decay=0.0):
             new = new - lr * weight_decay * p
         out[name] = new
     return out
+
+
+def zero_grad(model):
+    """A gradient of model: the same model type over a zeroed vector."""
+    return replace(model, params=np.zeros_like(model.params))
+
+
+def matrices(*models) -> dict:
+    """The named matrices of ToyEncoders and MaeDecoders, by name: the
+    views of each model's parameter vector."""
+    return {f.name: getattr(model, f.name) for model in models for f in fields(model) if not f.init}

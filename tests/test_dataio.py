@@ -325,6 +325,19 @@ class TestQrelsAndQueries:
         with pytest.raises(ValueError, match="grade"):
             read_qrels(path)
 
+    @pytest.mark.parametrize("grade", [0, -2])
+    def test_writer_refuses_a_grade_the_reader_refuses(self, tmp_path, grade):
+        """A grade below 1 is refused with the reader's message, and the
+        file written before stays as it was."""
+        path = tmp_path / "qrels.jsonl"
+        write_qrels(path, {"q0": {"d0": 2}})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: grade for (q1, d1) must be an int >= 1")):
+            write_qrels(path, {"q0": {"d0": 1}, "q1": {"d0": 1, "d1": grade}})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["qrels.jsonl"]
+
     @pytest.mark.parametrize("key, value, message", [
         ("grade", True, "grade for (q, d) must be an int >= 1"),
         ("doc_id", 5, "row key 'doc_id' must be a string, got 5"),

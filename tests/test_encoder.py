@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import mae_loss, oracle_corrupt, oracle_mae, oracle_tokenize, rows_of, store
+from oracles import (
+    mae_loss, matrices, oracle_corrupt, oracle_mae, oracle_tokenize, rows_of, store, zero_grad,
+)
 
 from progemb import encoder
 from progemb.dataio import read_embeddings, write_embeddings
@@ -62,21 +64,17 @@ def oracle_encode(enc, seq):
     return u / np.linalg.norm(u)
 
 
-def oracle_backward(enc, seq, d_emb, grads):
-    """Per-sequence reference backward of d_emb . encode(seq)."""
+def oracle_backward(enc, seq, d_emb, grad):
+    """Per-sequence reference backward of d_emb . encode(seq), added onto grad."""
     pooled = enc.token_table[list(seq)].mean(axis=0)
     u = pooled @ enc.projection
     norm = np.linalg.norm(u)
     emb = u / norm
     du = (d_emb - np.dot(d_emb, emb) * emb) / norm
-    grads["projection"] += np.outer(pooled, du)
+    grad.projection[...] += np.outer(pooled, du)
     contribution = enc.projection @ du / len(seq)
     for t in seq:
-        grads["token_table"][t] += contribution
-
-
-def zero_grads(enc):
-    return {name: np.zeros_like(p) for name, p in enc.params().items()}
+        grad.token_table[t] += contribution
 
 
 RAGGED = [(2, 3, 3, 7), (7,), (5, 2, 9, 9, 9, 2), (3, 7), (11, 4, 2)]
@@ -194,8 +192,8 @@ class TestToyEncoder:
         rng = np.random.default_rng(1)
         c = rng.normal(size=4)
 
-        grads = zero_grads(enc)
-        _encode_backward(enc, encode_batch(enc, seq), c[None, :], grads)
+        grad = zero_grad(enc)
+        _encode_backward(enc, encode_batch(enc, seq), c[None, :], grad)
 
         h = 1e-6
         for name in ("token_table", "projection"):
@@ -210,7 +208,7 @@ class TestToyEncoder:
                 down = float(np.dot(c, encode(enc, seq)))
                 flat[idx] = orig
                 fd_flat[idx] = (up - down) / (2 * h)
-            np.testing.assert_allclose(grads[name], fd, atol=1e-7)
+            np.testing.assert_allclose(getattr(grad, name), fd, atol=1e-7)
 
 
 class TestScatter:
@@ -252,12 +250,11 @@ class TestBatchedKernel:
         enc = small_encoder(seed=22)
         seqs = RAGGED + [RAGGED[0]]
         d_embs = np.random.default_rng(5).normal(size=(len(seqs), enc.dim))
-        grads, expected = zero_grads(enc), zero_grads(enc)
-        _encode_backward(enc, encode_batch(enc, store(seqs)), d_embs, grads)
+        grad, expected = zero_grad(enc), zero_grad(enc)
+        _encode_backward(enc, encode_batch(enc, store(seqs)), d_embs, grad)
         for seq, d_emb in zip(seqs, d_embs):
             oracle_backward(enc, seq, d_emb, expected)
-        for name in expected:
-            np.testing.assert_allclose(grads[name], expected[name], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(grad.params, expected.params, rtol=1e-12, atol=1e-14)
 
     def test_embed_passages_across_blocks_matches_oracle(self):
         """The CLI gallery path, on more passages than one kernel call takes,
@@ -292,9 +289,9 @@ class TestBatchedKernel:
 
         def run():
             fwd = encode_batch(enc, seqs)
-            grads = zero_grads(enc)
-            _encode_backward(enc, fwd, d_embs, grads)
-            return [fwd.embs, fwd.pooled, fwd.norms, grads["token_table"], grads["projection"]]
+            grad = zero_grad(enc)
+            _encode_backward(enc, fwd, d_embs, grad)
+            return [fwd.embs, fwd.pooled, fwd.norms, grad.params]
 
         want = run()
         monkeypatch.setattr(encoder, "SCATTER_BLOCK", tokens_per_block * enc.dim)
@@ -383,9 +380,10 @@ class TestCorrupt:
 
 
 def mae_gradients(enc, dec, clean, corrupted):
-    """The kernel's losses and a copy of each gradient it hands out, by name."""
+    """The kernel's losses and a copy of each gradient matrix it hands out,
+    by name."""
     losses, grads = _mae_forward_backward(enc, dec, clean, corrupted)
-    return losses, {name: grad.copy() for name, grad in grads}
+    return losses, {name: g.copy() for grad in grads for name, g in matrices(grad).items()}
 
 
 class TestMaeLoss:
@@ -418,7 +416,7 @@ class TestMaeLoss:
         dec = MaeDecoder.create(positions, dim, vocab, seed=4)
         # give the output matrix some structure so its gradient is nontrivial
         rng = np.random.default_rng(8)
-        dec.output = rng.normal(0, 0.3, size=dec.output.shape)
+        dec.output[...] = rng.normal(0, 0.3, size=dec.output.shape)
         clean = store([(2, 6, 3, 5)])
         corrupted = corrupt(clean, 0.4, [1])
 
@@ -448,7 +446,7 @@ class TestMaeLoss:
         enc = ToyEncoder.create(vocab, dim, seed=6)
         dec = MaeDecoder.create(positions, dim, vocab, seed=6)
         rng = np.random.default_rng(9)
-        dec.output = rng.normal(0, 0.3, size=dec.output.shape)
+        dec.output[...] = rng.normal(0, 0.3, size=dec.output.shape)
         cleans = store([(2, 6, 3, 5), (3, 7), (5, 3, 3, 4, 6)])
         corrupteds = corrupt(cleans, 0.4, range(3))
         first, _, third = rows_of(corrupteds)
@@ -485,9 +483,8 @@ class TestMaeLoss:
         clean = store([(2, 7, 4, 9)])
         corrupted = corrupt(clean, 0.4, [2])
         (before,), grads = mae_gradients(enc, dec, clean, corrupted)
-        for name, owner in (("token_table", enc), ("projection", enc),
-                            ("position_table", dec), ("output", dec)):
-            setattr(owner, name, getattr(owner, name) - 0.05 * grads[name])
+        for name, param in matrices(enc, dec).items():
+            param -= 0.05 * grads[name]
         after = mae_loss(enc, dec, clean, corrupted)
         assert after < before
 
@@ -499,7 +496,7 @@ def mae_batch(vocab, dim, positions, seed):
     enc = ToyEncoder.create(vocab, dim, seed=seed)
     dec = MaeDecoder.create(positions, dim, vocab, seed=seed)
     rng = np.random.default_rng(seed)
-    dec.output = rng.normal(0, 0.5, size=dec.output.shape)
+    dec.output[...] = rng.normal(0, 0.5, size=dec.output.shape)
     cleans = store([(2, 6, 3, 5), (3, 7), (5, 3, 3, 4, 6, MASK_ID), (3, 7),
                     (vocab - 1,), (4, 4, 2, 9, 9, 8, 2)])
     return enc, dec, cleans, corrupt(cleans, 0.4, range(len(cleans)))
@@ -532,7 +529,8 @@ class TestMaeKernel:
             rows = len(cleans) + cleans.lengths.max()
             monkeypatch.setattr(encoder, "MAE_BLOCK", cols_per_block * rows)
         losses, grads = mae_gradients(enc, dec, cleans, corrupteds)
-        want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
+        want_losses, want = oracle_mae(enc, dec, cleans, corrupteds)
+        want_grads = matrices(*want)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
         assert grads.keys() == want_grads.keys()
         for name in grads:
@@ -546,57 +544,58 @@ class TestMaeKernel:
         token does; at the smaller one some tokens of the chunk do and the
         rest stay factored."""
         enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
-        dec.output *= scale
+        dec.output[...] *= scale
         log_sums = factored_log_sums(enc, dec, cleans, corrupteds)
         if direct == "all":
             assert (log_sums < -650).all()
         else:
             assert (log_sums < -650).any() and (log_sums > -550).any()
         losses, grads = mae_gradients(enc, dec, cleans, corrupteds)
-        want_losses, want_grads = oracle_mae(enc, dec, cleans, corrupteds)
+        want_losses, want = oracle_mae(enc, dec, cleans, corrupteds)
+        want_grads = matrices(*want)
         np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
         for name in grads:
             np.testing.assert_allclose(grads[name], want_grads[name], rtol=0,
                                        atol=1e-12 * np.abs(want_grads[name]).max(),
                                        err_msg=f"gradient mismatch for {name}")
 
-    def test_gradients_stream_in_order_through_one_buffer(self):
-        """output, position_table, projection, token_table, each of its
-        parameter's shape, all views of one buffer of the largest one's size."""
+    def test_gradients_stream_decoder_then_encoder_through_one_buffer(self):
+        """A MaeDecoder, then a ToyEncoder, each of its model's shape, both
+        over the front of one buffer the size of the larger vector."""
         enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
         _, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
-        params = {**enc.params(), **dec.params()}
-        handed = [(name, grad) for name, grad in grads]
-        assert [name for name, _ in handed] == [
-            "output", "position_table", "projection", "token_table"]
-        base = handed[0][1].base
-        assert base.size == max(p.size for p in params.values())
-        for name, grad in handed:
-            assert grad.shape == params[name].shape and grad.base is base
+        handed = list(grads)
+        assert [type(grad) for grad in handed] == [MaeDecoder, ToyEncoder]
+        base = handed[0].params.base
+        assert base.size == max(enc.params.size, dec.params.size)
+        for grad, model in zip(handed, (dec, enc)):
+            assert grad.params.shape == model.params.shape and grad.params.base is base
+            for name, view in matrices(grad).items():
+                assert view.shape == getattr(model, name).shape
 
     def test_no_parameter_read_after_its_gradient_goes_out(self):
-        """Overwriting each parameter with NaN as soon as its gradient is
-        handed out leaves every later gradient as it was: the kernel has
-        read all it needs of that parameter."""
+        """Overwriting each model's vector with NaN as soon as its gradient
+        is handed out leaves the later gradient as it was: the kernel has
+        read all it needs of that model."""
         enc, dec, cleans, corrupteds = mae_batch(40, 5, 8, seed=3)
         want_losses, want = mae_gradients(enc, dec, cleans, corrupteds)
         losses, grads = _mae_forward_backward(enc, dec, cleans, corrupteds)
         assert losses == want_losses
-        params = {**enc.params(), **dec.params()}
-        for name, grad in grads:
-            assert grad.tobytes() == want[name].tobytes(), name
-            params[name][...] = np.nan
+        for model, grad in zip((dec, enc), grads, strict=True):
+            for name, view in matrices(grad).items():
+                assert view.tobytes() == want[name].tobytes(), name
+            model.params[...] = np.nan
 
     def test_memory_beyond_the_gradient_buffer(self):
         """At V = 8,000, d = 16 and 32 sequences of 12 tokens the gradient
-        buffer is the (16, 8,000) output's 1.024 MB; the rest of the chunk's
-        traced peak is 0.57 MB, because no two vocabulary blocks' arrays
-        coexist in the second sweep."""
+        buffer is the encoder's vector, the larger one, 1.026 MB; the rest
+        of the chunk's traced peak is 0.57 MB, because no two vocabulary
+        blocks' arrays coexist in the second sweep."""
         vocab, dim, n, length = 8_000, 16, 32, 12
         enc = ToyEncoder.create(vocab, dim, seed=7)
         dec = MaeDecoder.create(length, dim, vocab, seed=7)
         rng = np.random.default_rng(7)
-        dec.output = rng.normal(0, 0.5, size=dec.output.shape)
+        dec.output[...] = rng.normal(0, 0.5, size=dec.output.shape)
         clean = Tokens(rng.integers(MASK_ID + 1, vocab, size=n * length), np.full(n, length))
         corrupted = corrupt(clean, 0.3, range(n))
         tracemalloc.start()
@@ -607,7 +606,9 @@ class TestMaeKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - dec.output.nbytes) / 1e6 < 0.57 * 1.25
+        buffer = max(enc.params.nbytes, dec.params.nbytes)
+        assert buffer == (vocab * dim + dim * dim) * 8
+        assert (peak - buffer) / 1e6 < 0.57 * 1.25
 
     def test_rerun_is_byte_identical(self):
         """At the default block and a vocabulary large enough for several
@@ -643,10 +644,33 @@ class TestCheckpoint:
         dec = MaeDecoder.create(10, 6, len(tok.id_to_token), seed=11)
         save_checkpoint(tmp_path / "model.bin", enc, tok, dec)
         ckpt = load_checkpoint(tmp_path / "model.bin")
-        for arr in (*ckpt.encoder.params().values(), *ckpt.decoder.params().values()):
+        for arr in (ckpt.encoder.params, ckpt.decoder.params):
             assert arr.flags.writeable and arr.flags.owndata
             assert arr.flags.c_contiguous and arr.dtype == np.float64
         ckpt.encoder.token_table[0, 0] += 1.0
+        assert ckpt.encoder.params[0] == ckpt.encoder.token_table[0, 0]
+
+    def test_body_is_each_models_vector_and_views_share_it(self, tmp_path):
+        """The body is token_table, projection, position_table, output, which
+        is the encoder's vector and then the decoder's; each named matrix is
+        a view of its model's vector, after create and after a load."""
+        tok = Tokenizer.from_texts(["alpha beta gamma", "beta delta"])
+        enc = ToyEncoder.create(tok.vocab_size, 6, seed=11)
+        dec = MaeDecoder.create(10, 6, tok.vocab_size, seed=11)
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, enc, tok, dec)
+        raw = path.read_bytes()
+        body = raw[raw.index(b"\n") + 1:]
+        assert body == b"".join(m.tobytes() for m in matrices(enc, dec).values())
+        assert body == enc.params.tobytes() + dec.params.tobytes()
+        assert list(matrices(enc, dec)) == ["token_table", "projection", "position_table", "output"]
+        ckpt = load_checkpoint(path)
+        for model in (enc, dec, ckpt.encoder, ckpt.decoder):
+            for name, view in matrices(model).items():
+                assert np.shares_memory(view, model.params), name
+        for params in (enc.params[:-1], np.append(enc.params, 0.0)):
+            with pytest.raises(ValueError, match="cannot reshape"):
+                ToyEncoder(params, enc.vocab_size, enc.dim)
 
     def test_load_holds_the_file_and_the_parameters_only(self, tmp_path):
         """Loading a 5 MB checkpoint holds, beyond what it returns, the
@@ -773,6 +797,20 @@ class TestCheckpoint:
         bad.write_bytes(json.dumps(header).encode() + b"\n")
         with pytest.raises(ValueError, match=re.escape(f"{bad}: negative matrix shape")):
             read(bad)
+
+    @pytest.mark.parametrize("key", ["vocab_size", "dim", "max_positions"])
+    def test_checkpoint_header_with_a_zero_dim_rejected(self, tmp_path, key):
+        """A zero dim is refused, naming the file: a (V, 0) table would load
+        and fail only when the first batch is encoded."""
+        write_binary_file("checkpoint", tmp_path / "good.bin")
+        header, _ = split_binary_file(tmp_path / "good.bin")
+        header[key] = 0
+        if key == "vocab_size":
+            header["vocab"] = []
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: zero matrix shape")):
+            load_checkpoint(bad)
 
     @pytest.mark.parametrize("fmt", BINARY_FORMATS)
     def test_header_that_is_not_an_object_rejected(self, tmp_path, fmt):

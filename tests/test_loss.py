@@ -6,6 +6,7 @@ against an independent evaluation path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,23 @@ class TestInfoNce:
         bumped[0, 0] = min(1.0, bumped[0, 0] + 0.05)
         if bumped[0, 0] > neg[0, 0]:
             assert info_nce(pos, bumped, tau)[0] > base
+
+    def test_memory_is_one_logit_buffer(self):
+        """At B = 64 and N = 8,192 the kernel's (B, N + 1) logit buffer is
+        4.2 MB; InfoNCE's unit scales are a broadcast, not a (B, N) array
+        of ones, so the traced peak is 1.25 buffers, the rest mostly the
+        default mask (2.25 with the ones), and the record's scales still
+        have the negatives' shape."""
+        rng = np.random.default_rng(114)
+        pos, neg = rng.uniform(-1, 1, size=64), rng.uniform(-1, 1, size=(64, 8_192))
+        tracemalloc.start()
+        try:
+            _, record = info_nce(pos, neg, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.scales.shape == neg.shape and (record.scales == 1.0).all()
+        assert peak < 1.5 * 64 * 8_193 * 8
 
     def test_agrees_with_progressive_when_coefficients_inactive(self):
         """All positives above threshold, all negatives easy: the losses

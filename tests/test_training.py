@@ -2,15 +2,18 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import (
     OracleAdamW,
     batch_similarities,
+    matrices,
     oracle_batch_layout,
     oracle_descent,
     oracle_step_gradients,
+    zero_grad,
 )
 
 from progemb import encoder, training
@@ -168,13 +171,13 @@ class TestBuildBatch:
 
 
 def step_gradients(batch, enc, state, hyper, loss_mode):
-    """_step_loss_and_gradients into a fresh gradient dict: value, pos,
-    mean weight and the dict."""
-    grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+    """_step_loss_and_gradients into a fresh gradient: value, pos, mean
+    weight and the gradient's matrices by name."""
+    grad = zero_grad(enc)
     value, pos, mean_w, _ = _step_loss_and_gradients(
-        batch, enc, state, hyper, loss_mode, grads
+        batch, enc, state, hyper, loss_mode, grad
     )
-    return value, pos, mean_w, grads
+    return value, pos, mean_w, matrices(grad)
 
 
 class TestStepGradients:
@@ -223,20 +226,19 @@ class TestStepGradients:
                 grads[name], fd, atol=2e-6, err_msg=f"gradient mismatch for {name}"
             )
 
-    def test_gradient_dict_is_zeroed_and_refilled(self):
-        """A dict that already holds another step's gradients is filled
-        with the same bytes as a fresh one, in the same arrays."""
+    def test_gradient_vector_is_zeroed_and_refilled(self):
+        """A gradient that already holds another step's values is filled
+        with the same bytes as a fresh one, in the same vector."""
         _, enc, tokens = make_fixture(dim=4, seed=3)
         data = training_set([(0, 1, (2,)), (3, 4, (1,))])
         args = (MomentumState(t=0.4, step=3), HyperParams(tau=0.1), "progressive")
         *_, want = step_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args)
-        grads = {name: np.full_like(p, 7.0) for name, p in enc.params().items()}
-        arrays = {name: id(g) for name, g in grads.items()}
-        _step_loss_and_gradients(build_batch(data, [1], tokens, enc), enc, *args, grads)
-        _step_loss_and_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args, grads)
-        assert {name: id(g) for name, g in grads.items()} == arrays
-        for name in want:
-            assert grads[name].tobytes() == want[name].tobytes(), name
+        grad = replace(enc, params=np.full_like(enc.params, 7.0))
+        vector = grad.params
+        _step_loss_and_gradients(build_batch(data, [1], tokens, enc), enc, *args, grad)
+        _step_loss_and_gradients(build_batch(data, [0, 1], tokens, enc), enc, *args, grad)
+        assert grad.params is vector
+        assert grad.params.tobytes() == b"".join(g.tobytes() for g in want.values())
 
     def test_infonce_mode_ignores_coefficients(self):
         _, enc, tokens = make_fixture(dim=4, seed=5)
@@ -282,9 +284,9 @@ class TestStepAgainstPoolKernel:
             _, rec = progressive_loss(pos, neg, sigma, state.t, hyper.tau, neg_mask=neg_mask)
         else:
             _, rec = info_nce(pos, neg, hyper.tau, neg_mask=neg_mask)
-        want = oracle_step_gradients(
+        want = matrices(oracle_step_gradients(
             batch, enc, rec.weights, rec.scales, hyper.tau, reduction
-        )
+        ))
         if reduction == "sum":
             want = {name: grad / batch.size for name, grad in want.items()}
         for name in want:
@@ -448,14 +450,14 @@ class TestStepRowBlocks:
         want = np.clip(np.einsum("nd,nd->n", qn, cn[:9]), -1.0, 1.0)
         want_sigma = np.float64(batch_threshold(want, self.HYPER.beta)).tobytes()
         calls = self.record_losses(monkeypatch)
-        grads = {name: np.zeros_like(p) for name, p in enc.params().items()}
+        grad = zero_grad(enc)
         for rows, blocks in self.BLOCKINGS:
             if rows is not None:
                 self.block_rows(monkeypatch, batch, rows)
             for loss_mode in ("progressive", "infonce"):
                 del calls[:]
                 _, pos, _, sigma = _step_loss_and_gradients(
-                    batch, enc, self.STATE, self.HYPER, loss_mode, grads
+                    batch, enc, self.STATE, self.HYPER, loss_mode, grad
                 )
                 assert [len(p) for p, *_ in calls] == blocks
                 assert pos.tobytes() == want.tobytes(), (rows, loss_mode)
@@ -601,24 +603,25 @@ class TestPretrain:
 
 
 def state_of(enc, dec, opt):
-    """Copies of the parameters and of the AdamW moments, by name."""
-    state = {name: p.copy() for name, p in {**enc.params(), **dec.params()}.items()}
+    """Copies of the two parameter vectors and of the AdamW moments, by name."""
+    state = {"encoder": enc.params.copy(), "decoder": dec.params.copy()}
     for name in opt._m:
         state[f"m.{name}"], state[f"v.{name}"] = opt._m[name].copy(), opt._v[name].copy()
     return state
 
 
 class TestPretrainStreamedStep:
-    """pretrain applies each gradient as the kernel hands it out, one
-    parameter per optimizer call, into the parameters in place."""
+    """pretrain steps the decoder, then the encoder, as the kernel hands out
+    each one's gradient: one model vector per optimizer call, updated in
+    place."""
 
     @staticmethod
     def record(monkeypatch, poison_chunk=None):
         """Wrap the kernel and the optimizer factory. Returns the list of
-        chunks, each (clean, corrupted, {name: copy of the gradient as
-        handed out}), and the list of optimizers made. At poison_chunk the
-        parameters and moments are copied into `snapshot` and the chunk's
-        first loss is made NaN."""
+        chunks, each (clean, corrupted, {name: copy of the gradient vector
+        as handed out}, [(params, grads) of each optimizer call]), and the
+        list of optimizers made. At poison_chunk the parameters and moments
+        are copied into `snapshot` and the chunk's first loss is made NaN."""
         chunks, opts, snapshot = [], [], {}
 
         def kernel(enc, dec, clean, corrupted):
@@ -627,18 +630,25 @@ class TestPretrainStreamedStep:
             if len(chunks) == poison_chunk:
                 snapshot.update(state_of(enc, dec, opts[0]))
                 losses = [math.nan, *losses[1:]]
-            chunks.append((clean, corrupted, copies))
+            chunks.append((clean, corrupted, copies, []))
 
             def stream():
-                for name, grad in grads:
-                    copies[name] = grad.copy()
-                    yield name, grad
+                for name, grad in zip(("decoder", "encoder"), grads, strict=True):
+                    copies[name] = grad.params.copy()
+                    yield grad
 
             return losses, stream()
 
         def make(*args, _make=training.make_optimizer, **kwargs):
-            opts.append(_make(*args, **kwargs))
-            return opts[-1]
+            opt = _make(*args, **kwargs)
+
+            def step(params, grads, _step=opt.step):
+                chunks[-1][3].append((dict(params), dict(grads)))
+                _step(params, grads)
+
+            opt.step = step
+            opts.append(opt)
+            return opt
 
         monkeypatch.setattr(training, "_mae_forward_backward", kernel)
         monkeypatch.setattr(training, "make_optimizer", make)
@@ -651,6 +661,23 @@ class TestPretrainStreamedStep:
         dec.output[...] = np.random.default_rng(seed).normal(0, 0.3, size=dec.output.shape)
         return enc, dec, tokens
 
+    def test_each_chunk_steps_the_decoder_then_the_encoder(self, monkeypatch):
+        """Per chunk exactly two optimizer calls: the decoder's own vector
+        with its gradient, then the encoder's with its gradient, the two
+        gradients over the front of one buffer."""
+        enc, dec, tokens = self.model(seed=5)
+        chunks, _, _ = self.record(monkeypatch)
+        pretrain(tokens, enc, dec, 2, batch_size=4, lr=0.05, seed=0)
+        assert len(chunks) == 4
+        for *_, calls in chunks:
+            assert [(list(params), list(grads)) for params, grads in calls] == [
+                (["decoder"], ["decoder"]), (["encoder"], ["encoder"])]
+            (dec_params, dec_grads), (enc_params, enc_grads) = calls
+            assert dec_params["decoder"] is dec.params and enc_params["encoder"] is enc.params
+            assert dec_grads["decoder"].base is enc_grads["encoder"].base
+            assert dec_grads["decoder"].shape == dec.params.shape
+            assert enc_grads["encoder"].shape == enc.params.shape
+
     @pytest.mark.parametrize("optimizer, weight_decay",
                              [("adamw", 0.0), ("adamw", 0.05), ("sgd", 0.0), ("sgd", 0.05)])
     def test_matches_whole_dict_oracle_step(self, monkeypatch, optimizer, weight_decay):
@@ -660,17 +687,17 @@ class TestPretrainStreamedStep:
         weight_decay * p) gives the same parameters and moments."""
         lr = 0.05
         enc, dec, tokens = self.model(seed=5)
-        want = {name: p.copy() for name, p in {**enc.params(), **dec.params()}.items()}
+        want = {"encoder": enc.params.copy(), "decoder": dec.params.copy()}
         chunks, opts, _ = self.record(monkeypatch)
         pretrain(tokens, enc, dec, 2, batch_size=4, lr=lr, weight_decay=weight_decay,
                  optimizer=optimizer, seed=0)
         assert len(chunks) == 4
         ref = OracleAdamW(lr=lr, weight_decay=weight_decay)
-        for clean, corrupted, streamed in chunks:
-            replay_enc = ToyEncoder(want["token_table"], want["projection"])
-            replay_dec = MaeDecoder(want["position_table"], want["output"])
+        for clean, corrupted, streamed, _ in chunks:
+            replay_enc = replace(enc, params=want["encoder"])
+            replay_dec = replace(dec, params=want["decoder"])
             _, grads = encoder._mae_forward_backward(replay_enc, replay_dec, clean, corrupted)
-            grads = {name: grad.copy() for name, grad in grads}
+            grads = {name: grad.params.copy() for name, grad in zip(("decoder", "encoder"), grads)}
             assert grads.keys() == streamed.keys()
             for name, grad in grads.items():
                 assert grad.tobytes() == streamed[name].tobytes(), name
@@ -679,7 +706,7 @@ class TestPretrainStreamedStep:
                 want = ref.step(want, grads)
             else:
                 want = oracle_descent(want, grads, lr, weight_decay)
-        for name, p in {**enc.params(), **dec.params()}.items():
+        for name, p in (("encoder", enc.params), ("decoder", dec.params)):
             assert p.tobytes() == want[name].tobytes(), name
         if optimizer == "adamw":
             for name in want:
@@ -703,9 +730,9 @@ class TestPretrainStreamedStep:
         """3 chunks at V = 8,000, d = 16, under tracemalloc from before the
         model is made. From the second chunk on, each chunk's traced peak
         stays below the parameters, their two moments, one buffer of the
-        largest parameter and an allowance of four of the kernel's column
+        larger model vector and an allowance of four of the kernel's column
         blocks (1.05 MB; the kernel's transients peak at 0.83 MB here). A
-        step that also holds a whole gradient dict or a fresh copy of the
+        step that also holds both models' gradients or a fresh copy of the
         parameters is 2 MB or more above it."""
         allowance = 4 * encoder.MAE_BLOCK * 8
         words = [f"w{i}" for i in range(7_998)]
@@ -728,7 +755,7 @@ class TestPretrainStreamedStep:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        params = [*enc.params().values(), *dec.params().values()]
+        params = [enc.params, dec.params]
         total, largest = sum(p.nbytes for p in params), max(p.nbytes for p in params)
         assert tok.vocab_size == 8_000 and len(peaks) == 4
         # peaks[k] is chunk k's peak, k = 1, 2, 3
@@ -810,24 +837,34 @@ class TestFinetune:
         np.testing.assert_allclose(row.t, expected, atol=1e-12)
         assert result.state.step == start.step + len(result.audit)
 
-    def test_one_gradient_dict_per_run_and_parameters_updated_in_place(self, monkeypatch):
-        """Every step fills the same gradient arrays, and the optimizer
-        writes into the encoder's own arrays."""
+    def test_one_gradient_vector_per_run_and_parameters_updated_in_place(self, monkeypatch):
+        """Every step hands the optimizer the same gradient vector, filled by
+        that step, and the encoder's own vector, which it updates in place."""
         _, enc, tokens = make_fixture(seed=6)
-        params = enc.params()
-        seen = []
+        params, before = enc.params, enc.params.copy()
+        calls = []
 
-        def step(*args, _step=training._step_loss_and_gradients):
-            seen.append({name: id(g) for name, g in args[-1].items()})
-            return _step(*args)
+        def make(*args, _make=training.make_optimizer, **kwargs):
+            opt = _make(*args, **kwargs)
 
-        monkeypatch.setattr(training, "_step_loss_and_gradients", step)
-        before = {name: p.copy() for name, p in params.items()}
+            def step(params, grads, _step=opt.step):
+                calls.append((dict(params), dict(grads), grads["encoder"].copy()))
+                _step(params, grads)
+
+            opt.step = step
+            return opt
+
+        monkeypatch.setattr(training, "make_optimizer", make)
         finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2,
                  lr=0.01, seed=0)
-        assert len(seen) == 4 and all(ids == seen[0] for ids in seen)
-        for name, p in enc.params().items():
-            assert p is params[name] and not np.array_equal(p, before[name])
+        assert len(calls) == 4
+        grad = calls[0][1]["encoder"]
+        assert grad.shape == params.shape and not np.shares_memory(grad, params)
+        for step_params, step_grads, _ in calls:
+            assert list(step_params) == list(step_grads) == ["encoder"]
+            assert step_params["encoder"] is params and step_grads["encoder"] is grad
+        assert calls[0][2].tobytes() != calls[1][2].tobytes()
+        assert enc.params is params and not np.array_equal(params, before)
 
     def test_injected_nan_names_its_step(self):
         """A NaN in the projection gives NaN similarities and a NaN loss; the
