@@ -160,13 +160,12 @@ def _query_tokens(tok: Tokenizer, cfg: RunConfig, texts) -> Tokens:
 
 
 def _embed_passages(enc, tokens: Tokens, passages):
-    """Passage ids and embeddings from the passages' token store (row k is
-    passage k), one kernel call per EMBED_BLOCK passages."""
-    embs = np.empty((len(passages), enc.dim))
+    """(ids, embeddings) blocks of the passages from their token store (row
+    k is passage k), one kernel call per EMBED_BLOCK passages."""
     for start in range(0, len(passages), EMBED_BLOCK):
-        rows = np.arange(start, min(start + EMBED_BLOCK, len(passages)))
-        embs[rows] = encode_batch(enc, tokens.take(rows)).embs
-    return [p.passage_id for p in passages], embs
+        block = passages[start : start + EMBED_BLOCK]
+        rows = np.arange(start, start + len(block))
+        yield [p.passage_id for p in block], encode_batch(enc, tokens.take(rows)).embs
 
 
 def cmd_pretrain(cfg: RunConfig) -> None:
@@ -212,7 +211,9 @@ def cmd_mine(cfg: RunConfig) -> None:
     if not passages:
         raise ValueError(f"{cfg.corpus_path}: no passages after splitting")
     texts = {p.passage_id: p.text for p in passages}
-    ids, embs = _embed_passages(enc, _passage_tokens(tok, cfg, passages), passages)
+    ids = [p.passage_id for p in passages]
+    embs = np.concatenate([e for _, e in _embed_passages(
+        enc, _passage_tokens(tok, cfg, passages), passages)])
 
     queries: list[tuple[str, str]] = []
     positives: dict[str, str] = {}
@@ -320,18 +321,16 @@ def _print_report(report: dataio.MetricReport) -> None:
 
 
 def _embed_gallery(enc, tok: Tokenizer, cfg: RunConfig, path):
-    """Ids and embeddings of a gallery file's passages. The file is read,
-    tokenized and embedded GALLERY_BLOCK passages at a time; only the ids
-    and the embedding rows outlive a block."""
-    ids, blocks = [], []
+    """(ids, embeddings) blocks of a gallery file's passages, made as they
+    are drawn. The file is read and tokenized GALLERY_BLOCK passages at a
+    time, so nothing outlives a block but what the consumer keeps."""
     passages = dataio.iter_corpus(path)
-    while block := list(itertools.islice(passages, GALLERY_BLOCK)):
-        block_ids, embs = _embed_passages(enc, _passage_tokens(tok, cfg, block), block)
-        ids += block_ids
-        blocks.append(embs)
-    if not blocks:
+    block = list(itertools.islice(passages, GALLERY_BLOCK))
+    if not block:
         raise ValueError(f"{path}: gallery has no records")
-    return ids, np.concatenate(blocks)
+    while block:
+        yield from _embed_passages(enc, _passage_tokens(tok, cfg, block), block)
+        block = list(itertools.islice(passages, GALLERY_BLOCK))
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
@@ -340,9 +339,6 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     # queries and qrels are checked before the gallery's expensive pass
     query_rows = dataio.read_queries(_require(cfg.queries_path, "queries_path"))
     qrels = dataio.read_qrels(_require(cfg.qrels_path, "qrels_path"))
-    gallery_ids, gallery_embs = _embed_gallery(
-        ckpt.encoder, ckpt.tokenizer, cfg, gallery_path
-    )
     tok, stores, failed = ckpt.tokenizer, {}, []
     for qid, text in query_rows:
         try:
@@ -351,10 +347,10 @@ def cmd_evaluate(cfg: RunConfig) -> None:
             # evaluation carries on; the report records the failed query
             failed.append((qid, None))
     tokens = Tokens.concat(stores.values()) if stores else tok.encode_texts(())
+    # the gallery is read, embedded and ranked a block at a time
     report = evaluate_run(
         [*zip(stores, encode_batch(ckpt.encoder, tokens).embs), *failed],
-        gallery_ids,
-        gallery_embs,
+        _embed_gallery(ckpt.encoder, tok, cfg, gallery_path),
         qrels,
         depth=cfg.eval_depth,
         include_zero_relevant=cfg.include_zero_relevant,
@@ -455,10 +451,10 @@ def cmd_bench(cfg: RunConfig) -> None:
             enc = ToyEncoder.create(tok.vocab_size, cfg.embed_dim, seed=seed)
             _finetune(dataclasses.replace(cfg, finetune_epochs=cfg.bench_epochs,
                                           loss_mode=mode, seed=seed), train, tokens, enc)
-            gallery_ids, gallery_embs = _embed_passages(enc, gallery, data.passages)
             queries = zip((q.query_id for q in data.heldout), encode_batch(enc, held).embs)
             return evaluate_run(
-                queries, gallery_ids, gallery_embs, data.qrels(), depth=cfg.eval_depth
+                queries, _embed_passages(enc, gallery, data.passages), data.qrels(),
+                depth=cfg.eval_depth,
             ).macro
 
         for mode, macro in zip(("progressive", "infonce"), _modes(run)):

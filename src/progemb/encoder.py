@@ -381,7 +381,8 @@ def _mae_forward_backward(enc, dec, clean: Tokens, corrupted: Tokens):
     fwd = encode_batch(enc, corrupted)
     buf = np.empty(max(enc.params.size, dec.params.size))
     d_dec = replace(dec, params=buf[: dec.params.size])
-    d_dec.params.fill(0.0)
+    # the output gradient is written whole by the second pass
+    d_dec.position_table.fill(0.0)
     n, w, d_output = len(lengths), dec.output, d_dec.output
     seqs = np.repeat(np.arange(n), lengths)
     positions = np.arange(len(targets)) - np.repeat(starts, lengths)

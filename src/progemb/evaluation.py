@@ -5,15 +5,17 @@ and an ideal DCG over all judged docs, so 1.0 needs a perfect ranking. MAP
 divides by the total relevant count, not just the retrieved ones. Queries
 with no relevant docs are excluded from macro averages by default and listed
 in the report; include_zero_relevant=True scores them 0 for NDCG and MRR
-only. A run ranks all its queries in one call into `similarity.top_k`.
+only. A run ranks all its queries in one call into `similarity.top_k`, which
+streams the gallery as (ids, embeddings) blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,13 +62,14 @@ def _relevant_ids(rels: Mapping[str, int]) -> set[str]:
 def rank_gallery(
     query_ids: Sequence[str],
     query_embs: np.ndarray,
-    gallery_ids: Sequence[str],
-    gallery_embs: np.ndarray,
+    gallery: Iterable[tuple[Sequence[str], np.ndarray]],
     depth: int,
-) -> list[RankedList]:
-    """Exact top-`depth` retrieval per query row, ties by ascending doc id."""
-    hits = top_k(query_embs, gallery_embs, gallery_ids, depth)
-    return [RankedList(qid, *hit) for qid, hit in zip(query_ids, hits, strict=True)]
+) -> Iterator[RankedList]:
+    """Exact top-`depth` retrieval per query row, ties by ascending doc id,
+    over the gallery's (ids, embeddings) blocks. The ranking is done on
+    return; each query's list is made as it is drawn."""
+    hits = top_k(query_embs, gallery, depth)
+    return (RankedList(qid, *hit) for qid, hit in zip(query_ids, hits, strict=True))
 
 
 def ndcg_at_k(ranked: RankedList, qrels: Qrels, k: int = 10) -> float:
@@ -135,8 +138,7 @@ def _query_row(ranked: RankedList, qrels: Qrels, has_relevant: bool) -> dict[str
 
 def evaluate_run(
     queries,
-    gallery_ids: Sequence[str],
-    gallery_embs: np.ndarray,
+    gallery: Iterable[tuple[Sequence[str], np.ndarray]],
     qrels: Qrels,
     *,
     depth: int = 50,
@@ -144,17 +146,21 @@ def evaluate_run(
 ) -> MetricReport:
     """Rank every query and report per-query plus macro metrics.
 
-    queries is (query_id, embedding-or-None) pairs; a None, zero-norm or
-    wrongly sized embedding becomes a per-query error entry and the run
-    continues. Cutoffs larger than depth are effectively capped by the
-    ranked list length. Rows are ordered by query id.
+    queries is (query_id, embedding-or-None) pairs and gallery an iterable
+    of (ids, embeddings) blocks, read once as they are ranked; a None,
+    zero-norm or wrongly sized embedding becomes a per-query error entry and
+    the run continues. Cutoffs larger than depth are effectively capped by
+    the ranked list length. Rows are ordered by query id, and each query's
+    row is scored as its list is drawn.
     """
-    if len(gallery_ids) == 0:
+    blocks = iter(gallery)
+    head = next(blocks, None)
+    if head is None:
         raise ValueError("cannot evaluate against an empty gallery")
     per_query: dict[str, dict[str, float]] = {}
     errors: dict[str, str] = {}
     excluded: list[str] = []
-    dim, valid = np.shape(gallery_embs)[1], {}
+    dim, valid = np.shape(head[1])[1], {}
     for query_id, emb in sorted(queries, key=lambda item: item[0]):
         if emb is None:
             errors[query_id] = "missing embedding"
@@ -167,7 +173,8 @@ def evaluate_run(
         else:
             valid[query_id] = emb
     rows = np.reshape(list(valid.values()), (len(valid), dim))
-    for ranked in rank_gallery(list(valid), rows, gallery_ids, gallery_embs, depth):
+    gallery = itertools.chain([head], blocks)
+    for ranked in rank_gallery(list(valid), rows, gallery, depth):
         query_id = ranked.query_id
         has_relevant = bool(_relevant_ids(qrels.get(query_id, {})))
         if not has_relevant:

@@ -149,7 +149,7 @@ def mine_hard_negatives(
     depend on its position; a BLAS product only screens the candidates.
     Non-finite embeddings and repeated passage ids are a ValueError.
     """
-    hits = top_k(query_embs, passage_embs, passage_ids, k, exclude=positive_ids)
+    hits = top_k(query_embs, [(passage_ids, passage_embs)], k, exclude=positive_ids)
     return [list(zip(*hit)) for hit in hits]
 
 

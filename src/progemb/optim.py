@@ -1,7 +1,9 @@
 """Optimizers over named parameter arrays, updated in place.
 
 `step(params, grads)` writes each parameter's update into the array it is
-given and returns nothing. Training passes one name per model ("encoder",
+given and returns nothing, then raises a ValueError naming the first
+parameter that holds a non-finite value after the update; each block is
+checked as it is written. Training passes one name per model ("encoder",
 "decoder") with its whole parameter vector. No parameter-sized array is
 made beyond the AdamW moments, kept per name with that name's step count,
 so a call may carry any subset of the names, as pretraining steps the
@@ -44,6 +46,11 @@ def _check_hyper(lr: float, weight_decay: float):
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
 
 
+def _raise_non_finite(bad: list[str]):
+    if bad:
+        raise ValueError(f"non-finite {bad[0]} after the update")
+
+
 def _blocks(p: np.ndarray, *others: np.ndarray):
     """Matching ADAMW_BLOCK-element blocks of p and others, plus two scratch
     buffers cut to each block's length. p's blocks are views of its
@@ -69,8 +76,9 @@ class GradientDescent:
         """Update params in place: p - lr * g, then - lr * weight_decay * p
         of the old p."""
         _check_keys(params, grads)
-        decay = self.lr * self.weight_decay
+        decay, bad = self.lr * self.weight_decay, []
         for name, p in params.items():
+            finite = True
             for p_b, g, tmp, old in _blocks(p, grads[name]):
                 np.multiply(g, self.lr, out=tmp)
                 if self.weight_decay:
@@ -78,6 +86,10 @@ class GradientDescent:
                 p_b -= tmp
                 if self.weight_decay:
                     p_b -= old
+                finite = finite and bool(np.isfinite(p_b).all())
+            if not finite:
+                bad.append(name)
+        _raise_non_finite(bad)
 
 
 class AdamW:
@@ -114,7 +126,7 @@ class AdamW:
         """
         _check_keys(params, grads)
         b1, b2 = self.betas
-        decay = self.lr * self.weight_decay
+        decay, bad = self.lr * self.weight_decay, []
         for name, p in params.items():
             if name not in self._m:
                 self._t[name] = 0
@@ -122,6 +134,7 @@ class AdamW:
                 self._v[name] = np.zeros_like(p)
             self._t[name] += 1
             c1, c2 = 1.0 - b1 ** self._t[name], 1.0 - b2 ** self._t[name]
+            finite = True
             for p_b, g, m, v, tmp, den in _blocks(p, grads[name], self._m[name], self._v[name]):
                 # m = b1 * m + (1 - b1) * g
                 np.multiply(m, b1, out=m)
@@ -144,6 +157,10 @@ class AdamW:
                 p_b -= tmp
                 if self.weight_decay:
                     p_b -= den
+                finite = finite and bool(np.isfinite(p_b).all())
+            if not finite:
+                bad.append(name)
+        _raise_non_finite(bad)
 
 
 def make_optimizer(mode: str, lr: float, weight_decay: float = 0.0):

@@ -5,20 +5,21 @@ exponentiation, and float32 loses gradient fidelity at that magnification.
 
 `top_k` is exact and its scores are einsum's, but einsum is slow: a BLAS
 product screens every query-passage pair first, and einsum rescores only the
-pairs within a proven rounding bound of each query's k-th best.
+pairs within a proven rounding bound of each query's k-th best. It streams
+the gallery: only one tile of it and each query's k best are held.
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 import numpy as np
 
 __all__ = ["cosine", "sim_matrix", "top_k"]
 
-# entries per top-k tile (512 KB of float64): bounds the screen's memory. The
-# entries a query block holds between tiles, and each rescoring gather, stay
-# within TOPK_BLOCK // 8.
+# entries per top-k gallery tile and per screening product (512 KB of float64
+# each): bounds top_k's memory beyond its (Q, k) state. The first tiles take a
+# quarter of it: with whole tiles, `bench` on paper-bench-noisy (2,000
+# passages) peaked about 0.9 MB higher; with quarter tiles throughout,
+# `evaluate` ranked a 100k gallery about 25 % slower.
 TOPK_BLOCK = 1 << 16
 
 
@@ -56,19 +57,26 @@ def cosine(a, b) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def _unit_rows(x, name: str, finite: bool = False) -> np.ndarray:
-    """x's rows scaled to unit norm. A zero row is a ValueError, and so, with
-    ``finite``, is a row whose norm is not finite; without it such a row
-    gives NaN, which the training step reports as a non-finite loss."""
-    arr = np.asarray(x, dtype=np.float64)
+def _row_norms(arr: np.ndarray, name: str, finite: bool, first: int = 0) -> np.ndarray:
+    """The norms of arr's rows. A zero row is a ValueError, and so, with
+    ``finite``, is a row whose norm is not finite; either names the row as
+    ``first`` plus its index."""
     norms = np.linalg.norm(arr, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"zero-norm vector: {name} row {int(zero[0])}")
+        raise ValueError(f"zero-norm vector: {name} row {first + int(zero[0])}")
     bad = np.flatnonzero(~np.isfinite(norms)) if finite else ()
     if len(bad):
-        raise ValueError(f"non-finite vector: {name} row {int(bad[0])}")
-    return arr / norms[:, None]
+        raise ValueError(f"non-finite vector: {name} row {first + int(bad[0])}")
+    return norms
+
+
+def _unit_rows(x, name: str) -> np.ndarray:
+    """x's rows scaled to unit norm. A zero row is a ValueError; a row whose
+    norm is not finite gives NaN, which the training step reports as a
+    non-finite loss."""
+    arr = np.asarray(x, dtype=np.float64)
+    return arr / _row_norms(arr, name, False)[:, None]
 
 
 def sim_matrix(queries, candidates) -> np.ndarray:
@@ -102,28 +110,6 @@ def sim_matrix(queries, candidates) -> np.ndarray:
     return s
 
 
-def _settle(qb, g, held, found, threshold, rank, kk: int):
-    """The ``held`` (row, column, score) entries of a query block with the
-    ``found`` (row, column, BLAS score) ones that beat their row's
-    ``threshold``. Those are rescored with einsum and clipped, gathering at
-    most TOPK_BLOCK // 8 entries at a time. All are sorted by (row, -score,
-    id rank), and each row is cut to its first kk."""
-    r, c, b = (np.concatenate(x) for x in zip(*found))
-    keep = b > threshold[r]
-    r, c = r[keep], c[keep]
-    e, pairs = np.empty(len(r)), max(1, TOPK_BLOCK // (8 * g.shape[1]))
-    for lo in range(0, len(r), pairs):
-        span = slice(lo, lo + pairs)
-        e[span] = np.einsum("nd,nd->n", qb[r[span]], g[c[span]])
-    np.clip(e, -1.0, 1.0, out=e)
-    r, c, e = (np.concatenate(x) for x in zip(held, (r, c, e)))
-    order = np.lexsort((rank[c], -e, r))
-    r, c, e = r[order], c[order], e[order]
-    n = np.bincount(r, minlength=len(qb))
-    keep = np.arange(len(r)) - (np.cumsum(n) - n)[r] < kk
-    return r[keep], c[keep], e[keep]
-
-
 def _raise_best(best, r, b):
     """Each row's kk best of ``best`` (rows, kk) and of the scores ``b`` in the
     ascending rows ``r``, from one partition of kk plus the most scores any
@@ -136,105 +122,224 @@ def _raise_best(best, r, b):
     return both[:, n.max() :].copy()
 
 
-def _block(qb, g, skip, rank, kk: int, width: int, slack: float):
-    """The top kk (row, column, score) entries of each row of the query block
-    ``qb``, sorted by (row, -score, id rank); see `top_k`.
+def _tiles(gallery, base: int, width: int, d: int):
+    """The rows of the gallery's (ids, embeddings) blocks as (first row, ids,
+    rows) tiles, in one buffer that the next tile overwrites: the caller's
+    block size does not shape the tiles. The first tiles hold ``base`` rows,
+    and a later one an eighth of the rows read before it, up to ``width``:
+    a short gallery is screened in small tiles, a long one in few large
+    ones. The buffer doubles as rows arrive, so it is never longer than the
+    gallery. A repeated id is a ValueError."""
+    buf, names, seen, fill, first = np.empty((0, d)), np.empty(0, dtype=object), set(), 0, 0
+    limit = base
+    for ids, embs in gallery:
+        embs = np.asarray(embs, dtype=np.float64)
+        if embs.ndim != 2 or embs.shape[1] != d or len(ids) != len(embs):
+            raise ValueError(f"bad top-k input: a gallery block of shape {embs.shape} "
+                             f"with {len(ids)} ids, queries of d={d}")
+        for pid in ids:
+            if pid in seen:
+                raise ValueError(f"repeated gallery id {pid!r}")
+            seen.add(pid)
+        at = 0
+        while at < len(embs):
+            if fill == len(buf):
+                size = min(limit, max(2 * fill, fill + len(embs) - at))
+                buf = np.concatenate([buf[:fill], np.empty((size - fill, d))])
+                names = np.concatenate([names[:fill], np.empty(size - fill, dtype=object)])
+            take = min(len(buf) - fill, len(embs) - at)
+            buf[fill : fill + take] = embs[at : at + take]
+            names[fill : fill + take] = ids[at : at + take]
+            fill, at = fill + take, at + take
+            if fill == limit:
+                yield first, names[:fill], buf[:fill]
+                first, fill = first + fill, 0
+                limit = min(width, max(limit, first // 8))
+    if fill:
+        yield first, names[:fill], buf[:fill]
 
-    One BLAS product scores each tile of ``width`` gallery columns, and the
-    ``skip`` (row, column) pairs score -inf. A column is found when it scores
-    above its row's kk-th best so far less ``slack``: strictly, so that an
-    excluded column is never found. Each row's kk best come from a partition
-    of the first tile, then only found scores can raise them
-    (`_raise_best`). The found entries are settled (`_settle`) at the last
-    tile, or once there are more than TOPK_BLOCK // 8 of them: many ties
-    could otherwise hold a whole gallery per row.
-    """
-    skip_row, skip_col = np.array(skip, dtype=np.intp).reshape(-1, 2).T
-    held = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
-    found, pending = [], 0
-    for lo in range(0, len(g), width):
-        tile, here = g[lo : lo + width].T, (skip_col >= lo) & (skip_col < lo + width)
-        skip_here = skip_row[here], skip_col[here] - lo
-        s = qb @ tile
-        s[skip_here] = -np.inf
-        if lo == 0:  # at least kk columns wide, as kk <= len(g)
-            # partitioned in place, then scored again: a copy of the tile
-            # would raise the call's peak memory
-            s.partition(s.shape[1] - kk, axis=1)
-            best = s[:, -kk:].copy()
-            np.matmul(qb, tile, out=s)
+
+def _ordered(r, ids, e, k: int):
+    """The (row, id, score) entries by (row, -score, id), cut to k a row:
+    one lexsort on (row, -score), then each run of exact ties put in
+    ascending id order, in Python's order (a numpy string sort ignores
+    trailing NULs)."""
+    order = np.lexsort((-e, r))
+    r, ids, e = r[order], ids[order], e[order]
+    tie = (r[1:] == r[:-1]) & (e[1:] == e[:-1])
+    if tie.any():
+        edge = np.diff(np.concatenate([[0], tie, [0]]).astype(np.int8))
+        for a, z in zip(np.flatnonzero(edge == 1).tolist(), np.flatnonzero(edge == -1).tolist()):
+            run = a + np.array(sorted(range(z + 1 - a), key=ids[a : z + 1].__getitem__))
+            ids[a : z + 1], e[a : z + 1] = ids[run], e[run]
+    n = np.bincount(r)
+    keep = np.arange(len(r)) - (np.cumsum(n) - n)[r] < k
+    return r[keep], ids[keep], e[keep]
+
+
+class _Screen:
+    """The state of one `top_k` call, all that outlives a tile. Per query
+    row, ``best`` holds its running kk best BLAS scores, the least first,
+    for kk = min(k, gallery rows seen). Per block of ``rows`` query rows,
+    ``found`` holds the exact (row in the block, id, score) entries
+    screened in. Once a block holds 6/5 of k entries a row, those that no
+    longer beat their row's threshold are dropped, and if exact ties keep
+    that many, each row is cut to its k best (`_ordered`): the state stays
+    within 6/5 of (Q, k), plus one product's finds. (At 3/2, `bench` on
+    paper-bench-noisy peaked 0.4 MB higher, at no gain in time.) The query
+    rows are scaled to unit norm a block at a time, by the norms taken
+    once."""
+
+    def __init__(self, queries, norms, k: int, rows: int, exclude):
+        d = queries.shape[1]
+        eps = np.finfo(np.float64).eps
+        self.queries, self.norms, self.k, self.rows = queries, norms, k, rows
+        self.slack = 4 * d * eps / (1 - d * eps) + 8 * eps
+        self.banned: dict = {}
+        for i, ps in enumerate(exclude or ()):
+            for p in ps:
+                self.banned.setdefault(p, []).append(i)
+        self.best = np.empty((len(queries), 0))
+        blocks = range(0, len(queries), rows)
+        self.found, self.count = [[] for _ in blocks], [0] * len(blocks)
+
+    def tile(self, first: int, names, t):
+        """Screen the unit rows t, gallery rows ``first`` on named by
+        ``names``, against every block of query rows; see `top_k`.
+
+        One BLAS product scores each block, and the excluded pairs score
+        -inf. A column is found when it scores above its row's kk-th best
+        so far less ``slack``: strictly, so that an excluded column is never
+        found. A block with a row that has not seen kk columns takes its kk
+        best from a partition of the product; otherwise only found scores
+        can raise them (`_raise_best`), and the found ones that fall below
+        the raised threshold are dropped. The rest are rescored with einsum
+        while t is in hand, the two sides' gathered rows holding no more than
+        the product.
+        """
+        n, d = t.shape
+        kk = min(self.k, first + n)
+        if kk > self.best.shape[1]:  # -inf in front keeps the least first
+            pad = np.full((len(self.best), kk - self.best.shape[1]), -np.inf)
+            self.best = np.concatenate([pad, self.best], axis=1)
+        skip: dict = {}  # block: (rows in it, columns) of the excluded pairs
+        for j, pid in enumerate(names.tolist() if self.banned else ()):
+            for i in self.banned.get(pid, ()):
+                rows, cols = skip.setdefault(i // self.rows, ([], []))
+                rows.append(i % self.rows)
+                cols.append(j)
+        for blk, lo in enumerate(range(0, len(self.queries), self.rows)):
+            qb = self.queries[lo : lo + self.rows] / self.norms[lo : lo + self.rows, None]
+            best, skip_here = self.best[lo : lo + self.rows], skip.get(blk, ((), ()))
+            s = qb @ t.T
             s[skip_here] = -np.inf
-        at = np.flatnonzero(s > best[:, :1] - slack)
-        r, b = at // s.shape[1], s.ravel()[at]
-        if lo:  # the first tile's scores are in best already
-            best = _raise_best(best, r, b)
-        found.append((r, at % s.shape[1] + lo, b))
-        pending += len(at)
-        if pending > TOPK_BLOCK // 8 or lo + width >= len(g):
-            held = _settle(qb, g, held, found, best[:, 0] - slack, rank, kk)
-            found, pending = [], 0
-    return held
+            partitioned = np.isneginf(best[:, 0]).any()
+            if partitioned:
+                # partitioned in place, then scored again: a copy of the
+                # product would raise the call's peak memory
+                top = min(kk, n)
+                s.partition(n - top, axis=1)
+                both = np.concatenate([best, s[:, n - top :]], axis=1)
+                both.partition(top, axis=1)
+                best[...] = both[:, top:]
+                np.matmul(qb, t.T, out=s)
+                s[skip_here] = -np.inf
+            at = np.flatnonzero(s > best[:, :1] - self.slack)
+            r = at // n
+            if not partitioned and len(at):
+                b = s.ravel()[at]
+                best[...] = _raise_best(best, r, b)
+                keep = b > best[r, 0] - self.slack
+                at, r = at[keep], r[keep]
+            if len(at):
+                c, e, pairs = at % n, np.empty(len(at)), max(1, s.size // (2 * d))
+                for p in range(0, len(at), pairs):
+                    span = slice(p, p + pairs)
+                    e[span] = np.einsum("nd,nd->n", qb[r[span]], t[c[span]])
+                np.clip(e, -1.0, 1.0, out=e)
+                self.found[blk].append((r, names[c], e))
+                self.count[blk] += len(at)
+                if 5 * self.count[blk] >= 6 * len(qb) * self.k:
+                    self.compact(blk)
+
+    def compact(self, blk: int):
+        """Keep block blk's found entries that still beat their row's
+        threshold less ``slack``, cut to k a row if that leaves 6/5 of k.
+
+        Dropping the others is exact by the screen's argument: an entry's
+        einsum score is within 2 gamma_d of its BLAS one, and the slack
+        exceeds that, so a dropped one scores below the k-th best einsum
+        score at the end (see `top_k`)."""
+        r, ids, e = (np.concatenate(x) for x in zip(*self.found[blk]))
+        keep = e > self.best[blk * self.rows + r, 0] - self.slack
+        r, ids, e = r[keep], ids[keep], e[keep]
+        if 5 * len(r) >= 6 * self.rows * self.k:
+            r, ids, e = _ordered(r, ids, e, self.k)
+        self.found[blk], self.count[blk] = [(r, ids, e)], len(r)
+
+    def lists(self):
+        """Each query row's (ids, scores) pair of tuples, in row order."""
+        for blk, lo in enumerate(range(0, len(self.queries), self.rows)):
+            rows = min(self.rows, len(self.queries) - lo)
+            found = self.found[blk] or [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+            r, ids, e = _ordered(*(np.concatenate(x) for x in zip(*found)), self.k)
+            self.found[blk] = None
+            at = 0
+            for size in np.bincount(r, minlength=rows).tolist():
+                yield tuple(ids[at : at + size]), tuple(e[at : at + size].tolist())
+                at += size
 
 
-def top_k(queries, gallery, ids, k: int, exclude=None) -> list[tuple]:
-    """Exact top-k cosine retrieval: one (ids, scores) pair of tuples per query.
+def top_k(queries, gallery, k: int, exclude=None):
+    """Exact top-k cosine retrieval: an iterator of one (ids, scores) pair of
+    tuples per query, in query order.
 
-    queries is (Q, d); gallery is (M, d), M >= 1; every row is finite and
-    nonzero, and ids names each gallery row once; k >= 1; exclude holds, per
-    query, ids it must not return. A query with fewer than k eligible rows
-    gets all of them. The scores are the entries of ``np.einsum("qd,md->qm",
-    ...)`` over the unit rows, clipped to [-1, 1]: einsum, unlike a BLAS
-    matmul, gives byte-identical rows the same score at any position. They
-    descend, and exact ties go by ascending id.
+    queries is (Q, d). gallery is an iterable of (ids, embeddings) blocks,
+    each (n, d), with at least one row in all; a caller with one array
+    passes it as one block. Every row is finite and nonzero, ids name each
+    gallery row once, k >= 1, and exclude holds, per query, ids it must not
+    return. A query with fewer than k eligible rows gets all of them. The
+    scores are the entries of ``np.einsum("qd,md->qm", ...)`` over the unit
+    rows, clipped to [-1, 1]: einsum, unlike a BLAS matmul, gives
+    byte-identical rows the same score at any position. They descend, and
+    exact ties go by ascending id in Python's string order.
 
-    Two steps per block of query rows. The screen (`_block`) walks tiles of
-    at most TOPK_BLOCK entries, scores each with one BLAS product and keeps
-    the columns within ``slack`` of their row's k-th best BLAS score. Only
-    those are rescored with einsum, and one lexsort on (row, -score, id rank)
-    orders the whole block (`_settle`).
+    The gallery is read once. Its rows fill tiles of at most
+    max(TOPK_BLOCK // d, k) rows (`_tiles`), normalized in place, and each
+    tile is screened against blocks of query rows, one BLAS product of at
+    most TOPK_BLOCK entries each when TOPK_BLOCK >= k d (`_Screen.tile`).
+    Only the columns within ``slack`` of their row's running k-th best
+    BLAS score are rescored with einsum, and only a (Q, k) state outlives
+    a tile: no unit-norm copy of the gallery and no gallery-long score or
+    rank array. The set of ids seen is kept too, to refuse a repeated one.
+    All work is done before this returns; the lists are made as they are
+    drawn.
 
     The screen is exact. Each product of unit rows, BLAS or einsum, is within
     gamma_d = d eps / (1 - d eps) of the exact dot product (Higham, Accuracy
     and Stability of Numerical Algorithms, 3.1), so the two differ by at most
-    2 gamma_d. Let T be a row's k-th best BLAS score. The k columns at or above
-    it have einsum scores of at least T - 2 gamma_d, so the k-th best clipped
-    einsum score is at least the clip of T - 2 gamma_d. A column that reaches
-    it has an einsum score of at least T - 2 gamma_d, or ties with it at the
-    +1 or -1 clip; either way its BLAS score is at least T - 4 gamma_d. The
-    slack adds a few ulps to 4 gamma_d for the unit rows' rounded norms and
-    the rounding of T - slack.
+    2 gamma_d. Let T be a row's k-th best BLAS score over the whole gallery.
+    The k columns at or above it have einsum scores of at least
+    T - 2 gamma_d, so the k-th best clipped einsum score is at least the clip
+    of T - 2 gamma_d. A column that reaches it has an einsum score of at
+    least T - 2 gamma_d, or ties with it at the +1 or -1 clip; either way its
+    BLAS score is at least T - 4 gamma_d. The running k-th best only rises as
+    the gallery streams, so it never exceeds T, and a column it screens out
+    at any tile scores below T - 4 gamma_d. The slack adds a few ulps to
+    4 gamma_d for the unit rows' rounded norms and the rounding of the
+    threshold minus the slack.
     """
-    q = _unit_rows(queries, "queries", finite=True)
-    g = _unit_rows(gallery, "gallery", finite=True)
-    m, d = g.shape
-    kk = min(k, m)
-    if q.shape[1] != d or len(ids) != m or kk < 1:
-        raise ValueError(f"bad top-k input: queries {q.shape}, gallery {g.shape}, "
-                         f"{len(ids)} ids, k={k}")
-    column = dict(zip(ids, range(m)))
-    if len(column) < m:
-        repeated = next(pid for j, pid in enumerate(ids) if column[pid] != j)
-        raise ValueError(f"repeated gallery id {repeated!r}")
-    # Python's order: np.argsort on a numpy string array ignores trailing NULs
-    rank = np.empty(m, dtype=np.intp)
-    rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
-    eps = np.finfo(np.float64).eps
-    slack = 4 * d * eps / (1 - d * eps) + 8 * eps
-    # Square tiles reuse a gallery tile for many queries, but a block holds
-    # rows * k entries between tiles, in arrays that fragment the heap: at
-    # d = 64, k = 50 over 2,000 passages, 81 rows a block raised `bench`'s
-    # peak RSS by 1.2 MB over 20 rows (TOPK_BLOCK // (64 * k)). A tile is at
-    # least k columns wide, so that a tiny TOPK_BLOCK stays usable.
-    rows = max(1, min(len(q), isqrt(TOPK_BLOCK), TOPK_BLOCK // (64 * kk)))
-    width = max(kk, TOPK_BLOCK // rows)
-    out = []
-    for start in range(0, len(q), rows):
-        qb = q[start : start + rows]
-        skip = [(i, column[p]) for i, ps in enumerate(exclude[start : start + rows])
-                for p in ps if p in column] if exclude else []
-        r, c, e = _block(qb, g, skip, rank, kk, width, slack)
-        names, scores, at = [ids[j] for j in c.tolist()], e.tolist(), 0
-        for size in np.bincount(r, minlength=len(qb)).tolist():
-            out.append((tuple(names[at : at + size]), tuple(scores[at : at + size])))
-            at += size
-    return out
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or k < 1:
+        raise ValueError(f"bad top-k input: queries {queries.shape}, k={k}")
+    norms = _row_norms(queries, "queries", True)
+    d = queries.shape[1]
+    width = max(1, TOPK_BLOCK // d, k)
+    screen, m = _Screen(queries, norms, k, max(1, TOPK_BLOCK // width), exclude), 0
+    for first, names, t in _tiles(gallery, min(width, max(k, width // 4)), width, d):
+        t /= _row_norms(t, "gallery", True, first)[:, None]
+        screen.tile(first, names, t)
+        m = first + len(t)
+    if not m:
+        raise ValueError("bad top-k input: an empty gallery")
+    return screen.lists()

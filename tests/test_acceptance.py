@@ -338,7 +338,7 @@ def _retrieval_recall(seed: int, noise: float, loss_mode: str) -> float:
     queries = [
         (q.query_id, encode(enc, tok.encode_text(q.text, 16))) for q in data.heldout
     ]
-    report = evaluate_run(queries, gallery_ids, gallery, data.qrels(), depth=50)
+    report = evaluate_run(queries, [(gallery_ids, gallery)], data.qrels(), depth=50)
     return report.macro["recall@1"]
 
 

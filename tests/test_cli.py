@@ -870,8 +870,8 @@ class TestEvaluate:
         monkeypatch.setattr(cli, "encode_batch", spy_embed)
         monkeypatch.setattr(cli, "evaluate_run", spy_evaluate)
         assert main(["evaluate", "--config", cfg_path]) == 0
-        # the gallery's one block, then every query that tokenized
-        assert embedded == [6, len(rows) - 2]
+        # every query that tokenized, then the gallery's one block as it is ranked
+        assert embedded == [len(rows) - 2, 6]
         report = dataio.read_metrics_report(out / "metrics.jsonl")
         assert {"q-oov", "q-empty"} <= set(report.errors)
         got = dict(pairs)
@@ -879,7 +879,7 @@ class TestEvaluate:
 
         cfg = load_config(cfg_path)
         ckpt = load_checkpoint(cfg.checkpoint_path)
-        gallery_ids, gallery_embs = cli._embed_gallery(
+        [(gallery_ids, gallery_embs)] = cli._embed_gallery(
             ckpt.encoder, ckpt.tokenizer, cfg, cfg.gallery_path
         )
         ids = [qid for qid, text in rows if got[qid] is not None]
@@ -891,8 +891,9 @@ class TestEvaluate:
         batched = np.array([got[qid] for qid in ids])
         np.testing.assert_allclose(batched, one_row, rtol=0, atol=1e-15)
         depth = len(gallery_ids)
-        for a, b in zip(rank_gallery(ids, batched, gallery_ids, gallery_embs, depth),
-                        rank_gallery(ids, one_row, gallery_ids, gallery_embs, depth)):
+        gallery = [(gallery_ids, gallery_embs)]
+        for a, b in zip(rank_gallery(ids, batched, gallery, depth),
+                        rank_gallery(ids, one_row, gallery, depth), strict=True):
             assert a.doc_ids == b.doc_ids
 
     def test_queries_that_all_fail_to_tokenize_are_all_error_rows(self, tmp_path):
@@ -971,9 +972,10 @@ class TestStreamedGallery:
         cfg = load_config(cfg_path)
         ckpt = load_checkpoint(cfg.checkpoint_path)
         passages = dataio.read_corpus(gallery)
-        ids, embs = cli._embed_passages(
+        ids = [p.passage_id for p in passages]
+        embs = np.concatenate([e for _, e in cli._embed_passages(
             ckpt.encoder, cli._passage_tokens(ckpt.tokenizer, cfg, passages), passages
-        )
+        )])
         stores, queries = {}, []
         for qid, text in dataio.read_queries(cfg.queries_path):
             try:
@@ -981,7 +983,7 @@ class TestStreamedGallery:
             except ValueError:
                 queries.append((qid, None))
         queries += zip(stores, encode_batch(ckpt.encoder, Tokens.concat(stores.values())).embs)
-        report = evaluate_run(queries, ids, embs, dataio.read_qrels(cfg.qrels_path),
+        report = evaluate_run(queries, [(ids, embs)], dataio.read_qrels(cfg.qrels_path),
                               depth=cfg.eval_depth)
         dataio.write_metrics_report(tmp_path / "oracle.jsonl", report)
         assert (out / "metrics.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
@@ -1162,15 +1164,16 @@ class TestBench:
         monkeypatch.setattr(cli, "encode_batch", spy_embed)
         cfg, _ = self.make_cfg(tmp_path, bench_seeds=2)
         assert main(["bench", "--config", cfg]) == 0
-        # per seed and mode: the 40-passage gallery, then the 8 held-out queries
-        assert [len(tokens) for tokens in embedded] == [40, 8] * 4
+        # per seed and mode: the 8 held-out queries, then the 40-passage
+        # gallery as it is ranked
+        assert [len(tokens) for tokens in embedded] == [8, 40] * 4
         for seed in (0, 1):
             heldout = [q.text for q in make_clustered_corpus(
                 n_clusters=4, gallery_size=40, n_train=32, n_heldout=8, seed=seed
             ).heldout]
             (store,) = [tokens for texts, tokens in stores if texts == heldout]
             assert not any(texts[0] in heldout for texts, _ in stores if len(texts) == 1)
-            queries = embedded[4 * seed + 1 : 4 * seed + 4 : 2]
+            queries = embedded[4 * seed : 4 * seed + 4 : 2]
             assert all(tokens is store for tokens in queries)
 
     def test_two_seeds_average_into_summary(self, tmp_path):

@@ -272,7 +272,9 @@ class TestBatchedKernel:
         tok = Tokenizer.from_texts(p.text for p in passages)
         enc = ToyEncoder.create(tok.vocab_size, 6, seed=4)
         cfg = RunConfig(max_passage_len=5)
-        ids, embs = _embed_passages(enc, _passage_tokens(tok, cfg, passages), passages)
+        blocks = list(_embed_passages(enc, _passage_tokens(tok, cfg, passages), passages))
+        assert [len(ids) for ids, _ in blocks] == [EMBED_BLOCK, EMBED_BLOCK, 5]
+        ids, embs = sum((ids for ids, _ in blocks), []), np.concatenate([e for _, e in blocks])
         assert ids == [p.passage_id for p in passages]
         expected = [oracle_encode(enc, oracle_tokenize(tok, p.text, 5)) for p in passages]
         np.testing.assert_allclose(embs, np.stack(expected), rtol=0, atol=1e-14)

@@ -6,6 +6,8 @@ judged relevant set, and average precision over relevant ranks.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +54,7 @@ class TestRankGallery:
         rng = np.random.default_rng(0)
         embs = rng.normal(size=(10, 6))
         ids = [f"d{i}" for i in range(10)]
-        [out] = rank_gallery(["q"], embs[3:4].copy(), ids, embs, depth=5)
+        [out] = rank_gallery(["q"], embs[3:4].copy(), [(ids, embs)], depth=5)
         assert out.query_id == "q"
         assert out.doc_ids[0] == "d3"
         np.testing.assert_allclose(out.scores[0], 1.0, atol=1e-12)
@@ -60,7 +62,7 @@ class TestRankGallery:
     def test_depth_larger_than_gallery_returns_all(self):
         rng = np.random.default_rng(1)
         embs = rng.normal(size=(4, 3))
-        [out] = rank_gallery(["q"], rng.normal(size=(1, 3)), list("abcd"), embs, depth=50)
+        [out] = rank_gallery(["q"], rng.normal(size=(1, 3)), [(list("abcd"), embs)], depth=50)
         assert len(out.doc_ids) == 4
 
     def test_matches_full_sort_oracle(self):
@@ -70,7 +72,7 @@ class TestRankGallery:
         ids = [f"d{i:03d}" for i in range(m)]
         queries = rng.normal(size=(30, 8))
         qids = [f"q{i}" for i in range(len(queries))]
-        ranked = rank_gallery(qids, queries, ids, embs, depth=m)
+        ranked = list(rank_gallery(qids, queries, [(ids, embs)], depth=m))
         assert [r.query_id for r in ranked] == qids
         for q, out in zip(queries, ranked):
             expected = oracle_topk(q, ids, embs, set(), m)
@@ -82,16 +84,16 @@ class TestRankGallery:
     def test_ties_break_by_ascending_doc_id(self):
         base = np.array([0.0, 1.0])
         embs = np.stack([base * 3.0, base, base * 2.0])
-        [out] = rank_gallery(["q"], base[None], ["c", "a", "b"], embs, depth=3)
+        [out] = rank_gallery(["q"], base[None], [(["c", "a", "b"], embs)], depth=3)
         assert out.doc_ids == ("a", "b", "c")
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError):
-            rank_gallery(["q"], np.ones((1, 3)), [], np.zeros((0, 3)), depth=5)
+            rank_gallery(["q"], np.ones((1, 3)), [([], np.zeros((0, 3)))], depth=5)
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
-            rank_gallery(["q"], np.ones((1, 3)), ["a"], np.ones((1, 3)), depth=0)
+            rank_gallery(["q"], np.ones((1, 3)), [(["a"], np.ones((1, 3)))], depth=0)
 
 
 class TestNdcg:
@@ -227,7 +229,7 @@ def identity_fixture(n=5, dim=4, seed=0):
 class TestEvaluateRun:
     def test_identity_queries_score_one_everywhere(self):
         queries, ids, embs, qrels = identity_fixture()
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         for qid in qrels:
             for metric in METRICS:
                 assert report.per_query[qid][metric] == pytest.approx(1.0, abs=1e-12)
@@ -242,7 +244,7 @@ class TestEvaluateRun:
         q0 = embs[0].copy()
         q1 = np.array([0.9, 0.4, 0.0])
         qrels = {"q0": {"d0": 1}, "q1": {"d1": 1}}
-        report = evaluate_run([("q0", q0), ("q1", q1)], ids, embs, qrels)
+        report = evaluate_run([("q0", q0), ("q1", q1)], [(ids, embs)], qrels)
         assert report.per_query["q0"]["ndcg@10"] == pytest.approx(1.0, abs=1e-12)
         assert report.per_query["q1"]["ndcg@10"] == pytest.approx(
             1.0 / math.log2(3.0), abs=1e-12
@@ -261,7 +263,7 @@ class TestEvaluateRun:
             f"q{i}": {f"d{int(j)}": 1 for j in rng.integers(0, 30, size=3)}
             for i in range(10)
         }
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         for metric in METRICS:
             values = [report.per_query[q][metric] for q, _ in queries]
             assert report.macro[metric] == pytest.approx(
@@ -271,7 +273,7 @@ class TestEvaluateRun:
     def test_missing_embedding_recorded_not_fatal(self):
         queries, ids, embs, qrels = identity_fixture()
         queries[2] = ("q2", None)
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         assert "q2" in report.errors
         assert "q2" not in report.per_query
         assert len(report.per_query) == 4
@@ -288,12 +290,12 @@ class TestEvaluateRun:
         batched = []
 
         def spy(*args):
-            out = rank_gallery(*args)
+            out = list(rank_gallery(*args))
             batched.extend(out)
-            return out
+            return iter(out)
 
         monkeypatch.setattr(evaluation, "rank_gallery", spy)
-        report = evaluate_run(queries, ids, embs, qrels, depth=10)
+        report = evaluate_run(queries, [(ids, embs)], qrels, depth=10)
         assert set(report.errors) == set(bad)
         assert report.errors["q-none"] == "missing embedding"
         assert "zero-norm" in report.errors["q-zero"]
@@ -301,13 +303,13 @@ class TestEvaluateRun:
         assert set(report.per_query) == set(good)
         assert [r.query_id for r in batched] == sorted(good)
         for ranked in batched:
-            alone = rank_gallery([ranked.query_id], good[ranked.query_id][None], ids, embs, 10)
-            assert alone == [ranked]
+            alone = rank_gallery([ranked.query_id], good[ranked.query_id][None], [(ids, embs)], 10)
+            assert list(alone) == [ranked]
 
     def test_zero_relevant_query_excluded_from_macro(self):
         queries, ids, embs, qrels = identity_fixture()
         qrels["q3"] = {}
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         assert "q3" in report.excluded
         assert "q3" not in report.per_query
         values = [report.per_query[q]["recall@1"] for q in report.per_query]
@@ -318,14 +320,14 @@ class TestEvaluateRun:
     def test_unjudged_query_also_excluded(self):
         queries, ids, embs, qrels = identity_fixture()
         del qrels["q1"]
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         assert "q1" in report.excluded
 
     def test_include_zero_relevant_scores_rank_metrics_zero(self):
         queries, ids, embs, qrels = identity_fixture()
         qrels["q3"] = {}
         report = evaluate_run(
-            queries, ids, embs, qrels, include_zero_relevant=True
+            queries, [(ids, embs)], qrels, include_zero_relevant=True
         )
         row = report.per_query["q3"]
         assert row["ndcg@10"] == 0.0
@@ -345,14 +347,14 @@ class TestEvaluateRun:
             f"q{i}": {f"d{int(j)}": 1 for j in rng.integers(0, 25, size=2)}
             for i in range(8)
         }
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
 
         relabel = {d: f"x{i:02d}" for i, d in enumerate(reversed(ids))}
         new_ids = [relabel[d] for d in ids]
         new_qrels = {
             q: {relabel[d]: g for d, g in rels.items()} for q, rels in qrels.items()
         }
-        relabeled = evaluate_run(queries, new_ids, embs, new_qrels)
+        relabeled = evaluate_run(queries, [(new_ids, embs)], new_qrels)
         for metric in METRICS:
             assert relabeled.macro[metric] == pytest.approx(
                 report.macro[metric], abs=1e-12
@@ -360,16 +362,45 @@ class TestEvaluateRun:
 
     def test_rows_sorted_by_query_id(self):
         queries, ids, embs, qrels = identity_fixture()
-        report = evaluate_run(list(reversed(queries)), ids, embs, qrels)
+        report = evaluate_run(list(reversed(queries)), [(ids, embs)], qrels)
         assert list(report.per_query) == sorted(report.per_query)
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_run([("q", np.ones(3))], [], np.zeros((0, 3)), {"q": {"a": 1}})
+            evaluate_run([("q", np.ones(3))], [([], np.zeros((0, 3)))], {"q": {"a": 1}})
+
+    def test_streamed_gallery_grows_the_peak_by_the_ids_alone(self):
+        """A gallery fed in blocks is ranked without being held: from 5k to
+        50k passages the traced peak grows by no more than the ids, which
+        top_k keeps to refuse a repeated one."""
+        d = 16
+        rng = np.random.default_rng(17)
+        queries = [(f"q{i}", v) for i, v in enumerate(rng.normal(size=(200, d)))]
+        qrels = {qid: {f"p{i:05d}": 1} for i, (qid, _) in enumerate(queries)}
+
+        def gallery(n, rows=1000):
+            for lo in range(0, n, rows):
+                block = np.random.default_rng(lo).normal(size=(min(rows, n - lo), d))
+                yield [f"p{i:05d}" for i in range(lo, lo + len(block))], block
+
+        peaks = {}
+        for n in (5_000, 50_000):
+            tracemalloc.start()
+            try:
+                report = evaluate_run(queries, gallery(n), qrels)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(report.per_query) == len(queries)
+        # each id's string and its slot in a set of seen ids
+        ids = 45_000 * (sys.getsizeof("p00000") + 64)
+        assert peaks[50_000] - peaks[5_000] < ids
+        # holding the gallery's rows would not fit
+        assert 45_000 * 8 * d > ids - (peaks[50_000] - peaks[5_000])
 
     def test_report_type(self):
         queries, ids, embs, qrels = identity_fixture(n=2)
-        report = evaluate_run(queries, ids, embs, qrels)
+        report = evaluate_run(queries, [(ids, embs)], qrels)
         assert isinstance(report, MetricReport)
         assert report.errors == {}
         assert report.excluded == ()

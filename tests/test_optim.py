@@ -191,6 +191,24 @@ class TestAdamW:
             AdamW(lr=0.0)
 
 
+class TestNonFiniteUpdate:
+    @pytest.mark.parametrize("make", [lambda: AdamW(lr=0.01), lambda: GradientDescent(lr=0.01)],
+                             ids=["adamw", "sgd"])
+    def test_nan_in_one_block_is_named_after_the_whole_step(self, monkeypatch, make):
+        """A NaN gradient in the second of three blocks: every block is still
+        updated, then the step names the parameter it left non-finite."""
+        monkeypatch.setattr(optim, "ADAMW_BLOCK", 4)
+        params = {"a": np.ones(10), "w": np.ones(10), "z": np.ones(3)}
+        grads = {name: np.full(p.shape, 0.5) for name, p in params.items()}
+        grads["w"][5] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite w after the update$"):
+            make().step(params, grads)
+        assert np.isnan(params["w"][5])
+        for name, p in params.items():
+            finite = np.delete(p, 5) if name == "w" else p
+            assert (finite < 1.0).all(), name
+
+
 class TestMakeOptimizer:
     def test_dispatch(self):
         assert isinstance(make_optimizer("adamw", 0.1, 0.0), AdamW)

@@ -112,7 +112,7 @@ class TestTopK:
         queries = embs[source] + 0.3 * rng.normal(size=(300, d))
         others = [{ids[int(j)]} for j in rng.integers(0, source, size=len(queries))]
         mined = mine_hard_negatives(queries, ids, embs, others, k=5)
-        ranked = rank_gallery([str(i) for i in range(len(queries))], queries, ids, embs, 10)
+        ranked = rank_gallery([str(i) for i in range(len(queries))], queries, [(ids, embs)], 10)
         for cands, hits in zip(mined, ranked):
             assert [pid for pid, _ in cands] == copy_ids[:5]
             assert len({s for _, s in cands}) == 1
@@ -131,41 +131,51 @@ class TestTopK:
         )
         exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
         assert len(queries) * m > 2 * similarity.TOPK_BLOCK
-        default = top_k(queries, embs, ids, 8, exclude)
+        whole = [(ids, embs)]
+        default = list(top_k(queries, whole, 8, exclude))
+
+        def fed(rows):
+            return [(ids[lo : lo + rows], embs[lo : lo + rows]) for lo in range(0, m, rows)]
+
+        # the caller's blocks do not shape the tiles
+        for gallery in (fed(1), fed(97), fed(1024)):
+            got = list(top_k(queries, gallery, 8, exclude))
+            assert got == default
+            assert bits(got) == bits(default)
         for block in (1, 97, 4099, 30011):
             monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
-            got = top_k(queries, embs, ids, 8, exclude)
+            got = list(top_k(queries, fed(97), 8, exclude))
             assert got == default
             assert bits(got) == bits(default)
 
     def test_exclusions_leave_a_short_list(self):
         embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
         ids = ["a", "b", "c"]
-        [(got, scores)] = top_k(embs[:1], embs, ids, 5, [{"a", "c", "x"}])
+        [(got, scores)] = top_k(embs[:1], [(ids, embs)], 5, [{"a", "c", "x"}])
         assert got == ("b",) and len(scores) == 1
 
     def test_bad_input_rejected(self):
         embs = np.ones((2, 3))
-        for args in [(embs, ["a", "b"], 0), (embs[:0], [], 1), (embs, ["a"], 1),
-                     (np.ones((2, 4)), ["a", "b"], 1)]:
+        for blocks, k in [([(["a", "b"], embs)], 0), ([([], embs[:0])], 1), ([], 1),
+                          ([(["a"], embs)], 1), ([(["a", "b"], np.ones((2, 4)))], 1)]:
             with pytest.raises(ValueError):
-                top_k(embs[:1], *args)
+                top_k(embs[:1], blocks, k)
 
     def test_non_finite_gallery_row_rejected(self):
         """It used to drop out of every list, each one hit short."""
         g = np.eye(4)
         g[2, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite vector: gallery row 2"):
-            top_k([[1, 0.2, 0, 0]], g, list("abcd"), 2)
+            top_k([[1, 0.2, 0, 0]], [(list("abcd"), g)], 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite vector: queries row 1"):
-            top_k([[1, 0, 0, 0], [bad, 0, 0, 0]], np.eye(4), list("abcd"), 2)
+            top_k([[1, 0, 0, 0], [bad, 0, 0, 0]], [(list("abcd"), np.eye(4))], 2)
 
     def test_repeated_ids_rejected(self):
         with pytest.raises(ValueError, match="repeated gallery id 'a'"):
-            top_k(np.eye(3)[:1], np.eye(3), ["a", "a", "b"], 2, [{"a"}])
+            top_k(np.eye(3)[:1], [(["a", "a", "b"], np.eye(3))], 2, [{"a"}])
 
 
 class TestScreenedTopK:
@@ -204,8 +214,8 @@ class TestScreenedTopK:
             assert want[0] == ((), b"") and len(want[1][0]) == 1
             for block in (1, 7, int(rng.integers(8, 400)), 1 << 16):
                 monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
-                assert bits(top_k(queries, gallery, ids, k, exclude)) == want
-                assert bits(top_k(queries, gallery, ids, k)) == plain
+                assert bits(top_k(queries, [(ids, gallery)], k, exclude)) == want
+                assert bits(top_k(queries, [(ids, gallery)], k)) == plain
             q, g = _unit_rows(queries, "q"), _unit_rows(gallery, "g")
             where = np.argsort(order)
             row, twin = where[src], where[n + len(copies) + np.arange(len(src))]
@@ -218,7 +228,10 @@ class TestScreenedTopK:
 
     def test_rescores_only_the_k_best_and_their_ties(self, monkeypatch):
         """einsum rescores, per query, at least k pairs and at most the
-        columns at or above the k-th score: the screen prunes the rest."""
+        columns at or above the k-th score: the screen prunes the rest. As
+        the gallery streams, a column is rescored against the running k-th
+        score of the gallery up to its tile, which bounds the count when the
+        gallery takes several tiles."""
         rng = np.random.default_rng(37)
         m, d, k = 3000, 16, 8
         embs = rng.normal(size=(m, d))
@@ -235,23 +248,42 @@ class TestScreenedTopK:
         at_or_above = (scores >= kth[:, None]).sum(axis=1)
         assert at_or_above.max() > k  # some queries tie at the k-th score
         query_of = {row.tobytes(): i for i, row in enumerate(q)}
-        rescored = np.zeros(len(q), dtype=int)
         einsum = np.einsum
 
-        def counting(spec, a, b):
-            if spec == "nd,nd->n":
-                np.add.at(rescored, [query_of[row.tobytes()] for row in a], 1)
-            return einsum(spec, a, b)
+        def rescored_at(block):
+            counts = np.zeros(len(q), dtype=int)
 
-        monkeypatch.setattr(np, "einsum", counting)
-        top_k(queries, embs, ids, k, exclude)
-        monkeypatch.undo()
+            def counting(spec, a, b):
+                if spec == "nd,nd->n":
+                    np.add.at(counts, [query_of[row.tobytes()] for row in a], 1)
+                return einsum(spec, a, b)
+
+            monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
+            monkeypatch.setattr(np, "einsum", counting)
+            list(top_k(queries, [(ids, embs)], k, exclude))
+            monkeypatch.undo()
+            return counts
+
+        # one tile holds the whole gallery
+        rescored = rescored_at(1 << 18)
         assert (rescored >= k).all() and (rescored <= at_or_above).all()
+        # three tiles of a quarter of TOPK_BLOCK // d rows, the first tiles'
+        # size; the margin covers the screen's slack
+        width = similarity.TOPK_BLOCK // d // 4
+        assert 2 * width < m < 3 * width
+        running = np.zeros(len(q), dtype=int)
+        for lo in range(0, m, width):
+            kth = np.sort(scores[:, : lo + width], axis=1)[:, -k]
+            running += (scores[:, lo : lo + width] >= kth[:, None] - 1e-12).sum(axis=1)
+        rescored = rescored_at(similarity.TOPK_BLOCK)
+        assert (rescored >= k).all() and (rescored <= running).all()
+        assert (rescored > at_or_above).any()
 
     def test_memory_is_bounded_by_the_tiles(self):
-        """Beyond its unit-norm copies of the inputs and the hits it returns,
-        top_k holds a few TOPK_BLOCK-entry arrays and per-id ones (the id
-        rank and lookup): no (Q, M) score matrix, and no gathers of every
+        """Beyond its unit-norm copy of the queries, its (Q, k) state and
+        the set of gallery ids it has seen, top_k holds a few
+        TOPK_BLOCK-entry arrays: no copy of the gallery, no gallery-long
+        rank or score array, no (Q, M) score matrix, and no gathers of every
         query's k candidate rows."""
         rng = np.random.default_rng(41)
         m, d, nq, k = 50_000, 16, 2_000, 50
@@ -259,16 +291,21 @@ class TestScreenedTopK:
         ids = [f"p{i:05d}" for i in range(m)]
         tracemalloc.start()
         try:
-            hits = top_k(queries, embs, ids, k)
+            hits = top_k(queries, [(ids, embs)], k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(len(names) == k for names, _ in hits)
-        copies, hits_bytes, per_id = 8 * (m + nq) * d, 48 * nq * k, 200 * m
+        # best, then held and found (row, id, score, BLAS score) entries,
+        # found at most as many as held
+        queries_copy, state, seen = 8 * nq * d, 8 * (1 + 3 + 4) * nq * k, 64 * m
         tiles = 8 * 4 * similarity.TOPK_BLOCK
-        assert peak < copies + hits_bytes + per_id + tiles
-        # gathering each query's k rows and its own rows at once would not fit
-        assert 8 * 2 * nq * k * d > per_id + tiles
+        bound = queries_copy + state + seen + tiles
+        assert peak < bound
+        # a unit-norm copy of the gallery, or gathering each query's k rows
+        # and its own rows at once, would not fit
+        assert 8 * m * d > bound - peak
+        assert 8 * 2 * nq * k * d > bound
 
 
 class TestLogSumExp:

@@ -885,3 +885,24 @@ class TestFinetune:
         ):
             finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2,
                      lr=1e308, optimizer="sgd", seed=0)
+
+    def test_non_finite_adamw_update_names_its_step(self, monkeypatch):
+        """A NaN in one gradient entry at step 1: the loss stays finite, and
+        AdamW's update names the step."""
+        _, enc, tokens = make_fixture(seed=16)
+        kernel, steps = training._step_loss_and_gradients, []
+
+        def poisoned(batch, enc, state, hyper, loss_mode, grad):
+            out = kernel(batch, enc, state, hyper, loss_mode, grad)
+            steps.append(len(steps))
+            if len(steps) == 2:
+                grad.params[grad.params.size // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(training, "_step_loss_and_gradients", poisoned)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^fine-tune step 1 \(epoch 0\): non-finite encoder after the update$"
+        ):
+            finetune(tiny_dataset(), tokens, enc, HyperParams(tau=0.1), 2, batch_size=2,
+                     optimizer="adamw", seed=0)
+        assert steps == [0, 1]
