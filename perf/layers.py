@@ -97,8 +97,6 @@ def child_stamp() -> dict:
 
 def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
     """Seconds of each top_k call over a streamed gallery."""
-    import inspect
-
     from progemb.similarity import top_k
     import numpy as np
 
@@ -115,16 +113,10 @@ def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
                 rows = -rows
             yield [f"p{i:07d}" for i in range(lo, lo + n)], rows
 
-    def call():
-        if "ids" in inspect.signature(top_k).parameters:  # (gallery, ids) arrays
-            ids, embs = zip(*blocks())
-            return top_k(q, np.concatenate(embs), [i for b in ids for i in b], k)
-        return list(top_k(q, blocks(), k))
-
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
-        call()
+        list(top_k(q, blocks(), k))
         seconds.append(time.perf_counter() - start)
     return {"seconds": seconds}
 

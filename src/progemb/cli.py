@@ -211,9 +211,10 @@ def cmd_mine(cfg: RunConfig) -> None:
     if not passages:
         raise ValueError(f"{cfg.corpus_path}: no passages after splitting")
     texts = {p.passage_id: p.text for p in passages}
-    ids = [p.passage_id for p in passages]
-    embs = np.concatenate([e for _, e in _embed_passages(
-        enc, _passage_tokens(tok, cfg, passages), passages)])
+    ids, embs = [p.passage_id for p in passages], np.empty((len(passages), enc.dim))
+    blocks = _embed_passages(enc, _passage_tokens(tok, cfg, passages), passages)
+    for start, (_, block) in zip(range(0, len(passages), EMBED_BLOCK), blocks):
+        embs[start : start + len(block)] = block
 
     queries: list[tuple[str, str]] = []
     positives: dict[str, str] = {}

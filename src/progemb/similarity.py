@@ -137,10 +137,13 @@ def _tiles(gallery, base: int, width: int, d: int):
         if embs.ndim != 2 or embs.shape[1] != d or len(ids) != len(embs):
             raise ValueError(f"bad top-k input: a gallery block of shape {embs.shape} "
                              f"with {len(ids)} ids, queries of d={d}")
-        for pid in ids:
-            if pid in seen:
-                raise ValueError(f"repeated gallery id {pid!r}")
-            seen.add(pid)
+        new = set(ids)
+        if len(new) < len(ids) or not seen.isdisjoint(new):
+            for pid in ids:
+                if pid in seen:
+                    raise ValueError(f"repeated gallery id {pid!r}")
+                seen.add(pid)
+        seen |= new
         at = 0
         while at < len(embs):
             if fill == len(buf):
@@ -187,8 +190,8 @@ class _Screen:
     that many, each row is cut to its k best (`_ordered`): the state stays
     within 6/5 of (Q, k), plus one product's finds. (At 3/2, `bench` on
     paper-bench-noisy peaked 0.4 MB higher, at no gain in time.) The query
-    rows are scaled to unit norm a block at a time, by the norms taken
-    once."""
+    rows are scaled to unit norm a product's rows at a time, by the norms
+    taken once."""
 
     def __init__(self, queries, norms, k: int, rows: int, exclude):
         d = queries.shape[1]
@@ -202,35 +205,43 @@ class _Screen:
         self.best = np.empty((len(queries), 0))
         blocks = range(0, len(queries), rows)
         self.found, self.count = [[] for _ in blocks], [0] * len(blocks)
+        # 6/5 of k entries a row of the block, rounded up
+        self.cap = [-(-6 * k * min(rows, len(queries) - lo) // 5) for lo in blocks]
 
     def tile(self, first: int, names, t):
         """Screen the unit rows t, gallery rows ``first`` on named by
-        ``names``, against every block of query rows; see `top_k`.
+        ``names``, against every query row; see `top_k`.
 
-        One BLAS product scores each block, and the excluded pairs score
-        -inf. A column is found when it scores above its row's kk-th best
-        so far less ``slack``: strictly, so that an excluded column is never
-        found. A block with a row that has not seen kk columns takes its kk
-        best from a partition of the product; otherwise only found scores
-        can raise them (`_raise_best`), and the found ones that fall below
-        the raised threshold are dropped. The rest are rescored with einsum
-        while t is in hand, the two sides' gathered rows holding no more than
-        the product.
+        One BLAS product of at most TOPK_BLOCK entries scores a span of
+        whole query blocks, and the excluded pairs score -inf. A column is
+        found when it scores above its row's kk-th best so far less
+        ``slack``: strictly, so that an excluded column is never found. A
+        span with a row that has not seen kk columns takes its kk best from
+        a partition of the product; otherwise only found scores can raise
+        them (`_raise_best`), and the found ones that fall below the raised
+        threshold are dropped. The rest are rescored with einsum while t is
+        in hand, the two sides' gathered rows holding no more than one
+        block's product, and filed by query block.
         """
         n, d = t.shape
         kk = min(self.k, first + n)
         if kk > self.best.shape[1]:  # -inf in front keeps the least first
             pad = np.full((len(self.best), kk - self.best.shape[1]), -np.inf)
             self.best = np.concatenate([pad, self.best], axis=1)
-        skip: dict = {}  # block: (rows in it, columns) of the excluded pairs
+        # query rows per product: whole blocks, at most TOPK_BLOCK entries
+        # and TOPK_BLOCK // (16 k) rows. A product's finds hold about k a
+        # row: with spans of TOPK_BLOCK // n rows, `bench` on
+        # paper-bench-noisy (k = 50) peaked about 1 MB higher.
+        span = max(1, min(TOPK_BLOCK // n, TOPK_BLOCK // (16 * self.k)) // self.rows) * self.rows
+        skip: dict = {}  # span: (rows in it, columns) of the excluded pairs
         for j, pid in enumerate(names.tolist() if self.banned else ()):
             for i in self.banned.get(pid, ()):
-                rows, cols = skip.setdefault(i // self.rows, ([], []))
-                rows.append(i % self.rows)
+                rows, cols = skip.setdefault(i // span, ([], []))
+                rows.append(i % span)
                 cols.append(j)
-        for blk, lo in enumerate(range(0, len(self.queries), self.rows)):
-            qb = self.queries[lo : lo + self.rows] / self.norms[lo : lo + self.rows, None]
-            best, skip_here = self.best[lo : lo + self.rows], skip.get(blk, ((), ()))
+        for lo in range(0, len(self.queries), span):
+            qb = self.queries[lo : lo + span] / self.norms[lo : lo + span, None]
+            best, skip_here = self.best[lo : lo + span], skip.get(lo // span, ((), ()))
             s = qb @ t.T
             s[skip_here] = -np.inf
             partitioned = np.isneginf(best[:, 0]).any()
@@ -251,16 +262,23 @@ class _Screen:
                 best[...] = _raise_best(best, r, b)
                 keep = b > best[r, 0] - self.slack
                 at, r = at[keep], r[keep]
-            if len(at):
-                c, e, pairs = at % n, np.empty(len(at)), max(1, s.size // (2 * d))
-                for p in range(0, len(at), pairs):
-                    span = slice(p, p + pairs)
-                    e[span] = np.einsum("nd,nd->n", qb[r[span]], t[c[span]])
-                np.clip(e, -1.0, 1.0, out=e)
-                self.found[blk].append((r, names[c], e))
-                self.count[blk] += len(at)
-                if 5 * self.count[blk] >= 6 * len(qb) * self.k:
-                    self.compact(blk)
+            if not len(at):
+                continue
+            c, e, pairs = at % n, np.empty(len(at)), max(1, self.rows * n // (2 * d))
+            for p in range(0, len(at), pairs):
+                part = slice(p, p + pairs)
+                e[part] = np.einsum("nd,nd->n", qb[r[part]], t[c[part]])
+            np.clip(e, -1.0, 1.0, out=e)
+            # copies: a block's entries must not keep another's alive
+            ids = names[c]
+            cuts = np.searchsorted(r, np.arange(0, len(qb) + self.rows, self.rows)).tolist()
+            for j, (a, z) in enumerate(zip(cuts, cuts[1:])):
+                blk = lo // self.rows + j
+                if a < z:
+                    self.found[blk].append((r[a:z] - j * self.rows, ids[a:z].copy(), e[a:z].copy()))
+                    self.count[blk] += z - a
+                    if self.count[blk] >= self.cap[blk]:
+                        self.compact(blk)
 
     def compact(self, blk: int):
         """Keep block blk's found entries that still beat their row's
@@ -273,7 +291,7 @@ class _Screen:
         r, ids, e = (np.concatenate(x) for x in zip(*self.found[blk]))
         keep = e > self.best[blk * self.rows + r, 0] - self.slack
         r, ids, e = r[keep], ids[keep], e[keep]
-        if 5 * len(r) >= 6 * self.rows * self.k:
+        if len(r) >= self.cap[blk]:
             r, ids, e = _ordered(r, ids, e, self.k)
         self.found[blk], self.count[blk] = [(r, ids, e)], len(r)
 

@@ -120,6 +120,30 @@ class TestTopK:
             assert len(set(hits.scores[:7])) == 1
             assert hits.scores[:5] == tuple(s for _, s in cands)
 
+    @staticmethod
+    def block_free(monkeypatch, queries, ids, embs, exclude):
+        """top_k's lists with the gallery whole, checked to be the same, bit
+        for bit, with the gallery fed in blocks of 1, 97 and 1,024 rows, and
+        in 97-row blocks at TOPK_BLOCK 1, 97, 4,099 and 30,011."""
+        m = len(ids)
+        default = list(top_k(queries, [(ids, embs)], 8, exclude))
+
+        def fed(rows):
+            return [(ids[lo : lo + rows], embs[lo : lo + rows]) for lo in range(0, m, rows)]
+
+        # the caller's blocks do not shape the tiles
+        for gallery in (fed(1), fed(97), fed(1024)):
+            got = list(top_k(queries, gallery, 8, exclude))
+            assert got == default
+            assert bits(got) == bits(default)
+        for block in (1, 97, 4099, 30011):
+            with monkeypatch.context() as patch:
+                patch.setattr(similarity, "TOPK_BLOCK", block)
+                got = list(top_k(queries, fed(97), 8, exclude))
+            assert got == default
+            assert bits(got) == bits(default)
+        return default
+
     def test_output_is_byte_identical_at_any_block_size(self, monkeypatch):
         rng = np.random.default_rng(31)
         m = 3000
@@ -131,22 +155,20 @@ class TestTopK:
         )
         exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
         assert len(queries) * m > 2 * similarity.TOPK_BLOCK
-        whole = [(ids, embs)]
-        default = list(top_k(queries, whole, 8, exclude))
-
-        def fed(rows):
-            return [(ids[lo : lo + rows], embs[lo : lo + rows]) for lo in range(0, m, rows)]
-
-        # the caller's blocks do not shape the tiles
-        for gallery in (fed(1), fed(97), fed(1024)):
-            got = list(top_k(queries, gallery, 8, exclude))
-            assert got == default
-            assert bits(got) == bits(default)
-        for block in (1, 97, 4099, 30011):
-            monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
-            got = list(top_k(queries, fed(97), 8, exclude))
-            assert got == default
-            assert bits(got) == bits(default)
+        self.block_free(monkeypatch, queries, ids, embs, exclude)
+        # hundreds of byte-identical rows tie at every near query's k-th
+        # score, and the last block of query rows is short: its entries are
+        # cut to k a row like any other block's
+        m = 2000
+        embs = rng.normal(size=(m, 16))
+        embs[600:1200], embs[1500:1700] = embs[5], embs[7]
+        ids = [f"p{i:04d}" for i in rng.permutation(m)]
+        queries = np.concatenate([embs[5] + 0.3 * rng.normal(size=(30, 16)),
+                                  embs[7] + 0.3 * rng.normal(size=(7, 16))])
+        assert len(queries) % (similarity.TOPK_BLOCK // (similarity.TOPK_BLOCK // 16))
+        exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
+        got = self.block_free(monkeypatch, queries, ids, embs, exclude)
+        assert bits(got) == bits(oracle_blocked_topk(queries, embs, ids, 8, exclude))
 
     def test_exclusions_leave_a_short_list(self):
         embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
@@ -226,16 +248,16 @@ class TestScreenedTopK:
         # d = 1 both products are one exact multiplication.
         assert flipped > 0 or d == 1
 
-    def test_rescores_only_the_k_best_and_their_ties(self, monkeypatch):
-        """einsum rescores, per query, at least k pairs and at most the
-        columns at or above the k-th score: the screen prunes the rest. As
-        the gallery streams, a column is rescored against the running k-th
-        score of the gallery up to its tile, which bounds the count when the
-        gallery takes several tiles."""
+    D, K = 16, 8
+    WIDTH = similarity.TOPK_BLOCK // D // 4  # rows of the first tiles
+
+    def rescoring(self, m, monkeypatch):
+        """Per query, the pairs einsum rescores over an m-row gallery with
+        exact ties, and the clipped einsum scores, the excluded ones -inf."""
         rng = np.random.default_rng(37)
-        m, d, k = 3000, 16, 8
+        d, k = self.D, self.K
         embs = rng.normal(size=(m, d))
-        embs[2980:] = embs[5]
+        embs[m - 20 :] = embs[5]
         ids = [f"p{i:04d}" for i in rng.permutation(m)]
         queries = np.concatenate([rng.normal(size=(150, d)),
                                   embs[5] + 0.3 * rng.normal(size=(150, d))])
@@ -245,39 +267,45 @@ class TestScreenedTopK:
         for i, skip in enumerate(exclude):
             scores[i, [ids.index(p) for p in skip]] = -np.inf
         kth = np.sort(scores, axis=1)[:, -k]
-        at_or_above = (scores >= kth[:, None]).sum(axis=1)
-        assert at_or_above.max() > k  # some queries tie at the k-th score
+        assert ((scores >= kth[:, None]).sum(axis=1) > k).any()  # ties at the k-th score
         query_of = {row.tobytes(): i for i, row in enumerate(q)}
+        rescored = np.zeros(len(q), dtype=int)
         einsum = np.einsum
 
-        def rescored_at(block):
-            counts = np.zeros(len(q), dtype=int)
+        def counting(spec, a, b):
+            if spec == "nd,nd->n":
+                np.add.at(rescored, [query_of[row.tobytes()] for row in a], 1)
+            return einsum(spec, a, b)
 
-            def counting(spec, a, b):
-                if spec == "nd,nd->n":
-                    np.add.at(counts, [query_of[row.tobytes()] for row in a], 1)
-                return einsum(spec, a, b)
+        monkeypatch.setattr(np, "einsum", counting)
+        list(top_k(queries, [(ids, embs)], k, exclude))
+        monkeypatch.undo()
+        assert (rescored >= k).all()
+        return rescored, scores
 
-            monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
-            monkeypatch.setattr(np, "einsum", counting)
-            list(top_k(queries, [(ids, embs)], k, exclude))
-            monkeypatch.undo()
-            return counts
+    def test_rescores_only_the_k_best_and_their_ties(self, monkeypatch):
+        """Within one tile, einsum rescores, per query, at least k pairs and
+        at most the columns at or above the k-th score: the screen prunes
+        the rest."""
+        rescored, scores = self.rescoring(self.WIDTH, monkeypatch)
+        kth = np.sort(scores, axis=1)[:, -self.K]
+        assert (rescored <= (scores >= kth[:, None]).sum(axis=1)).all()
 
-        # one tile holds the whole gallery
-        rescored = rescored_at(1 << 18)
-        assert (rescored >= k).all() and (rescored <= at_or_above).all()
-        # three tiles of a quarter of TOPK_BLOCK // d rows, the first tiles'
-        # size; the margin covers the screen's slack
-        width = similarity.TOPK_BLOCK // d // 4
+    def test_rescores_against_the_running_kth_score_over_tiles(self, monkeypatch):
+        """A screened tile is not held, so a column is rescored against the
+        running k-th score of the gallery up to its tile, less the screen's
+        slack: over several tiles, the bound is the sum over the tiles of
+        their columns at or above that score."""
+        m, width = 3000, self.WIDTH
         assert 2 * width < m < 3 * width
-        running = np.zeros(len(q), dtype=int)
+        rescored, scores = self.rescoring(m, monkeypatch)
+        # the slack and the two products' rounding: 8 gamma_d + 8 eps
+        margin = 16 * (self.D + 1) * np.finfo(np.float64).eps
+        running = np.zeros(len(scores), dtype=int)
         for lo in range(0, m, width):
-            kth = np.sort(scores[:, : lo + width], axis=1)[:, -k]
-            running += (scores[:, lo : lo + width] >= kth[:, None] - 1e-12).sum(axis=1)
-        rescored = rescored_at(similarity.TOPK_BLOCK)
-        assert (rescored >= k).all() and (rescored <= running).all()
-        assert (rescored > at_or_above).any()
+            kth = np.sort(scores[:, : lo + width], axis=1)[:, -self.K]
+            running += (scores[:, lo : lo + width] >= kth[:, None] - margin).sum(axis=1)
+        assert (rescored <= running).all()
 
     def test_memory_is_bounded_by_the_tiles(self):
         """Beyond its unit-norm copy of the queries, its (Q, k) state and
