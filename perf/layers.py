@@ -1,6 +1,6 @@
 """Layer cases for progemb's kernels, each run in a fresh child process.
 
-    python perf/layers.py [--out BENCH_1.json] [--repeats 5] [--compare OLD.json]
+    python perf/layers.py [--out BENCH_2.json] [--repeats 5] [--compare OLD.json]
 
 Cases:
 
@@ -13,6 +13,12 @@ Cases:
   M-passage gallery, its Q queries and qrels, and a seeded d = 32
   checkpoint. Every repeat is its own child process, timed by its wall
   time.
+- ``step/b<B>/<loss mode>``: one fine-tune step, ``training.build_batch``
+  plus ``training._step_loss_and_gradients``, over B queries (d = 32) with
+  a distinct positive and 5 distinct negatives each, so M = 6B, in both
+  loss modes. The child builds its set through ``cli._training_set`` from
+  in-memory dataset rows and passages; the time excludes that. Shapes of
+  B >= 8,192 take at most 3 repeats: one step there takes seconds.
 
 Each case reports the median and IQR of its repeats' seconds and the
 child's own peak RSS, read from ``wait4``. This launcher imports neither
@@ -42,6 +48,8 @@ SRC = ROOT / "src"
 DIM = 32
 FEED_BLOCK = 1024
 POOL_ROWS = 4096
+STEP_NEGATIVES = 5
+LARGE_STEP = 8_192  # a step case from this many queries on takes at most 3 repeats
 
 
 def _run(argv, cwd=None):
@@ -148,7 +156,45 @@ def child_prepare(directory: str, gallery: int, queries: int) -> dict:
     return {}
 
 
-CHILDREN = {"stamp": child_stamp, "topk": child_topk, "prepare": child_prepare}
+def child_step(queries: int, loss_mode: str, repeats: int) -> dict:
+    """Seconds of each fine-tune step over one batch of all the queries."""
+    from dataclasses import replace
+
+    from progemb.cli import _training_set
+    from progemb.config import RunConfig
+    from progemb.dataio import DatasetRow, Passage
+    from progemb.encoder import Tokenizer, ToyEncoder
+    from progemb.loss import HyperParams, MomentumState
+    from progemb.training import _step_loss_and_gradients, build_batch
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(2000)]
+    picks = rng.integers(0, len(words), size=(queries, 18)).tolist()
+    texts = [" ".join(words[j] for j in row) for row in picks]
+    passages = [Passage(f"p{i:06d}", text, "gen") for i, text in enumerate(texts)]
+    rows = []
+    for i, text in enumerate(texts):
+        # query i's positive is passage i; its negatives are 5 other passages
+        others = (i + 1 + rng.choice(queries - 1, size=STEP_NEGATIVES, replace=False)) % queries
+        rows.append(DatasetRow(f"q{i:06d}", " ".join(text.split()[:6]), passages[i].passage_id,
+                               tuple(passages[k].passage_id for k in others.tolist()), {}))
+    tok = Tokenizer.from_texts(words)
+    data, tokens = _training_set(rows, passages, tok, RunConfig())
+    enc = ToyEncoder.create(tok.vocab_size, DIM, seed=3)
+    grad = replace(enc, params=np.zeros_like(enc.params))
+    index = np.arange(queries)
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        batch = build_batch(data, index, tokens, enc)
+        _step_loss_and_gradients(batch, enc, MomentumState(), HyperParams(), loss_mode, grad)
+        seconds.append(time.perf_counter() - start)
+    return {"seconds": seconds}
+
+
+CHILDREN = {"stamp": child_stamp, "topk": child_topk, "prepare": child_prepare,
+            "step": child_step}
 
 
 # --- launcher ---------------------------------------------------------------
@@ -191,6 +237,11 @@ def run(args) -> dict:
                 seconds.append(wall)
                 peaks.append(rss)
             cases[f"evaluate/g{gallery}"] = _summary(seconds, max(peaks))
+    for queries in args.steps:
+        repeats = min(args.repeats, 3) if queries >= LARGE_STEP else args.repeats
+        for loss_mode in ("progressive", "infonce"):
+            result, rss = _child("step", queries=queries, loss_mode=loss_mode, repeats=repeats)
+            cases[f"step/b{queries}/{loss_mode}"] = _summary(result["seconds"], rss)
     return {"stamp": stamp, "queries": args.queries, "dim": DIM, "cases": cases}
 
 
@@ -212,12 +263,14 @@ def _ints(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="BENCH_1.json")
+    parser.add_argument("--out", default="BENCH_2.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--queries", type=int, default=300)
     parser.add_argument("--galleries", type=_ints, default=[2_000, 20_000, 200_000])
     parser.add_argument("--ks", type=_ints, default=[10, 50])
     parser.add_argument("--eval-galleries", type=_ints, default=[20_000, 100_000])
+    parser.add_argument("--steps", type=_ints, default=[32, 2_048, 8_192, 13_334],
+                        help="fine-tune step batch sizes B, each with M = 6B slots")
     parser.add_argument("--compare", default=None, help="a previous BENCH file")
     parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -274,8 +274,7 @@ def _training_set(rows, passages, tok: Tokenizer, cfg: RunConfig):
         tok.encode_texts([texts[key] for key in row_of], cfg.max_passage_len),
         _query_tokens(tok, cfg, (r.query for r in rows)),
     ])
-    names = np.array([*row_of, *(r.query_id for r in rows)], dtype=object)
-    return TrainingSet(len(row_of) + np.arange(len(rows)), candidates, names), tokens
+    return TrainingSet(len(row_of) + np.arange(len(rows)), candidates), tokens
 
 
 def _finetune(cfg: RunConfig, data: TrainingSet, tokens: Tokens, enc):

@@ -7,12 +7,12 @@ as integer arrays, so a batch is integer indexing. Fine-tuning shares
 negatives in-batch: each query's negative pool is every other query's
 positive plus every hard negative brought by any query in the batch. A
 candidate whose store row is the query's own positive's row is excluded
-from that query's pool (and logged), which the batch's integer candidate
-codes encode. The step normalizes the pool once, takes the positives'
-similarities and the batch threshold once from the unit rows, and scores
-the pool once, in blocks of query rows sized by a budget of (rows, M)
-entries, so no (B, M) array lives longer than one block and a block's
-arrays stay near that budget. The step's loss is the batch mean.
+from that query's pool, which the batch's integer row codes encode. The
+step normalizes the pool once, takes the positives' similarities and the
+batch threshold once from the unit rows, and scores the pool once, in
+blocks of query rows sized by a budget of (rows, M) entries, so no (B, M)
+array lives longer than one block and a block's arrays stay near that
+budget. The step's loss is the batch mean.
 The optimizer writes into each model's one parameter vector: fine-tuning
 fills one gradient vector per run, and pretraining steps the decoder, then
 the encoder, as the MAE kernel hands out each one's gradient from one
@@ -21,8 +21,7 @@ buffer, so no whole gradient set is held.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +57,6 @@ __all__ = [
     "finetune",
 ]
 
-logger = logging.getLogger(__name__)
-
 # (rows, M) entries per step block: a block is max(STEP_MIN_ROWS,
 # STEP_ENTRIES // M) query rows, so each of its arrays is near 256 KB of
 # float64 until M is so large that the floor keeps the block a matrix product
@@ -74,13 +71,12 @@ class TrainingSet:
     Example i's query is row queries[i]; candidates[i] holds its positive's
     row, then its hard negatives' rows, padded with -1: distinct rows other
     than the positive's, as `dataio.read_dataset` checks a dataset's rows.
-    names[r] names store row r, for logs and a batch's ids only. The CLI's sets put every query
-    row after every candidate row; a set that uses a query row as a
-    candidate too gives both roles one forward row in a batch."""
+    The CLI's sets put every query row after every candidate row; a set
+    that uses a query row as a candidate too gives both roles one forward
+    row in a batch."""
 
     queries: np.ndarray      # (N,) intp
     candidates: np.ndarray   # (N, 1 + MAX_NEGATIVES) intp
-    names: np.ndarray        # (rows,) object: str
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -88,20 +84,19 @@ class TrainingSet:
 
 @dataclass(eq=False)
 class ContrastiveBatch:
-    """A batch's embeddings plus the bookkeeping needed for the step and audits."""
+    """A batch's forward pass and where each query and slot sits in it.
 
-    query_ids: list[str]
-    cand_ids: list[str]
-    cand_codes: np.ndarray     # (M,) forward row of each slot, a code of its store row
-    query_embs: np.ndarray     # (B, d)
-    cand_embs: np.ndarray      # (M, d); slots [:B] are the positives
+    rows[:B] are the queries' forward rows and rows[B:] the slots'; a
+    forward row codes its store row, so slot j is not a negative of query i
+    when rows[B + j] equals rows[B + i]."""
+
     forward: EncodedBatch      # each distinct store row, the queries' first
     rows: np.ndarray           # (B + M,) forward row of each query, then each slot
-    excluded: list[tuple[str, str]] = field(default_factory=list)
+    cand_embs: np.ndarray      # (M, d) forward.embs[rows[B:]]; slots [:B] are the positives
 
     @property
     def size(self) -> int:
-        return len(self.query_ids)
+        return len(self.rows) - len(self.cand_embs)
 
 
 def _first_appearance(keys: np.ndarray):
@@ -116,9 +111,8 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
 
     The candidate pool is all positives followed by all hard negatives, in
     example order. Slots are coded by store row: slot j is not one of query
-    i's negatives when cand_codes[j] equals cand_codes[i]; the diagonal slot
-    is the query's own positive, and any further match is a duplicate, which
-    is listed in `excluded` (query-major, then slot order) and logged. Each
+    i's negatives when its code equals slot i's; the diagonal slot is the
+    query's own positive, and any further match is a duplicate. Each
     distinct store row is encoded once, in one call, numbered by first
     appearance over the queries, then the slots. No similarity is formed
     here: the step scores the pool block by block.
@@ -132,25 +126,7 @@ def build_batch(data: TrainingSet, index, tokens: Tokens, enc: ToyEncoder) -> Co
     pool = np.concatenate([data.candidates[index, 0], negatives[negatives >= 0]])
     rows, distinct = _first_appearance(np.concatenate([queries, pool]))
     forward = encode_batch(enc, tokens.take(distinct))
-    cand_codes = rows[size:]
-
-    # query i has one exclusion per further slot of its positive's row, and
-    # each names that row
-    repeats = np.bincount(cand_codes)[cand_codes[:size]] - 1
-    excluded = list(zip(np.repeat(data.names[queries], repeats).tolist(),
-                        np.repeat(data.names[pool[:size]], repeats).tolist()))
-    for query_id, cand_id in excluded:
-        logger.debug("batch exclusion: candidate %s duplicates positive of %s", cand_id, query_id)
-    return ContrastiveBatch(
-        query_ids=data.names[queries].tolist(),
-        cand_ids=data.names[pool].tolist(),
-        cand_codes=cand_codes,
-        query_embs=forward.embs[rows[:size]],
-        cand_embs=forward.embs[rows[size:]],
-        forward=forward,
-        rows=rows,
-        excluded=excluded,
-    )
+    return ContrastiveBatch(forward=forward, rows=rows, cand_embs=forward.embs[rows[size:]])
 
 
 def pretrain(
@@ -329,7 +305,8 @@ def _embedding_gradients(batch, state, hyper, loss_mode):
     dL/d(forward embeddings), each distinct sequence's slot gradients
     summed. The blocks' buffers are freed on return, before the encoder's
     backward."""
-    size, uq, uc, codes = batch.size, batch.query_embs, batch.cand_embs, batch.cand_codes
+    size, uc = batch.size, batch.cand_embs
+    uq, codes = batch.forward.embs[batch.rows[:size]], batch.rows[size:]
     qn, cn = _unit_rows(uq, "queries"), _unit_rows(uc, "candidates")
     pos = np.clip(np.einsum("nd,nd->n", qn, cn[:size]), -1.0, 1.0)
     sigma = batch_threshold(pos, hyper.beta)

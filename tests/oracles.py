@@ -335,9 +335,11 @@ def _distinct(ids, rows):
 
 def oracle_batch_layout(examples):
     """A batch's layout coded by id, as build_batch made it from per-example
-    records: (store rows encoded, forward row of each query then slot, slot
-    codes, exclusions). Each example is (query id, query row, positive id,
-    positive row, negative ids, negative rows)."""
+    records: (store rows encoded, forward row of each query then slot,
+    exclusions). An exclusion is a (query index, slot index) pair, query
+    i's slot j off the diagonal that repeats its positive's id, listed
+    query-major, then by slot. Each example is (query id, query row,
+    positive id, positive row, negative ids, negative rows)."""
     cand_ids = [ex[2] for ex in examples] + [n for ex in examples for n in ex[4]]
     cand_rows = [ex[3] for ex in examples] + [n for ex in examples for n in ex[5]]
     query_codes, queries = _distinct([ex[0] for ex in examples], [ex[1] for ex in examples])
@@ -346,22 +348,25 @@ def oracle_batch_layout(examples):
     slots: dict[int, list[int]] = {}
     for j, code in enumerate(cand_codes.tolist()):
         slots.setdefault(code, []).append(j)
-    excluded = [
-        (ex[0], cand_ids[j])
-        for i, ex in enumerate(examples)
-        for j in slots[int(cand_codes[i])]
-        if j != i
-    ]
-    return queries + cands, rows, cand_codes, excluded
+    excluded = [(i, j) for i in range(len(examples)) for j in slots[int(cand_codes[i])] if j != i]
+    return queries + cands, rows, excluded
 
 
 def batch_similarities(batch):
     """A batch's (pos, neg, neg_mask) in one piece: the (B, M) cosines of
     sim_matrix over the whole pool, their diagonal, and the mask that is
-    False where a slot's code equals the query's positive's."""
-    sims = sim_matrix(batch.query_embs, batch.cand_embs)
+    False where a slot's code equals the query's positive's. The queries'
+    and slots' embeddings are gathered from the forward rows."""
+    queries, slots = _batch_embeddings(batch)
+    sims = sim_matrix(queries, slots)
     diag = np.arange(batch.size)
-    return sims[diag, diag].copy(), sims, batch.cand_codes[:batch.size, None] != batch.cand_codes
+    codes = batch.rows[batch.size:]
+    return sims[diag, diag].copy(), sims, codes[:batch.size, None] != codes
+
+
+def _batch_embeddings(batch):
+    """A batch's (B, d) query and (M, d) slot embeddings, by forward row."""
+    return batch.forward.embs[batch.rows[:batch.size]], batch.forward.embs[batch.rows[batch.size:]]
 
 
 def oracle_step_gradients(batch, enc, weights, scales, tau, reduction):
@@ -369,7 +374,7 @@ def oracle_step_gradients(batch, enc, weights, scales, tau, reduction):
     embedding gradients, summed per distinct sequence, then one backward.
     Returns a ToyEncoder over the gradient vector."""
     query_grad, cand_grad = _pool_gradients(
-        batch.query_embs, batch.cand_embs, batch_similarities(batch)[2],
+        *_batch_embeddings(batch), batch_similarities(batch)[2],
         weights, scales, tau, reduction,
     )
     d_embs = np.zeros_like(batch.forward.embs)

@@ -315,10 +315,7 @@ def _retrieval_recall(seed: int, noise: float, loss_mode: str) -> float:
     ])
     candidates = np.full((len(data.train), 1 + MAX_NEGATIVES), -1, dtype=np.intp)
     candidates[:, 0] = [row_of[q.positive_id] for q in data.train]
-    names = [*row_of, *(q.query_id for q in data.train)]
-    train = TrainingSet(
-        len(row_of) + np.arange(len(data.train)), candidates, np.array(names, dtype=object)
-    )
+    train = TrainingSet(len(row_of) + np.arange(len(data.train)), candidates)
     enc = ToyEncoder.create(len(tok.id_to_token), 16, seed=seed)
     finetune(
         train,

@@ -710,7 +710,8 @@ class TestFinetune:
     def test_training_set_rows_follow_the_dataset_ids(self, tmp_path):
         """Each example's candidate rows are its positive's and its
         negatives' store rows, in order and padded with -1; the store holds
-        each referenced passage once, then each query, and names every row."""
+        each referenced passage once, in first-reference order, then each
+        query."""
         from progemb.cli import _training_set
         from progemb.config import RunConfig
 
@@ -720,20 +721,21 @@ class TestFinetune:
         tok = load_checkpoint(ckpt).tokenizer
         cfg = RunConfig(max_passage_len=16)
         data, tokens = _training_set(rows, passages, tok, cfg)
-        names = data.names.tolist()
+        order = list(dict.fromkeys(
+            key for r in rows for key in (r.positive_id, *r.negative_ids)
+        ))
+        row_of = {key: k for k, key in enumerate(order)}
         # one row per referenced passage, then one per query
-        assert len(tokens) == len(names) == len(set(names))
-        assert names[len(names) - len(rows):] == [r.query_id for r in rows]
+        assert len(tokens) == len(order) + len(rows)
         texts = {p.passage_id: p.text for p in passages}
-        texts.update((r.query_id, r.query) for r in rows)
-        for i, row in enumerate(rows):
-            assert names[data.queries[i]] == row.query_id
-            ids = (row.positive_id, *row.negative_ids)
-            assert [names[r] for r in data.candidates[i, : len(ids)]] == list(ids)
-            assert (data.candidates[i, len(ids):] == -1).all()
-        for r, name in enumerate(names):
-            want = tok.encode_text(texts[name], 16)
+        for r, text in enumerate([*(texts[key] for key in order), *(row.query for row in rows)]):
+            want = tok.encode_text(text, 16)
             np.testing.assert_array_equal(tokens.take([r]).ids, want.ids)
+        np.testing.assert_array_equal(data.queries, len(order) + np.arange(len(rows)))
+        for i, row in enumerate(rows):
+            ids = (row.positive_id, *row.negative_ids)
+            assert data.candidates[i, : len(ids)].tolist() == [row_of[key] for key in ids]
+            assert (data.candidates[i, len(ids):] == -1).all()
 
     @pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
     def test_huge_learning_rate_fails_at_its_step_and_writes_nothing(

@@ -46,18 +46,29 @@ def make_fixture(dim=6, seed=0):
     return tok, enc, tok.encode_texts(TEXTS)
 
 
-# names of make_fixture's rows, for sets whose names no test reads
-ROWS = [f"r{r}" for r in range(len(TEXTS))]
-
-
-def training_set(examples, names=ROWS):
-    """The TrainingSet of (query row, positive row, negative rows) examples
-    over a store whose row r is named names[r]."""
+def training_set(examples):
+    """The TrainingSet of (query row, positive row, negative rows) examples."""
     candidates = np.full((len(examples), 1 + MAX_NEGATIVES), -1, dtype=np.intp)
     for i, (_, positive, negatives) in enumerate(examples):
         candidates[i, : 1 + len(negatives)] = (positive, *negatives)
     queries = np.array([q for q, _, _ in examples], dtype=np.intp)
-    return TrainingSet(queries, candidates, np.array(names, dtype=object))
+    return TrainingSet(queries, candidates)
+
+
+def oracle_layout(data, index):
+    """oracle_batch_layout of examples data[index], store row r named s<r>."""
+    examples = []
+    for query, (positive, *negatives) in zip(data.queries[index], data.candidates[index]):
+        negatives = [int(n) for n in negatives if n >= 0]
+        examples.append((f"s{query}", int(query), f"s{positive}", int(positive),
+                         [f"s{n}" for n in negatives], negatives))
+    return oracle_batch_layout(examples)
+
+
+def exclusions(batch):
+    """The (query, slot) pairs off the diagonal that a batch's mask drops,
+    query-major, then by slot."""
+    return [(i, j) for i, j in np.argwhere(~batch_similarities(batch)[2]).tolist() if i != j]
 
 
 class TestBuildBatch:
@@ -66,11 +77,11 @@ class TestBuildBatch:
         similarity matches a direct cosine of the encoded texts."""
         _, enc, tokens = make_fixture()
         examples = [(0, 1, (2,)), (3, 4, (5,))]
-        data = training_set(examples, ["q0", "p0", "n0", "q1", "p1", "n1"])
-        batch = build_batch(data, [0, 1], tokens, enc)
+        batch = build_batch(training_set(examples), [0, 1], tokens, enc)
         pos, neg, _ = batch_similarities(batch)
-        assert batch.query_ids == ["q0", "q1"]
-        assert batch.cand_ids == ["p0", "p1", "n0", "n1"]
+        # the queries, then the positives, then the negatives
+        want = encode_batch(enc, tokens.take([0, 3, 1, 4, 2, 5])).embs
+        assert batch.forward.embs[batch.rows].tobytes() == want.tobytes()
         assert neg.shape == (2, 4)
         for i, (query, positive, _) in enumerate(examples):
             q = encode(enc, tokens.take([query]))
@@ -84,25 +95,24 @@ class TestBuildBatch:
 
     def test_own_positive_masked_out(self):
         _, enc, tokens = make_fixture()
-        batch = build_batch(training_set([(0, 1, ()), (2, 3, ())]), [0, 1], tokens, enc)
+        data = training_set([(0, 1, ()), (2, 3, ())])
+        batch = build_batch(data, [0, 1], tokens, enc)
         neg_mask = batch_similarities(batch)[2]
         assert not neg_mask[0, 0] and not neg_mask[1, 1]
         assert neg_mask[0, 1] and neg_mask[1, 0]
-        assert batch.excluded == []
+        assert exclusions(batch) == oracle_layout(data, [0, 1])[2] == []
 
-    def test_duplicate_of_own_positive_excluded_and_logged(self, caplog):
+    def test_duplicate_of_own_positive_excluded(self):
         """A mined negative that is another query's positive is masked for
         that query only."""
         _, enc, tokens = make_fixture()
-        data = training_set([(0, 1, ()), (2, 3, (1,))], ["q0", "pA", "q1", "pB", "r4", "r5"])
-        with caplog.at_level("DEBUG", logger="progemb.training"):
-            batch = build_batch(data, [0, 1], tokens, enc)
+        data = training_set([(0, 1, ()), (2, 3, (1,))])
+        batch = build_batch(data, [0, 1], tokens, enc)
         neg_mask = batch_similarities(batch)[2]
-        # slot 2 is q1's mined negative, store row 1: q0's positive
+        # slot 2 is query 1's mined negative, store row 1: query 0's positive
         assert not neg_mask[0, 2]
         assert neg_mask[1, 2]
-        assert ("q0", "pA") in batch.excluded
-        assert "candidate pA duplicates positive of q0" in caplog.text
+        assert exclusions(batch) == oracle_layout(data, [0, 1])[2] == [(0, 2)]
 
     def test_mask_and_exclusions_match_pairwise_loop(self):
         """The row codes give the mask and the exclusion order of a plain
@@ -116,20 +126,23 @@ class TestBuildBatch:
                 others = [k for k in range(6) if k != pid]
                 nids = rng.choice(others, size=int(rng.integers(0, 4)), replace=False)
                 examples.append((i, pid, tuple(int(k) for k in nids)))
-            batch = build_batch(training_set(examples), np.arange(len(examples)), tokens, enc)
+            data, index = training_set(examples), np.arange(len(examples))
+            batch = build_batch(data, index, tokens, enc)
             _, neg, neg_mask = batch_similarities(batch)
             pool = [p for _, p, _ in examples] + [n for _, _, ns in examples for n in ns]
+            # two slots share a forward row exactly when they share a store row
+            codes = batch.rows[len(examples):]
+            np.testing.assert_array_equal(codes[:, None] == codes, np.equal.outer(pool, pool))
             mask = np.ones(neg.shape, dtype=bool)
             excluded = []
-            for i, (query, positive, _) in enumerate(examples):
+            for i, (_, positive, _) in enumerate(examples):
                 for j, row in enumerate(pool):
                     if row == positive:
                         mask[i, j] = False
                         if j != i:
-                            excluded.append((ROWS[query], ROWS[row]))
-            assert batch.cand_ids == [ROWS[row] for row in pool]
+                            excluded.append((i, j))
             np.testing.assert_array_equal(neg_mask, mask)
-            assert batch.excluded == excluded
+            assert exclusions(batch) == excluded == oracle_layout(data, index)[2]
 
     def test_shared_id_encoded_once(self):
         _, enc, tokens = make_fixture()
@@ -137,6 +150,17 @@ class TestBuildBatch:
         np.testing.assert_array_equal(batch.cand_embs[0], batch.cand_embs[2])
         # two queries, then the two distinct candidate rows
         assert len(batch.forward.embs) == 4
+
+    def test_tracer_reads_size_and_candidate_embeddings(self):
+        """The benchmark's tracer reads a batch's size and its (M, d) slot
+        embeddings: B, and the forward rows of the slots, byte for byte."""
+        tok, data, tokens = random_batch_examples(np.random.default_rng(3), 12, 8, 5)
+        enc = ToyEncoder.create(tok.vocab_size, 4, seed=3)
+        batch = build_batch(data, np.arange(12), tokens, enc)
+        assert batch.size == 12
+        assert batch.cand_embs.shape == (12 * 6, 4)
+        want = batch.forward.embs[batch.rows[12:]]
+        assert batch.cand_embs.tobytes() == want.tobytes()
 
     def test_layout_matches_id_coded_oracle(self):
         """On random batches with repeated rows (shared positives, negatives
@@ -148,19 +172,12 @@ class TestBuildBatch:
         # 12 queries over 8 passages: positives repeat
         tok, data, tokens = random_batch_examples(rng, 12, 8, 3)
         enc = ToyEncoder.create(tok.vocab_size, 4, seed=11)
-        name = data.names.tolist()
         for _ in range(30):
             index = rng.integers(0, len(data), size=int(rng.integers(1, 16)))
-            examples = []
-            for query, (positive, *negatives) in zip(data.queries[index], data.candidates[index]):
-                negatives = [n for n in negatives if n >= 0]
-                examples.append((name[query], query, name[positive], positive,
-                                 [name[n] for n in negatives], negatives))
-            encoded, rows, _, excluded = oracle_batch_layout(examples)
+            encoded, rows, excluded = oracle_layout(data, index)
             batch = build_batch(data, index, tokens, enc)
             np.testing.assert_array_equal(batch.rows, rows)
-            np.testing.assert_array_equal(batch.cand_codes, rows[len(index):])
-            assert batch.excluded == excluded
+            assert exclusions(batch) == excluded
             want = encode_batch(enc, tokens.take(encoded)).embs
             assert batch.forward.embs.tobytes() == want.tobytes()
 
@@ -265,8 +282,7 @@ def random_batch_examples(rng, n_queries, n_passages, n_negatives):
         others = [k for k in range(n_passages) if k != pid]
         nids = rng.choice(others, size=n_negatives, replace=False)
         examples.append((n_passages + i, pid, tuple(int(k) for k in nids)))
-    names = [f"p{k}" for k in range(n_passages)] + [f"q{i}" for i in range(n_queries)]
-    return tok, training_set(examples, names), tokens
+    return tok, training_set(examples), tokens
 
 
 class TestStepAgainstPoolKernel:
@@ -298,9 +314,10 @@ class TestStepAgainstPoolKernel:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     def test_shared_slot_and_exclusion(self, loss_mode, reduction):
         _, enc, tokens = make_fixture(dim=4, seed=3)
-        data = training_set([(0, 1, (2,)), (3, 4, (1,))], ["q0", "pA", "n0", "q1", "pB", "r5"])
+        data = training_set([(0, 1, (2,)), (3, 4, (1,))])
         batch = build_batch(data, [0, 1], tokens, enc)
-        assert batch.excluded == [("q0", "pA")]
+        # slot 3 is query 1's mined negative, store row 1: query 0's positive
+        assert exclusions(batch) == oracle_layout(data, [0, 1])[2] == [(0, 3)]
         self.check(batch, enc, HyperParams(tau=0.1), MomentumState(t=0.4, step=3),
                    loss_mode, reduction)
 
@@ -311,7 +328,7 @@ class TestStepAgainstPoolKernel:
         tok, data, tokens = random_batch_examples(rng, 64, 90, 5)
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=15)
         batch = build_batch(data, np.arange(64), tokens, enc)
-        assert batch_similarities(batch)[1].shape == (64, 64 * 6) and batch.excluded
+        assert batch_similarities(batch)[1].shape == (64, 64 * 6) and exclusions(batch)
         self.check(batch, enc, HyperParams(tau=0.05), MomentumState(t=0.5, step=2),
                    loss_mode, reduction)
 
@@ -334,7 +351,7 @@ class TestStepRowBlocks:
     def block_rows(monkeypatch, batch, rows):
         """Patch the budget so the step's blocks are `rows` query rows; the
         budget is not a multiple of M, so its floor division counts."""
-        m = len(batch.cand_ids)
+        m = len(batch.cand_embs)
         monkeypatch.setattr(training, "STEP_MIN_ROWS", 1)
         monkeypatch.setattr(training, "STEP_ENTRIES", rows * m + m - 1)
 
@@ -428,10 +445,7 @@ class TestStepRowBlocks:
         queries = [" ".join(rng.choice(words, size=3)) for _ in range(9)]
         tok = Tokenizer.from_texts(texts + queries)
         tokens = tok.encode_texts(texts + queries)
-        data = training_set(
-            [(18 + i, i, (12 + i % 6, (i + 1) % 12)) for i in range(9)],
-            [f"p{k}" for k in range(18)] + [f"q{i}" for i in range(9)],
-        )
+        data = training_set([(18 + i, i, (12 + i % 6, (i + 1) % 12)) for i in range(9)])
         enc = ToyEncoder.create(tok.vocab_size, 8, seed=4)
         batch = build_batch(data, np.arange(9), tokens, enc)
         assert batch.cand_embs[9].tobytes() == batch.cand_embs[0].tobytes()
@@ -445,7 +459,7 @@ class TestStepRowBlocks:
         byte in both loss modes, at the default block and at 1-, 3-, 4- and
         7-row blocks."""
         enc, batch = self.copies_batch()
-        qn = _unit_rows(batch.query_embs, "queries")
+        qn = _unit_rows(batch.forward.embs[batch.rows[:9]], "queries")
         cn = _unit_rows(batch.cand_embs, "candidates")
         want = np.clip(np.einsum("nd,nd->n", qn, cn[:9]), -1.0, 1.0)
         want_sigma = np.float64(batch_threshold(want, self.HYPER.beta)).tobytes()
@@ -497,7 +511,7 @@ class TestStepRowBlocks:
         """The step's tracemalloc peak, in MB, on a progressive batch of
         n_queries queries with five negatives each (M = 6 * n_queries)."""
         enc, batch = self.batch(n_queries=n_queries, seed=2)
-        assert len(batch.cand_ids) == 6 * n_queries
+        assert len(batch.cand_embs) == 6 * n_queries
         tracemalloc.start()
         try:
             self.step(enc, batch, "progressive")
