@@ -1,6 +1,6 @@
 """Layer cases for progemb's kernels, each run in a fresh child process.
 
-    python perf/layers.py [--out BENCH_2.json] [--repeats 5] [--compare OLD.json]
+    python perf/layers.py [--out BENCH_3.json] [--repeats 5] [--compare OLD.json]
 
 Cases:
 
@@ -9,6 +9,9 @@ Cases:
   it is fed, from a fixed 4,096-row pool, its columns rolled and its sign
   flipped by the block's number, so that the child never holds the
   gallery; the time includes making the blocks and their ids.
+- ``topk/q<Q>/g<M>/k<k>``: the same at one other shape, by default
+  ``mine``'s on the retrieve-large-gallery workload: 3,150 queries over
+  3,150 passages at k = 5.
 - ``evaluate/g<M>``: the ``progemb evaluate`` command on a generated
   M-passage gallery, its Q queries and qrels, and a seeded d = 32
   checkpoint. Every repeat is its own child process, timed by its wall
@@ -20,11 +23,13 @@ Cases:
   in-memory dataset rows and passages; the time excludes that. Shapes of
   B >= 8,192 take at most 3 repeats: one step there takes seconds.
 
-Each case reports the median and IQR of its repeats' seconds and the
-child's own peak RSS, read from ``wait4``. This launcher imports neither
-numpy nor progemb: a child's ``ru_maxrss`` starts from the RSS of the
-process that started it. The file is stamped with nproc, the Python and
-numpy versions, the BLAS thread count read inside a child, and the commit
+Each case reports the median and IQR of its repeats' seconds, the first
+repeat's seconds on its own (``first_s``: a first run in a fresh process
+can differ from the later ones), and the child's own peak RSS, read from
+``wait4``. This launcher imports neither numpy nor progemb: a child's
+``ru_maxrss`` starts from the RSS of the process that started it. The file is stamped with nproc, the Python and
+numpy versions, the BLAS thread count and CPU kernel (``blas_core``, which
+``OPENBLAS_CORETYPE`` can override) read inside a child, and the commit
 (``-dirty`` when the tree differs from it).
 ``--compare OLD.json`` prints each case's ratio, new over old, after the
 run. Run it from a checkout; it imports progemb from ``src/``.
@@ -73,13 +78,14 @@ def _summary(seconds, rss_mb):
     q1, median, q3 = (statistics.quantiles(seconds, n=4, method="inclusive")
                       if len(seconds) > 1 else seconds * 3)
     return {"repeats": len(seconds), "median_s": median, "iqr_s": q3 - q1,
-            "seconds": seconds, "peak_rss_mb": rss_mb}
+            "first_s": seconds[0], "seconds": seconds, "peak_rss_mb": rss_mb}
 
 
 # --- children ---------------------------------------------------------------
 
-def _blas_threads() -> int | str:
-    """OpenBLAS's own thread count, read from the library numpy loaded."""
+def _openblas(name: str, restype):
+    """``openblas_<name>`` called in the library numpy loaded, under any of
+    its symbol prefixes, or None when no such library or symbol is found."""
     import ctypes
     import glob
 
@@ -87,20 +93,26 @@ def _blas_threads() -> int | str:
 
     for lib in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
         handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(handle, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
+                fn.argtypes, fn.restype = [], restype
                 return fn()
-    return os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
+    return None
 
 
 def child_stamp() -> dict:
+    import ctypes
+
     import progemb  # noqa: F401 - sets the BLAS thread count before numpy loads
     import numpy as np
 
-    return {"numpy": np.__version__, "blas_threads": _blas_threads()}
+    threads = _openblas("get_num_threads", ctypes.c_int)
+    if threads is None:
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
+    core = _openblas("get_corename", ctypes.c_char_p)
+    return {"numpy": np.__version__, "blas_threads": threads,
+            "blas_core": "unknown" if core is None else core.decode()}
 
 
 def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
@@ -227,6 +239,11 @@ def run(args) -> dict:
             result, rss = _child("topk", gallery=gallery, k=k, queries=args.queries,
                                     repeats=args.repeats)
             cases[f"topk/g{gallery}/k{k}"] = _summary(result["seconds"], rss)
+    if args.mine_topk:
+        queries, gallery, k = args.mine_topk
+        result, rss = _child("topk", gallery=gallery, k=k, queries=queries,
+                             repeats=args.repeats)
+        cases[f"topk/q{queries}/g{gallery}/k{k}"] = _summary(result["seconds"], rss)
     for gallery in args.eval_galleries:
         with tempfile.TemporaryDirectory() as work:
             _child("prepare", directory=work, gallery=gallery, queries=args.queries)
@@ -263,11 +280,13 @@ def _ints(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="BENCH_2.json")
+    parser.add_argument("--out", default="BENCH_3.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--queries", type=int, default=300)
     parser.add_argument("--galleries", type=_ints, default=[2_000, 20_000, 200_000])
     parser.add_argument("--ks", type=_ints, default=[10, 50])
+    parser.add_argument("--mine-topk", type=_ints, default=[3_150, 3_150, 5],
+                        help="queries,gallery,k of one more top-k case; empty for none")
     parser.add_argument("--eval-galleries", type=_ints, default=[20_000, 100_000])
     parser.add_argument("--steps", type=_ints, default=[32, 2_048, 8_192, 13_334],
                         help="fine-tune step batch sizes B, each with M = 6B slots")

@@ -202,10 +202,14 @@ def write_qrels(path, qrels: Mapping[str, Mapping[str, int]]) -> None:
 
 
 def read_qrels(path) -> dict[str, dict[str, int]]:
+    """Each query's graded docs; a (query, doc) pair given twice is a ValueError."""
     out: dict[str, dict[str, int]] = {}
     for row in _read_rows(path, "qrels"):
         qid, doc = need(path, row, {"query_id": str, "doc_id": str})
-        out.setdefault(qid, {})[doc] = _grade(path, qid, doc, row.get("grade"))
+        rels = out.setdefault(qid, {})
+        if doc in rels:
+            raise ValueError(f"{path}: duplicate qrels pair ({qid}, {doc})")
+        rels[doc] = _grade(path, qid, doc, row.get("grade"))
     return out
 
 

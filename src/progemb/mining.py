@@ -147,7 +147,7 @@ def mine_hard_negatives(
     descending with ties broken by ascending passage id. A similarity is
     the clipped einsum product of the unit rows, so a passage's bytes do not
     depend on its position; a BLAS product only screens the candidates.
-    Non-finite embeddings and repeated passage ids are a ValueError.
+    Non-finite embeddings are a ValueError; passage_ids name each row once.
     """
     hits = top_k(query_embs, [(passage_ids, passage_embs)], k, exclude=positive_ids)
     return [list(zip(*hit)) for hit in hits]

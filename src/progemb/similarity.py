@@ -73,8 +73,7 @@ def _row_norms(arr: np.ndarray, name: str, finite: bool, first: int = 0) -> np.n
 
 def _unit_rows(x, name: str) -> np.ndarray:
     """x's rows scaled to unit norm. A zero row is a ValueError; a row whose
-    norm is not finite gives NaN, which the training step reports as a
-    non-finite loss."""
+    norm is not finite gives NaN."""
     arr = np.asarray(x, dtype=np.float64)
     return arr / _row_norms(arr, name, False)[:, None]
 
@@ -129,21 +128,14 @@ def _tiles(gallery, base: int, width: int, d: int):
     and a later one an eighth of the rows read before it, up to ``width``:
     a short gallery is screened in small tiles, a long one in few large
     ones. The buffer doubles as rows arrive, so it is never longer than the
-    gallery. A repeated id is a ValueError."""
-    buf, names, seen, fill, first = np.empty((0, d)), np.empty(0, dtype=object), set(), 0, 0
+    gallery. No id is checked: the caller's ids name each row once."""
+    buf, names, fill, first = np.empty((0, d)), np.empty(0, dtype=object), 0, 0
     limit = base
     for ids, embs in gallery:
         embs = np.asarray(embs, dtype=np.float64)
         if embs.ndim != 2 or embs.shape[1] != d or len(ids) != len(embs):
             raise ValueError(f"bad top-k input: a gallery block of shape {embs.shape} "
                              f"with {len(ids)} ids, queries of d={d}")
-        new = set(ids)
-        if len(new) < len(ids) or not seen.isdisjoint(new):
-            for pid in ids:
-                if pid in seen:
-                    raise ValueError(f"repeated gallery id {pid!r}")
-                seen.add(pid)
-        seen |= new
         at = 0
         while at < len(embs):
             if fill == len(buf):
@@ -315,12 +307,13 @@ def top_k(queries, gallery, k: int, exclude=None):
     queries is (Q, d). gallery is an iterable of (ids, embeddings) blocks,
     each (n, d), with at least one row in all; a caller with one array
     passes it as one block. Every row is finite and nonzero, ids name each
-    gallery row once, k >= 1, and exclude holds, per query, ids it must not
-    return. A query with fewer than k eligible rows gets all of them. The
-    scores are the entries of ``np.einsum("qd,md->qm", ...)`` over the unit
-    rows, clipped to [-1, 1]: einsum, unlike a BLAS matmul, gives
-    byte-identical rows the same score at any position. They descend, and
-    exact ties go by ascending id in Python's string order.
+    gallery row once (unchecked: a repeat is refused where the ids enter the
+    program, as in `dataio.iter_corpus`), k >= 1, and exclude holds, per
+    query, ids it must not return. A query with fewer than k eligible rows
+    gets all of them. The scores are the entries of ``np.einsum("qd,md->qm",
+    ...)`` over the unit rows, clipped to [-1, 1]: einsum, unlike a BLAS
+    matmul, gives byte-identical rows the same score at any position. They
+    descend, and exact ties go by ascending id in Python's string order.
 
     The gallery is read once. Its rows fill tiles of at most
     max(TOPK_BLOCK // d, k) rows (`_tiles`), normalized in place, and each
@@ -328,10 +321,9 @@ def top_k(queries, gallery, k: int, exclude=None):
     most TOPK_BLOCK entries each when TOPK_BLOCK >= k d (`_Screen.tile`).
     Only the columns within ``slack`` of their row's running k-th best
     BLAS score are rescored with einsum, and only a (Q, k) state outlives
-    a tile: no unit-norm copy of the gallery and no gallery-long score or
-    rank array. The set of ids seen is kept too, to refuse a repeated one.
-    All work is done before this returns; the lists are made as they are
-    drawn.
+    a tile: no unit-norm copy of the gallery, no gallery-long score or rank
+    array and no set of ids. All work is done before this returns; the
+    lists are made as they are drawn.
 
     The screen is exact. Each product of unit rows, BLAS or einsum, is within
     gamma_d = d eps / (1 - d eps) of the exact dot product (Higham, Accuracy

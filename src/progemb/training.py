@@ -8,11 +8,10 @@ negatives in-batch: each query's negative pool is every other query's
 positive plus every hard negative brought by any query in the batch. A
 candidate whose store row is the query's own positive's row is excluded
 from that query's pool, which the batch's integer row codes encode. The
-step normalizes the pool once, takes the positives' similarities and the
-batch threshold once from the unit rows, and scores the pool once, in
-blocks of query rows sized by a budget of (rows, M) entries, so no (B, M)
-array lives longer than one block and a block's arrays stay near that
-budget. The step's loss is the batch mean.
+step takes the positives' similarities and the batch threshold once from
+the encoder's unit rows, and scores the pool once, in blocks of query rows
+sized by a budget of (rows, M) entries, so no (B, M) array lives longer
+than one block and a block's arrays stay near that budget. The step's loss is the batch mean.
 The optimizer writes into each model's one parameter vector: fine-tuning
 fills one gradient vector per run, and pretraining steps the decoder, then
 the encoder, as the MAE kernel hands out each one's gradient from one
@@ -46,7 +45,7 @@ from .loss import (
     update_momentum,
 )
 from .optim import make_optimizer
-from .similarity import _unit_rows, sim_matrix  # noqa: F401
+from .similarity import sim_matrix  # noqa: F401
 
 __all__ = [
     "TrainingSet",
@@ -273,8 +272,9 @@ def _step_loss_and_gradients(
     written into grad, a ToyEncoder of enc's shape, so a run reuses one
     vector.
 
-    The queries and the pool are normalized once, as sim_matrix does, to
-    Uq and Uc. pos[i] is the clipped einsum product of Uq[i] and its
+    Uq and Uc are the forward's rows of the queries and the pool, which
+    `encode_batch` made unit and zero-checked: the products and the
+    gradients take them as they are. pos[i] is the clipped einsum product of Uq[i] and its
     positive's row Uc[i], the scores top-k gives, and sigma = mean(pos) -
     beta is taken from it before any block is scored; the momentum update
     and the audit read the same pos and sigma. Query rows are then walked
@@ -307,8 +307,7 @@ def _embedding_gradients(batch, state, hyper, loss_mode):
     backward."""
     size, uc = batch.size, batch.cand_embs
     uq, codes = batch.forward.embs[batch.rows[:size]], batch.rows[size:]
-    qn, cn = _unit_rows(uq, "queries"), _unit_rows(uc, "candidates")
-    pos = np.clip(np.einsum("nd,nd->n", qn, cn[:size]), -1.0, 1.0)
+    pos = np.clip(np.einsum("nd,nd->n", uq, uc[:size]), -1.0, 1.0)
     sigma = batch_threshold(pos, hyper.beta)
     rows = max(STEP_MIN_ROWS, STEP_ENTRIES // len(uc))
     # the blocks reuse one buffer for their cosines and one for their slots'
@@ -323,7 +322,7 @@ def _embedding_gradients(batch, state, hyper, loss_mode):
     for lo in range(0, size, rows):
         blk = slice(lo, min(lo + rows, size))
         diag = np.arange(blk.stop - lo), np.arange(lo, blk.stop)
-        block_sims = np.matmul(qn[blk], cn.T, out=sims[: blk.stop - lo])
+        block_sims = np.matmul(uq[blk], uc.T, out=sims[: blk.stop - lo])
         np.clip(block_sims, -1.0, 1.0, out=block_sims)
         mask = codes[blk, None] != codes
         # the positive of the same product as the negatives, so a copy ties it

@@ -8,6 +8,7 @@ import gc
 import json
 import math
 import os
+import signal
 import sys
 import subprocess
 import tracemalloc
@@ -157,6 +158,39 @@ for lib in glob.glob(os.path.join(libs, "*openblas*")):
             raise SystemExit
 """
 
+TOPK_UNDER_A_KERNEL = """
+import ctypes, glob, json, os
+import progemb
+import numpy as np
+from progemb.similarity import top_k
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+core = None
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    handle = ctypes.CDLL(lib)
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                   "openblas_get_corename"):
+        name = getattr(handle, symbol, None)
+        if name is not None and core is None:
+            name.argtypes, name.restype = [], ctypes.c_char_p
+            core = name().decode()
+rng = np.random.default_rng(3)
+d = 32
+control = rng.normal(size=(64, d)) @ rng.normal(size=(d, d))
+rows = rng.normal(size=(1500, d))
+# ten exact copies each of 30 rows, and 300 rows moved an ulp
+gallery = np.concatenate([rows, np.repeat(rows[:30], 10, axis=0),
+                          np.nextafter(rows[30:330], np.inf)])
+gallery = gallery[rng.permutation(len(gallery))]
+ids = [f"p{i:05d}" for i in range(len(gallery))]
+# 101 queries: 32-row query blocks at d = 32, the last one 5 rows; 40 of
+# them copy a gallery row and score the +1 clip, and 30 are near one
+queries = np.concatenate([rows[:40], rng.normal(size=(31, d)),
+                          rows[30:60] + 1e-9 * rng.normal(size=(30, d))])
+blocks = [(ids[lo : lo + 97], gallery[lo : lo + 97]) for lo in range(0, len(gallery), 97)]
+lists = [[list(names), [s.hex() for s in scores]] for names, scores in top_k(queries, blocks, 10)]
+print(json.dumps({"core": core, "control": control.tobytes().hex(), "lists": lists}))
+"""
+
 
 def clustered_corpus(path, clusters=16, words=72, docs=256):
     """Documents of two 6-word sentences, each from one cluster's words:
@@ -204,6 +238,34 @@ class TestProcess:
         assert len(tok.id_to_token) > 16 * 72
         for command in ("pretrain", "mine", "finetune"):
             assert_same_files(tmp_path / "1" / command, tmp_path / "2" / command)
+
+    def test_top_k_does_not_depend_on_the_blas_kernel(self):
+        """top_k's lists and score bytes are the same under every OpenBLAS
+        CPU kernel: its BLAS product only screens, and einsum scores. The
+        control, a BLAS product, shows that a kernel with other arithmetic
+        was compared. A kernel is compared only where the child reports it
+        by name, so a library without the name, or a CPU that cannot run
+        the kernel, skips it."""
+        default = python("-c", TOPK_UNDER_A_KERNEL, OPENBLAS_CORETYPE="")
+        assert default.returncode == 0, default.stderr
+        want = json.loads(default.stdout)
+        if want["core"] is None:
+            pytest.skip("the BLAS library does not report its kernel")
+        compared, controls = [], []
+        for core in ("Sandybridge", "Haswell"):
+            out = python("-c", TOPK_UNDER_A_KERNEL, OPENBLAS_CORETYPE=core)
+            if out.returncode == -signal.SIGILL:
+                continue
+            assert out.returncode == 0, out.stderr
+            got = json.loads(out.stdout)
+            if got["core"] != core or got["core"] == want["core"]:
+                continue
+            assert got["lists"] == want["lists"], core
+            compared.append(core)
+            controls.append(got["control"] != want["control"])
+        if not compared:
+            pytest.skip(f"no kernel other than {want['core']} could be selected")
+        assert any(controls), compared
 
     def test_piped_output_holds_every_wrote_line(self, tmp_path):
         dataio.write_corpus(tmp_path / "docs.jsonl", corpus_passages())
@@ -1055,6 +1117,16 @@ class TestStreamedGallery:
         )
         assert main(["evaluate", "--config", cfg]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_qrels_pair_is_validation_error(self, tmp_path, capsys):
+        cfg, out, _ = self.setup_inputs(tmp_path, 20)
+        qrels = tmp_path / "qrels.jsonl"
+        lines = qrels.read_text().splitlines(keepends=True)
+        qrels.write_text("".join(lines + lines[1:2]))
+        assert main(["evaluate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert str(qrels) in err and "duplicate qrels pair (q0, p00000)" in err
         assert not out.exists()
 
     def test_gallery_pass_memory_does_not_grow_with_the_text(self, tmp_path):

@@ -353,6 +353,18 @@ class TestQrelsAndQueries:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_qrels(path)
 
+    def test_repeated_qrels_pair_rejected(self, tmp_path):
+        """A pair judged twice is refused, whatever its grades: the later
+        row used to overwrite the earlier grade, which moved the metrics."""
+        rows = [{"query_id": "q0", "doc_id": "d0", "grade": 1},
+                {"query_id": "q1", "doc_id": "d0", "grade": 1},
+                {"query_id": "q0", "doc_id": "d0", "grade": 3}]
+        path = tmp_path / "qrels.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in
+                                [{"format": "qrels", "version": 1}, *rows]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: duplicate qrels pair (q0, d0)")):
+            read_qrels(path)
+
     def test_queries_round_trip(self, tmp_path):
         pairs = [("q0", "first question"), ("q1", "second question")]
         path = tmp_path / "queries.jsonl"

@@ -15,6 +15,7 @@ from oracles import oracle_topk
 
 from progemb import evaluation
 from progemb.dataio import METRICS, MetricReport
+from progemb.similarity import TOPK_BLOCK
 from progemb.evaluation import (
     RankedList,
     average_precision,
@@ -369,10 +370,11 @@ class TestEvaluateRun:
         with pytest.raises(ValueError):
             evaluate_run([("q", np.ones(3))], [([], np.zeros((0, 3)))], {"q": {"a": 1}})
 
-    def test_streamed_gallery_grows_the_peak_by_the_ids_alone(self):
-        """A gallery fed in blocks is ranked without being held: from 5k to
-        50k passages the traced peak grows by no more than the ids, which
-        top_k keeps to refuse a repeated one."""
+    def test_streamed_gallery_grows_the_peak_by_a_few_tiles(self):
+        """A gallery fed in blocks is ranked without being held, and without
+        a set of its ids: from 5k to 50k passages the traced peak grows by
+        less than three TOPK_BLOCK-entry float64 arrays, as top_k's tiles
+        widen from a quarter of that to all of it."""
         d = 16
         rng = np.random.default_rng(17)
         queries = [(f"q{i}", v) for i, v in enumerate(rng.normal(size=(200, d)))]
@@ -392,11 +394,11 @@ class TestEvaluateRun:
             finally:
                 tracemalloc.stop()
             assert len(report.per_query) == len(queries)
-        # each id's string and its slot in a set of seen ids
-        ids = 45_000 * (sys.getsizeof("p00000") + 64)
-        assert peaks[50_000] - peaks[5_000] < ids
-        # holding the gallery's rows would not fit
-        assert 45_000 * 8 * d > ids - (peaks[50_000] - peaks[5_000])
+        tiles = 3 * 8 * TOPK_BLOCK
+        assert peaks[50_000] - peaks[5_000] < tiles
+        # holding the gallery's rows, or each id's string and its slot in a
+        # set of ids, would not fit
+        assert min(45_000 * 8 * d, 45_000 * (sys.getsizeof("p00000") + 64)) > tiles
 
     def test_report_type(self):
         queries, ids, embs, qrels = identity_fixture(n=2)

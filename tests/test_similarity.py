@@ -195,10 +195,6 @@ class TestTopK:
         with pytest.raises(ValueError, match="non-finite vector: queries row 1"):
             top_k([[1, 0, 0, 0], [bad, 0, 0, 0]], [(list("abcd"), np.eye(4))], 2)
 
-    def test_repeated_ids_rejected(self):
-        with pytest.raises(ValueError, match="repeated gallery id 'a'"):
-            top_k(np.eye(3)[:1], [(["a", "a", "b"], np.eye(3))], 2, [{"a"}])
-
 
 class TestScreenedTopK:
     """`top_k` screens with a BLAS product and rescores with einsum; its lists
@@ -308,11 +304,10 @@ class TestScreenedTopK:
         assert (rescored <= running).all()
 
     def test_memory_is_bounded_by_the_tiles(self):
-        """Beyond its unit-norm copy of the queries, its (Q, k) state and
-        the set of gallery ids it has seen, top_k holds a few
-        TOPK_BLOCK-entry arrays: no copy of the gallery, no gallery-long
-        rank or score array, no (Q, M) score matrix, and no gathers of every
-        query's k candidate rows."""
+        """Beyond its unit-norm copy of the queries and its (Q, k) state,
+        top_k holds a few TOPK_BLOCK-entry arrays: no copy of the gallery,
+        no set of its ids, no gallery-long rank or score array, no (Q, M)
+        score matrix, and no gathers of every query's k candidate rows."""
         rng = np.random.default_rng(41)
         m, d, nq, k = 50_000, 16, 2_000, 50
         embs, queries = rng.normal(size=(m, d)), rng.normal(size=(nq, d))
@@ -324,11 +319,11 @@ class TestScreenedTopK:
         finally:
             tracemalloc.stop()
         assert all(len(names) == k for names, _ in hits)
-        # best, then held and found (row, id, score, BLAS score) entries,
-        # found at most as many as held
-        queries_copy, state, seen = 8 * nq * d, 8 * (1 + 3 + 4) * nq * k, 64 * m
+        # best, then the found (row, id, score) entries: those held, and the
+        # copies that `compact` makes of them
+        queries_copy, state = 8 * nq * d, 8 * (1 + 3 + 4) * nq * k
         tiles = 8 * 4 * similarity.TOPK_BLOCK
-        bound = queries_copy + state + seen + tiles
+        bound = queries_copy + state + tiles
         assert peak < bound
         # a unit-norm copy of the gallery, or gathering each query's k rows
         # and its own rows at once, would not fit

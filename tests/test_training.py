@@ -19,7 +19,7 @@ from oracles import (
 from progemb import encoder, training
 from progemb.encoder import MaeDecoder, Tokenizer, ToyEncoder, encode, encode_batch
 from progemb.loss import HyperParams, MomentumState, batch_threshold, info_nce, progressive_loss
-from progemb.similarity import _unit_rows, cosine
+from progemb.similarity import cosine
 from progemb.dataio import MAX_NEGATIVES
 from progemb.training import (
     TrainingSet,
@@ -459,9 +459,8 @@ class TestStepRowBlocks:
         byte in both loss modes, at the default block and at 1-, 3-, 4- and
         7-row blocks."""
         enc, batch = self.copies_batch()
-        qn = _unit_rows(batch.forward.embs[batch.rows[:9]], "queries")
-        cn = _unit_rows(batch.cand_embs, "candidates")
-        want = np.clip(np.einsum("nd,nd->n", qn, cn[:9]), -1.0, 1.0)
+        uq, uc = batch.forward.embs[batch.rows[:9]], batch.cand_embs
+        want = np.clip(np.einsum("nd,nd->n", uq, uc[:9]), -1.0, 1.0)
         want_sigma = np.float64(batch_threshold(want, self.HYPER.beta)).tobytes()
         calls = self.record_losses(monkeypatch)
         grad = zero_grad(enc)
@@ -531,26 +530,8 @@ class TestStepRowBlocks:
 
 
 class TestStepZeroNormRule:
-    """A zero embedding matters only where a query uses it, and only the
-    encoder can make one, which it rejects."""
-
-    def batch(self):
-        _, enc, tokens = make_fixture(dim=4, seed=14)
-        return enc, build_batch(training_set([(0, 1, (2,)), (3, 4, (5,))]), [0, 1], tokens, enc)
-
-    def step(self, enc, batch):
-        return step_gradients(
-            batch, enc, MomentumState(t=0.3, step=1), HyperParams(tau=0.2), "progressive"
-        )
-
-    def test_zero_vector_in_a_pool_slot_rejected(self):
-        """Every slot is some query's positive or one of its negatives, so
-        the step's similarities reject a zero vector in any slot."""
-        enc, batch = self.batch()
-        self.step(enc, batch)
-        batch.cand_embs[3] = 0.0
-        with pytest.raises(ValueError, match="zero-norm vector: candidates row 3"):
-            self.step(enc, batch)
+    """Only the encoder can make a zero embedding, and it rejects one; the
+    step takes the encoder's unit rows as they are."""
 
     def test_zero_norm_encoding_fails_at_its_step(self):
         """The encoder rejects a zero embedding before any similarity is
