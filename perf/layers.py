@@ -1,6 +1,6 @@
 """Layer cases for progemb's kernels, each run in a fresh child process.
 
-    python perf/layers.py [--out BENCH_3.json] [--repeats 5] [--compare OLD.json]
+    python perf/layers.py [--out BENCH_4.json] [--repeats 5] [--compare OLD.json]
 
 Cases:
 
@@ -9,9 +9,11 @@ Cases:
   it is fed, from a fixed 4,096-row pool, its columns rolled and its sign
   flipped by the block's number, so that the child never holds the
   gallery; the time includes making the blocks and their ids.
-- ``topk/q<Q>/g<M>/k<k>``: the same at one other shape, by default
-  ``mine``'s on the retrieve-large-gallery workload: 3,150 queries over
-  3,150 passages at k = 5.
+- ``mine/q<Q>/g<M>/k<k>``: ``mining.mine_hard_negatives``, the call
+  ``mine`` makes, by default at its shape on the retrieve-large-gallery
+  workload: 3,150 queries over 3,150 passages at k = 5. The gallery is the
+  top-k case's, made into one array before the clock starts, as ``mine``
+  holds it, and query i's one positive is gallery row i (mod M).
 - ``evaluate/g<M>``: the ``progemb evaluate`` command on a generated
   M-passage gallery, its Q queries and qrels, and a seeded d = 32
   checkpoint. Every repeat is its own child process, timed by its wall
@@ -115,9 +117,8 @@ def child_stamp() -> dict:
             "blas_core": "unknown" if core is None else core.decode()}
 
 
-def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
-    """Seconds of each top_k call over a streamed gallery."""
-    from progemb.similarity import top_k
+def _topk_inputs(gallery: int, queries: int):
+    """The seeded queries, and a function that makes the gallery's blocks."""
     import numpy as np
 
     rng = np.random.default_rng(7)
@@ -133,10 +134,38 @@ def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
                 rows = -rows
             yield [f"p{i:07d}" for i in range(lo, lo + n)], rows
 
+    return q, blocks
+
+
+def child_topk(gallery: int, k: int, queries: int, repeats: int) -> dict:
+    """Seconds of each top_k call over a streamed gallery."""
+    from progemb.similarity import top_k
+
+    q, blocks = _topk_inputs(gallery, queries)
     seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
         list(top_k(q, blocks(), k))
+        seconds.append(time.perf_counter() - start)
+    return {"seconds": seconds}
+
+
+def child_mine(gallery: int, k: int, queries: int, repeats: int) -> dict:
+    """Seconds of each mine_hard_negatives call over a gallery in hand."""
+    from progemb.mining import mine_hard_negatives
+    import numpy as np
+
+    q, blocks = _topk_inputs(gallery, queries)
+    ids, embs = [], []
+    for names, rows in blocks():
+        ids += names
+        embs.append(rows)
+    embs = np.concatenate(embs)
+    positives = [{ids[i % gallery]} for i in range(queries)]
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        mine_hard_negatives(q, ids, embs, positives, k)
         seconds.append(time.perf_counter() - start)
     return {"seconds": seconds}
 
@@ -205,8 +234,8 @@ def child_step(queries: int, loss_mode: str, repeats: int) -> dict:
     return {"seconds": seconds}
 
 
-CHILDREN = {"stamp": child_stamp, "topk": child_topk, "prepare": child_prepare,
-            "step": child_step}
+CHILDREN = {"stamp": child_stamp, "topk": child_topk, "mine": child_mine,
+            "prepare": child_prepare, "step": child_step}
 
 
 # --- launcher ---------------------------------------------------------------
@@ -241,9 +270,9 @@ def run(args) -> dict:
             cases[f"topk/g{gallery}/k{k}"] = _summary(result["seconds"], rss)
     if args.mine_topk:
         queries, gallery, k = args.mine_topk
-        result, rss = _child("topk", gallery=gallery, k=k, queries=queries,
+        result, rss = _child("mine", gallery=gallery, k=k, queries=queries,
                              repeats=args.repeats)
-        cases[f"topk/q{queries}/g{gallery}/k{k}"] = _summary(result["seconds"], rss)
+        cases[f"mine/q{queries}/g{gallery}/k{k}"] = _summary(result["seconds"], rss)
     for gallery in args.eval_galleries:
         with tempfile.TemporaryDirectory() as work:
             _child("prepare", directory=work, gallery=gallery, queries=args.queries)
@@ -280,13 +309,13 @@ def _ints(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default="BENCH_3.json")
+    parser.add_argument("--out", default="BENCH_4.json")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--queries", type=int, default=300)
     parser.add_argument("--galleries", type=_ints, default=[2_000, 20_000, 200_000])
     parser.add_argument("--ks", type=_ints, default=[10, 50])
     parser.add_argument("--mine-topk", type=_ints, default=[3_150, 3_150, 5],
-                        help="queries,gallery,k of one more top-k case; empty for none")
+                        help="queries,gallery,k of the mine case; empty for none")
     parser.add_argument("--eval-galleries", type=_ints, default=[20_000, 100_000])
     parser.add_argument("--steps", type=_ints, default=[32, 2_048, 8_192, 13_334],
                         help="fine-tune step batch sizes B, each with M = 6B slots")

@@ -11,6 +11,7 @@ needed).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -86,6 +87,11 @@ class RunConfig:
             if value < 0:
                 raise ValueError(f"config: {name} must be >= 0, got {value}")
 
+        # NaN passes the > 0 and >= 0 checks below, no float key allows an
+        # infinity, and JSON holds neither
+        for name, value in _fields(self, float):
+            if not math.isfinite(value):
+                raise ValueError(f"config: {name} must be finite, got {value}")
         for name in ("embed_dim", "max_query_len", "max_passage_len",
                      "pretrain_batch_size", "finetune_batch_size",
                      "pretrain_lr", "finetune_lr", "tau", "passage_max_chars",
@@ -119,7 +125,7 @@ class RunConfig:
             raise ValueError(
                 f"config: judge must be one of {_JUDGES}, got {self.judge!r}"
             )
-        for name, value in _string_fields(self):
+        for name, value in _fields(self, str):
             if value != value.strip() or "\n" in value:
                 raise ValueError(
                     f"config: {name} may not have surrounding whitespace or newlines"
@@ -127,10 +133,11 @@ class RunConfig:
         return self
 
 
-def _string_fields(cfg: RunConfig):
+def _fields(cfg: RunConfig, kind):
+    """(name, value) of each of cfg's fields declared of type kind."""
     hints = get_type_hints(RunConfig)
     for f in dataclasses.fields(cfg):
-        if hints[f.name] is str:
+        if hints[f.name] is kind:
             yield f.name, getattr(cfg, f.name)
 
 

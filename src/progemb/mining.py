@@ -139,18 +139,25 @@ def mine_hard_negatives(
     positive_ids: Sequence[Collection[str]],
     k: int = MAX_NEGATIVES,
 ) -> list[list[tuple[str, float]]]:
-    """Exact top-k cosine retrieval (`similarity.top_k`) of each query row:
-    one list of (passage_id, similarity) pairs per query.
+    """Exact top-k cosine retrieval (`similarity.top_k`) of each query row,
+    less its positives: one list of (passage_id, similarity) pairs per query.
 
-    positive_ids holds the ids to exclude, one collection per query. A list
-    is shorter than k when fewer passages are left. Order is similarity
-    descending with ties broken by ascending passage id. A similarity is
-    the clipped einsum product of the unit rows, so a passage's bytes do not
-    depend on its position; a BLAS product only screens the candidates.
-    Non-finite embeddings are a ValueError; passage_ids name each row once.
+    positive_ids holds the ids to exclude, one collection per query, or it
+    is a ValueError. top_k is asked for k plus the largest collection, and
+    each query's own are dropped from its list: what is left is its top-k
+    without them, shorter when fewer passages are left. Order is
+    similarity descending with ties broken by ascending passage id. A
+    similarity is the clipped einsum product of the unit rows, so a
+    passage's bytes do not depend on its position; a BLAS product only
+    screens the candidates. Non-finite embeddings are a ValueError;
+    passage_ids name each row once.
     """
-    hits = top_k(query_embs, [(passage_ids, passage_embs)], k, exclude=positive_ids)
-    return [list(zip(*hit)) for hit in hits]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    extra = max(map(len, positive_ids), default=0)
+    hits = top_k(query_embs, [(passage_ids, passage_embs)], k + extra)
+    return [[pair for pair in zip(*hit) if pair[0] not in own][:k]
+            for hit, own in zip(hits, positive_ids, strict=True)]
 
 
 def filter_false_negatives(

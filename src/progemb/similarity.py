@@ -175,26 +175,22 @@ def _ordered(r, ids, e, k: int):
 class _Screen:
     """The state of one `top_k` call, all that outlives a tile. Per query
     row, ``best`` holds its running kk best BLAS scores, the least first,
-    for kk = min(k, gallery rows seen). Per block of ``rows`` query rows,
-    ``found`` holds the exact (row in the block, id, score) entries
-    screened in. Once a block holds 6/5 of k entries a row, those that no
-    longer beat their row's threshold are dropped, and if exact ties keep
-    that many, each row is cut to its k best (`_ordered`): the state stays
-    within 6/5 of (Q, k), plus one product's finds. (At 3/2, `bench` on
-    paper-bench-noisy peaked 0.4 MB higher, at no gain in time.) The query
-    rows are scaled to unit norm a product's rows at a time, by the norms
-    taken once."""
+    for kk = min(k, gallery rows), set by the first tile. Per block of
+    ``rows`` query rows, ``found`` holds the exact (row in the block, id,
+    score) entries screened in. Once a block holds 6/5 of k entries a row,
+    those that no longer beat their row's threshold are dropped, and if
+    exact ties keep that many, each row is cut to its k best (`_ordered`):
+    the state stays within 6/5 of (Q, k), plus one product's finds. (At
+    3/2, `bench` on paper-bench-noisy peaked 0.4 MB higher, at no gain in
+    time.) The query rows are scaled to unit norm a product's rows at a
+    time, by the norms taken once."""
 
-    def __init__(self, queries, norms, k: int, rows: int, exclude):
+    def __init__(self, queries, norms, k: int, rows: int):
         d = queries.shape[1]
         eps = np.finfo(np.float64).eps
         self.queries, self.norms, self.k, self.rows = queries, norms, k, rows
         self.slack = 4 * d * eps / (1 - d * eps) + 8 * eps
-        self.banned: dict = {}
-        for i, ps in enumerate(exclude or ()):
-            for p in ps:
-                self.banned.setdefault(p, []).append(i)
-        self.best = np.empty((len(queries), 0))
+        self.best = None  # set by the first tile
         blocks = range(0, len(queries), rows)
         self.found, self.count = [[] for _ in blocks], [0] * len(blocks)
         # 6/5 of k entries a row of the block, rounded up
@@ -205,51 +201,36 @@ class _Screen:
         ``names``, against every query row; see `top_k`.
 
         One BLAS product of at most TOPK_BLOCK entries scores a span of
-        whole query blocks, and the excluded pairs score -inf. A column is
-        found when it scores above its row's kk-th best so far less
-        ``slack``: strictly, so that an excluded column is never found. A
-        span with a row that has not seen kk columns takes its kk best from
-        a partition of the product; otherwise only found scores can raise
-        them (`_raise_best`), and the found ones that fall below the raised
-        threshold are dropped. The rest are rescored with einsum while t is
-        in hand, the two sides' gathered rows holding no more than one
-        block's product, and filed by query block.
+        whole query blocks. The first tile sets each row's kk best from a
+        partition of its product: it holds k rows or more, or the whole
+        gallery. A column is found when it scores above its row's kk-th
+        best so far less ``slack``. After the first tile only found scores
+        can raise the kk best (`_raise_best`), and the found ones that fall
+        below the raised threshold are dropped. The rest are rescored with
+        einsum while t is in hand, the two sides' gathered rows holding no
+        more than one block's product, and filed by query block.
         """
         n, d = t.shape
-        kk = min(self.k, first + n)
-        if kk > self.best.shape[1]:  # -inf in front keeps the least first
-            pad = np.full((len(self.best), kk - self.best.shape[1]), -np.inf)
-            self.best = np.concatenate([pad, self.best], axis=1)
+        if first == 0:
+            self.best = np.empty((len(self.queries), min(self.k, n)))
+        kk = self.best.shape[1]
         # query rows per product: whole blocks, at most TOPK_BLOCK entries
         # and TOPK_BLOCK // (16 k) rows. A product's finds hold about k a
         # row: with spans of TOPK_BLOCK // n rows, `bench` on
         # paper-bench-noisy (k = 50) peaked about 1 MB higher.
         span = max(1, min(TOPK_BLOCK // n, TOPK_BLOCK // (16 * self.k)) // self.rows) * self.rows
-        skip: dict = {}  # span: (rows in it, columns) of the excluded pairs
-        for j, pid in enumerate(names.tolist() if self.banned else ()):
-            for i in self.banned.get(pid, ()):
-                rows, cols = skip.setdefault(i // span, ([], []))
-                rows.append(i % span)
-                cols.append(j)
         for lo in range(0, len(self.queries), span):
             qb = self.queries[lo : lo + span] / self.norms[lo : lo + span, None]
-            best, skip_here = self.best[lo : lo + span], skip.get(lo // span, ((), ()))
-            s = qb @ t.T
-            s[skip_here] = -np.inf
-            partitioned = np.isneginf(best[:, 0]).any()
-            if partitioned:
+            best, s = self.best[lo : lo + span], qb @ t.T
+            if first == 0:
                 # partitioned in place, then scored again: a copy of the
                 # product would raise the call's peak memory
-                top = min(kk, n)
-                s.partition(n - top, axis=1)
-                both = np.concatenate([best, s[:, n - top :]], axis=1)
-                both.partition(top, axis=1)
-                best[...] = both[:, top:]
+                s.partition(n - kk, axis=1)
+                best[...] = s[:, n - kk :]
                 np.matmul(qb, t.T, out=s)
-                s[skip_here] = -np.inf
             at = np.flatnonzero(s > best[:, :1] - self.slack)
             r = at // n
-            if not partitioned and len(at):
+            if first > 0 and len(at):
                 b = s.ravel()[at]
                 best[...] = _raise_best(best, r, b)
                 keep = b > best[r, 0] - self.slack
@@ -291,8 +272,7 @@ class _Screen:
         """Each query row's (ids, scores) pair of tuples, in row order."""
         for blk, lo in enumerate(range(0, len(self.queries), self.rows)):
             rows = min(self.rows, len(self.queries) - lo)
-            found = self.found[blk] or [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
-            r, ids, e = _ordered(*(np.concatenate(x) for x in zip(*found)), self.k)
+            r, ids, e = _ordered(*(np.concatenate(x) for x in zip(*self.found[blk])), self.k)
             self.found[blk] = None
             at = 0
             for size in np.bincount(r, minlength=rows).tolist():
@@ -300,7 +280,7 @@ class _Screen:
                 at += size
 
 
-def top_k(queries, gallery, k: int, exclude=None):
+def top_k(queries, gallery, k: int):
     """Exact top-k cosine retrieval: an iterator of one (ids, scores) pair of
     tuples per query, in query order.
 
@@ -308,12 +288,15 @@ def top_k(queries, gallery, k: int, exclude=None):
     each (n, d), with at least one row in all; a caller with one array
     passes it as one block. Every row is finite and nonzero, ids name each
     gallery row once (unchecked: a repeat is refused where the ids enter the
-    program, as in `dataio.iter_corpus`), k >= 1, and exclude holds, per
-    query, ids it must not return. A query with fewer than k eligible rows
-    gets all of them. The scores are the entries of ``np.einsum("qd,md->qm",
-    ...)`` over the unit rows, clipped to [-1, 1]: einsum, unlike a BLAS
-    matmul, gives byte-identical rows the same score at any position. They
-    descend, and exact ties go by ascending id in Python's string order.
+    program, as in `dataio.iter_corpus`) and k >= 1. A gallery of fewer
+    than k rows is listed whole for every query. The scores are the entries
+    of ``np.einsum("qd,md->qm", ...)`` over the unit rows, clipped to
+    [-1, 1]: einsum, unlike a BLAS matmul, gives byte-identical rows the
+    same score at any position. They descend, and exact ties go by
+    ascending id in Python's string order. A caller that drops ids, as
+    `mining.mine_hard_negatives` drops each query's positives, asks for k
+    plus as many: the order is total, so the rest is the top-k without
+    them.
 
     The gallery is read once. Its rows fill tiles of at most
     max(TOPK_BLOCK // d, k) rows (`_tiles`), normalized in place, and each
@@ -328,14 +311,16 @@ def top_k(queries, gallery, k: int, exclude=None):
     The screen is exact. Each product of unit rows, BLAS or einsum, is within
     gamma_d = d eps / (1 - d eps) of the exact dot product (Higham, Accuracy
     and Stability of Numerical Algorithms, 3.1), so the two differ by at most
-    2 gamma_d. Let T be a row's k-th best BLAS score over the whole gallery.
-    The k columns at or above it have einsum scores of at least
-    T - 2 gamma_d, so the k-th best clipped einsum score is at least the clip
-    of T - 2 gamma_d. A column that reaches it has an einsum score of at
-    least T - 2 gamma_d, or ties with it at the +1 or -1 clip; either way its
-    BLAS score is at least T - 4 gamma_d. The running k-th best only rises as
-    the gallery streams, so it never exceeds T, and a column it screens out
-    at any tile scores below T - 4 gamma_d. The slack adds a few ulps to
+    2 gamma_d. Every score is finite, as the rows are. Let T be a row's k-th
+    best BLAS score over the whole gallery. The k columns at or above it
+    have einsum scores of at least T - 2 gamma_d, so the k-th best clipped
+    einsum score is at least the clip of T - 2 gamma_d. A column that
+    reaches it has an einsum score of at least T - 2 gamma_d, or ties with
+    it at the +1 or -1 clip; either way its BLAS score is at least
+    T - 4 gamma_d. The first tile, of k rows or more or the whole gallery,
+    sets the running k-th best, and later tiles only raise it, so it never
+    exceeds T: a column screened out at any tile, at or below it less the
+    slack, scores below T - 4 gamma_d. The slack adds a few ulps to
     4 gamma_d for the unit rows' rounded norms and the rounding of the
     threshold minus the slack.
     """
@@ -345,7 +330,7 @@ def top_k(queries, gallery, k: int, exclude=None):
     norms = _row_norms(queries, "queries", True)
     d = queries.shape[1]
     width = max(1, TOPK_BLOCK // d, k)
-    screen, m = _Screen(queries, norms, k, max(1, TOPK_BLOCK // width), exclude), 0
+    screen, m = _Screen(queries, norms, k, max(1, TOPK_BLOCK // width)), 0
     for first, names, t in _tiles(gallery, min(width, max(k, width // 4)), width, d):
         t /= _row_norms(t, "gallery", True, first)[:, None]
         screen.tile(first, names, t)

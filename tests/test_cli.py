@@ -814,6 +814,17 @@ class TestFinetune:
         assert "non-finite" in err
         assert not out.exists()
 
+    def test_nan_beta_is_refused_before_training_and_writes_nothing(self, tmp_path, capsys):
+        """InfoNCE does not read beta, but the audit's header does: a NaN
+        there trained every step, wrote the checkpoint, and then could not
+        be written as JSON."""
+        ckpt, ppath, dpath = finetune_fixture(tmp_path)
+        cfg, out = self.make_cfg(tmp_path, ckpt, ppath, dpath, loss_mode="infonce",
+                                 beta="nan")
+        assert main(["finetune", "--config", cfg]) == 1
+        assert f"error: {cfg}: config: beta must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("header", [
         b'["checkpoint", 1]',
         b'{"format": "checkpoint", "version": 1, "dim": 8, "vocab": [], "has_decoder": false}',

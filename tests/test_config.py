@@ -91,6 +91,16 @@ class TestValidate:
         with pytest.raises(ValueError, match=fragment):
             parse_config(line)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected_by_name(self, raw):
+        """A NaN passed the > 0 and >= 0 checks; no float key allows an
+        infinity. Either is refused before any range check, by its key."""
+        floats = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+        assert len(floats) == 9
+        for name in floats:
+            with pytest.raises(ValueError, match=f"config: {name} must be finite, got {raw}"):
+                parse_config(f"{name} = {raw}")
+
     def test_alpha_one_allowed(self):
         assert parse_config("alpha = 1.0").alpha == 1.0
 

@@ -206,6 +206,26 @@ class TestMineHardNegatives:
         for qi, out in enumerate(mined):
             assert ids[qi] not in {pid for pid, _ in out}
 
+    def test_exclusions_leave_a_short_list(self):
+        embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+        ids = ["a", "b", "c"]
+        [out] = mine_hard_negatives(embs[:1], ids, embs, [{"a", "c", "x"}], k=5)
+        assert [pid for pid, _ in out] == ["b"]
+
+    def test_positive_ids_must_match_the_queries(self):
+        """A short list used to exclude nothing for the queries after it."""
+        embs = np.eye(3)
+        for positives in ([{"a"}], [{"a"}, {"b"}, {"c"}]):
+            with pytest.raises(ValueError):
+                mine_hard_negatives(embs[:2], ["a", "b", "c"], embs, positives, k=1)
+
+    def test_k_below_one_rejected(self):
+        """k plus the positives would reach top_k as a valid k."""
+        embs = np.eye(3)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                mine_hard_negatives(embs[:1], ["a", "b", "c"], embs, [{"a", "b"}], k=k)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mine_hard_negatives(np.ones((1, 3)), ["a"], np.ones((1, 4)), [set()])

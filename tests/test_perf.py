@@ -25,7 +25,7 @@ def test_tiny_run_writes_the_schema_and_compares(tmp_path):
     assert result["stamp"]["blas_threads"] == 1
     core = result["stamp"]["blas_core"]
     assert isinstance(core, str) and core
-    assert set(result["cases"]) == {"topk/g300/k5", "topk/q30/g40/k3", "evaluate/g200",
+    assert set(result["cases"]) == {"topk/g300/k5", "mine/q30/g40/k3", "evaluate/g200",
                                     "step/b8/progressive", "step/b8/infonce"}
     for case in result["cases"].values():
         assert set(case) == {"repeats", "median_s", "iqr_s", "first_s", "seconds",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import oracle_blocked_topk, oracle_log_sum_exp
 
-from progemb import similarity
+from progemb import mining, similarity
 from progemb.evaluation import rank_gallery
 from progemb.mining import mine_hard_negatives
 from progemb.similarity import _unit_rows, cosine, sim_matrix, top_k
@@ -16,6 +16,12 @@ from progemb.similarity import _unit_rows, cosine, sim_matrix, top_k
 def bits(hits):
     """Each hit's ids and its scores' bytes: equal bits, not just equal values."""
     return [(names, np.array(scores, dtype=np.float64).tobytes()) for names, scores in hits]
+
+
+def mined_bits(queries, ids, embs, exclude, k):
+    """`bits` of mine_hard_negatives' lists, as top_k's (ids, scores) pairs."""
+    mined = mine_hard_negatives(queries, ids, embs, exclude, k)
+    return bits(tuple(zip(*pairs)) or ((), ()) for pairs in mined)
 
 
 class TestCosine:
@@ -122,27 +128,34 @@ class TestTopK:
 
     @staticmethod
     def block_free(monkeypatch, queries, ids, embs, exclude):
-        """top_k's lists with the gallery whole, checked to be the same, bit
-        for bit, with the gallery fed in blocks of 1, 97 and 1,024 rows, and
-        in 97-row blocks at TOPK_BLOCK 1, 97, 4,099 and 30,011."""
+        """top_k's lists, and the bits of mine_hard_negatives' lists less
+        exclude, with the gallery whole, checked to be the same, bit for
+        bit, with the gallery fed in blocks of 1, 97 and 1,024 rows, and in
+        97-row blocks at TOPK_BLOCK 1, 97, 4,099 and 30,011. The miner's
+        one gallery array is fed in blocks through the top_k it calls."""
         m = len(ids)
-        default = list(top_k(queries, [(ids, embs)], 8, exclude))
+        default = list(top_k(queries, [(ids, embs)], 8))
+        mined = mined_bits(queries, ids, embs, exclude, 8)
 
         def fed(rows):
             return [(ids[lo : lo + rows], embs[lo : lo + rows]) for lo in range(0, m, rows)]
 
-        # the caller's blocks do not shape the tiles
-        for gallery in (fed(1), fed(97), fed(1024)):
-            got = list(top_k(queries, gallery, 8, exclude))
+        def check(rows):
+            got = list(top_k(queries, fed(rows), 8))
             assert got == default
             assert bits(got) == bits(default)
+            with monkeypatch.context() as patch:
+                patch.setattr(mining, "top_k", lambda q, _, k: top_k(q, fed(rows), k))
+                assert mined_bits(queries, ids, embs, exclude, 8) == mined
+
+        # the caller's blocks do not shape the tiles
+        for rows in (1, 97, 1024):
+            check(rows)
         for block in (1, 97, 4099, 30011):
             with monkeypatch.context() as patch:
                 patch.setattr(similarity, "TOPK_BLOCK", block)
-                got = list(top_k(queries, fed(97), 8, exclude))
-            assert got == default
-            assert bits(got) == bits(default)
-        return default
+                check(97)
+        return default, mined
 
     def test_output_is_byte_identical_at_any_block_size(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -167,14 +180,9 @@ class TestTopK:
                                   embs[7] + 0.3 * rng.normal(size=(7, 16))])
         assert len(queries) % (similarity.TOPK_BLOCK // (similarity.TOPK_BLOCK // 16))
         exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
-        got = self.block_free(monkeypatch, queries, ids, embs, exclude)
-        assert bits(got) == bits(oracle_blocked_topk(queries, embs, ids, 8, exclude))
-
-    def test_exclusions_leave_a_short_list(self):
-        embs = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
-        ids = ["a", "b", "c"]
-        [(got, scores)] = top_k(embs[:1], [(ids, embs)], 5, [{"a", "c", "x"}])
-        assert got == ("b",) and len(scores) == 1
+        got, mined = self.block_free(monkeypatch, queries, ids, embs, exclude)
+        assert bits(got) == bits(oracle_blocked_topk(queries, embs, ids, 8))
+        assert mined == bits(oracle_blocked_topk(queries, embs, ids, 8, exclude))
 
     def test_bad_input_rejected(self):
         embs = np.ones((2, 3))
@@ -232,7 +240,7 @@ class TestScreenedTopK:
             assert want[0] == ((), b"") and len(want[1][0]) == 1
             for block in (1, 7, int(rng.integers(8, 400)), 1 << 16):
                 monkeypatch.setattr(similarity, "TOPK_BLOCK", block)
-                assert bits(top_k(queries, [(ids, gallery)], k, exclude)) == want
+                assert mined_bits(queries, ids, gallery, exclude, k) == want
                 assert bits(top_k(queries, [(ids, gallery)], k)) == plain
             q, g = _unit_rows(queries, "q"), _unit_rows(gallery, "g")
             where = np.argsort(order)
@@ -249,7 +257,7 @@ class TestScreenedTopK:
 
     def rescoring(self, m, monkeypatch):
         """Per query, the pairs einsum rescores over an m-row gallery with
-        exact ties, and the clipped einsum scores, the excluded ones -inf."""
+        exact ties, and the clipped einsum scores."""
         rng = np.random.default_rng(37)
         d, k = self.D, self.K
         embs = rng.normal(size=(m, d))
@@ -257,11 +265,8 @@ class TestScreenedTopK:
         ids = [f"p{i:04d}" for i in rng.permutation(m)]
         queries = np.concatenate([rng.normal(size=(150, d)),
                                   embs[5] + 0.3 * rng.normal(size=(150, d))])
-        exclude = [{ids[int(j)] for j in rng.integers(0, m, size=3)} for _ in queries]
         q, g = _unit_rows(queries, "q"), _unit_rows(embs, "g")
         scores = np.clip(np.einsum("qd,md->qm", q, g), -1.0, 1.0)
-        for i, skip in enumerate(exclude):
-            scores[i, [ids.index(p) for p in skip]] = -np.inf
         kth = np.sort(scores, axis=1)[:, -k]
         assert ((scores >= kth[:, None]).sum(axis=1) > k).any()  # ties at the k-th score
         query_of = {row.tobytes(): i for i, row in enumerate(q)}
@@ -274,7 +279,7 @@ class TestScreenedTopK:
             return einsum(spec, a, b)
 
         monkeypatch.setattr(np, "einsum", counting)
-        list(top_k(queries, [(ids, embs)], k, exclude))
+        list(top_k(queries, [(ids, embs)], k))
         monkeypatch.undo()
         assert (rescored >= k).all()
         return rescored, scores
